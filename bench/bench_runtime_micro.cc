@@ -11,12 +11,17 @@
 
 #include "common/logging.h"
 #include "common/random.h"
+#include "common/string_util.h"
+#include "datalog/parser.h"
+#include "engine/evaluator.h"
+#include "graph/rule_goal_graph.h"
+#include "msg/flight_recorder.h"
 #include "msg/network.h"
-#include "obs/flight_recorder.h"
 #include "obs/lineage.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "relational/operators.h"
+#include "sips/strategy.h"
 
 namespace mpqe {
 namespace {
@@ -349,23 +354,18 @@ void BM_SegmentHopLineage(benchmark::State& state) {
 }
 BENCHMARK(BM_SegmentHopLineage);
 
-// The flight-recorder-overhead guard: the same dedup hop as
-// BM_SegmentHopDedup, but with a FlightSessionObserver attached — the
-// exact always-on tap every engine session runs with when
-// EngineOptions::flight_recorder is on (the default). Each event is a
-// clock read plus a seqlock-published 40-byte record into a per-thread
-// ring. bench_guard.py --flight asserts this stays within 1.05x of
-// BM_SegmentHopDedup, keeping the black box cheap enough to never turn
-// off. The recorder lives outside the timing loop like the engine's
-// does (one recorder per Engine, not per session).
+// The segment-path check of the flight recorder: the same dedup hop as
+// BM_SegmentHopDedup, with the network's flight tap attached (one
+// kDeliver record per hop, written from the two clock reads around the
+// handler). The recorder lives outside the timing loop like the
+// engine's does (one recorder per Engine, not per session).
 void BM_SegmentHopFlight(benchmark::State& state) {
   const int64_t kHops = 1000;
   FlightRecorder recorder;
   uint64_t query_id = 0;
   for (auto _ : state) {
     Network net;
-    FlightSessionObserver observer(&recorder, ++query_id);
-    net.AddObserver(&observer);
+    net.SetFlightRecorder(&recorder, ++query_id);
     net.AddProcess(
         std::make_unique<SegmentDedupHop>(1, nullptr, &net.observers()));
     net.AddProcess(
@@ -380,6 +380,77 @@ void BM_SegmentHopFlight(benchmark::State& state) {
                           static_cast<int64_t>(kSegmentRows));
 }
 BENCHMARK(BM_SegmentHopFlight);
+
+// ---------------------------------------------------------------------------
+// Single-row engine hops
+
+// The shape where a delivery's fixed cost is the query's cost: linear
+// TC down a chain, evaluated by real node processes (goal, rule, EDB
+// leaf, Fig. 2 protocol), where almost every answer travels as its own
+// one-row message — tc_chain_bulk in miniature. Items = deliveries.
+// BM_SingleRowHopFlight runs the identical session with the engine's
+// always-on flight recorder attached; bench_guard.py --flight holds
+// the ratio of the pair.
+constexpr int64_t kChainNodes = 64;
+
+struct ChainTc {
+  ParsedUnit unit;
+  std::unique_ptr<RuleGoalGraph> graph;
+};
+
+// The graph refers into the program, so the pair is built in place.
+std::unique_ptr<ChainTc> MakeChainTc() {
+  std::string text =
+      "tc(X, Y) :- edge(X, Y).\n"
+      "tc(X, Y) :- edge(X, Z), tc(Z, Y).\n"
+      "?- tc(0, W).\n";
+  for (int64_t i = 0; i + 1 < kChainNodes; ++i) {
+    text += StrCat("edge(", i, ", ", i + 1, ").\n");
+  }
+  StatusOr<ParsedUnit> unit = Parse(text);
+  MPQE_CHECK(unit.ok()) << unit.status();
+  auto chain = std::make_unique<ChainTc>();
+  chain->unit = std::move(unit).value();
+  MPQE_CHECK(chain->unit.program.Validate(&chain->unit.database).ok());
+  StatusOr<std::unique_ptr<SipsStrategy>> strategy =
+      MakeStrategyByName("greedy");
+  MPQE_CHECK(strategy.ok());
+  StatusOr<std::unique_ptr<RuleGoalGraph>> graph =
+      RuleGoalGraph::Build(chain->unit.program, **strategy);
+  MPQE_CHECK(graph.ok()) << graph.status();
+  chain->graph = std::move(graph).value();
+  return chain;
+}
+
+void RunSingleRowHops(benchmark::State& state, FlightRecorder* recorder) {
+  std::unique_ptr<ChainTc> chain = MakeChainTc();
+  SessionOptions options;
+  options.flight = recorder;
+  uint64_t delivered = 0;
+  for (auto _ : state) {
+    ++options.query_id;
+    StatusOr<EvaluationResult> result =
+        RunSession(*chain->graph, chain->unit.database, options);
+    MPQE_CHECK(result.ok()) << result.status();
+    MPQE_CHECK(result->answers.size() ==
+               static_cast<size_t>(kChainNodes - 1));
+    MPQE_CHECK(result->observer_count == 0);
+    delivered += result->delivered;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(delivered));
+}
+
+void BM_SingleRowHop(benchmark::State& state) {
+  RunSingleRowHops(state, nullptr);
+}
+BENCHMARK(BM_SingleRowHop);
+
+void BM_SingleRowHopFlight(benchmark::State& state) {
+  FlightRecorder recorder;
+  RunSingleRowHops(state, &recorder);
+  MPQE_CHECK(recorder.recorded() > 0);
+}
+BENCHMARK(BM_SingleRowHopFlight);
 
 // ---------------------------------------------------------------------------
 // Vectorized segment kernels (PR 9): row-at-a-time vs. batch absorption

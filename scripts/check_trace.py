@@ -74,8 +74,10 @@ by the stall watchdog, GET /debug/flight, and mpqe_query
   * top-level schema marker, reason in {stall, manual}, and the
     scalar block (query_id, stalled_ms, delivered, in_flight,
     stuck_scc) all present and well-typed;
-  * events are time-ordered, every event has a known type name, and
-    rows/aux are non-negative;
+  * events are time-ordered, every event has a known type name (the
+    retired "send" and "node_fire" types included, so older dumps
+    still parse), and rows/aux (plus rows_out on deliveries) are
+    non-negative;
   * scc rows are unique by id; nontrivial sccs have members >= 1 and
     carry the Fig. 2 protocol block (wave, waiting_for, ...);
   * node rows are unique by id, reference known sccs, and carry
@@ -559,7 +561,9 @@ def check_flight(path, expect_stall):
             fail(f"event {i} ts_ns {ts} precedes event {i - 1} ({prev_ts}) "
                  f"— events not time-ordered")
         prev_ts = ts
-        for key in ("rows", "aux"):
+        keys = ("rows", "aux", "rows_out") if e["type"] == "deliver" else (
+            "rows", "aux")
+        for key in keys:
             v = e.get(key)
             if not isinstance(v, int) or v < 0:
                 fail(f"event {i}.{key} is {v!r}, expected non-negative int")

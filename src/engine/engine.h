@@ -108,12 +108,14 @@ struct EngineOptions {
   // widened.
   std::string stats_bind_address = "127.0.0.1";
 
-  // The engine black box (obs/flight_recorder.h): an always-on
-  // lock-free ring of recent events every session feeds. Cheap enough
-  // to leave on (CI guards <= 5% on the segment-hop bench); the switch
-  // exists for overhead A/B runs. With it off, sessions record
-  // nothing, /debug/flight serves an empty manual dump and the
-  // watchdog still fires but its dumps carry no event history.
+  // The engine black box (msg/flight_recorder.h): an always-on
+  // lock-free ring of recent events every session feeds. It is a
+  // direct network tap, not an observer: per delivery, two clock reads
+  // and one 48-byte ring write (CI guards the cost on single-row
+  // engine hops, bench_guard.py --flight). The switch exists for
+  // overhead A/B runs. With it off, sessions record nothing,
+  // /debug/flight serves an empty manual dump and the watchdog still
+  // fires but its dumps carry no event history.
   bool flight_recorder = true;
 
   // Flight-recorder retention (per ring / ring count; see

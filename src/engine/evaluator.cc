@@ -91,14 +91,9 @@ struct ScopedObservers {
   std::optional<ProfilingObserver> profiler;
   std::optional<LineageObserver> lineage;
   std::optional<LoggingObserver> logger;
-  std::optional<FlightSessionObserver> flight;
 
   explicit ScopedObservers(const SessionOptions& options) {
     for (ExecutionObserver* o : options.observers) list.Add(o);
-    if (options.flight != nullptr) {
-      flight.emplace(options.flight, options.query_id);
-      list.Add(&*flight);
-    }
     if (options.metrics != nullptr) {
       MetricsObserver::Options metrics_options;
       metrics_options.per_arc = options.metrics_per_arc;
@@ -124,21 +119,29 @@ struct ScopedObservers {
   }
 };
 
-// RAII phase reporter: begin on construction, end on destruction.
+// RAII phase reporter: begin on construction, end on destruction, to
+// the observers and straight to the flight recorder.
 class ScopedPhase {
  public:
-  ScopedPhase(const ObserverList& list, Phase phase)
-      : list_(list), phase_(phase) {
-    if (list_.empty()) return;
-    list_.NotifyPhase(PhaseEvent{phase_, /*begin=*/true});
+  ScopedPhase(const ObserverList& list, const SessionOptions& options,
+              Phase phase)
+      : list_(list), options_(options), phase_(phase) {
+    Report(/*begin=*/true);
   }
-  ~ScopedPhase() {
-    if (list_.empty()) return;
-    list_.NotifyPhase(PhaseEvent{phase_, /*begin=*/false});
-  }
+  ~ScopedPhase() { Report(/*begin=*/false); }
 
  private:
+  void Report(bool begin) const {
+    if (options_.flight != nullptr) {
+      options_.flight->RecordEvent(FlightEventType::kPhase, options_.query_id,
+                                   begin ? 1 : 0, -1, 0, 0,
+                                   static_cast<uint8_t>(phase_));
+    }
+    if (!list_.empty()) list_.NotifyPhase(PhaseEvent{phase_, begin});
+  }
+
   const ObserverList& list_;
+  const SessionOptions& options_;
   Phase phase_;
 };
 
@@ -327,22 +330,20 @@ FlightDump BuildFlightDump(const RuleGoalGraph& graph, Database& db,
     row.queue_depth = depth_by_node[id];
     dump.nodes.push_back(std::move(row));
   }
+  // One kDeliver record per handler run: it is the receiver's fire and
+  // delivery, and the sender's (delivered) send.
+  const auto is_node = [&](int32_t id) {
+    return id >= 0 && id < static_cast<int32_t>(dump.nodes.size());
+  };
   for (const FlightRecord& r : dump.events) {
-    const auto type = static_cast<FlightEventType>(r.type);
-    if (type == FlightEventType::kNodeFire) {
-      if (r.a >= 0 && r.a < static_cast<int32_t>(dump.nodes.size())) {
-        ++dump.nodes[r.a].fires;
-        dump.nodes[r.a].last_fire_ts_ns = r.ts_ns;
-      }
-    } else if (type == FlightEventType::kSend) {
-      if (r.a >= 0 && r.a < static_cast<int32_t>(dump.nodes.size())) {
-        ++dump.nodes[r.a].sends;
-      }
-    } else if (type == FlightEventType::kDeliver) {
-      if (r.b >= 0 && r.b < static_cast<int32_t>(dump.nodes.size())) {
-        ++dump.nodes[r.b].deliveries;
-        dump.nodes[r.b].last_delivery_ts_ns = r.ts_ns;
-      }
+    if (r.type != static_cast<uint8_t>(FlightEventType::kDeliver)) continue;
+    if (is_node(r.a)) ++dump.nodes[r.a].sends;
+    if (is_node(r.b)) {
+      FlightDumpNode& to = dump.nodes[r.b];
+      ++to.fires;
+      ++to.deliveries;
+      to.last_fire_ts_ns = r.ts_ns;
+      to.last_delivery_ts_ns = r.ts_ns;
     }
   }
   return dump;
@@ -362,8 +363,7 @@ StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
     scoped.list.NotifySessionStart(SessionStartEvent{options.query_id});
   }
   if (options.flight != nullptr) {
-    // The black box gets the session header directly (scheduler kind +
-    // worker count — the observer callbacks never see those).
+    // The session header: scheduler kind and worker count.
     options.flight->RecordEvent(FlightEventType::kSessionStart,
                                 options.query_id,
                                 static_cast<int32_t>(options.scheduler),
@@ -378,6 +378,9 @@ StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
 
   Network network;
   for (ExecutionObserver* o : scoped.list.items()) network.AddObserver(o);
+  if (options.flight != nullptr) {
+    network.SetFlightRecorder(options.flight, options.query_id);
+  }
   EngineShared shared;
   shared.graph = &graph;
   shared.db = &db;
@@ -409,7 +412,7 @@ StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
   std::vector<NodeProcessBase*> node_processes;
   SinkProcess* sink_ptr = nullptr;
   {
-    ScopedPhase phase(scoped.list, Phase::kNetworkWiring);
+    ScopedPhase phase(scoped.list, options, Phase::kNetworkWiring);
     // One process per graph node (pid == node id), plus the sink. The
     // pid map is filled up front because process constructors plan
     // against it.
@@ -529,7 +532,7 @@ StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
 
   StatusOr<RunResult> run = InternalError("scheduler did not run");
   {
-    ScopedPhase phase(scoped.list, Phase::kRun);
+    ScopedPhase phase(scoped.list, options, Phase::kRun);
     SchedulerParams params;
     params.seed = options.seed;
     params.workers = options.workers;
@@ -538,7 +541,7 @@ StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
   }
   if (!run.ok()) return run.status();
 
-  ScopedPhase drain_phase(scoped.list, Phase::kDrain);
+  ScopedPhase drain_phase(scoped.list, options, Phase::kDrain);
   EvaluationResult result;
   result.answers = sink_ptr->answers();
   result.ended_by_protocol = sink_ptr->done();
@@ -546,6 +549,7 @@ StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
   result.message_stats = network.stats();
   result.graph_stats = graph.Stats();
   result.delivered = run->delivered;
+  result.observer_count = network.observers().size();
   for (NodeProcessBase* p : node_processes) {
     p->AccumulateCounters(result.counters);
   }
@@ -597,7 +601,7 @@ StatusOr<EvaluationResult> Evaluate(const Program& program, Database& db,
 
   std::unique_ptr<SipsStrategy> strategy;
   {
-    ScopedPhase phase(scoped.list, Phase::kAdornment);
+    ScopedPhase phase(scoped.list, options, Phase::kAdornment);
     if (!options.skip_validation) {
       MPQE_RETURN_IF_ERROR(program.Validate(&db));
     }
@@ -605,7 +609,7 @@ StatusOr<EvaluationResult> Evaluate(const Program& program, Database& db,
   }
   std::unique_ptr<RuleGoalGraph> graph;
   {
-    ScopedPhase phase(scoped.list, Phase::kGraphBuild);
+    ScopedPhase phase(scoped.list, options, Phase::kGraphBuild);
     MPQE_ASSIGN_OR_RETURN(
         graph, RuleGoalGraph::Build(program, *strategy, options.graph_options));
   }

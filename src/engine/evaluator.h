@@ -40,7 +40,7 @@
 #include "engine/node_processes.h"
 #include "graph/rule_goal_graph.h"
 #include "msg/network.h"
-#include "obs/flight_recorder.h"
+#include "obs/flight_dump.h"
 #include "obs/lineage.h"
 #include "obs/metrics.h"
 #include "obs/observer.h"
@@ -180,9 +180,10 @@ struct SessionOptions {
 
   // Flight recorder sink (not owned; set by Engine::CreateSession when
   // EngineOptions::flight_recorder is on, or directly by tests). When
-  // set, the session attaches a FlightSessionObserver so sends,
-  // deliveries, node fires, phases and termination-protocol events
-  // land in the engine's black box (obs/flight_recorder.h).
+  // set, the session's Network writes one record per delivery and the
+  // engine records phases, Fig. 2 transitions and the session
+  // lifecycle into the engine's black box (msg/flight_recorder.h). It
+  // attaches no observer.
   FlightRecorder* flight = nullptr;
 
   // Stall watchdog (threaded scheduler only): when > 0 and the session
@@ -245,6 +246,10 @@ struct EvaluationResult {
   EngineCounters counters;
   GraphStats graph_stats;
   uint64_t delivered = 0;
+
+  // ExecutionObservers the session's network carried: 0 means every
+  // send, delivery and node firing took the zero-observer fast path.
+  size_t observer_count = 0;
 
   // One row per graph node (empty unless requested). Use together
   // with RuleGoalGraph::NodeLabel to see where tuples accumulate.

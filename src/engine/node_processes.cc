@@ -69,19 +69,7 @@ void NodeProcessBase::OnMessage(const Message& message) {
   event.pid = process_id();
   event.role = Role();
   event.trigger = message.kind;
-  if (message.kind == MessageKind::kTuple) {
-    event.tuples_in = 1;
-  } else if (message.kind == MessageKind::kTupleSegment) {
-    event.tuples_in = static_cast<uint32_t>(message.segment().num_rows);
-  } else if (message.kind == MessageKind::kBatch) {
-    for (const Message& sub : message.batch()) {
-      if (sub.kind == MessageKind::kTuple) {
-        ++event.tuples_in;
-      } else if (sub.kind == MessageKind::kTupleSegment) {
-        event.tuples_in += static_cast<uint32_t>(sub.segment().num_rows);
-      }
-    }
-  }
+  event.tuples_in = static_cast<uint32_t>(message.answer_rows());
   event.tuples_out = fire_tuples_out_;
   event.dedup_hits = LocalDuplicateDrops() - drops_before;
   event.handle_ns = static_cast<uint64_t>(

@@ -1,5 +1,7 @@
 #include "engine/termination.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace mpqe {
@@ -33,15 +35,24 @@ void TerminationParticipant::OnWorkMessage() {
 }
 
 void TerminationParticipant::Publish(TerminationEvent::Kind kind) const {
+  FlightRecorder* flight = network_->flight_recorder();
   const ObserverList& observers = network_->observers();
-  if (observers.empty()) return;
+  if (flight == nullptr && observers.empty()) return;
   TerminationEvent event;
   event.kind = kind;
   event.node = self_;
   event.wave = wave_.load(std::memory_order_relaxed);
   event.idleness = idleness_.load(std::memory_order_relaxed);
   event.open_work = subtree_open_work_.load(std::memory_order_relaxed);
-  observers.NotifyTermination(event);
+  if (flight != nullptr) {
+    flight->RecordEvent(
+        FlightEventType::kTermination, network_->flight_query_id(),
+        event.node, static_cast<int32_t>(event.wave),
+        static_cast<uint32_t>(std::clamp<int64_t>(event.idleness, 0,
+                                                  UINT32_MAX)),
+        event.open_work ? 1 : 0, static_cast<uint8_t>(event.kind));
+  }
+  if (!observers.empty()) observers.NotifyTermination(event);
 }
 
 void TerminationParticipant::NotifyExternalWork() {

@@ -128,8 +128,8 @@ class TerminationParticipant {
 
  private:
   bool EmptyQueues() const;
-  // Reports a protocol event to the network's observers (no-op with
-  // none installed).
+  // Reports a protocol event to the network's flight recorder and
+  // observers (no-op with neither attached).
   void Publish(TerminationEvent::Kind kind) const;
   void StartWave();
   // Shared tail of process-end-request: record idleness, fan out to

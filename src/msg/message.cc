@@ -34,6 +34,22 @@ const char* MessageKindToString(MessageKind kind) {
   return "?";
 }
 
+uint64_t Message::answer_rows() const {
+  switch (kind) {
+    case MessageKind::kTuple:
+      return 1;
+    case MessageKind::kTupleSegment:
+      return segment().num_rows;
+    case MessageKind::kBatch: {
+      uint64_t rows = 0;
+      for (const Message& sub : batch()) rows += sub.answer_rows();
+      return rows;
+    }
+    default:
+      return 0;
+  }
+}
+
 std::string Message::ToString(const SymbolTable* symbols) const {
   std::string out = StrCat(MessageKindToString(kind), " from=", from);
   if (kind == MessageKind::kTupleRequest || kind == MessageKind::kTuple ||

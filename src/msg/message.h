@@ -116,6 +116,11 @@ struct Message {
     return std::static_pointer_cast<const TupleSegment>(payload);
   }
 
+  /// Answer tuples this message carries: 1 for a bare kTuple, the row
+  /// count of a kTupleSegment, the sum over a kBatch's contents, 0 for
+  /// every other kind.
+  uint64_t answer_rows() const;
+
   std::string ToString(const SymbolTable* symbols = nullptr) const;
 };
 

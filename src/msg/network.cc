@@ -8,6 +8,18 @@
 #include "common/string_util.h"
 
 namespace mpqe {
+namespace {
+
+uint32_t ClampU32(uint64_t v) {
+  return v > UINT32_MAX ? UINT32_MAX : static_cast<uint32_t>(v);
+}
+
+// Answer rows this thread has sent into flight-recorded networks. A
+// handler runs start to finish on one thread, so the difference across
+// a handler is exactly the rows that handler sent.
+thread_local uint64_t t_answer_rows_sent = 0;
+
+}  // namespace
 
 const char* SchedulerKindToName(SchedulerKind kind) {
   switch (kind) {
@@ -123,6 +135,7 @@ void Network::Send(ProcessId from, ProcessId to, Message message) {
     segment_rows_.fetch_add(message.segment().num_rows,
                             std::memory_order_relaxed);
   }
+  if (flight_ != nullptr) t_answer_rows_sent += message.answer_rows();
   Mailbox& box = *mailboxes_[to];
   {
     std::lock_guard<std::mutex> lock(box.mutex);
@@ -170,33 +183,50 @@ void Network::Start() {
 }
 
 void Network::Deliver(ProcessId id, const Message& message) {
-  if (observers_.empty()) {
+  if (flight_ == nullptr && observers_.empty()) {
     processes_[id]->OnMessage(message);
   } else {
-    auto start = std::chrono::steady_clock::now();
-    processes_[id]->OnMessage(message);
-    DeliverEvent event;
-    event.from = message.from;
-    event.to = id;
-    event.kind = message.kind;
-    if (message.kind == MessageKind::kTupleSegment) {
-      event.payload_rows = message.segment().num_rows;
-      event.payload_segments = 1;
-    } else if (message.kind == MessageKind::kBatch) {
-      for (const Message& sub : message.batch()) {
-        if (sub.kind == MessageKind::kTupleSegment) {
-          event.payload_rows += sub.segment().num_rows;
-          ++event.payload_segments;
-        }
-      }
-    }
-    event.handle_ns = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count());
-    observers_.NotifyDeliver(event);
+    DeliverTapped(id, message);
   }
   total_pending_.fetch_sub(1, std::memory_order_acq_rel);
+}
+
+void Network::DeliverTapped(ProcessId id, const Message& message) {
+  const uint64_t rows_sent_before = t_answer_rows_sent;
+  const uint64_t start = FlightRecorder::NowNs();
+  processes_[id]->OnMessage(message);
+  const uint64_t end = FlightRecorder::NowNs();
+  if (flight_ != nullptr) {
+    FlightRecord record;
+    record.ts_ns = end;
+    record.query_id = flight_query_id_;
+    record.a = message.from;
+    record.b = id;
+    record.rows = ClampU32(message.answer_rows());
+    record.rows_out = ClampU32(t_answer_rows_sent - rows_sent_before);
+    record.aux = ClampU32(end - start);
+    record.type = static_cast<uint8_t>(FlightEventType::kDeliver);
+    record.kind = static_cast<uint8_t>(message.kind);
+    flight_->Append(record);
+  }
+  if (observers_.empty()) return;
+  DeliverEvent event;
+  event.from = message.from;
+  event.to = id;
+  event.kind = message.kind;
+  if (message.kind == MessageKind::kTupleSegment) {
+    event.payload_rows = message.segment().num_rows;
+    event.payload_segments = 1;
+  } else if (message.kind == MessageKind::kBatch) {
+    for (const Message& sub : message.batch()) {
+      if (sub.kind == MessageKind::kTupleSegment) {
+        event.payload_rows += sub.segment().num_rows;
+        ++event.payload_segments;
+      }
+    }
+  }
+  event.handle_ns = end - start;
+  observers_.NotifyDeliver(event);
 }
 
 StatusOr<RunResult> Network::RunDeterministic(uint64_t max_messages) {

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "msg/flight_recorder.h"
 #include "msg/message.h"
 #include "obs/observer.h"
 
@@ -181,6 +182,19 @@ class Network {
   /// same audience; empty() is the zero-observer fast-path check.
   const ObserverList& observers() const { return observers_; }
 
+  /// Attaches the session's flight-recorder tap (not owned; must
+  /// outlive the network): one kDeliver record per delivery, stamped
+  /// with `query_id` (msg/flight_recorder.h). Attach before Start().
+  void SetFlightRecorder(FlightRecorder* recorder, uint64_t query_id) {
+    flight_ = recorder;
+    flight_query_id_ = query_id;
+  }
+
+  /// The attached recorder (nullptr = none) and its query id. Engine
+  /// layers write their rare events (Fig. 2 transitions) through it.
+  FlightRecorder* flight_recorder() const { return flight_; }
+  uint64_t flight_query_id() const { return flight_query_id_; }
+
   /// Installs a stall heartbeat for RunThreaded: when no delivery
   /// completes for `interval_ms`, `handler` runs (on a dedicated
   /// monitor thread, concurrently with the workers — it must be
@@ -217,10 +231,14 @@ class Network {
   };
 
   void Deliver(ProcessId id, const Message& message);
+  // Deliver with observers or a flight recorder attached.
+  void DeliverTapped(ProcessId id, const Message& message);
 
   std::vector<std::unique_ptr<Process>> processes_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   ObserverList observers_;
+  FlightRecorder* flight_ = nullptr;
+  uint64_t flight_query_id_ = 0;
   std::atomic<bool> started_{false};
   std::atomic<bool> stop_requested_{false};
   std::atomic<int64_t> total_pending_{0};

@@ -24,6 +24,9 @@
 //  * All callbacks must return; they run on the engine's hot path.
 //    With no observers installed the engine skips event construction
 //    entirely (one empty() branch per site).
+//  * The engine's always-on flight recorder is not an observer but a
+//    direct Network tap (msg/flight_recorder.h), so a default engine
+//    session keeps this fast path.
 
 #ifndef MPQE_OBS_OBSERVER_H_
 #define MPQE_OBS_OBSERVER_H_

@@ -1,13 +1,14 @@
 // Tests of the flight recorder (DESIGN.md §14): seqlock ring
 // semantics (ordering, wraparound, torn-slot rejection under
-// concurrent writers), the session observer tap, the stall watchdog
-// end-to-end with fault injection (a parked SCC member must yield a
-// diagnostic bundle naming the wedged SCC), and the engine surfaces —
-// GET /debug/flight and Engine::FlightDumpJson. The concurrent-writer
-// and watchdog cases double as the TSan coverage for the recorder's
-// race-free-snapshot claim.
+// concurrent writers), the network's per-delivery tap (its records
+// agree with the run's own counts; it attaches no observer), the stall
+// watchdog end-to-end with fault injection (a parked SCC member must
+// yield a diagnostic bundle naming the wedged SCC), and the engine
+// surfaces — GET /debug/flight and Engine::FlightDumpJson. The
+// concurrent-writer and watchdog cases double as the TSan coverage for
+// the recorder's race-free-snapshot claim.
 
-#include "obs/flight_recorder.h"
+#include "msg/flight_recorder.h"
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -25,10 +27,13 @@
 
 #include <mutex>
 
+#include "common/string_util.h"
 #include "datalog/parser.h"
 #include "engine/engine.h"
 #include "engine/evaluator.h"
 #include "graph/rule_goal_graph.h"
+#include "msg/network.h"
+#include "obs/flight_dump.h"
 #include "sips/strategy.h"
 
 namespace mpqe {
@@ -194,34 +199,119 @@ TEST(FlightRecorderTest, EventTypeNamesAreStableSchema) {
 }
 
 // ---------------------------------------------------------------------------
-// Session tap
+// Delivery tap
 
-TEST(FlightRecorderTest, SessionTapRecordsTheWholeEventAlphabet) {
-  auto unit = Parse(R"(
-    edge(1, 2). edge(2, 3). edge(3, 4). edge(4, 2).
-    tc(X, Y) :- edge(X, Y).
-    tc(X, Y) :- edge(X, Z), tc(Z, Y).
-    ?- tc(1, W).
-  )");
+// Forwards a bare one-row kTuple to `peer` on its first message.
+class TupleForward : public Process {
+ public:
+  explicit TupleForward(ProcessId peer) : peer_(peer) {}
+  void OnMessage(const Message& m) override {
+    if (peer_ != kNoProcess) Send(peer_, MakeTuple({}, m.values));
+  }
+
+ private:
+  ProcessId peer_;
+};
+
+TEST(FlightRecorderTest, DeliverRecordsCountABareTupleAsOneRow) {
+  // A delivery record carries answer rows in and out. A bare kTuple is
+  // one row on both sides, not zero.
+  FlightRecorder recorder({.ring_capacity = 64, .ring_count = 1});
+  Network net;
+  net.AddProcess(std::make_unique<TupleForward>(1));
+  net.AddProcess(std::make_unique<TupleForward>(kNoProcess));
+  net.SetFlightRecorder(&recorder, /*query_id=*/3);
+  net.Start();
+  net.Send(kNoProcess, 0, MakeTuple({}, {Value::Int(7)}));
+  ASSERT_TRUE(net.RunDeterministic().ok());
+  EXPECT_TRUE(net.observers().empty());
+
+  std::vector<FlightRecord> records = recorder.Snapshot();
+  ASSERT_EQ(records.size(), 2u);
+  for (const FlightRecord& r : records) {
+    EXPECT_EQ(r.type, static_cast<uint8_t>(FlightEventType::kDeliver));
+    EXPECT_EQ(r.kind, static_cast<uint8_t>(MessageKind::kTuple));
+    EXPECT_EQ(r.query_id, 3u);
+    EXPECT_EQ(r.rows, 1u);
+  }
+  EXPECT_EQ(records[0].a, kNoProcess);
+  EXPECT_EQ(records[0].b, 0);
+  EXPECT_EQ(records[0].rows_out, 1u);  // forwarded to process 1
+  EXPECT_EQ(records[1].a, 0);
+  EXPECT_EQ(records[1].b, 1);
+  EXPECT_EQ(records[1].rows_out, 0u);
+}
+
+TEST(FlightRecorderTest, SessionRecordsAgreeWithTheRunsOwnCounts) {
+  // One deterministic session on a recorder that retains all of it:
+  // the delivery records must reproduce the scheduler's delivery
+  // count, the profiler's per-node msgs_in, and the answer rows the
+  // network counted as sent.
+  auto unit = Parse(StrCat(kTcFacts, kTcRules));
   ASSERT_TRUE(unit.ok()) << unit.status();
-  FlightRecorder recorder;
+  FlightRecorder recorder({.ring_capacity = 1 << 16, .ring_count = 1});
   EvaluationOptions options;
   options.flight = &recorder;
   options.query_id = 99;
+  options.profile = true;
   auto result = Evaluate(unit->program, unit->database, options);
   ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_NE(result->profile, nullptr);
 
+  uint64_t deliveries = 0;
+  uint64_t rows_out = 0;
+  std::map<int32_t, uint64_t> deliveries_by_node;
   std::set<uint8_t> types;
   for (const FlightRecord& r : recorder.Snapshot()) {
     EXPECT_EQ(r.query_id, 99u);
     types.insert(r.type);
+    if (r.type != static_cast<uint8_t>(FlightEventType::kDeliver)) continue;
+    ++deliveries;
+    ++deliveries_by_node[r.b];
+    rows_out += r.rows_out;
   }
-  EXPECT_TRUE(types.count(static_cast<uint8_t>(FlightEventType::kSend)));
-  EXPECT_TRUE(types.count(static_cast<uint8_t>(FlightEventType::kDeliver)));
-  EXPECT_TRUE(types.count(static_cast<uint8_t>(FlightEventType::kNodeFire)));
+  EXPECT_LT(recorder.recorded(), uint64_t{1} << 16) << "ring wrapped";
+  EXPECT_EQ(deliveries, result->delivered);
+  for (const NodeProfile& node : result->profile->nodes) {
+    EXPECT_EQ(deliveries_by_node[node.node], node.msgs_in)
+        << "node " << node.node;
+  }
+  const MessageStats& stats = result->message_stats;
+  EXPECT_EQ(rows_out, stats.Count(MessageKind::kTuple) + stats.segment_rows);
+  EXPECT_GT(rows_out, 0u);
+  // The rare events still land; the per-send and per-fire records are
+  // gone (folded into kDeliver).
   EXPECT_TRUE(types.count(static_cast<uint8_t>(FlightEventType::kPhase)));
   EXPECT_TRUE(
       types.count(static_cast<uint8_t>(FlightEventType::kTermination)));
+  EXPECT_FALSE(types.count(static_cast<uint8_t>(FlightEventType::kSend)));
+  EXPECT_FALSE(types.count(static_cast<uint8_t>(FlightEventType::kNodeFire)));
+}
+
+TEST(FlightRecorderTest, UnsampledEngineSessionRecordsWithoutObservers) {
+  // A default Engine samples deep metrics on every 16th session,
+  // starting with the first. The second session is unsampled: the
+  // recorder is on, yet its network carries no observer at all.
+  auto facts = Parse(kTcFacts);
+  ASSERT_TRUE(facts.ok()) << facts.status();
+  EngineOptions engine_options;
+  engine_options.workers = 2;
+  Engine engine(engine_options);
+  ASSERT_NE(engine.flight_recorder(), nullptr);
+  auto snapshot = engine.Attach(std::move(facts->database));
+  auto plan = engine.Prepare(snapshot, kTcRules);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+
+  auto sampled = engine.RunAsync(*plan).get();
+  ASSERT_TRUE(sampled.ok()) << sampled.status();
+  EXPECT_GE(sampled->observer_count, 1u);
+  const uint64_t before = engine.flight_recorder()->recorded();
+  auto unsampled = engine.RunAsync(*plan).get();
+  ASSERT_TRUE(unsampled.ok()) << unsampled.status();
+  EXPECT_EQ(unsampled->observer_count, 0u);
+  EXPECT_EQ(unsampled->answers.size(), 4u);
+  EXPECT_GT(engine.flight_recorder()->recorded() - before,
+            unsampled->delivered);
 }
 
 // ---------------------------------------------------------------------------
