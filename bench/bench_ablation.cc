@@ -66,8 +66,8 @@ void BM_StrategyAblation(benchmark::State& state) {
   state.counters["answers"] = static_cast<double>(result.answers.size());
   state.counters["stored_tuples"] =
       static_cast<double>(result.counters.stored_tuples);
-  state.counters["tuple_msgs"] =
-      static_cast<double>(result.message_stats.Count(MessageKind::kTuple));
+  state.counters["answer_rows"] =
+      static_cast<double>(result.message_stats.segment_rows);
 }
 BENCHMARK(BM_StrategyAblation)->DenseRange(0, 4);
 

@@ -85,8 +85,8 @@ void BM_SharedSubqueries(benchmark::State& state) {
   state.counters["consumers"] = consumers;
   state.counters["stored_tuples"] =
       static_cast<double>(result.counters.stored_tuples);
-  state.counters["tuple_msgs"] =
-      static_cast<double>(result.message_stats.Count(MessageKind::kTuple));
+  state.counters["answer_rows"] =
+      static_cast<double>(result.message_stats.segment_rows);
   state.counters["graph_nodes"] =
       static_cast<double>(result.graph_stats.node_count);
 }

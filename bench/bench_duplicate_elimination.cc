@@ -91,36 +91,6 @@ void BM_DedupNonlinearVsLinear(benchmark::State& state) {
 BENCHMARK(BM_DedupNonlinearVsLinear)
     ->ArgsProduct({{32, 64}, {0, 1}});
 
-// Segmented vs per-tuple wire on the same dedup-bound workload
-// (nonlinear TC on a cycle — multi-row answer runs, so segments
-// actually fill). arg1 == 1 evaluates with columnar TupleSegment
-// messages (the default), arg1 == 0 forces the legacy one-envelope-
-// per-tuple wire. The time ratio is the end-to-end win of segmenting.
-void BM_DedupSegmentedVsPerTuple(benchmark::State& state) {
-  int64_t n = state.range(0);
-  bool segmented = state.range(1) == 1;
-  EvaluationResult result;
-  for (auto _ : state) {
-    Database db;
-    MPQE_CHECK(workload::MakeCycle(db, "edge", n).ok());
-    Program program;
-    MPQE_CHECK(ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
-    EvaluationOptions options;
-    options.segment_messages = segmented;
-    auto r = Evaluate(program, db, options);
-    MPQE_CHECK(r.ok());
-    result = *std::move(r);
-  }
-  state.SetLabel(segmented ? "segmented" : "per_tuple");
-  state.counters["answers"] = static_cast<double>(result.answers.size());
-  state.counters["segment_rows"] =
-      static_cast<double>(result.message_stats.segment_rows);
-  state.counters["physical_msgs"] =
-      static_cast<double>(result.message_stats.PhysicalTotal());
-}
-BENCHMARK(BM_DedupSegmentedVsPerTuple)
-    ->ArgsProduct({{32, 64}, {0, 1}});
-
 }  // namespace
 }  // namespace mpqe
 

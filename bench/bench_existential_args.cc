@@ -43,8 +43,8 @@ void RunFanOut(benchmark::State& state, const char* strategy) {
   }
   MPQE_CHECK(result.answers.size() == static_cast<size_t>(xs));
   state.counters["fan_out"] = static_cast<double>(fan);
-  state.counters["tuple_msgs"] =
-      static_cast<double>(result.message_stats.Count(MessageKind::kTuple));
+  state.counters["answer_rows"] =
+      static_cast<double>(result.message_stats.segment_rows);
   state.counters["facts"] = static_cast<double>(xs * fan);
 }
 
@@ -81,8 +81,8 @@ void RunPipelined(benchmark::State& state, const char* strategy) {
     MPQE_CHECK(r.ok()) << r.status();
     result = *std::move(r);
   }
-  state.counters["tuple_msgs"] =
-      static_cast<double>(result.message_stats.Count(MessageKind::kTuple));
+  state.counters["answer_rows"] =
+      static_cast<double>(result.message_stats.segment_rows);
   state.counters["contexts"] = static_cast<double>(result.counters.contexts);
 }
 

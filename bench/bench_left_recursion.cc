@@ -133,8 +133,8 @@ void BM_EngineNonlinearTc(benchmark::State& state) {
     result = *std::move(r);
   }
   state.counters["answers"] = static_cast<double>(result.answers.size());
-  state.counters["tuple_msgs"] =
-      static_cast<double>(result.message_stats.Count(MessageKind::kTuple));
+  state.counters["answer_rows"] =
+      static_cast<double>(result.message_stats.segment_rows);
 }
 BENCHMARK(BM_EngineNonlinearTc)->Arg(16)->Arg(32)->Arg(64)->Arg(128);
 
@@ -151,8 +151,8 @@ void BM_EngineLinearTcReference(benchmark::State& state) {
     result = *std::move(r);
   }
   state.counters["answers"] = static_cast<double>(result.answers.size());
-  state.counters["tuple_msgs"] =
-      static_cast<double>(result.message_stats.Count(MessageKind::kTuple));
+  state.counters["answer_rows"] =
+      static_cast<double>(result.message_stats.segment_rows);
 }
 BENCHMARK(BM_EngineLinearTcReference)->Arg(16)->Arg(32)->Arg(64)->Arg(128);
 

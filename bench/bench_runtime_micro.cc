@@ -26,13 +26,14 @@
 namespace mpqe {
 namespace {
 
-// Ping-pong process: forwards a hop-counting tuple to a peer.
+// Ping-pong process: forwards a tuple request whose one-value binding
+// counts the hops left to a peer.
 class PingPong : public Process {
  public:
   explicit PingPong(ProcessId peer) : peer_(peer) {}
   void OnMessage(const Message& m) override {
-    int64_t hops = m.values[0].payload();
-    if (hops > 0) Send(peer_, MakeTuple({}, {Value::Int(hops - 1)}));
+    int64_t hops = m.binding[0].payload();
+    if (hops > 0) Send(peer_, MakeTupleRequest({Value::Int(hops - 1)}));
   }
 
  private:
@@ -46,7 +47,7 @@ void BM_MessageHopDeterministic(benchmark::State& state) {
     net.AddProcess(std::make_unique<PingPong>(1));
     net.AddProcess(std::make_unique<PingPong>(0));
     net.Start();
-    net.Send(kNoProcess, 0, MakeTuple({}, {Value::Int(kHops)}));
+    net.Send(kNoProcess, 0, MakeTupleRequest({Value::Int(kHops)}));
     auto run = net.RunDeterministic();
     MPQE_CHECK(run.ok() && run->quiescent);
   }
@@ -62,7 +63,7 @@ void BM_MessageHopThreaded(benchmark::State& state) {
     net.AddProcess(std::make_unique<PingPong>(1));
     net.AddProcess(std::make_unique<PingPong>(0));
     net.Start();
-    net.Send(kNoProcess, 0, MakeTuple({}, {Value::Int(kHops)}));
+    net.Send(kNoProcess, 0, MakeTupleRequest({Value::Int(kHops)}));
     auto run = net.RunThreaded(workers);
     MPQE_CHECK(run.ok() && run->quiescent);
   }
@@ -85,7 +86,7 @@ void BM_MessageHopProfiled(benchmark::State& state) {
     net.AddProcess(std::make_unique<PingPong>(0));
     net.AddObserver(&profiler);
     net.Start();
-    net.Send(kNoProcess, 0, MakeTuple({}, {Value::Int(kHops)}));
+    net.Send(kNoProcess, 0, MakeTupleRequest({Value::Int(kHops)}));
     auto run = net.RunDeterministic();
     MPQE_CHECK(run.ok() && run->quiescent);
     ProfileReport report = profiler.Finalize();
@@ -97,71 +98,6 @@ void BM_MessageHopProfiled(benchmark::State& state) {
 }
 BENCHMARK(BM_MessageHopProfiled);
 
-// Ping-pong with full lineage recording: each hop's tuple is inserted
-// into a lineage-enabled relation, gets a fresh id, and publishes a
-// derivation record chaining to the previous hop — the engine's exact
-// per-derivation sequence (InsertRow + OnDerive + lineage stamp).
-// BM_MessageHopDeterministic is the lineage-off baseline; the off-path
-// must stay within noise of it (a null-pointer branch per insert),
-// while this run's per-hop cost is the tracked lineage-on overhead in
-// BENCH_obs.json.
-class PingPongLineage : public Process {
- public:
-  PingPongLineage(ProcessId peer, TupleIdAllocator* ids,
-                  const ObserverList* observers)
-      : peer_(peer), observers_(observers), seen_(1) {
-    seen_.EnableLineage(ids);
-  }
-
-  void OnMessage(const Message& m) override {
-    int64_t hops = m.values[0].payload();
-    Relation::InsertResult ins = seen_.InsertRow(m.values);
-    MPQE_CHECK(ins.inserted);
-    uint64_t id = seen_.row_id(ins.row);
-    DeriveEvent event;
-    event.tuple_id = id;
-    event.kind = DeriveKind::kUnion;
-    event.source_msg = m.lineage;
-    event.inputs = &m.lineage;
-    event.num_inputs = m.lineage == kNoLineage ? 0 : 1;
-    event.values = m.values;
-    observers_->NotifyDerive(event);
-    if (hops > 0) {
-      Message out = MakeTuple({}, {Value::Int(hops - 1)});
-      out.lineage = id;
-      Send(peer_, std::move(out));
-    }
-  }
-
- private:
-  ProcessId peer_;
-  const ObserverList* observers_;
-  Relation seen_;
-};
-
-void BM_MessageHopLineage(benchmark::State& state) {
-  const int64_t kHops = 10000;
-  for (auto _ : state) {
-    Network net;
-    LineageObserver lineage;
-    net.AddObserver(&lineage);
-    net.AddProcess(std::make_unique<PingPongLineage>(1, lineage.ids(),
-                                                     &net.observers()));
-    net.AddProcess(std::make_unique<PingPongLineage>(0, lineage.ids(),
-                                                     &net.observers()));
-    net.Start();
-    net.Send(kNoProcess, 0, MakeTuple({}, {Value::Int(kHops)}));
-    auto run = net.RunDeterministic();
-    MPQE_CHECK(run.ok() && run->quiescent);
-    MPQE_CHECK(lineage.record_count() == static_cast<size_t>(kHops) + 1);
-    LineageReport report = lineage.Finalize();
-    MPQE_CHECK(report.max_depth == kHops);
-    benchmark::DoNotOptimize(report);
-  }
-  state.SetItemsProcessed(state.iterations() * (kHops + 1));
-}
-BENCHMARK(BM_MessageHopLineage);
-
 // ---------------------------------------------------------------------------
 // Columnar segment hops
 
@@ -170,8 +106,9 @@ constexpr size_t kSegmentRows = 128;
 // Forwards the SAME shared 128-row segment back and forth: one
 // envelope per hop carries kSegmentRows tuples with zero row copies
 // (the hop counter rides in the message binding). Items = rows
-// transported; compare per-item against BM_MessageHopDeterministic for
-// the wire-level win of segmenting.
+// transported; compare per-item against BM_MessageHopDeterministic
+// (one single-binding message per hop) for what a row costs when it
+// rides in a shared segment.
 class SegmentForward : public Process {
  public:
   explicit SegmentForward(ProcessId peer) : peer_(peer) {}
@@ -488,8 +425,8 @@ std::shared_ptr<TupleSegment> MakeAbsorbSegment(int64_t first) {
   return seg;
 }
 
-// Goal-node absorption. Arg(0) mirrors
-// GoalProcess::OnTupleSegmentRowAtATime — one InsertRow per row, the
+// Goal-node absorption. Arg(0) is the row-at-a-time reference the
+// batch kernels replaced in GoalProcess — one InsertRow per row, the
 // per-row linear scan over open output groups, one AppendRow copy per
 // survivor. Arg(1) mirrors the vectorized OnTupleSegment — one
 // InsertSegment call per segment, then the grouping pass over the

@@ -51,8 +51,8 @@ void BM_EngineGreedy(benchmark::State& state) {
   state.counters["answers"] = static_cast<double>(result.answers.size());
   state.counters["stored_tuples"] =
       static_cast<double>(result.counters.stored_tuples);
-  state.counters["tuple_msgs"] =
-      static_cast<double>(result.message_stats.Count(MessageKind::kTuple));
+  state.counters["answer_rows"] =
+      static_cast<double>(result.message_stats.segment_rows);
 }
 BENCHMARK(BM_EngineGreedy)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 
@@ -70,8 +70,8 @@ void BM_EngineNoSips(benchmark::State& state) {
   state.counters["answers"] = static_cast<double>(result.answers.size());
   state.counters["stored_tuples"] =
       static_cast<double>(result.counters.stored_tuples);
-  state.counters["tuple_msgs"] =
-      static_cast<double>(result.message_stats.Count(MessageKind::kTuple));
+  state.counters["answer_rows"] =
+      static_cast<double>(result.message_stats.segment_rows);
 }
 BENCHMARK(BM_EngineNoSips)->Arg(64)->Arg(128)->Arg(256);
 

@@ -63,8 +63,7 @@ int main(int argc, char** argv) {
     std::cout << "strategy=" << strategy << "  sg(" << who << ", W): "
               << result->answers.size() << " answers"
               << "  stored_tuples=" << result->counters.stored_tuples
-              << "  tuple_messages="
-              << result->message_stats.Count(mpqe::MessageKind::kTuple)
+              << "  answer_rows=" << result->message_stats.segment_rows
               << "\n";
   }
   std::cout << "\n(The greedy run touches only " << who

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
 
   std::cout << "cycle-graph transitive closure tc(0, W), deterministic "
                "schedule:\n";
-  std::cout << "  n   answers  tuple_msgs  dup_drops  waves  end_req  "
+  std::cout << "  n   answers  answer_rows  dup_drops  waves  end_req  "
                "end_neg  end_conf\n";
   for (int64_t n = 4; n <= max_n; n *= 2) {
     mpqe::Database db;
@@ -53,8 +53,7 @@ int main(int argc, char** argv) {
     const mpqe::MessageStats& s = result->message_stats;
     std::printf("  %-4lld %-8zu %-11llu %-10llu %-6llu %-8llu %-8llu %llu\n",
                 static_cast<long long>(n), result->answers.size(),
-                static_cast<unsigned long long>(
-                    s.Count(mpqe::MessageKind::kTuple)),
+                static_cast<unsigned long long>(s.segment_rows),
                 static_cast<unsigned long long>(
                     result->counters.duplicate_drops),
                 static_cast<unsigned long long>(

@@ -207,13 +207,12 @@ with open(out_path, "w") as f:
 print(f"wrote {out_path}")
 
 # The observability overhead guards. Profiler: profiler-on vs.
-# profiler-off per-tuple message-hop cost. Lineage: the tracked number
+# profiler-off single-message hop cost. Lineage: the tracked number
 # is the SEGMENTED pair — BM_SegmentHopLineage vs. BM_SegmentHopDedup
 # run the identical insert+forward loop over 128-row segments, with
 # the lineage run adding id assignment, the lineage column, and one
 # batched derive record per segment. scripts/bench_guard.py (CI) fails
-# if a fresh run exceeds lineage_overhead_guard. The legacy per-tuple
-# hop numbers stay as informational fields.
+# if a fresh run exceeds lineage_overhead_guard.
 obs_path = os.path.join(os.path.dirname(out_path) or ".", "BENCH_obs.json")
 def load_medians(path):
     with open(path) as f:
@@ -231,7 +230,6 @@ def load_medians(path):
 
 off = micro.get("BM_MessageHopDeterministic")
 on = micro.get("BM_MessageHopProfiled")
-lineage_on = micro.get("BM_MessageHopLineage")
 pair = load_medians(pair_path)
 seg_off = pair.get("BM_SegmentHopDedup")
 seg_on = pair.get("BM_SegmentHopLineage")
@@ -244,13 +242,6 @@ if off and on:
         "overhead_ns_per_hop": round(
             (on["real_time_ns"] - off["real_time_ns"]) / 10001, 1),
     }
-    if lineage_on:
-        # Informational: the per-tuple wire pays one derive callback
-        # per hop, so lineage costs a large multiple there.
-        obs["per_tuple_lineage_off"] = off
-        obs["per_tuple_lineage_on"] = lineage_on
-        obs["per_tuple_lineage_overhead_ratio"] = round(
-            lineage_on["real_time_ns"] / off["real_time_ns"], 3)
     hop_off = pair.get("BM_SingleRowHop")
     hop_flight = pair.get("BM_SingleRowHopFlight")
     if hop_off and hop_flight:

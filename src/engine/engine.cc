@@ -263,11 +263,10 @@ Engine::Engine(EngineOptions options)
     registry.GetHistogram("engine/prepare_ns");
     registry.GetHistogram("engine/session_latency_ns");
     // The message-layer families too: session registries only merge
-    // non-zero counters, so without these a workload that (say) never
-    // ships a multi-row segment would drop the whole family from the
+    // non-zero counters, so without these a workload that (say) has
+    // shipped no answers yet would drop the whole family from the
     // exposition instead of reporting 0 — and Prometheus rate() needs
     // the zero sample to exist.
-    registry.GetCounter("msg/sent/tuple");
     registry.GetCounter("msg/sent/tuple_segment");
     registry.GetCounter("msg/delivered");
     registry.GetCounter("msg/segment_rows");

@@ -42,7 +42,7 @@ Status SessionOptions::Validate() const {
     return InvalidArgumentError(
         StrCat("workers: must be >= 1, got ", workers));
   }
-  if (segment_messages && segment_max_rows < 1) {
+  if (segment_max_rows < 1) {
     return InvalidArgumentError("segment_max_rows: must be >= 1");
   }
   if (segment_max_rows_limit != 0 &&
@@ -385,10 +385,8 @@ StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
   shared.graph = &graph;
   shared.db = &db;
   shared.batch_messages = options.batch_messages;
-  shared.segment_messages = options.segment_messages;
   shared.segment_max_rows = options.segment_max_rows;
   shared.segment_max_rows_limit = options.segment_max_rows_limit;
-  shared.vectorized_segments = options.vectorized_segments;
   shared.use_edb_indexes = options.use_edb_indexes;
   shared.edb_index_mode = edb_index_mode;
   if (scoped.lineage.has_value()) {

@@ -14,10 +14,9 @@
 //
 // Observability (see DESIGN.md § Observability): attach any number of
 // ExecutionObservers via EvaluationOptions::observers — e.g. a
-// TraceExporter for a chrome://tracing timeline, a MessageTrace for a
-// textual send log, or a custom observer for test assertions — and/or
-// point EvaluationOptions::metrics at a MetricsRegistry to collect
-// named counters and histograms:
+// TraceExporter for a chrome://tracing timeline or a custom observer
+// for test assertions — and/or point EvaluationOptions::metrics at a
+// MetricsRegistry to collect named counters and histograms:
 //   TraceExporter trace;
 //   MetricsRegistry metrics;
 //   options.observers.push_back(&trace);
@@ -82,19 +81,14 @@ struct SessionOptions {
   // Package the messages a node emits while handling one message into
   // per-destination batch envelopes (the paper's footnote 2): far
   // fewer physical messages, identical logical traffic and answers.
+  // Answer segments ride inside the envelopes.
   bool batch_messages = false;
 
-  // Accumulate the answer tuples a node emits on one stream while
-  // handling one message into a columnar TupleSegment (msg/segment.h)
-  // delivered as a single shared kTupleSegment message; consumers
-  // dedup/join whole segments and fan-out shares one segment object
-  // across consumers. Identical answers and logical traffic, far fewer
-  // physical messages and per-tuple costs. Independent of
-  // batch_messages (segments ride inside envelopes when both are on).
-  bool segment_messages = true;
-
-  // Flush an accumulating segment early once it reaches this many rows
-  // (bounds per-handler buffering; must be >= 1).
+  // Answers travel as columnar TupleSegments (msg/segment.h): a node
+  // accumulates the rows it emits on one stream while handling one
+  // message into one shared kTupleSegment, and flushes it early once
+  // it reaches this many rows (bounds per-handler buffering; must be
+  // >= 1).
   size_t segment_max_rows = 1024;
 
   // Adaptive segment sizing: each (node, destination) stream starts at
@@ -103,13 +97,6 @@ struct SessionOptions {
   // fatter batches while bursty streams keep small segments. Must be 0
   // (growth disabled, fixed caps) or >= segment_max_rows.
   size_t segment_max_rows_limit = 8192;
-
-  // Absorb arriving segments through the vectorized batch kernels
-  // (Relation::InsertSegment — one hashing pass and one dedup probe
-  // per row, whole-segment forwarding on goal nodes). false restores
-  // row-at-a-time absorption; answers, duplicate drops, and proof
-  // trees are pinned identical by tests/segment_test.cc.
-  bool vectorized_segments = true;
 
   // Safety valve against runaway computations (0 = unlimited).
   uint64_t max_messages = 0;

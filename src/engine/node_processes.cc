@@ -116,13 +116,6 @@ void NodeProcessBase::Dispatch(const Message& message) {
 }
 
 void NodeProcessBase::Emit(ProcessId to, Message m) {
-  if (observing_fire_ && m.kind == MessageKind::kTuple) ++fire_tuples_out_;
-  if (!shared_.batch_messages && !shared_.segment_messages) {
-    Send(to, std::move(m));
-    return;
-  }
-  // With segmenting on, *every* emission is deferred to FlushEmits so
-  // an `end` emitted after buffered rows cannot overtake them.
   outbox_.emplace_back(to, std::move(m));
 }
 
@@ -149,41 +142,36 @@ void NodeProcessBase::NoteSealedSegment(ProcessId to, bool full) {
 
 void NodeProcessBase::EmitTuple(ProcessId to, const Tuple& binding,
                                 TupleRef values, uint64_t lineage_id) {
-  if (!shared_.segment_messages) {
-    Message m = MakeTuple(binding, values.ToTuple());
-    m.lineage = lineage_id;
-    Emit(to, std::move(m));
-    return;
-  }
   if (observing_fire_) ++fire_tuples_out_;
-  for (size_t i = 0; i < open_segments_.size(); ++i) {
-    OpenSegment& open = open_segments_[i];
-    if (open.to != to || !(open.segment->binding == binding)) continue;
-    open.segment->AppendRow(values);
-    if (lineage_id != kNoLineage) open.segment->lineage.push_back(lineage_id);
-    if (open.segment->num_rows >= open.cap) {
-      // Seal at the size cap: the handle stays at its outbox position;
-      // further rows on this stream open a new (later) segment, so
-      // per-stream order is preserved.
-      open.segment->CheckConsistent();
-      open_segments_.erase(open_segments_.begin() +
-                           static_cast<ptrdiff_t>(i));
-      NoteSealedSegment(to, /*full=*/true);
-    }
-    return;
+  size_t i = 0;
+  while (i < open_segments_.size() &&
+         (open_segments_[i].to != to ||
+          !(open_segments_[i].segment->binding == binding))) {
+    ++i;
   }
-  auto segment = std::make_shared<TupleSegment>();
-  segment->binding = binding;
-  segment->arity = values.size();
-  segment->AppendRow(values);
-  if (lineage_id != kNoLineage) segment->lineage.push_back(lineage_id);
-  OpenSegment open;
-  open.to = to;
-  open.outbox_index = outbox_.size();
-  open.cap = SegmentCap(to);
-  open.segment = segment;
-  outbox_.emplace_back(to, MakeTupleSegment(std::move(segment)));
-  open_segments_.push_back(std::move(open));
+  if (i == open_segments_.size()) {
+    auto segment = std::make_shared<TupleSegment>();
+    segment->binding = binding;
+    segment->arity = values.size();
+    OpenSegment open;
+    open.to = to;
+    open.cap = SegmentCap(to);
+    open.segment = segment;
+    outbox_.emplace_back(to, MakeTupleSegment(std::move(segment)));
+    open_segments_.push_back(std::move(open));
+  }
+  OpenSegment& open = open_segments_[i];
+  open.segment->AppendRow(values);
+  if (lineage_id != kNoLineage) open.segment->lineage.push_back(lineage_id);
+  if (open.segment->num_rows >= open.cap) {
+    // Seal at the size cap (a new segment's first row included, so a
+    // cap of 1 ships one row per segment): the handle stays at its
+    // outbox position; further rows on this stream open a new (later)
+    // segment, so per-stream order is preserved.
+    open.segment->CheckConsistent();
+    open_segments_.erase(open_segments_.begin() + static_cast<ptrdiff_t>(i));
+    NoteSealedSegment(to, /*full=*/true);
+  }
 }
 
 void NodeProcessBase::EmitSegment(ProcessId to,
@@ -199,22 +187,13 @@ void NodeProcessBase::EmitSegment(ProcessId to,
 }
 
 void NodeProcessBase::FlushEmits() {
-  // Demote single-row segments to bare tuples (mirrors the batch
-  // layer's singletons-are-sent-bare rule); multi-row ones are sealed
-  // simply by dropping the mutable handle.
+  // Open segments are sealed simply by dropping the mutable handle.
   for (OpenSegment& open : open_segments_) {
     // End-of-handler seals are partial by definition (cap seals left
     // open_segments_ in EmitTuple): they reset the destination's
     // full-segment streak.
     NoteSealedSegment(open.to, /*full=*/false);
-    if (open.segment->num_rows != 1) {
-      open.segment->CheckConsistent();
-      continue;
-    }
-    Message demoted =
-        MakeTuple(open.segment->binding, open.segment->row(0).ToTuple());
-    demoted.lineage = open.segment->row_lineage(0);
-    outbox_[open.outbox_index].second = std::move(demoted);
+    open.segment->CheckConsistent();
   }
   open_segments_.clear();
   if (outbox_.empty()) return;
@@ -365,9 +344,6 @@ class GoalProcess : public NodeProcessBase {
       case MessageKind::kTupleRequest:
         OnTupleRequest(m);
         break;
-      case MessageKind::kTuple:
-        OnTuple(m);
-        break;
       case MessageKind::kTupleSegment:
         OnTupleSegment(m);
         break;
@@ -401,38 +377,29 @@ class GoalProcess : public NodeProcessBase {
     ConsumerStream& c = consumers_[m.from];
     if (!c.bindings.insert(m.binding).second) return;  // duplicate request
 
-    // Replay the stored stream restricted to this binding — as one
-    // shared segment when there is more than a row of it.
+    // Replay the stored stream restricted to this binding as shared
+    // segments of at most the destination's row cap.
     const std::vector<size_t>* hits = answers_.Probe(d_index_, m.binding);
     if (hits != nullptr) {
-      if (shared_.segment_messages && hits->size() > 1) {
-        size_t cap = SegmentCap(m.from);
-        auto replay = std::make_shared<TupleSegment>();
-        replay->binding = m.binding;
-        replay->arity = out_positions_.size();
-        for (size_t pos : *hits) {
-          replay->AppendRow(answers_.tuple(pos));
-          if (lineage_on()) replay->lineage.push_back(answers_.row_id(pos));
-          if (replay->num_rows >= cap) {
-            auto next = std::make_shared<TupleSegment>();
-            next->binding = replay->binding;
-            next->arity = replay->arity;
-            EmitSegment(m.from, std::move(replay));
-            NoteSealedSegment(m.from, /*full=*/true);
-            replay = std::move(next);
-          }
-        }
-        if (replay->num_rows == 1) {
-          EmitTuple(m.from, m.binding, replay->row(0), replay->row_lineage(0));
-        } else if (!replay->empty()) {
+      size_t cap = SegmentCap(m.from);
+      auto replay = std::make_shared<TupleSegment>();
+      replay->binding = m.binding;
+      replay->arity = out_positions_.size();
+      for (size_t pos : *hits) {
+        replay->AppendRow(answers_.tuple(pos));
+        if (lineage_on()) replay->lineage.push_back(answers_.row_id(pos));
+        if (replay->num_rows >= cap) {
+          auto next = std::make_shared<TupleSegment>();
+          next->binding = replay->binding;
+          next->arity = replay->arity;
           EmitSegment(m.from, std::move(replay));
-          NoteSealedSegment(m.from, /*full=*/false);
+          NoteSealedSegment(m.from, /*full=*/true);
+          replay = std::move(next);
         }
-      } else {
-        for (size_t pos : *hits) {
-          EmitTuple(m.from, m.binding, answers_.tuple(pos),
-                    answers_.row_id(pos));
-        }
+      }
+      if (!replay->empty()) {
+        EmitSegment(m.from, std::move(replay));
+        NoteSealedSegment(m.from, /*full=*/false);
       }
     }
     if (completed_.count(m.binding) != 0) {
@@ -459,27 +426,6 @@ class GoalProcess : public NodeProcessBase {
     }
   }
 
-  void OnTuple(const Message& m) {
-    Relation::InsertResult ins = answers_.InsertRow(m.values);
-    if (!ins.inserted) {
-      ++duplicate_drops_;
-      return;
-    }
-    uint64_t id = answers_.row_id(ins.row);
-    if (lineage_on()) {
-      // The union derivation: this goal's tuple exists because one
-      // child tuple (the message's lineage) arrived first.
-      PublishDerive(id, DeriveKind::kUnion, m.lineage, &m.lineage, 1,
-                    m.values);
-    }
-    Tuple dproj = ProjectTuple(m.values, d_in_out_);
-    for (auto& [pid, c] : consumers_) {
-      if (c.bindings.count(dproj) != 0) {
-        EmitTuple(pid, dproj, m.values, id);
-      }
-    }
-  }
-
   // Vectorized union: absorb the whole segment through the batch
   // insert kernel (one hashing pass, one capacity reservation, one
   // dedup probe per row), then hand each consumer one shared
@@ -491,10 +437,6 @@ class GoalProcess : public NodeProcessBase {
   // inbound shared segment handle is forwarded wholesale: zero row
   // copies and zero per-row work beyond the kernel.
   void OnTupleSegment(const Message& m) {
-    if (!shared_.vectorized_segments) {
-      OnTupleSegmentRowAtATime(m);
-      return;
-    }
     const TupleSegment& in = m.segment();
     if (in.num_rows == 0) return;
     const BatchInsertResult& ins = answers_.InsertSegment(in);
@@ -524,21 +466,16 @@ class GoalProcess : public NodeProcessBase {
     // the node-wide (kNoProcess) adaptive cap.
     size_t cap = SegmentCap(kNoProcess);
     // Publishes one derive batch for the group and hands every
-    // subscribed consumer the same segment object (singletons demote
-    // to bare tuples). Called at the size cap and once at the end.
+    // subscribed consumer the same segment object. Called at the size
+    // cap and once at the end.
     auto flush_group = [&](OutGroup& group, bool full) {
       if (group.segment->empty()) return;
       group.segment->CheckConsistent();
       if (lineage_on()) {
         PublishDeriveBatch(DeriveKind::kUnion, group.segment, group.inputs);
       }
-      const Tuple& binding = group.segment->binding;
       for (auto& [pid, c] : consumers_) {
-        if (c.bindings.count(binding) == 0) continue;
-        if (group.segment->num_rows == 1) {
-          EmitTuple(pid, binding, group.segment->row(0),
-                    group.segment->row_lineage(0));
-        } else {
+        if (c.bindings.count(group.segment->binding) != 0) {
           EmitSegment(pid, group.segment);
         }
       }
@@ -588,77 +525,6 @@ class GoalProcess : public NodeProcessBase {
       }
     }
     return true;
-  }
-
-  // Row-at-a-time absorption (vectorized_segments=false): the PR 6
-  // baseline, kept for A/B and pinned equivalent by segment_test.
-  void OnTupleSegmentRowAtATime(const Message& m) {
-    const TupleSegment& in = m.segment();
-    struct OutGroup {
-      std::shared_ptr<TupleSegment> segment;
-      std::vector<uint64_t> inputs;  // one per row (lineage only)
-    };
-    std::vector<OutGroup> groups;
-    size_t cap = SegmentCap(kNoProcess);
-    auto flush_group = [&](OutGroup& group, bool full) {
-      if (group.segment->empty()) return;
-      group.segment->CheckConsistent();
-      if (lineage_on()) {
-        PublishDeriveBatch(DeriveKind::kUnion, group.segment, group.inputs);
-      }
-      const Tuple& binding = group.segment->binding;
-      for (auto& [pid, c] : consumers_) {
-        if (c.bindings.count(binding) == 0) continue;
-        if (group.segment->num_rows == 1) {
-          EmitTuple(pid, binding, group.segment->row(0),
-                    group.segment->row_lineage(0));
-        } else {
-          EmitSegment(pid, group.segment);
-        }
-      }
-      NoteSealedSegment(kNoProcess, full);
-    };
-    Tuple dproj(d_in_out_.size(), Value());
-    for (size_t r = 0; r < in.num_rows; ++r) {
-      TupleRef row = in.row(r);
-      Relation::InsertResult ins = answers_.InsertRow(row);
-      if (!ins.inserted) {
-        ++duplicate_drops_;
-        continue;
-      }
-      for (size_t i = 0; i < d_in_out_.size(); ++i) {
-        dproj[i] = row[d_in_out_[i]];
-      }
-      OutGroup* group = nullptr;
-      for (OutGroup& g : groups) {
-        if (g.segment->binding == dproj) {
-          group = &g;
-          break;
-        }
-      }
-      if (group == nullptr) {
-        OutGroup g;
-        g.segment = std::make_shared<TupleSegment>();
-        g.segment->binding = dproj;
-        g.segment->arity = in.arity;
-        groups.push_back(std::move(g));
-        group = &groups.back();
-      }
-      group->segment->AppendRow(row);
-      if (lineage_on()) {
-        group->segment->lineage.push_back(answers_.row_id(ins.row));
-        group->inputs.push_back(in.row_lineage(r));
-      }
-      if (group->segment->num_rows >= cap) {
-        flush_group(*group, /*full=*/true);
-        auto next = std::make_shared<TupleSegment>();
-        next->binding = group->segment->binding;
-        next->arity = group->segment->arity;
-        group->segment = std::move(next);
-        group->inputs.clear();
-      }
-    }
-    for (OutGroup& group : groups) flush_group(group, /*full=*/false);
   }
 
   void OnEnd(const Message& m) {
@@ -725,18 +591,11 @@ class CycleRefProcess : public NodeProcessBase {
           Emit(Pid(gnode().cycle_source), MakeTupleRequest(m.binding));
         }
         break;
-      case MessageKind::kTuple: {
-        // The selection on the ancestor's relation already happened at
-        // the ancestor (it streams only our subscribed bindings). The
-        // lineage id passes through unchanged: forwarding derives
-        // nothing new.
-        Message fwd = MakeTuple(m.binding, m.values);
-        fwd.lineage = m.lineage;
-        Emit(Pid(gnode().parent), std::move(fwd));
-        break;
-      }
       case MessageKind::kTupleSegment:
-        // Forward the shared handle — a refcount bump, zero row copies.
+        // The selection on the ancestor's relation already happened at
+        // the ancestor (it streams only our subscribed bindings), and
+        // forwarding derives nothing new: pass the shared handle on —
+        // a refcount bump, zero row copies, lineage ids unchanged.
         EmitSegment(Pid(gnode().parent), m.segment_ptr());
         break;
       case MessageKind::kEnd:
@@ -828,45 +687,35 @@ class EdbProcess : public NodeProcessBase {
     // Per-request dedup of projected rows through a reusable scratch
     // arena: Clear() keeps the arena/table capacity, and the projected
     // row is built in a reusable buffer — no per-row Tuple
-    // materialization for duplicates (and none at all on the segmented
-    // path).
+    // materialization at all.
     sent_scratch_.Clear();
-    // Segmented path: the whole answer set for this request is known
-    // within this one handler, so rows go straight into one segment
-    // (EmitTuple's open-segment lookup would be per-row overhead).
-    std::shared_ptr<TupleSegment> segment;
+    // The whole answer set for this request is known within this one
+    // handler, so rows go straight into one segment (EmitTuple's
+    // open-segment lookup would be per-row overhead).
     size_t cap = SegmentCap(m.from);
-    if (shared_.segment_messages) {
-      segment = std::make_shared<TupleSegment>();
-      segment->binding = m.binding;
-      segment->arity = out_positions_.size();
-    }
+    auto segment = std::make_shared<TupleSegment>();
+    segment->binding = m.binding;
+    segment->arity = out_positions_.size();
     auto emit = [&](size_t pos) {
       TupleRef t = relation_->tuple(pos);
       if (!Matches(t)) return;
       out_buf_.clear();
       for (size_t c : out_positions_) out_buf_.push_back(t[c]);
-      if (sent_scratch_.Insert(out_buf_)) {
-        if (segment != nullptr) {
-          segment->AppendRow(out_buf_);
-          // Base-fact provenance: the underlying row's id (assigned at
-          // wiring when lineage is on).
-          if (lineage_on()) segment->lineage.push_back(relation_->row_id(pos));
-          if (segment->num_rows >= cap) {
-            auto next = std::make_shared<TupleSegment>();
-            next->binding = segment->binding;
-            next->arity = segment->arity;
-            EmitSegment(m.from, std::move(segment));
-            NoteSealedSegment(m.from, /*full=*/true);
-            segment = std::move(next);
-          }
-        } else {
-          Message msg = MakeTuple(m.binding, Tuple(out_buf_));
-          msg.lineage = relation_->row_id(pos);
-          Emit(m.from, std::move(msg));
-        }
-      } else {
+      if (!sent_scratch_.Insert(out_buf_)) {
         ++duplicate_drops_;
+        return;
+      }
+      segment->AppendRow(out_buf_);
+      // Base-fact provenance: the underlying row's id (assigned at
+      // wiring when lineage is on).
+      if (lineage_on()) segment->lineage.push_back(relation_->row_id(pos));
+      if (segment->num_rows >= cap) {
+        auto next = std::make_shared<TupleSegment>();
+        next->binding = segment->binding;
+        next->arity = segment->arity;
+        EmitSegment(m.from, std::move(segment));
+        NoteSealedSegment(m.from, /*full=*/true);
+        segment = std::move(next);
       }
     };
     Tuple key = key_template_;
@@ -890,14 +739,8 @@ class EdbProcess : public NodeProcessBase {
         if (match) emit(pos);
       }
     }
-    if (segment != nullptr && !segment->empty()) {
-      if (segment->num_rows == 1) {
-        Message msg = MakeTuple(m.binding, segment->row(0).ToTuple());
-        msg.lineage = segment->row_lineage(0);
-        Emit(m.from, std::move(msg));
-      } else {
-        EmitSegment(m.from, std::move(segment));
-      }
+    if (!segment->empty()) {
+      EmitSegment(m.from, std::move(segment));
       NoteSealedSegment(m.from, /*full=*/false);
     }
     Emit(m.from, MakeEnd(m.binding));
@@ -955,10 +798,11 @@ class RuleProcess : public NodeProcessBase {
   uint64_t LocalDuplicateDrops() const override { return duplicate_drops_; }
 
   void HandleWork(const Message& m) override {
-    // The lineage id of the message whose handling produces whatever
-    // fires below (kNoLineage for requests), recorded as each
-    // resulting derivation's source message.
-    trigger_lineage_ = m.lineage;
+    // The lineage id of the answer row whose handling produces whatever
+    // fires below, recorded as each resulting derivation's source
+    // message. OnChildSegment sets it per row; requests and ends leave
+    // kNoLineage.
+    trigger_lineage_ = kNoLineage;
     switch (m.kind) {
       case MessageKind::kRelationRequest:
         if (!activated_) {
@@ -970,9 +814,6 @@ class RuleProcess : public NodeProcessBase {
         break;
       case MessageKind::kTupleRequest:
         OnHeadRequest(m);
-        break;
-      case MessageKind::kTuple:
-        OnChildTuple(m);
         break;
       case MessageKind::kTupleSegment:
         OnChildSegment(m);
@@ -1159,25 +1000,12 @@ class RuleProcess : public NodeProcessBase {
     FlushEnds();
   }
 
-  void OnChildTuple(const Message& m) {
-    size_t stage = pid_to_stage_.at(m.from);
-    ChildReq& cr = Req(stage, m.binding);
-    Relation::InsertResult ins = cr.answers.InsertRow(m.values);
-    if (!ins.inserted) {
-      ++duplicate_drops_;
-      return;
-    }
-    if (lineage_on()) cr.answer_ids.push_back(m.lineage);
-    ExtendWaiters(waiting_[stage - 1][m.binding], stage, m.values, m.lineage);
-    FlushEnds();
-  }
-
   // Vectorized arrival: the whole segment dedups against the request's
   // answer arena in one batch pass (one hashing sweep over the
   // contiguous block, capacity reserved once, one probe per row — no
   // per-row Tuple copies for duplicates), then the waiter-extension
   // loop runs over survivors only, reading rows in place from the
-  // segment. Join semantics per row are identical to OnChildTuple.
+  // segment.
   // (The waiter/request references stay valid across AddContext: the
   // recursion only touches per-stage maps at deeper stages — see the
   // note in AddContext — so this stage's arena and batch result are
@@ -1187,22 +1015,6 @@ class RuleProcess : public NodeProcessBase {
     size_t stage = pid_to_stage_.at(m.from);
     ChildReq& cr = Req(stage, m.binding);
     std::vector<Tuple>& waiters = waiting_[stage - 1][m.binding];
-    if (!shared_.vectorized_segments) {
-      // Row-at-a-time baseline (A/B): per-row hash/probe/insert.
-      for (size_t r = 0; r < segment.num_rows; ++r) {
-        TupleRef row = segment.row(r);
-        if (!cr.answers.InsertRow(row).inserted) {
-          ++duplicate_drops_;
-          continue;
-        }
-        uint64_t row_id = segment.row_lineage(r);
-        trigger_lineage_ = row_id;
-        if (lineage_on()) cr.answer_ids.push_back(row_id);
-        ExtendWaiters(waiters, stage, row, row_id);
-      }
-      FlushEnds();
-      return;
-    }
     const BatchInsertResult& ins = cr.answers.InsertSegment(segment);
     duplicate_drops_ += segment.num_rows - ins.num_inserted;
     if (ins.num_inserted != 0) {
@@ -1411,9 +1223,6 @@ void SinkProcess::OnStart() {
 
 void SinkProcess::OnMessage(const Message& message) {
   switch (message.kind) {
-    case MessageKind::kTuple:
-      answers_.Insert(message.values);
-      break;
     case MessageKind::kTupleSegment: {
       const TupleSegment& segment = message.segment();
       for (size_t r = 0; r < segment.num_rows; ++r) {

@@ -79,11 +79,6 @@ struct EngineShared {
   // Package the computation messages emitted while handling one
   // message into per-destination batch envelopes (footnote 2).
   bool batch_messages = false;
-  // Accumulate the answer tuples emitted on one stream while handling
-  // one message into a columnar TupleSegment (msg/segment.h) delivered
-  // as a single shared kTupleSegment message. Independent of
-  // batch_messages (segments ride inside envelopes when both are on).
-  bool segment_messages = true;
   // Flush an accumulating segment early once it reaches this many
   // rows (bounds per-handler buffering; >= 1).
   size_t segment_max_rows = 1024;
@@ -92,11 +87,6 @@ struct EngineShared {
   // consecutive full segments flow, so steady-state recursion ships
   // fewer, fatter batches. 0 disables growth (fixed caps).
   size_t segment_max_rows_limit = 8192;
-  // Absorb arriving kTupleSegment messages through the vectorized
-  // batch kernels (Relation::InsertSegment) in goal/rule processes;
-  // false falls back to row-at-a-time absorption (the A/B baseline,
-  // pinned equivalent by tests/segment_test.cc).
-  bool vectorized_segments = true;
   // Ablation: when false, EDB node processes answer tuple requests by
   // scanning instead of probing hash indexes.
   bool use_edb_indexes = true;
@@ -108,8 +98,8 @@ struct EngineShared {
   std::vector<ProcessId> node_pid;
   ProcessId sink_pid = kNoProcess;
   // Derivation provenance (obs/lineage.h): when set, node relations
-  // draw per-row ids from this allocator and processes stamp
-  // Message::lineage / publish DeriveEvents. Null keeps the lineage-off
+  // draw per-row ids from this allocator and processes fill segment
+  // lineage columns / publish DeriveEvents. Null keeps the lineage-off
   // fast path to one branch per insert site.
   TupleIdAllocator* lineage_ids = nullptr;
   // Fault injection for watchdog tests: the process for this node
@@ -171,17 +161,15 @@ class NodeProcessBase : public Process, public TerminationOwner {
 
   virtual void HandleWork(const Message& message) = 0;
 
-  /// Sends `m` to `to`, or queues it for the end-of-handler flush when
-  /// packaging or segmenting is enabled. All computation messages from
-  /// HandleWork should go through this.
+  /// Queues `m` for `to` until the end-of-handler flush, so an `end`
+  /// emitted after buffered answer rows cannot overtake them. All
+  /// computation messages from HandleWork should go through this.
   void Emit(ProcessId to, Message m);
 
-  /// Emits one answer tuple on the (`to`, `binding`) stream. With
-  /// segmenting on, the row lands in that stream's accumulating
-  /// segment (opened at the emission point to preserve stream order,
-  /// flushed at handler end or at segment_max_rows; a segment that
-  /// ends up with a single row is demoted to a bare kTuple). With
-  /// segmenting off this is exactly a per-tuple Emit.
+  /// Emits one answer tuple on the (`to`, `binding`) stream: the row
+  /// lands in that stream's accumulating segment (opened at the
+  /// emission point to preserve stream order, sealed at handler end or
+  /// at the row cap; a lone row ships as a one-row segment).
   void EmitTuple(ProcessId to, const Tuple& binding, TupleRef values,
                  uint64_t lineage_id);
 
@@ -231,12 +219,11 @@ class NodeProcessBase : public Process, public TerminationOwner {
   NodeRole Role() const;
 
   // A segment still accepting rows. Its (const-aliased) handle already
-  // sits in outbox_ at `outbox_index` — opened at first-row time so
-  // later non-tuple emissions to the same destination cannot overtake
-  // the rows. Nothing reads the payload until FlushEmits sends it.
+  // sits in outbox_ — queued at first-row time so later non-tuple
+  // emissions to the same destination cannot overtake the rows.
+  // Nothing reads the payload until FlushEmits sends it.
   struct OpenSegment {
     ProcessId to = kNoProcess;
-    size_t outbox_index = 0;
     size_t cap = 0;  // row cap latched from SegmentCap(to) at open time
     std::shared_ptr<TupleSegment> segment;
   };

@@ -48,7 +48,7 @@ enum class FlightEventType : uint8_t {
   kSessionEnd = 1,    // a = ok(1)/error(0), rows = answers
   kSend = 2,          // reserved (no longer written; kept for the schema)
   kDeliver = 3,       // kind = MessageKind, a = from, b = to,
-                      // rows = answer rows in (a bare kTuple counts 1),
+                      // rows = answer rows in,
                       // rows_out = answer rows the handler sent,
                       // aux = handler ns; ts_ns = handler end
   kNodeFire = 4,      // reserved (merged into kDeliver; kept for the

@@ -10,8 +10,6 @@ const char* MessageKindToString(MessageKind kind) {
       return "relation_request";
     case MessageKind::kTupleRequest:
       return "tuple_request";
-    case MessageKind::kTuple:
-      return "tuple";
     case MessageKind::kEnd:
       return "end";
     case MessageKind::kEndRequest:
@@ -36,8 +34,6 @@ const char* MessageKindToString(MessageKind kind) {
 
 uint64_t Message::answer_rows() const {
   switch (kind) {
-    case MessageKind::kTuple:
-      return 1;
     case MessageKind::kTupleSegment:
       return segment().num_rows;
     case MessageKind::kBatch: {
@@ -52,12 +48,9 @@ uint64_t Message::answer_rows() const {
 
 std::string Message::ToString(const SymbolTable* symbols) const {
   std::string out = StrCat(MessageKindToString(kind), " from=", from);
-  if (kind == MessageKind::kTupleRequest || kind == MessageKind::kTuple ||
-      kind == MessageKind::kEnd || kind == MessageKind::kTupleSegment) {
+  if (kind == MessageKind::kTupleRequest || kind == MessageKind::kEnd ||
+      kind == MessageKind::kTupleSegment) {
     out += StrCat(" binding=", TupleToString(binding, symbols));
-  }
-  if (kind == MessageKind::kTuple) {
-    out += StrCat(" values=", TupleToString(values, symbols));
   }
   if (IsProtocolMessage(kind)) out += StrCat(" wave=", wave);
   if (kind == MessageKind::kBatch) out += StrCat(" n=", batch().size());
@@ -67,12 +60,11 @@ std::string Message::ToString(const SymbolTable* symbols) const {
   return out;
 }
 
-// The payload indirection is the point of the exercise: every
-// non-batch, non-segment message — the overwhelming majority of
-// protocol traffic — must stay two cache lines. Revisit any change
-// that trips this.
-static_assert(sizeof(void*) != 8 || sizeof(Message) == 96,
-              "Message grew past 96 bytes on LP64");
+// The payload indirection is the point of the exercise: answers ride
+// in the shared segment, so every message — request, end, protocol,
+// envelope — stays one cache line. Revisit any change that trips this.
+static_assert(sizeof(void*) != 8 || sizeof(Message) == 64,
+              "Message grew past 64 bytes on LP64");
 
 Message MakeRelationRequest() {
   Message m;
@@ -84,14 +76,6 @@ Message MakeTupleRequest(Tuple binding) {
   Message m;
   m.kind = MessageKind::kTupleRequest;
   m.binding = std::move(binding);
-  return m;
-}
-
-Message MakeTuple(Tuple binding, Tuple values) {
-  Message m;
-  m.kind = MessageKind::kTuple;
-  m.binding = std::move(binding);
-  m.values = std::move(values);
   return m;
 }
 

@@ -11,6 +11,10 @@
 // requests are identified by their binding values — consumers
 // deduplicate by binding, so no separate request-id plumbing is
 // needed.
+//
+// A §3.1 tuple message travels as a kTupleSegment: a shared columnar
+// run of >= 1 answer tuples on one stream (msg/segment.h). A single
+// answer is a one-row segment; there is no separate per-tuple kind.
 
 #ifndef MPQE_MSG_MESSAGE_H_
 #define MPQE_MSG_MESSAGE_H_
@@ -32,21 +36,20 @@ enum class MessageKind : uint8_t {
   // -- computation (§3.1) -------------------------------------------------
   kRelationRequest = 0,  // consumer subscribes to a producer
   kTupleRequest = 1,     // binding for all d arguments
-  kTuple = 2,            // answer: binding + values at non-e positions
-  kEnd = 3,              // the tuple request `binding` is complete
+  kEnd = 2,              // the tuple request `binding` is complete
   // -- distributed termination of cycles (§3.2, Fig. 2) --------------------
-  kEndRequest = 4,
-  kEndNegative = 5,
-  kEndConfirmed = 6,
+  kEndRequest = 3,
+  kEndNegative = 4,
+  kEndConfirmed = 5,
   // -- coalesced-graph extensions (footnote 4) ------------------------------
-  kSccConcluded = 7,  // leader -> members: protocol succeeded, emit ends
-  kWorkNotice = 8,    // member -> leader: external work entered the SCC
+  kSccConcluded = 6,  // leader -> members: protocol succeeded, emit ends
+  kWorkNotice = 7,    // member -> leader: external work entered the SCC
   // -- packaging extension (footnote 2) --------------------------------------
-  kBatch = 9,  // envelope carrying several computation messages
-  // -- columnar extension (msg/segment.h) ------------------------------------
-  kTupleSegment = 10,  // shared handle to a run of answer tuples
+  kBatch = 8,  // envelope carrying several computation messages
+  // -- answers (§3.1 tuple messages, msg/segment.h) --------------------------
+  kTupleSegment = 9,  // shared handle to a run of >= 1 answer tuples
 
-  kMessageKindCount = 11,
+  kMessageKindCount = 10,
 };
 
 const char* MessageKindToString(MessageKind kind);
@@ -65,20 +68,11 @@ struct Message {
   MessageKind kind = MessageKind::kRelationRequest;
   ProcessId from = kNoProcess;  // stamped by Network::Send
 
-  // kTupleRequest / kTuple / kEnd / kTupleSegment: values of the
-  // producer's d positions, in position order; empty when the producer
-  // has no d arguments. (For kTupleSegment this duplicates the
-  // segment's binding so stream-level code never touches the payload.)
+  // kTupleRequest / kEnd / kTupleSegment: values of the producer's d
+  // positions, in position order; empty when the producer has no d
+  // arguments. (For kTupleSegment this duplicates the segment's
+  // binding so stream-level code never touches the payload.)
   Tuple binding;
-
-  // kTuple: values of the producer's non-e positions, in order.
-  Tuple values;
-
-  // kTuple: the lineage id of the carried tuple in the producer's
-  // relation (kNoLineage when provenance tracking is off). Stitches
-  // cross-process derivations together: a consumer records this id as
-  // an input of whatever it derives from the tuple. See obs/lineage.h.
-  uint64_t lineage = kNoLineage;
 
   // Protocol wave number (diagnostics / sanity checks).
   int64_t wave = 0;
@@ -116,9 +110,9 @@ struct Message {
     return std::static_pointer_cast<const TupleSegment>(payload);
   }
 
-  /// Answer tuples this message carries: 1 for a bare kTuple, the row
-  /// count of a kTupleSegment, the sum over a kBatch's contents, 0 for
-  /// every other kind.
+  /// Answer tuples this message carries: the row count of a
+  /// kTupleSegment, the sum over a kBatch's contents, 0 for every other
+  /// kind.
   uint64_t answer_rows() const;
 
   std::string ToString(const SymbolTable* symbols = nullptr) const;
@@ -127,7 +121,6 @@ struct Message {
 /// Builders.
 Message MakeRelationRequest();
 Message MakeTupleRequest(Tuple binding);
-Message MakeTuple(Tuple binding, Tuple values);
 Message MakeEnd(Tuple binding);
 Message MakeEndRequest(int64_t wave);
 Message MakeEndNegative(int64_t wave, bool open_work);

@@ -313,7 +313,7 @@ LineageReport LineageObserver::Finalize() const {
     report.records.reserve(records_.size() + batch_rows_);
     // Expand the batched segments: row i of a batch is a single-input
     // derivation (id = lineage column, input = id - delta), exactly
-    // what the per-tuple path would have recorded.
+    // what one DeriveEvent per row would have recorded.
     for (const BatchEntry& b : batches_) {
       const TupleSegment& segment = *b.segment;
       for (size_t i = 0; i < segment.num_rows; ++i) {

@@ -89,9 +89,10 @@ struct DeliverEvent {
 
 // One node-process firing: a graph node handled one message
 // (engine/node_processes.cc). `tuples_in`/`tuples_out` count answer
-// tuples consumed/emitted during this firing — bare kTuple payloads
-// and rows inside columnar segments both count; `dedup_hits` is how
-// many arrivals/results duplicate elimination rejected.
+// tuples consumed/emitted during this firing — the rows of the
+// columnar segments involved, whether sent alone or packaged in a
+// batch; `dedup_hits` is how many arrivals/results duplicate
+// elimination rejected.
 struct NodeFireEvent {
   int32_t node = -1;  // graph NodeId
   ProcessId pid = kNoProcess;
@@ -137,7 +138,7 @@ struct DeriveEvent {
 
 // A run of first-derivations published as one event: the deriving node
 // absorbed a whole columnar segment in one firing
-// (engine/node_processes.cc, segmented path, lineage tracking only).
+// (engine/node_processes.cc, lineage tracking only).
 // Row i of `segment` was derived with id `segment->lineage[i]` from
 // the single input `inputs[i]` (segment-batched derivations are
 // single-input unions; rule firings keep per-tuple DeriveEvents

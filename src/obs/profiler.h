@@ -55,8 +55,8 @@ struct NodeProfile {
 
   uint64_t fires = 0;         // messages handled (all kinds)
   uint64_t requests_in = 0;   // kTupleRequest deliveries
-  uint64_t tuples_in = 0;     // kTuple payloads consumed
-  uint64_t tuples_out = 0;    // kTuple payloads emitted
+  uint64_t tuples_in = 0;     // answer rows consumed
+  uint64_t tuples_out = 0;    // answer rows emitted
   uint64_t dedup_hits = 0;    // arrivals/results rejected by dedup
   uint64_t msgs_in = 0;       // physical deliveries
   uint64_t msgs_out = 0;      // physical sends
@@ -70,7 +70,7 @@ struct NodeProfile {
   uint64_t segment_rows_out = 0;
   // Rows that arrived in batched envelopes (kTupleSegment or kBatch
   // fires) and the dedup hits those firings produced — the traffic the
-  // vectorized batch kernels absorb, vs. per-tuple arrivals.
+  // vectorized batch kernels absorb.
   uint64_t batch_rows_in = 0;
   uint64_t batch_dedup_hits = 0;
   uint64_t fire_ns = 0;        // wall time inside message handling

@@ -66,15 +66,16 @@ TEST(ConcurrencyTest, RelationConcurrentProbes) {
   EXPECT_EQ(total.load(), 4u * 200u * 500u);
 }
 
-// A process that hammers a shared counter and forwards hops.
+// A process that hammers a shared counter and forwards hops (the hop
+// count rides in a tuple request's binding).
 class HammerProcess : public Process {
  public:
   HammerProcess(std::atomic<uint64_t>* counter, ProcessId peer)
       : counter_(counter), peer_(peer) {}
   void OnMessage(const Message& m) override {
     counter_->fetch_add(1);
-    int64_t hops = m.values[0].payload();
-    if (hops > 0) Send(peer_, MakeTuple({}, {Value::Int(hops - 1)}));
+    int64_t hops = m.binding[0].payload();
+    if (hops > 0) Send(peer_, MakeTupleRequest({Value::Int(hops - 1)}));
   }
 
  private:
@@ -94,14 +95,14 @@ TEST(ConcurrencyTest, NetworkStatsConsistentUnderThreads) {
   net.Start();
   const int64_t kHops = 200;
   for (int i = 0; i < 2 * kPairs; ++i) {
-    net.Send(kNoProcess, i, MakeTuple({}, {Value::Int(kHops)}));
+    net.Send(kNoProcess, i, MakeTupleRequest({Value::Int(kHops)}));
   }
   auto run = net.RunThreaded(4);
   ASSERT_TRUE(run.ok());
   EXPECT_TRUE(run->quiescent);
   uint64_t expected = static_cast<uint64_t>(2 * kPairs) * (kHops + 1);
   EXPECT_EQ(handled.load(), expected);
-  EXPECT_EQ(net.stats().Count(MessageKind::kTuple), expected);
+  EXPECT_EQ(net.stats().Count(MessageKind::kTupleRequest), expected);
   EXPECT_EQ(run->delivered, expected);
 }
 

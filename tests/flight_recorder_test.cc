@@ -201,28 +201,32 @@ TEST(FlightRecorderTest, EventTypeNamesAreStableSchema) {
 // ---------------------------------------------------------------------------
 // Delivery tap
 
-// Forwards a bare one-row kTuple to `peer` on its first message.
-class TupleForward : public Process {
+// Forwards the segment it receives to `peer` (when it has one).
+class SegmentForward : public Process {
  public:
-  explicit TupleForward(ProcessId peer) : peer_(peer) {}
+  explicit SegmentForward(ProcessId peer) : peer_(peer) {}
   void OnMessage(const Message& m) override {
-    if (peer_ != kNoProcess) Send(peer_, MakeTuple({}, m.values));
+    if (peer_ != kNoProcess) Send(peer_, MakeTupleSegment(m.segment_ptr()));
   }
 
  private:
   ProcessId peer_;
 };
 
-TEST(FlightRecorderTest, DeliverRecordsCountABareTupleAsOneRow) {
-  // A delivery record carries answer rows in and out. A bare kTuple is
-  // one row on both sides, not zero.
+TEST(FlightRecorderTest, DeliverRecordsCountAOneRowSegmentAsOneRow) {
+  // A delivery record carries answer rows in and out. A one-row
+  // segment — the shape of a single answer — is one row on both
+  // sides, not zero.
   FlightRecorder recorder({.ring_capacity = 64, .ring_count = 1});
   Network net;
-  net.AddProcess(std::make_unique<TupleForward>(1));
-  net.AddProcess(std::make_unique<TupleForward>(kNoProcess));
+  net.AddProcess(std::make_unique<SegmentForward>(1));
+  net.AddProcess(std::make_unique<SegmentForward>(kNoProcess));
   net.SetFlightRecorder(&recorder, /*query_id=*/3);
   net.Start();
-  net.Send(kNoProcess, 0, MakeTuple({}, {Value::Int(7)}));
+  auto segment = std::make_shared<TupleSegment>();
+  segment->arity = 1;
+  segment->AppendRow(Tuple{Value::Int(7)});
+  net.Send(kNoProcess, 0, MakeTupleSegment(std::move(segment)));
   ASSERT_TRUE(net.RunDeterministic().ok());
   EXPECT_TRUE(net.observers().empty());
 
@@ -230,7 +234,7 @@ TEST(FlightRecorderTest, DeliverRecordsCountABareTupleAsOneRow) {
   ASSERT_EQ(records.size(), 2u);
   for (const FlightRecord& r : records) {
     EXPECT_EQ(r.type, static_cast<uint8_t>(FlightEventType::kDeliver));
-    EXPECT_EQ(r.kind, static_cast<uint8_t>(MessageKind::kTuple));
+    EXPECT_EQ(r.kind, static_cast<uint8_t>(MessageKind::kTupleSegment));
     EXPECT_EQ(r.query_id, 3u);
     EXPECT_EQ(r.rows, 1u);
   }
@@ -277,7 +281,7 @@ TEST(FlightRecorderTest, SessionRecordsAgreeWithTheRunsOwnCounts) {
         << "node " << node.node;
   }
   const MessageStats& stats = result->message_stats;
-  EXPECT_EQ(rows_out, stats.Count(MessageKind::kTuple) + stats.segment_rows);
+  EXPECT_EQ(rows_out, stats.segment_rows);
   EXPECT_GT(rows_out, 0u);
   // The rare events still land; the per-send and per-fire records are
   // gone (folded into kDeliver).

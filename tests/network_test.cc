@@ -12,18 +12,22 @@
 namespace mpqe {
 namespace {
 
-// Forwards each received tuple message to a target, decrementing a
-// hop counter carried in the tuple.
+// A hop message: a tuple request whose one-value binding carries the
+// number of hops left.
+Message Hop(int64_t hops) { return MakeTupleRequest({Value::Int(hops)}); }
+
+// Forwards each received hop message to a target, decrementing the
+// hop counter.
 class RelayProcess : public Process {
  public:
   explicit RelayProcess(ProcessId target) : target_(target) {}
 
   void OnMessage(const Message& m) override {
     received.push_back(m);
-    if (m.kind != MessageKind::kTuple) return;
-    int64_t hops = m.values[0].payload();
+    if (m.kind != MessageKind::kTupleRequest) return;
+    int64_t hops = m.binding[0].payload();
     if (hops > 0) {
-      Send(target_, MakeTuple({}, {Value::Int(hops - 1)}));
+      Send(target_, Hop(hops - 1));
     }
   }
 
@@ -50,7 +54,7 @@ TEST(NetworkTest, DeterministicRunsToQuiescence) {
   net.AddProcess(std::unique_ptr<Process>(a));
   net.AddProcess(std::unique_ptr<Process>(b));
   net.Start();
-  net.Send(kNoProcess, 0, MakeTuple({}, {Value::Int(5)}));
+  net.Send(kNoProcess, 0, Hop(5));
   auto run = net.RunDeterministic();
   ASSERT_TRUE(run.ok());
   EXPECT_TRUE(run->quiescent);
@@ -66,7 +70,7 @@ TEST(NetworkTest, FifoPerChannel) {
   net.AddProcess(std::unique_ptr<Process>(a));
   net.Start();
   for (int i = 0; i < 10; ++i) {
-    net.Send(kNoProcess, 0, MakeTuple({}, {Value::Int(0)}));
+    net.Send(kNoProcess, 0, Hop(0));
     net.process(0);  // no-op, keep order obvious
   }
   auto run = net.RunDeterministic();
@@ -94,7 +98,7 @@ TEST(NetworkTest, MaxMessagesGuard) {
   net.AddProcess(std::unique_ptr<Process>(a));
   net.AddProcess(std::unique_ptr<Process>(b));
   net.Start();
-  net.Send(kNoProcess, 0, MakeTuple({}, {Value::Int(1000000)}));
+  net.Send(kNoProcess, 0, Hop(1000000));
   auto run = net.RunDeterministic(/*max_messages=*/50);
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().code(), StatusCode::kResourceExhausted);
@@ -109,13 +113,13 @@ TEST(NetworkTest, StatsCountByKind) {
   net.Start();
   net.Send(kNoProcess, 0, MakeRelationRequest());
   net.Send(kNoProcess, 0, MakeEnd({}));
-  net.Send(kNoProcess, 0, MakeTuple({}, {Value::Int(2)}));
+  net.Send(kNoProcess, 0, Hop(2));
   auto run = net.RunDeterministic();
   ASSERT_TRUE(run.ok());
   MessageStats stats = net.stats();
   EXPECT_EQ(stats.Count(MessageKind::kRelationRequest), 1u);
   EXPECT_EQ(stats.Count(MessageKind::kEnd), 1u);
-  EXPECT_EQ(stats.Count(MessageKind::kTuple), 3u);  // initial + 2 hops
+  EXPECT_EQ(stats.Count(MessageKind::kTupleRequest), 3u);  // initial + 2 hops
   EXPECT_EQ(stats.Total(), 5u);
   EXPECT_EQ(stats.ProtocolTotal(), 0u);
 }
@@ -128,7 +132,7 @@ TEST(NetworkTest, RandomSchedulerDeliversEverything) {
     net.AddProcess(std::unique_ptr<Process>(a));
     net.AddProcess(std::unique_ptr<Process>(b));
     net.Start();
-    net.Send(kNoProcess, 0, MakeTuple({}, {Value::Int(7)}));
+    net.Send(kNoProcess, 0, Hop(7));
     auto run = net.RunRandom(seed);
     ASSERT_TRUE(run.ok());
     EXPECT_TRUE(run->quiescent);
@@ -142,8 +146,8 @@ class CountingProcess : public Process {
   explicit CountingProcess(std::atomic<int>* counter) : counter_(counter) {}
   void OnMessage(const Message& m) override {
     counter_->fetch_add(1);
-    if (m.kind == MessageKind::kTuple && m.values[0].payload() > 0) {
-      Send(process_id(), MakeTuple({}, {Value::Int(m.values[0].payload() - 1)}));
+    if (m.kind == MessageKind::kTupleRequest && m.binding[0].payload() > 0) {
+      Send(process_id(), Hop(m.binding[0].payload() - 1));
     }
   }
 
@@ -160,7 +164,7 @@ TEST(NetworkTest, ThreadedRunsToQuiescence) {
   }
   net.Start();
   for (int i = 0; i < kProcs; ++i) {
-    net.Send(kNoProcess, i, MakeTuple({}, {Value::Int(20)}));
+    net.Send(kNoProcess, i, Hop(20));
   }
   auto run = net.RunThreaded(4);
   ASSERT_TRUE(run.ok());
@@ -170,8 +174,9 @@ TEST(NetworkTest, ThreadedRunsToQuiescence) {
 }
 
 TEST(NetworkTest, ThreadedHandlesEmptyStart) {
+  std::atomic<int> counter{0};
   Network net;
-  net.AddProcess(std::make_unique<CountingProcess>(new std::atomic<int>{0}));
+  net.AddProcess(std::make_unique<CountingProcess>(&counter));
   net.Start();
   auto run = net.RunThreaded(3);
   ASSERT_TRUE(run.ok());
@@ -186,9 +191,9 @@ class SleepyProcess : public Process {
   explicit SleepyProcess(int sleep_ms) : sleep_ms_(sleep_ms) {}
   void OnMessage(const Message& m) override {
     std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms_));
-    int64_t hops = m.values[0].payload();
+    int64_t hops = m.binding[0].payload();
     if (hops > 0) {
-      Send(process_id(), MakeTuple({}, {Value::Int(hops - 1)}));
+      Send(process_id(), Hop(hops - 1));
     }
   }
 
@@ -207,7 +212,7 @@ TEST(NetworkTest, StallMonitorFiresOnSlowThreadedRun) {
     EXPECT_GE(info.stalled_ms, 5);
   });
   net.Start();
-  net.Send(kNoProcess, 0, MakeTuple({}, {Value::Int(3)}));
+  net.Send(kNoProcess, 0, Hop(3));
   auto run = net.RunThreaded(2);
   ASSERT_TRUE(run.ok());
   EXPECT_TRUE(run->quiescent);
@@ -224,13 +229,13 @@ TEST(NetworkTest, StallMonitorSilentOnFastRun) {
     stalls.fetch_add(1);
   });
   net.Start();
-  net.Send(kNoProcess, 0, MakeTuple({}, {Value::Int(10)}));
+  net.Send(kNoProcess, 0, Hop(10));
   auto run = net.RunThreaded(2);
   ASSERT_TRUE(run.ok());
   EXPECT_TRUE(run->quiescent);
   EXPECT_EQ(stalls.load(), 0);
   // The deterministic scheduler ignores the monitor entirely.
-  net.Send(kNoProcess, 0, MakeTuple({}, {Value::Int(2)}));
+  net.Send(kNoProcess, 0, Hop(2));
   ASSERT_TRUE(net.RunDeterministic().ok());
   EXPECT_EQ(stalls.load(), 0);
 }
@@ -247,11 +252,15 @@ TEST(NetworkTest, PendingCountTracksMailbox) {
 }
 
 TEST(MessageTest, ToStringIsInformative) {
-  Message m = MakeTuple({Value::Int(1)}, {Value::Int(2), Value::Int(3)});
-  std::string s = m.ToString();
-  EXPECT_NE(s.find("tuple"), std::string::npos);
+  auto segment = std::make_shared<TupleSegment>();
+  segment->binding = {Value::Int(1)};
+  segment->arity = 2;
+  segment->AppendRow(Tuple{Value::Int(2), Value::Int(3)});
+  segment->AppendRow(Tuple{Value::Int(4), Value::Int(5)});
+  std::string s = MakeTupleSegment(segment).ToString();
+  EXPECT_NE(s.find("tuple_segment"), std::string::npos);
   EXPECT_NE(s.find("(1)"), std::string::npos);
-  EXPECT_NE(s.find("(2, 3)"), std::string::npos);
+  EXPECT_NE(s.find("rows=2"), std::string::npos);
   EXPECT_NE(MakeEndRequest(4).ToString().find("wave=4"), std::string::npos);
 }
 
@@ -259,7 +268,7 @@ TEST(MessageTest, ProtocolClassification) {
   EXPECT_TRUE(IsProtocolMessage(MessageKind::kEndRequest));
   EXPECT_TRUE(IsProtocolMessage(MessageKind::kEndNegative));
   EXPECT_TRUE(IsProtocolMessage(MessageKind::kEndConfirmed));
-  EXPECT_FALSE(IsProtocolMessage(MessageKind::kTuple));
+  EXPECT_FALSE(IsProtocolMessage(MessageKind::kTupleSegment));
   EXPECT_FALSE(IsProtocolMessage(MessageKind::kEnd));
 }
 

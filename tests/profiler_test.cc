@@ -277,13 +277,13 @@ TEST(ProfilerTest, WorksWithoutAttachedGraph) {
   send.from = 0;
   send.to = 1;
   Message message;
-  message.kind = MessageKind::kTuple;
+  message.kind = MessageKind::kTupleRequest;
   send.message = &message;
   profiler.OnSend(send);
   DeliverEvent deliver;
   deliver.from = 0;
   deliver.to = 1;
-  deliver.kind = MessageKind::kTuple;
+  deliver.kind = MessageKind::kTupleRequest;
   profiler.OnDeliver(deliver);
 
   ProfileReport report = profiler.Finalize();

@@ -1,8 +1,10 @@
-// Tests for columnar tuple segments (msg/segment.h): the segmented
-// path computes exactly the relations and proof trees of the per-tuple
-// seed path, across schedulers; segment edge cases (empty, arity 0,
-// flush at the size cap); and shared fan-out (one segment object sent
-// to several consumers without copying rows).
+// Tests for columnar tuple segments (msg/segment.h), the one answer
+// message: multi-row and one-row (per-tuple) segments compute exactly
+// the semi-naive relations and the same proof trees, across
+// schedulers; segment edge
+// cases (empty, arity 0, flush at the size cap); single answers ship
+// as one-row segments; and shared fan-out (one segment object sent to
+// several consumers without copying rows).
 
 #include <gtest/gtest.h>
 
@@ -21,14 +23,10 @@
 namespace mpqe {
 namespace {
 
-EvaluationOptions PerTuple() {
-  EvaluationOptions options;
-  options.segment_messages = false;
-  return options;
-}
-
 // Records, per sent segment payload object, the set of destinations it
-// traveled to, and the largest row count seen on the wire.
+// traveled to, and the largest row count seen on the wire. It holds
+// each segment's handle, so a freed segment's address can never be
+// reused by a later one and miscounted as sharing.
 class SegmentRecorder : public ExecutionObserver {
  public:
   void OnSend(const SendEvent& event) override {
@@ -48,33 +46,34 @@ class SegmentRecorder : public ExecutionObserver {
     return max_rows_;
   }
 
-  size_t min_rows() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return min_rows_;
+  /// Number of distinct segment objects delivered to >= 2 consumers.
+  size_t shared_segments() const { return CountShared(/*rows=*/0); }
+
+  /// The same, counting only one-row segments.
+  size_t shared_one_row_segments() const { return CountShared(/*rows=*/1); }
+
+ private:
+  void Note(const Message& m, ProcessId to) {
+    std::shared_ptr<const TupleSegment> segment = m.segment_ptr();
+    max_rows_ = std::max(max_rows_, segment->num_rows);
+    fanout_[std::move(segment)].insert(to);
   }
 
-  /// Number of distinct segment objects delivered to >= 2 consumers.
-  size_t shared_segments() const {
+  // Segment objects sent to >= 2 destinations with `rows` rows (any
+  // row count when `rows` is 0).
+  size_t CountShared(size_t rows) const {
     std::lock_guard<std::mutex> lock(mutex_);
     size_t shared = 0;
-    for (const auto& [ptr, destinations] : fanout_) {
-      if (destinations.size() >= 2) ++shared;
+    for (const auto& [segment, destinations] : fanout_) {
+      if (destinations.size() < 2) continue;
+      if (rows == 0 || segment->num_rows == rows) ++shared;
     }
     return shared;
   }
 
- private:
-  void Note(const Message& m, ProcessId to) {
-    const TupleSegment* segment = m.segment_ptr().get();
-    fanout_[segment].insert(to);
-    max_rows_ = std::max(max_rows_, segment->num_rows);
-    min_rows_ = std::min(min_rows_, segment->num_rows);
-  }
-
   mutable std::mutex mutex_;
-  std::map<const TupleSegment*, std::set<ProcessId>> fanout_;
+  std::map<std::shared_ptr<const TupleSegment>, std::set<ProcessId>> fanout_;
   size_t max_rows_ = 0;
-  size_t min_rows_ = ~size_t{0};
 };
 
 // ---------------------------------------------------------------------------
@@ -120,31 +119,64 @@ TEST(TupleSegmentTest, EmptySegmentToleratedByConsumer) {
 
 // ---------------------------------------------------------------------------
 // Engine equivalence
+//
+// There is one answer message, a segment of >= 1 rows. A per-tuple run
+// pins every segment at one row (segment_max_rows = 1, growth off):
+// each answer then travels alone, as §3.1's tuple message does, and
+// the batch kernels absorb it one row at a time. The default caps
+// ship multi-row segments that the kernels absorb whole. Both must
+// compute the same relations and proof trees.
+
+EvaluationOptions PerTuple() {
+  EvaluationOptions options;
+  options.segment_max_rows = 1;
+  options.segment_max_rows_limit = 0;
+  return options;
+}
 
 TEST(SegmentTest, TransitiveClosureMatchesPerTuple) {
   // Nonlinear TC on a cycle: the tc relation grows to n^2 and answer
   // runs span many rows, so real multi-row segments travel.
+  Relation truth{0};
+  {
+    Database db;
+    ASSERT_TRUE(workload::MakeCycle(db, "edge", 12).ok());
+    Program program;
+    ASSERT_TRUE(ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
+    auto t = SemiNaiveBottomUp(program, db);
+    ASSERT_TRUE(t.ok());
+    truth = t->goal;
+  }
   Database db1, db2;
   ASSERT_TRUE(workload::MakeCycle(db1, "edge", 12).ok());
   ASSERT_TRUE(workload::MakeCycle(db2, "edge", 12).ok());
   Program p1, p2;
   ASSERT_TRUE(ParseInto(workload::NonlinearTcProgram(0), p1, db1).ok());
   ASSERT_TRUE(ParseInto(workload::NonlinearTcProgram(0), p2, db2).ok());
-  auto segmented = Evaluate(p1, db1);  // segments default on
-  auto per_tuple = Evaluate(p2, db2, PerTuple());
+  SegmentRecorder per_tuple_recorder;
+  EvaluationOptions per_tuple_options = PerTuple();
+  per_tuple_options.observers.push_back(&per_tuple_recorder);
+  auto segmented = Evaluate(p1, db1);  // default caps
+  auto per_tuple = Evaluate(p2, db2, per_tuple_options);
   ASSERT_TRUE(segmented.ok()) << segmented.status();
-  ASSERT_TRUE(per_tuple.ok());
-  EXPECT_TRUE(segmented->answers == per_tuple->answers);
+  ASSERT_TRUE(per_tuple.ok()) << per_tuple.status();
+  EXPECT_TRUE(segmented->answers == truth);
+  EXPECT_TRUE(per_tuple->answers == truth);
   EXPECT_TRUE(segmented->ended_by_protocol);
+  EXPECT_TRUE(per_tuple->ended_by_protocol);
 
+  // Per-tuple: every answer message carries exactly one row.
+  const MessageStats& t = per_tuple->message_stats;
+  EXPECT_GT(t.Count(MessageKind::kTupleSegment), 0u);
+  EXPECT_EQ(t.segment_rows, t.Count(MessageKind::kTupleSegment));
+  EXPECT_EQ(per_tuple_recorder.max_rows(), 1u);
+
+  // Segmented: fewer answer messages than answer rows, and far fewer
+  // physical messages than the per-tuple run.
   const MessageStats& s = segmented->message_stats;
   EXPECT_GT(s.Count(MessageKind::kTupleSegment), 0u);
-  EXPECT_GT(s.segment_rows, 0u);
-  EXPECT_EQ(per_tuple->message_stats.Count(MessageKind::kTupleSegment), 0u);
-  EXPECT_EQ(per_tuple->message_stats.segment_rows, 0u);
-  // Far fewer physical messages: the segmented run replaces most
-  // per-tuple messages with multi-row segments.
-  EXPECT_LT(s.PhysicalTotal(), per_tuple->message_stats.PhysicalTotal());
+  EXPECT_GT(s.segment_rows, s.Count(MessageKind::kTupleSegment));
+  EXPECT_LT(s.PhysicalTotal(), t.PhysicalTotal());
 }
 
 TEST(SegmentTest, WorksWithBatchingCoalescingAndSchedulers) {
@@ -226,13 +258,12 @@ std::map<std::string, std::string> ProofsByAnswer(
 }
 
 TEST(SegmentTest, ProofTreesMatchPerTuplePath) {
-  auto eval = [](bool segments, SchedulerKind scheduler) {
+  auto eval = [](bool per_tuple, SchedulerKind scheduler) {
     Database db;
     EXPECT_TRUE(workload::MakeChain(db, "edge", 16).ok());
     Program program;
     EXPECT_TRUE(ParseInto(workload::LinearTcProgram(0), program, db).ok());
-    EvaluationOptions options;
-    options.segment_messages = segments;
+    EvaluationOptions options = per_tuple ? PerTuple() : EvaluationOptions{};
     options.scheduler = scheduler;
     options.workers = 3;
     options.lineage = true;
@@ -240,19 +271,19 @@ TEST(SegmentTest, ProofTreesMatchPerTuplePath) {
     EXPECT_TRUE(result.ok()) << result.status();
     return *std::move(result);
   };
-  EvaluationResult seed = eval(false, SchedulerKind::kDeterministic);
+  EvaluationResult seed = eval(true, SchedulerKind::kDeterministic);
   ASSERT_NE(seed.lineage, nullptr);
+  EXPECT_EQ(seed.answers.size(), 15u);
   auto seed_proofs = ProofsByAnswer(seed);
   ASSERT_EQ(seed_proofs.size(), seed.answers.size());
 
   for (SchedulerKind scheduler :
        {SchedulerKind::kDeterministic, SchedulerKind::kThreaded}) {
-    EvaluationResult segmented = eval(true, scheduler);
+    EvaluationResult segmented = eval(false, scheduler);
     ASSERT_NE(segmented.lineage, nullptr);
     EXPECT_TRUE(segmented.answers == seed.answers);
     EXPECT_EQ(segmented.lineage->records.size(), seed.lineage->records.size());
-    auto proofs = ProofsByAnswer(segmented);
-    EXPECT_EQ(proofs, seed_proofs)
+    EXPECT_EQ(ProofsByAnswer(segmented), seed_proofs)
         << "scheduler=" << SchedulerKindToName(scheduler);
   }
 }
@@ -278,8 +309,6 @@ TEST(SegmentTest, SegmentsRespectTheRowCap) {
   // so the cap must split them into multiple full segments.
   EXPECT_GT(result->message_stats.Count(MessageKind::kTupleSegment), 1u);
   EXPECT_EQ(recorder.max_rows(), 8u);
-  // Single-row segments are demoted to bare kTuple messages.
-  EXPECT_GE(recorder.min_rows(), 2u);
 }
 
 TEST(SegmentTest, RowCapMustBePositive) {
@@ -295,15 +324,14 @@ TEST(SegmentTest, RowCapMustBePositive) {
 }
 
 // ---------------------------------------------------------------------------
-// Vectorized-vs-per-row equivalence (batch kernels on/off)
+// Vectorized-vs-row-at-a-time equivalence (multi-row vs one-row segments)
 
 TEST(SegmentTest, VectorizedMatchesRowAtATimeMatrix) {
   // Nonlinear TC on a cycle re-derives heavily, so every arm of the
-  // matrix exercises real duplicate traffic. The vectorized batch
-  // kernels (InsertSegment absorption, batch child-answer dedup) must
-  // reproduce the row-at-a-time path's answer set exactly, and — on
-  // the deterministic scheduler, where both paths see the identical
-  // message stream — the identical duplicate-drop count.
+  // matrix exercises real duplicate traffic. Whole-segment absorption
+  // (default caps) and one-row absorption (PerTuple) must both
+  // reproduce the semi-naive oracle under every scheduler x lineage
+  // arm, with one lineage record per distinct tuple in every arm.
   Relation truth{0};
   {
     Database db;
@@ -314,60 +342,68 @@ TEST(SegmentTest, VectorizedMatchesRowAtATimeMatrix) {
     ASSERT_TRUE(t.ok());
     truth = t->goal;
   }
-  auto eval = [](bool vectorized, SchedulerKind scheduler, bool lineage) {
-    Database db;
-    EXPECT_TRUE(workload::MakeCycle(db, "edge", 12).ok());
-    Program program;
-    EXPECT_TRUE(ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
-    EvaluationOptions options;
-    options.vectorized_segments = vectorized;
-    options.scheduler = scheduler;
-    options.seed = 23;
-    options.workers = 3;
-    options.lineage = lineage;
-    auto result = Evaluate(program, db, options);
-    EXPECT_TRUE(result.ok()) << result.status();
-    return *std::move(result);
-  };
+  size_t lineage_records = 0;
   for (SchedulerKind scheduler :
-       {SchedulerKind::kDeterministic, SchedulerKind::kThreaded}) {
+       {SchedulerKind::kDeterministic, SchedulerKind::kRandom,
+        SchedulerKind::kThreaded}) {
     for (bool lineage : {false, true}) {
-      EvaluationResult row = eval(false, scheduler, lineage);
-      EvaluationResult vec = eval(true, scheduler, lineage);
-      std::string arm = std::string("scheduler=") +
-                        SchedulerKindToName(scheduler) +
-                        " lineage=" + (lineage ? "on" : "off");
-      EXPECT_TRUE(row.answers == truth) << arm;
-      EXPECT_TRUE(vec.answers == truth) << arm;
-      EXPECT_TRUE(row.ended_by_protocol) << arm;
-      EXPECT_TRUE(vec.ended_by_protocol) << arm;
-      if (scheduler == SchedulerKind::kDeterministic) {
-        EXPECT_EQ(vec.counters.duplicate_drops,
-                  row.counters.duplicate_drops)
-            << arm;
-      }
-      if (lineage) {
-        ASSERT_NE(row.lineage, nullptr) << arm;
-        ASSERT_NE(vec.lineage, nullptr) << arm;
-        // One record per distinct tuple, whichever path derived it.
-        EXPECT_EQ(vec.lineage->records.size(), row.lineage->records.size())
-            << arm;
+      for (bool vectorized : {false, true}) {
+        std::string arm = std::string("scheduler=") +
+                          SchedulerKindToName(scheduler) +
+                          " lineage=" + (lineage ? "on" : "off") +
+                          " vectorized=" + (vectorized ? "on" : "off");
+        Database db;
+        ASSERT_TRUE(workload::MakeCycle(db, "edge", 12).ok());
+        Program program;
+        ASSERT_TRUE(
+            ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
+        EvaluationOptions options = vectorized ? EvaluationOptions{}
+                                               : PerTuple();
+        options.scheduler = scheduler;
+        options.seed = 23;
+        options.workers = 3;
+        options.lineage = lineage;
+        auto result = Evaluate(program, db, options);
+        ASSERT_TRUE(result.ok()) << arm << ": " << result.status();
+        EXPECT_TRUE(result->answers == truth) << arm;
+        EXPECT_TRUE(result->ended_by_protocol) << arm;
+        EXPECT_GT(result->counters.duplicate_drops, 0u) << arm;
+
+        const MessageStats& s = result->message_stats;
+        EXPECT_GT(s.Count(MessageKind::kTupleSegment), 0u) << arm;
+        if (vectorized) {
+          // Real multi-row segments travel.
+          EXPECT_GT(s.segment_rows, s.Count(MessageKind::kTupleSegment))
+              << arm;
+        } else {
+          EXPECT_EQ(s.segment_rows, s.Count(MessageKind::kTupleSegment))
+              << arm;
+        }
+        if (lineage) {
+          ASSERT_NE(result->lineage, nullptr) << arm;
+          if (lineage_records == 0) {
+            lineage_records = result->lineage->records.size();
+          }
+          EXPECT_EQ(result->lineage->records.size(), lineage_records) << arm;
+        }
       }
     }
   }
+  EXPECT_GT(lineage_records, 0u);
 }
 
 TEST(SegmentTest, VectorizedProofTreesMatchRowAtATime) {
-  // Chain TC from a fixed start: unique derivations, so proof trees
-  // must come out byte-identical (modulo ids) whichever kernel built
-  // them, under both schedulers.
+  // Linear TC from the root of a binary tree: every node is reached by
+  // one path, so derivations are unique and proof trees must come out
+  // byte-identical (modulo ids) whether the kernels absorbed multi-row
+  // segments whole or one row at a time, under both schedulers. Each
+  // node's two edges answer together, so multi-row segments travel.
   auto eval = [](bool vectorized, SchedulerKind scheduler) {
     Database db;
-    EXPECT_TRUE(workload::MakeChain(db, "edge", 16).ok());
+    EXPECT_TRUE(workload::MakeBinaryTree(db, "edge", 31).ok());
     Program program;
     EXPECT_TRUE(ParseInto(workload::LinearTcProgram(0), program, db).ok());
-    EvaluationOptions options;
-    options.vectorized_segments = vectorized;
+    EvaluationOptions options = vectorized ? EvaluationOptions{} : PerTuple();
     options.scheduler = scheduler;
     options.workers = 3;
     options.lineage = true;
@@ -377,13 +413,18 @@ TEST(SegmentTest, VectorizedProofTreesMatchRowAtATime) {
   };
   EvaluationResult seed = eval(false, SchedulerKind::kDeterministic);
   ASSERT_NE(seed.lineage, nullptr);
+  EXPECT_EQ(seed.answers.size(), 30u);
   auto seed_proofs = ProofsByAnswer(seed);
   ASSERT_EQ(seed_proofs.size(), seed.answers.size());
   for (SchedulerKind scheduler :
        {SchedulerKind::kDeterministic, SchedulerKind::kThreaded}) {
     EvaluationResult vec = eval(true, scheduler);
     ASSERT_NE(vec.lineage, nullptr);
+    const MessageStats& s = vec.message_stats;
+    EXPECT_GT(s.segment_rows, s.Count(MessageKind::kTupleSegment))
+        << "scheduler=" << SchedulerKindToName(scheduler);
     EXPECT_TRUE(vec.answers == seed.answers);
+    EXPECT_EQ(vec.lineage->records.size(), seed.lineage->records.size());
     EXPECT_EQ(ProofsByAnswer(vec), seed_proofs)
         << "scheduler=" << SchedulerKindToName(scheduler);
   }
@@ -427,6 +468,26 @@ TEST(SegmentTest, AdaptiveCapRejectsLimitBelowCap) {
 
 // ---------------------------------------------------------------------------
 // Shared fan-out
+
+TEST(SegmentTest, SingleAnswersTravelAsSharedOneRowSegments) {
+  // Linear TC down a chain derives one new answer per rule firing, so
+  // every answer message carries a single row. It must still travel as
+  // a kTupleSegment, and a goal node must forward the one-row segment
+  // it absorbed wholesale: when several consumers subscribe to its
+  // binding, the same object reaches all of them, uncopied.
+  Database db;
+  ASSERT_TRUE(workload::MakeChain(db, "edge", 16).ok());
+  Program program;
+  ASSERT_TRUE(ParseInto(workload::LinearTcProgram(0), program, db).ok());
+  SegmentRecorder recorder;
+  EvaluationOptions options;
+  options.observers.push_back(&recorder);
+  auto result = Evaluate(program, db, options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->answers.size(), 15u);
+  EXPECT_GT(result->message_stats.Count(MessageKind::kTupleSegment), 0u);
+  EXPECT_GT(recorder.shared_one_row_segments(), 0u);
+}
 
 TEST(SegmentTest, FanOutSharesOneSegmentAcrossConsumers) {
   // Nonlinear TC: the tc goal node feeds both recursive subgoals, so

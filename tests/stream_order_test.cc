@@ -75,12 +75,6 @@ class StreamMonitor : public ExecutionObserver {
       case MessageKind::kTupleRequest:
         streams_[{to, m.from, m.binding}].requested = true;
         break;
-      case MessageKind::kTuple: {
-        StreamState& s = streams_[{m.from, to, m.binding}];
-        if (s.ended) ++s.tuples_after_end;
-        if (!s.requested) ++s.answers_before_request;
-        break;
-      }
       case MessageKind::kTupleSegment: {
         // A segment is a run of tuples on one stream: every row is
         // subject to the same ordering invariants.
@@ -119,7 +113,6 @@ struct Config {
   uint64_t seed;
   bool coalesce;
   bool batch;
-  bool segments = true;
 };
 
 std::vector<Config> Configs() {
@@ -127,7 +120,6 @@ std::vector<Config> Configs() {
       {"det", SchedulerKind::kDeterministic, 0, false, false},
       {"det/coalesced", SchedulerKind::kDeterministic, 0, true, false},
       {"det/batched", SchedulerKind::kDeterministic, 0, false, true},
-      {"det/per-tuple", SchedulerKind::kDeterministic, 0, false, false, false},
       {"rand7", SchedulerKind::kRandom, 7, false, false},
       {"rand11/coalesced", SchedulerKind::kRandom, 11, true, false},
       {"threaded", SchedulerKind::kThreaded, 0, false, false},
@@ -147,7 +139,6 @@ TEST(StreamOrderTest, RecursiveCycleWorkload) {
     options.workers = 3;
     options.graph_options.coalesce_nodes = config.coalesce;
     options.batch_messages = config.batch;
-    options.segment_messages = config.segments;
     // Guard: a protocol regression must fail fast, not hang the test.
     options.max_messages = 1000000;
     options.observers.push_back(&monitor);
@@ -175,7 +166,6 @@ TEST(StreamOrderTest, MutualRecursionWorkload) {
     options.seed = config.seed;
     options.graph_options.coalesce_nodes = config.coalesce;
     options.batch_messages = config.batch;
-    options.segment_messages = config.segments;
     // Guard: a protocol regression must fail fast, not hang the test.
     options.max_messages = 1000000;
     options.observers.push_back(&monitor);
