@@ -539,30 +539,34 @@ StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
   }
   if (!run.ok()) return run.status();
 
-  ScopedPhase drain_phase(scoped.list, options, Phase::kDrain);
   EvaluationResult result;
-  result.answers = sink_ptr->answers();
-  result.ended_by_protocol = sink_ptr->done();
-  result.quiescent_after = network.TotalPending() == 0;
-  result.message_stats = network.stats();
-  result.graph_stats = graph.Stats();
-  result.delivered = run->delivered;
-  result.observer_count = network.observers().size();
-  for (NodeProcessBase* p : node_processes) {
-    p->AccumulateCounters(result.counters);
-  }
-  if (options.collect_node_counters) {
-    result.node_counters.reserve(node_processes.size());
-    for (NodeId id = 0; id < static_cast<NodeId>(node_processes.size());
-         ++id) {
-      NodeCounters row;
-      row.node = id;
-      node_processes[id]->AccumulateCounters(row.counters);
-      result.node_counters.push_back(std::move(row));
+  {
+    // Ends before the profile and lineage finalizers below, so the
+    // profile reports the drain phase's time too.
+    ScopedPhase phase(scoped.list, options, Phase::kDrain);
+    result.answers = sink_ptr->answers();
+    result.ended_by_protocol = sink_ptr->done();
+    result.quiescent_after = network.TotalPending() == 0;
+    result.message_stats = network.stats();
+    result.graph_stats = graph.Stats();
+    result.delivered = run->delivered;
+    result.observer_count = network.observers().size();
+    for (NodeProcessBase* p : node_processes) {
+      p->AccumulateCounters(result.counters);
     }
-  }
-  if (options.metrics != nullptr) {
-    DumpMetrics(options, graph, node_processes, result);
+    if (options.collect_node_counters) {
+      result.node_counters.reserve(node_processes.size());
+      for (NodeId id = 0; id < static_cast<NodeId>(node_processes.size());
+           ++id) {
+        NodeCounters row;
+        row.node = id;
+        node_processes[id]->AccumulateCounters(row.counters);
+        result.node_counters.push_back(std::move(row));
+      }
+    }
+    if (options.metrics != nullptr) {
+      DumpMetrics(options, graph, node_processes, result);
+    }
   }
   if (scoped.profiler.has_value()) {
     auto report = std::make_shared<ProfileReport>(scoped.profiler->Finalize());

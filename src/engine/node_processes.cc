@@ -768,8 +768,14 @@ class EdbProcess : public NodeProcessBase {
 // the first k subgoals (in sips order); a context is the tuple of
 // values of all variables bound after stage k. Arriving subgoal tuples
 // extend every waiting context; new contexts issue tuple requests to
-// the next subgoal. Duplicate contexts and duplicate child tuples are
+// the next subgoal. Duplicate child tuples, contexts and heads are
 // dropped, which is what lets recursive cycles reach a fixpoint.
+//
+// Stages 0..n-1 each keep their contexts in one Relation whose index
+// on the next child's binding slots groups the waiters of each tuple
+// request. Full contexts (stage n) go straight to the head dedup: each
+// (waiter, answer) pair is joined exactly once and gives a distinct
+// context, so a store for them would drop nothing (DESIGN.md §13).
 class RuleProcess : public NodeProcessBase {
  public:
   RuleProcess(const EngineShared& shared, NodeId id)
@@ -786,8 +792,8 @@ class RuleProcess : public NodeProcessBase {
   void AccumulateCounters(EngineCounters& out) const override {
     NodeProcessBase::AccumulateCounters(out);
     out.stored_tuples += head_answers_.size();
-    uint64_t ctx = 0;
-    for (const auto& s : contexts_) ctx += s.size();
+    uint64_t ctx = full_contexts_;
+    for (const Stage& s : stages_) ctx += s.contexts.size();
     out.contexts += ctx;
     out.duplicate_drops += duplicate_drops_;
     out.max_node_relation = std::max(
@@ -861,15 +867,35 @@ class RuleProcess : public NodeProcessBase {
     std::unordered_set<Tuple, TupleHash> dependents;
   };
 
-  /// The request state for `binding` on `stage`, created with the
-  /// stage child's answer arity on first sight.
-  ChildReq& Req(size_t stage, const Tuple& binding) {
-    auto it = child_reqs_[stage].find(binding);
-    if (it == child_reqs_[stage].end()) {
-      it = child_reqs_[stage]
-               .try_emplace(binding, children_[stage - 1].answer_arity)
-               .first;
-    }
+  // Join state of stage k < n: its contexts, and what they requested
+  // from child k + 1.
+  struct Stage {
+    Stage(size_t width, size_t next_width, size_t binding_width)
+        : contexts(width), next(next_width), request_binding(binding_width) {}
+    // The arena stores the contexts and its dedup table drops repeats;
+    // index `waiters`, on the next child's binding slots, groups them
+    // by the request they wait on, in insertion order.
+    Relation contexts;
+    size_t waiters = 0;
+    // Each context's k input ids in sips order, flat and parallel to
+    // the rows (lineage only).
+    std::vector<uint64_t> sources;
+    std::unordered_map<Tuple, ChildReq, TupleHash> requests;
+    // Scratch: a stage k + 1 context being built from one of these
+    // and a child answer, its k + 1 input ids (lineage only), and the
+    // binding a new context requests.
+    Tuple next;
+    std::vector<uint64_t> next_sources;
+    Tuple request_binding;
+  };
+
+  /// The state of this node's request for `binding` to child `stage`
+  /// (AddContext opens it before the child can answer or end it).
+  ChildReq& Requested(size_t stage, const Tuple& binding) {
+    auto& requests = stages_[stage - 1].requests;
+    auto it = requests.find(binding);
+    MPQE_CHECK(it != requests.end())
+        << "child stream for a binding this rule node never requested";
     return it->second;
   }
 
@@ -949,10 +975,16 @@ class RuleProcess : public NodeProcessBase {
       }
     }
 
-    contexts_.resize(n + 1);
-    waiting_.resize(n);
-    child_reqs_.resize(n + 1);
-    ctx_sources_.resize(n);
+    stages_.reserve(n);
+    for (size_t k = 0; k < n; ++k) {
+      const std::vector<size_t>& binding_slots = children_[k].binding_slots;
+      Stage& stage = stages_.emplace_back(stage_width_[k], stage_width_[k + 1],
+                                          binding_slots.size());
+      stage.waiters = stage.contexts.EnsureIndex(binding_slots);
+      if (lineage_on()) stage.next_sources.resize(k + 1);
+    }
+    head_row_.resize(head_out_.size());
+    head_binding_.resize(head_binding_slots_.size());
   }
 
   std::optional<Tuple> BuildStage0(const Tuple& binding) const {
@@ -970,25 +1002,28 @@ class RuleProcess : public NodeProcessBase {
     return ctx;
   }
 
-  Tuple HeadBindingOf(const Tuple& ctx) const {
-    Tuple b;
-    b.reserve(head_binding_slots_.size());
-    for (size_t slot : head_binding_slots_) b.push_back(ctx[slot]);
-    return b;
+  /// The head binding `ctx` serves, in head_binding_ (valid until the
+  /// next call).
+  const Tuple& HeadBindingOf(TupleRef ctx) {
+    for (size_t i = 0; i < head_binding_slots_.size(); ++i) {
+      head_binding_[i] = ctx[head_binding_slots_[i]];
+    }
+    return head_binding_;
   }
 
-  std::optional<Tuple> Extend(const Tuple& ctx, size_t stage,
-                              TupleRef values) const {
+  /// Writes `ctx` extended with one `stage` child answer into
+  /// stages_[stage - 1].next; false when a join check fails.
+  bool Extend(TupleRef ctx, size_t stage, TupleRef values) {
     const ChildPlan& plan = children_[stage - 1];
     for (const auto& [ordinal, slot] : plan.checks) {
-      if (ctx[slot] != values[ordinal]) return std::nullopt;
+      if (ctx[slot] != values[ordinal]) return false;
     }
-    Tuple out(stage_width_[stage], Value());
+    Tuple& out = stages_[stage - 1].next;
     std::copy(ctx.begin(), ctx.end(), out.begin());
     for (const auto& [ordinal, slot] : plan.extensions) {
       out[slot] = values[ordinal];
     }
-    return out;
+    return true;
   }
 
   void OnHeadRequest(const Message& m) {
@@ -996,7 +1031,7 @@ class RuleProcess : public NodeProcessBase {
     head_outstanding_.emplace(m.binding, 0);
     dirty_.push_back(m.binding);
     std::optional<Tuple> ctx0 = BuildStage0(m.binding);
-    if (ctx0.has_value()) AddContext(0, *std::move(ctx0), {});
+    if (ctx0.has_value()) AddContext(0, *ctx0, nullptr);
     FlushEnds();
   }
 
@@ -1006,15 +1041,14 @@ class RuleProcess : public NodeProcessBase {
   // per-row Tuple copies for duplicates), then the waiter-extension
   // loop runs over survivors only, reading rows in place from the
   // segment.
-  // (The waiter/request references stay valid across AddContext: the
-  // recursion only touches per-stage maps at deeper stages — see the
-  // note in AddContext — so this stage's arena and batch result are
-  // never mutated mid-loop.)
+  // (The waiter list and request stay valid across AddContext: the
+  // recursion only writes stages deeper than `stage` — see
+  // AddContext — so neither this stage's answer arena nor the previous
+  // stage's contexts and index change mid-loop.)
   void OnChildSegment(const Message& m) {
     const TupleSegment& segment = m.segment();
     size_t stage = pid_to_stage_.at(m.from);
-    ChildReq& cr = Req(stage, m.binding);
-    std::vector<Tuple>& waiters = waiting_[stage - 1][m.binding];
+    ChildReq& cr = Requested(stage, m.binding);
     const BatchInsertResult& ins = cr.answers.InsertSegment(segment);
     duplicate_drops_ += segment.num_rows - ins.num_inserted;
     if (ins.num_inserted != 0) {
@@ -1025,34 +1059,40 @@ class RuleProcess : public NodeProcessBase {
           }
         }
       }
-      for (size_t r = 0; r < segment.num_rows; ++r) {
-        if (!ins.inserted(r)) continue;
-        uint64_t row_id = segment.row_lineage(r);
-        trigger_lineage_ = row_id;
-        ExtendWaiters(waiters, stage, segment.row(r), row_id);
+      const Stage& waiting = stages_[stage - 1];
+      const std::vector<size_t>* waiters =
+          waiting.contexts.Probe(waiting.waiters, m.binding);
+      if (waiters != nullptr) {
+        for (size_t r = 0; r < segment.num_rows; ++r) {
+          if (!ins.inserted(r)) continue;
+          uint64_t row_id = segment.row_lineage(r);
+          trigger_lineage_ = row_id;
+          ExtendWaiters(*waiters, stage, segment.row(r), row_id);
+        }
       }
     }
     FlushEnds();
   }
 
   /// Extends every context waiting on this (stage, binding) stream
-  /// with one child answer.
-  void ExtendWaiters(std::vector<Tuple>& waiters, size_t stage, TupleRef values,
-                     uint64_t child_id) {
-    for (size_t i = 0; i < waiters.size(); ++i) {
-      std::optional<Tuple> extended = Extend(waiters[i], stage, values);
-      if (extended.has_value()) {
-        AddContext(stage, *std::move(extended),
-                   SourcesPlus(stage - 1, waiters[i], child_id));
+  /// (`waiters`: rows of stages_[stage - 1]) with one child answer.
+  void ExtendWaiters(const std::vector<size_t>& waiters, size_t stage,
+                     TupleRef values, uint64_t child_id) {
+    Stage& waiting = stages_[stage - 1];
+    for (size_t row : waiters) {
+      if (!Extend(waiting.contexts.tuple(row), stage, values)) continue;
+      if (lineage_on()) {
+        // The waiter's stage - 1 input ids, then this answer's.
+        const uint64_t* prefix = waiting.sources.data() + row * (stage - 1);
+        std::copy(prefix, prefix + stage - 1, waiting.next_sources.begin());
+        waiting.next_sources[stage - 1] = child_id;
       }
+      AddContext(stage, waiting.next, waiting.next_sources.data());
     }
   }
 
   void OnChildEnd(const Message& m) {
-    size_t stage = pid_to_stage_.at(m.from);
-    auto it = child_reqs_[stage].find(m.binding);
-    MPQE_CHECK(it != child_reqs_[stage].end());
-    ChildReq& cr = it->second;
+    ChildReq& cr = Requested(pid_to_stage_.at(m.from), m.binding);
     MPQE_CHECK(!cr.ended) << "double end from child";
     cr.ended = true;
     --open_feeder_requests_;
@@ -1066,88 +1106,71 @@ class RuleProcess : public NodeProcessBase {
     FlushEnds();
   }
 
-  // The input ids of context `ctx` at stage `k`, extended by one more
-  // child tuple id — the ordered (sips-order) input list of the
-  // resulting stage-k+1 context. Empty when lineage is off.
-  std::vector<uint64_t> SourcesPlus(size_t k, const Tuple& ctx,
-                                    uint64_t child_id) {
-    if (!lineage_on()) return {};
-    std::vector<uint64_t> srcs = ctx_sources_[k][ctx];
-    srcs.push_back(child_id);
-    return srcs;
-  }
-
-  void AddContext(size_t k, Tuple ctx, std::vector<uint64_t> srcs) {
-    if (!contexts_[k].insert(ctx).second) {
+  /// Adds context `ctx` at stage `k`; `srcs` holds its k input ids in
+  /// sips order (lineage only). `ctx` and `srcs` must stay unchanged
+  /// while the call runs: they are stage k - 1's scratch, which only a
+  /// loop over stage k - 1's contexts or child k's answers writes.
+  void AddContext(size_t k, TupleRef ctx, const uint64_t* srcs) {
+    size_t n = children_.size();
+    if (k == n) {
+      ++full_contexts_;
+      EmitHead(ctx, srcs);
+      return;
+    }
+    Stage& s = stages_[k];
+    if (!s.contexts.Insert(ctx)) {
       // First derivation wins for contexts too: an alternative way of
       // reaching the same partial join keeps the original sources.
       ++duplicate_drops_;
       return;
     }
-    size_t n = children_.size();
-    if (k == n) {
-      EmitHead(ctx, srcs);
-      return;
-    }
-    if (lineage_on()) ctx_sources_[k][ctx] = srcs;
+    if (lineage_on()) s.sources.insert(s.sources.end(), srcs, srcs + k);
     size_t stage = k + 1;
     const ChildPlan& plan = children_[k];
-    Tuple nb;
-    nb.reserve(plan.binding_slots.size());
-    for (size_t slot : plan.binding_slots) nb.push_back(ctx[slot]);
+    Tuple& nb = s.request_binding;
+    for (size_t i = 0; i < nb.size(); ++i) nb[i] = ctx[plan.binding_slots[i]];
 
-    Tuple hb = HeadBindingOf(ctx);
-    waiting_[k][nb].push_back(ctx);
-
-    auto [it, is_new] =
-        child_reqs_[stage].try_emplace(nb, children_[k].answer_arity);
+    auto [it, is_new] = s.requests.try_emplace(nb, plan.answer_arity);
     ChildReq& cr = it->second;
-    if (is_new) {
-      Emit(plan.pid, MakeTupleRequest(nb));
-      if (plan.expects_end) {
-        ++open_feeder_requests_;
-        cr.dependents.insert(hb);
+    if (is_new) Emit(plan.pid, MakeTupleRequest(nb));
+    if (plan.expects_end) {
+      if (is_new) ++open_feeder_requests_;
+      const Tuple& hb = HeadBindingOf(ctx);
+      if (!cr.ended && cr.dependents.insert(hb).second) {
         ++head_outstanding_[hb];
         dirty_.push_back(hb);
       }
-    } else if (!cr.ended && plan.expects_end &&
-               cr.dependents.insert(hb).second) {
-      ++head_outstanding_[hb];
-      dirty_.push_back(hb);
     }
     // Join with already-received answers for this request. (`cr` stays
-    // valid across the recursion: AddContext(stage, ...) only touches
-    // per-stage maps at indexes > k, so the arena never grows under
-    // this loop and tuple(i) views stay stable.)
+    // valid across the recursion: AddContext(stage, ...) only writes
+    // stages > k, so the answer arena never grows under this loop and
+    // tuple(i) views stay stable.)
+    if (lineage_on()) std::copy(srcs, srcs + k, s.next_sources.begin());
     for (size_t i = 0; i < cr.answers.size(); ++i) {
-      std::optional<Tuple> extended = Extend(ctx, stage, cr.answers.tuple(i));
-      if (extended.has_value()) {
-        std::vector<uint64_t> next = srcs;
-        if (lineage_on()) next.push_back(cr.answer_ids[i]);
-        AddContext(stage, *std::move(extended), std::move(next));
-      }
+      if (!Extend(ctx, stage, cr.answers.tuple(i))) continue;
+      if (lineage_on()) s.next_sources[k] = cr.answer_ids[i];
+      AddContext(stage, s.next, s.next_sources.data());
     }
   }
 
-  void EmitHead(const Tuple& ctx, const std::vector<uint64_t>& srcs) {
-    Tuple out;
-    out.reserve(head_out_.size());
-    for (const HeadOut& h : head_out_) {
-      out.push_back(h.is_constant ? h.constant : ctx[h.slot]);
+  void EmitHead(TupleRef ctx, const uint64_t* srcs) {
+    for (size_t i = 0; i < head_out_.size(); ++i) {
+      const HeadOut& h = head_out_[i];
+      head_row_[i] = h.is_constant ? h.constant : ctx[h.slot];
     }
-    Relation::InsertResult ins = head_answers_.InsertRow(out);
+    Relation::InsertResult ins = head_answers_.InsertRow(head_row_);
     if (!ins.inserted) {
       ++duplicate_drops_;
       return;
     }
     uint64_t id = head_answers_.row_id(ins.row);
     if (lineage_on()) {
-      // The rule firing: `out` exists because the subgoal tuples in
-      // `srcs` (sips order) joined into a full context.
-      PublishDerive(id, DeriveKind::kRuleFire, trigger_lineage_, srcs.data(),
-                    srcs.size(), out);
+      // The rule firing: the head row exists because the subgoal tuples
+      // in `srcs` (sips order) joined into a full context.
+      PublishDerive(id, DeriveKind::kRuleFire, trigger_lineage_, srcs,
+                    children_.size(), head_row_);
     }
-    EmitTuple(Pid(gnode().parent), HeadBindingOf(ctx), out, id);
+    EmitTuple(Pid(gnode().parent), HeadBindingOf(ctx), head_row_, id);
   }
 
   void FlushEnds() {
@@ -1181,13 +1204,8 @@ class RuleProcess : public NodeProcessBase {
 
   // Dynamic state.
   bool activated_ = false;
-  std::vector<std::unordered_set<Tuple, TupleHash>> contexts_;
-  std::vector<std::unordered_map<Tuple, std::vector<Tuple>, TupleHash>>
-      waiting_;
-  std::vector<std::unordered_map<Tuple, ChildReq, TupleHash>> child_reqs_;
-  // Per-stage ordered input ids of each live context (lineage only).
-  std::vector<std::unordered_map<Tuple, std::vector<uint64_t>, TupleHash>>
-      ctx_sources_;
+  std::vector<Stage> stages_;   // stages 0..n-1
+  uint64_t full_contexts_ = 0;  // stage n: counted, not stored
   uint64_t trigger_lineage_ = kNoLineage;
   std::unordered_set<Tuple, TupleHash> head_seen_;
   std::unordered_set<Tuple, TupleHash> head_ended_;
@@ -1196,6 +1214,8 @@ class RuleProcess : public NodeProcessBase {
   Relation head_answers_;
   int64_t open_feeder_requests_ = 0;
   uint64_t duplicate_drops_ = 0;
+  Tuple head_row_;      // EmitHead scratch
+  Tuple head_binding_;  // HeadBindingOf scratch
 };
 
 }  // namespace

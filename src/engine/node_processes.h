@@ -51,7 +51,9 @@ namespace mpqe {
 struct EngineCounters {
   uint64_t stored_tuples = 0;      // tuples kept in temporary relations
   uint64_t duplicate_drops = 0;    // arrivals rejected by dedup
-  uint64_t contexts = 0;           // rule-node partial join results
+  // Rule-node join results: the partial contexts stored per stage,
+  // plus full contexts, which are counted but not stored.
+  uint64_t contexts = 0;
   uint64_t max_node_relation = 0;  // largest single temporary relation
   uint64_t protocol_waves = 0;     // Fig. 2 waves initiated
 

@@ -1,9 +1,9 @@
 // Tests for derivation provenance (src/obs/lineage.{h,cc}): stable
 // tuple ids at Relation::Insert, first-derivation-wins semantics, the
 // assembled derivation DAG (acyclicity, EDB leaves, minimal depths),
-// pinned proof trees for transitive closure and same-generation under
-// the deterministic scheduler, and first-derivation validity under the
-// threaded scheduler.
+// pinned proof trees for transitive closure, same-generation and
+// nonlinear transitive closure under the deterministic scheduler, and
+// first-derivation validity under the threaded scheduler.
 
 #include <gtest/gtest.h>
 
@@ -174,6 +174,43 @@ TEST(LineageTest, SameGenerationProofPinned) {
       "      rule#0[sg(_?13, _?14) :- flat(_?13, _?14).]  (rule #5)\n"
       "        flat(m, n)  (edb #2)\n"
       "    down(n, x)  (edb #0)\n");
+}
+
+// Nonlinear TC on a 3-cycle: tc(0, 0) is derived as tc(0, 1) + tc(1, 0)
+// and again as tc(0, 2) + tc(2, 0), and the rule node re-derives heads
+// it already emitted. The proof is the first derivation, whichever way
+// later ones reach the same head.
+constexpr const char* kNonlinearCycle = R"(
+  edge(0, 1). edge(1, 2). edge(2, 0).
+  tc(X, Y) :- edge(X, Y).
+  tc(X, Y) :- tc(X, Z), tc(Z, Y).
+  ?- tc(0, W).
+)";
+
+TEST(LineageTest, NonlinearFirstDerivationProofPinned) {
+  EvaluationResult result = EvalWithLineage(kNonlinearCycle);
+  ASSERT_NE(result.lineage, nullptr);
+  EXPECT_EQ(result.answers.size(), 3u);
+  SymbolTable symbols;
+  auto query = ParseLineageQuery("tc(0, 0)", symbols);
+  ASSERT_TRUE(query.ok());
+  auto matches = result.lineage->Match(*query);
+  ASSERT_FALSE(matches.empty());
+  EXPECT_EQ(
+      result.lineage->FormatProof(matches.front()->id),
+      "tc(0, 0)  (union #16)\n"
+      "  rule#1[tc(0, _?6) :- tc(0, _?12), tc(_?12, _?6).]  (rule #15)\n"
+      "    tc(0, 2)  (union #10)\n"
+      "      rule#1[tc(0, _?6) :- tc(0, _?12), tc(_?12, _?6).]  (rule #9)\n"
+      "        tc(0, 1)  (union #4)\n"
+      "          rule#0[tc(0, _?6) :- edge(0, _?6).]  (rule #3)\n"
+      "            edge(0, 1)  (edb #0)\n"
+      "        tc(1, 2)  (union #8)\n"
+      "          rule#0[tc(_?12, _?6) :- edge(_?12, _?6).]  (rule #7)\n"
+      "            edge(1, 2)  (edb #1)\n"
+      "    tc(2, 0)  (union #14)\n"
+      "      rule#0[tc(_?12, _?6) :- edge(_?12, _?6).]  (rule #12)\n"
+      "        edge(2, 0)  (edb #2)\n");
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
-// Tests for the per-node counter breakdown.
+// Tests for the per-node counter breakdown, and the engine's exact
+// aggregate counts pinned on the deterministic scheduler.
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/string_util.h"
 #include "datalog/parser.h"
 #include "engine/evaluator.h"
 
@@ -65,6 +69,103 @@ TEST(NodeCountersTest, HotNodesShowUp) {
     if (row.counters.stored_tuples >= 4) hot = true;
   }
   EXPECT_TRUE(hot);
+}
+
+// Nonlinear TC over the cycle edge(i, (i + 1) mod n), query tc(0, W).
+std::string NonlinearCycle(int n) {
+  std::string text;
+  for (int i = 0; i < n; ++i) {
+    text += StrCat("edge(", i, ", ", (i + 1) % n, ").\n");
+  }
+  return text + "tc(X, Y) :- edge(X, Y).\n"
+                "tc(X, Y) :- tc(X, Z), tc(Z, Y).\n"
+                "?- tc(0, W).\n";
+}
+
+struct PinnedRun {
+  std::string counters;
+  std::string messages;
+  size_t answers = 0;
+};
+
+PinnedRun RunPinned(const std::string& text, EvaluationOptions options) {
+  auto unit = Parse(text);
+  if (!unit.ok()) {
+    ADD_FAILURE() << unit.status().ToString();
+    return {};
+  }
+  options.scheduler = SchedulerKind::kDeterministic;
+  auto result = Evaluate(unit->program, unit->database, options);
+  if (!result.ok()) {
+    ADD_FAILURE() << result.status().ToString();
+    return {};
+  }
+  EXPECT_TRUE(result->ended_by_protocol);
+  return {result->counters.ToString(), result->message_stats.ToString(),
+          result->answers.size()};
+}
+
+// Exact counts of the rule-node join on the deterministic scheduler:
+// the join state may change representation, never the computation.
+// Contexts count every partial and full join result, duplicate drops
+// include heads a rule node re-derives, and the message mix fixes
+// the order in which the join emits.
+TEST(NodeCountersTest, JoinCountsPinnedOnDeterministicScheduler) {
+  const std::string cycle = NonlinearCycle(32);
+
+  PinnedRun plain = RunPinned(cycle, {});
+  EXPECT_EQ(plain.answers, 32u);
+  EXPECT_EQ(plain.counters,
+            "{stored=2209 dups=32769 contexts=34980 max_rel=1024 waves=317}");
+  EXPECT_EQ(plain.messages,
+            "{relation_request=16 tuple_request=264 end=101 end_request=647 "
+            "end_negative=369 end_confirmed=278 scc_concluded=5 "
+            "tuple_segment=3669}");
+
+  EvaluationOptions coalesce;
+  coalesce.graph_options.coalesce_nodes = true;
+  PinnedRun coalesced = RunPinned(cycle, coalesce);
+  EXPECT_EQ(coalesced.answers, 32u);
+  EXPECT_EQ(coalesced.counters,
+            "{stored=4289 dups=64545 contexts=68868 max_rel=1024 waves=608}");
+  EXPECT_EQ(coalesced.messages,
+            "{relation_request=18 tuple_request=359 end=165 end_request=624 "
+            "end_negative=620 end_confirmed=4 scc_concluded=4 "
+            "tuple_segment=4315}");
+
+  EvaluationOptions batch;
+  batch.batch_messages = true;
+  PinnedRun batched = RunPinned(cycle, batch);
+  EXPECT_EQ(batched.answers, 32u);
+  EXPECT_EQ(batched.counters,
+            "{stored=2209 dups=32769 contexts=34980 max_rel=1024 waves=99}");
+  EXPECT_EQ(batched.messages,
+            "{relation_request=16 tuple_request=264 end=101 end_request=223 "
+            "end_negative=175 end_confirmed=48 scc_concluded=5 batch=251 "
+            "tuple_segment=3519}");
+
+  // Three subgoals under no_sips: whole relations arrive and the
+  // equi-joins run as the rule node's join checks. Every e edge flips
+  // parity and p chains odd numbers of them, so p(X, X) never holds.
+  std::string three;
+  for (int i = 0; i < 20; ++i) {
+    three += StrCat("e(", i, ", ", (7 * i + 3) % 20, ").\n");
+    three += StrCat("e(", i, ", ", (3 * i + 1) % 20, ").\n");
+  }
+  three += "p(X, Y) :- e(X, Y).\n"
+           "p(X, Y) :- p(X, Z), e(Z, W), p(W, Y).\n"
+           "q(X) :- p(X, X).\n"
+           "?- q(W).\n";
+  EvaluationOptions no_sips;
+  no_sips.strategy = "no_sips";
+  PinnedRun checks = RunPinned(three, no_sips);
+  EXPECT_EQ(checks.answers, 0u);
+  EXPECT_EQ(checks.counters,
+            "{stored=368 dups=1024 contexts=1824 max_rel=72 waves=8}");
+  EXPECT_EQ(checks.messages,
+            "{relation_request=27 tuple_request=27 end=17 end_request=24 "
+            "end_negative=14 end_confirmed=10 scc_concluded=6 "
+            "tuple_segment=31}");
 }
 
 }  // namespace

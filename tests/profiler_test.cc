@@ -204,6 +204,20 @@ TEST(ProfilerTest, JsonReportShape) {
   EXPECT_NE(json.find("\"tree_depth\": 2"), std::string::npos);
 }
 
+// The drain phase (result collection after the run) ends before the
+// profile is finalized, so the report carries its time like every
+// other phase's.
+TEST(ProfilerTest, DrainPhaseIsTimed) {
+  auto result = RunProfiled(SchedulerKind::kDeterministic);
+  ASSERT_TRUE(result.ok());
+  const ProfileReport& report = *result->profile;
+  ASSERT_EQ(report.phase_ns.size(), static_cast<size_t>(Phase::kPhaseCount));
+  EXPECT_GT(report.phase_ns[static_cast<size_t>(Phase::kDrain)], 0u);
+  std::string json = report.ToJson();
+  EXPECT_NE(json.find("\"drain_ns\": "), std::string::npos) << json;
+  EXPECT_NE(json.find("\"run_ns\": "), std::string::npos) << json;
+}
+
 TEST(ProfilerTest, ExplainPlanModes) {
   auto unit = Parse(kTcShortcut);
   ASSERT_TRUE(unit.ok());
