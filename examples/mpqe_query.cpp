@@ -19,7 +19,6 @@
 //                      hit) and report per-run latency percentiles and
 //                      the cache counters
 //   --coalesce         coalesce goal nodes (single-processor variant)
-//   --batch            package emitted messages per destination
 //   --load=rel=file    bulk-load TSV facts into relation `rel`
 //                      (repeatable; loaded before evaluation)
 //   --graph            print the rule/goal graph before evaluating
@@ -106,7 +105,6 @@ int main(int argc, char** argv) {
   int repeat = 1;
   bool show_graph = false, show_dot = false, show_stats = false;
   bool coalesce = false;
-  bool batch = false;
   bool explain = false, analyze = false;
   double deviation_factor = 10.0;
   std::string metrics_out;
@@ -140,8 +138,6 @@ int main(int argc, char** argv) {
       if (repeat < 1) return Fail("--repeat must be >= 1");
     } else if (arg == "--coalesce") {
       coalesce = true;
-    } else if (arg == "--batch") {
-      batch = true;
     } else if (arg.rfind("--load=", 0) == 0) {
       std::string spec = value("--load=");
       size_t eq = spec.find('=');
@@ -259,7 +255,6 @@ int main(int argc, char** argv) {
 
   bool profiling = analyze || !profile_out.empty();
   mpqe::SessionOptions session_options;
-  session_options.batch_messages = batch;
   session_options.seed = seed;
   session_options.workers = workers;
   session_options.profile = profiling;

@@ -384,7 +384,6 @@ StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
   EngineShared shared;
   shared.graph = &graph;
   shared.db = &db;
-  shared.batch_messages = options.batch_messages;
   shared.segment_max_rows = options.segment_max_rows;
   shared.segment_max_rows_limit = options.segment_max_rows_limit;
   shared.use_edb_indexes = options.use_edb_indexes;

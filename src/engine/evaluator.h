@@ -78,17 +78,12 @@ struct SessionOptions {
   uint64_t seed = 1;    // kRandom
   int workers = 4;      // kThreaded
 
-  // Package the messages a node emits while handling one message into
-  // per-destination batch envelopes (the paper's footnote 2): far
-  // fewer physical messages, identical logical traffic and answers.
-  // Answer segments ride inside the envelopes.
-  bool batch_messages = false;
-
   // Answers travel as columnar TupleSegments (msg/segment.h): a node
-  // accumulates the rows it emits on one stream while handling one
-  // message into one shared kTupleSegment, and flushes it early once
-  // it reaches this many rows (bounds per-handler buffering; must be
-  // >= 1).
+  // accumulates the rows it emits on one stream during one mailbox run
+  // into one shared kTupleSegment, and seals it early once it reaches
+  // this many rows (bounds per-run buffering; must be >= 1). At run
+  // end a node packages what it emitted into one batch envelope per
+  // destination (the paper's footnote 2).
   size_t segment_max_rows = 1024;
 
   // Adaptive segment sizing: each (node, destination) stream starts at

@@ -49,11 +49,13 @@ void NodeProcessBase::OnMessage(const Message& message) {
     std::this_thread::sleep_for(
         std::chrono::milliseconds(shared_.fault_park_ms));
   }
+  // Fig. 2 lets a wave message answer, forward or conclude: the work
+  // this run emitted so far must already sit in its receivers'
+  // mailboxes (DESIGN.md §10).
+  if (IsProtocolMessage(message.kind)) FlushEmits();
   const ObserverList& obs = network().observers();
   if (obs.empty()) {
     Dispatch(message);
-    FlushEmits();
-    termination_.MaybeInitiate();
     return;
   }
   uint64_t drops_before = LocalDuplicateDrops();
@@ -62,7 +64,6 @@ void NodeProcessBase::OnMessage(const Message& message) {
   auto fire_start = std::chrono::steady_clock::now();
   Dispatch(message);
   observing_fire_ = false;
-  FlushEmits();
   auto fire_end = std::chrono::steady_clock::now();
   NodeFireEvent event;
   event.node = node_id_;
@@ -77,6 +78,10 @@ void NodeProcessBase::OnMessage(const Message& message) {
                                                            fire_start)
           .count());
   obs.NotifyNodeFire(event);
+}
+
+void NodeProcessBase::OnRunEnd() {
+  FlushEmits();
   termination_.MaybeInitiate();
 }
 
@@ -97,17 +102,10 @@ void NodeProcessBase::Dispatch(const Message& message) {
     case MessageKind::kWorkNotice:
       termination_.OnWorkNotice(message);
       break;
-    case MessageKind::kBatch: {
+    case MessageKind::kBatch:
       termination_.OnWorkMessage();
-      for (const Message& packaged : message.batch()) {
-        // Cheap even for packaged segments: copying a Message bumps
-        // the payload refcount, it never deep-copies the rows.
-        Message sub = packaged;
-        sub.from = message.from;
-        HandleWork(sub);
-      }
+      for (const Message& packaged : message.batch()) HandleWork(packaged);
       break;
-    }
     default:
       termination_.OnWorkMessage();
       HandleWork(message);
@@ -189,7 +187,7 @@ void NodeProcessBase::EmitSegment(ProcessId to,
 void NodeProcessBase::FlushEmits() {
   // Open segments are sealed simply by dropping the mutable handle.
   for (OpenSegment& open : open_segments_) {
-    // End-of-handler seals are partial by definition (cap seals left
+    // Run-end seals are partial by definition (cap seals left
     // open_segments_ in EmitTuple): they reset the destination's
     // full-segment streak.
     NoteSealedSegment(open.to, /*full=*/false);
@@ -197,29 +195,41 @@ void NodeProcessBase::FlushEmits() {
   }
   open_segments_.clear();
   if (outbox_.empty()) return;
-  if (!shared_.batch_messages) {
-    for (auto& [to, m] : outbox_) Send(to, std::move(m));
+  if (outbox_.size() == 1) {  // a lone message goes bare
+    Send(outbox_.front().first, std::move(outbox_.front().second));
     outbox_.clear();
     return;
   }
   // Group by destination, preserving per-destination send order and
-  // first-appearance destination order.
-  std::vector<ProcessId> order;
-  std::unordered_map<ProcessId, std::vector<Message>> groups;
-  for (auto& [to, m] : outbox_) {
-    auto [it, inserted] = groups.emplace(to, std::vector<Message>());
-    if (inserted) order.push_back(to);
-    it->second.push_back(std::move(m));
+  // first-appearance destination order. Counting first sizes each
+  // envelope exactly.
+  flush_dests_.clear();
+  flush_counts_.clear();
+  for (const auto& [to, m] : outbox_) {
+    const size_t g = static_cast<size_t>(
+        std::find(flush_dests_.begin(), flush_dests_.end(), to) -
+        flush_dests_.begin());
+    if (g == flush_dests_.size()) {
+      flush_dests_.push_back(to);
+      flush_counts_.push_back(0);
+    }
+    ++flush_counts_[g];
+  }
+  for (size_t g = 0; g < flush_dests_.size(); ++g) {
+    const ProcessId to = flush_dests_[g];
+    std::vector<Message> batch;
+    batch.reserve(flush_counts_[g]);
+    for (auto& [dest, m] : outbox_) {
+      if (dest != to) continue;
+      // Packaged messages carry the envelope's sender, so receivers
+      // handle them in place.
+      m.from = process_id();
+      batch.push_back(std::move(m));
+    }
+    Send(to, batch.size() == 1 ? std::move(batch.front())
+                               : MakeBatch(std::move(batch)));
   }
   outbox_.clear();
-  for (ProcessId to : order) {
-    std::vector<Message>& messages = groups[to];
-    if (messages.size() == 1) {
-      Send(to, std::move(messages.front()));
-    } else {
-      Send(to, MakeBatch(std::move(messages)));
-    }
-  }
 }
 
 void NodeProcessBase::AccumulateCounters(EngineCounters& out) const {

@@ -78,11 +78,8 @@ struct EngineShared {
   // Start() phase under kRegister; the run phase reads it
   // concurrently.
   Database* db = nullptr;
-  // Package the computation messages emitted while handling one
-  // message into per-destination batch envelopes (footnote 2).
-  bool batch_messages = false;
-  // Flush an accumulating segment early once it reaches this many
-  // rows (bounds per-handler buffering; >= 1).
+  // Seal an accumulating segment early once it reaches this many rows
+  // (bounds per-run buffering; >= 1).
   size_t segment_max_rows = 1024;
   // Adaptive segment sizing: each (node, destination) stream starts
   // with a segment_max_rows cap that doubles toward this limit while
@@ -118,7 +115,14 @@ class NodeProcessBase : public Process, public TerminationOwner {
  public:
   ~NodeProcessBase() override = default;
 
+  /// Dispatches one message. Emitted work stays in the outbox until
+  /// the run ends; a protocol message flushes it first, so no wave
+  /// answer, forwarded end request or conclusion overtakes it.
   void OnMessage(const Message& message) final;
+
+  /// Flushes the run's outbox (footnote-2 packaging) and checks Fig. 2
+  /// initiation.
+  void OnRunEnd() final;
 
   /// Engages the Fig. 2 protocol for members of nontrivial SCCs
   /// (called by the evaluator during wiring, before Network::Start).
@@ -163,15 +167,16 @@ class NodeProcessBase : public Process, public TerminationOwner {
 
   virtual void HandleWork(const Message& message) = 0;
 
-  /// Queues `m` for `to` until the end-of-handler flush, so an `end`
-  /// emitted after buffered answer rows cannot overtake them. All
-  /// computation messages from HandleWork should go through this.
+  /// Queues `m` for `to` until the run-end flush, so an `end` emitted
+  /// after buffered answer rows cannot overtake them. All computation
+  /// messages from HandleWork should go through this.
   void Emit(ProcessId to, Message m);
 
   /// Emits one answer tuple on the (`to`, `binding`) stream: the row
   /// lands in that stream's accumulating segment (opened at the
-  /// emission point to preserve stream order, sealed at handler end or
-  /// at the row cap; a lone row ships as a one-row segment).
+  /// emission point to preserve stream order, sealed at run end, before
+  /// a protocol message, or at the row cap; a lone row ships as a
+  /// one-row segment).
   void EmitTuple(ProcessId to, const Tuple& binding, TupleRef values,
                  uint64_t lineage_id);
 
@@ -217,6 +222,8 @@ class NodeProcessBase : public Process, public TerminationOwner {
 
  private:
   void Dispatch(const Message& message);
+  // Seals the open segments and sends the outbox, one batch envelope
+  // per destination that has more than one message (footnote 2).
   void FlushEmits();
   NodeRole Role() const;
 
@@ -238,6 +245,10 @@ class NodeProcessBase : public Process, public TerminationOwner {
 
   std::vector<std::pair<ProcessId, Message>> outbox_;
   std::vector<OpenSegment> open_segments_;
+  // FlushEmits' grouping scratch, reused across flushes: destinations
+  // in first-appearance order and each one's message count.
+  std::vector<ProcessId> flush_dests_;
+  std::vector<size_t> flush_counts_;
   std::unordered_map<ProcessId, DestSizing> dest_sizing_;
   // Per-firing observability scratch: tuples emitted during the
   // current OnMessage, counted only while observers are installed.

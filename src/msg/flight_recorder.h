@@ -8,7 +8,8 @@
 // It is not an ExecutionObserver. A session hands the recorder to its
 // Network (SetFlightRecorder), and Network::Deliver writes one kDeliver
 // record per delivery from the two clock reads that bracket the
-// handler, so the session keeps the zero-observer fast path. The engine
+// handler (and, at a mailbox run's end, the run-end hook), so the
+// session keeps the zero-observer fast path. The engine
 // layer writes the rare events (phases, Fig. 2 transitions, session
 // lifecycle, stalls) directly.
 //
@@ -50,7 +51,9 @@ enum class FlightEventType : uint8_t {
   kDeliver = 3,       // kind = MessageKind, a = from, b = to,
                       // rows = answer rows in,
                       // rows_out = answer rows the handler sent,
-                      // aux = handler ns; ts_ns = handler end
+                      // aux = handler ns; ts_ns = handler end. A run's
+                      // last delivery also covers its OnRunEnd: the
+                      // rows the run's flush sent and the flush time.
   kNodeFire = 4,      // reserved (merged into kDeliver; kept for the
                       // schema)
   kPhase = 5,         // kind = Phase, a = begin(1)/end(0)

@@ -15,8 +15,8 @@ uint32_t ClampU32(uint64_t v) {
 }
 
 // Answer rows this thread has sent into flight-recorded networks. A
-// handler runs start to finish on one thread, so the difference across
-// a handler is exactly the rows that handler sent.
+// delivery (handler plus any run-end hook) runs start to finish on one
+// thread, so the difference across it is exactly the rows it sent.
 thread_local uint64_t t_answer_rows_sent = 0;
 
 }  // namespace
@@ -182,19 +182,35 @@ void Network::Start() {
   for (auto& p : processes_) p->OnStart();
 }
 
-void Network::Deliver(ProcessId id, const Message& message) {
+bool Network::Pop(Mailbox& box, Message& out, size_t& left) {
+  std::lock_guard<std::mutex> lock(box.mutex);
+  if (box.queue.empty()) return false;
+  out = std::move(box.queue.front());
+  box.queue.pop_front();
+  left = box.queue.size();
+  return true;
+}
+
+void Network::Deliver(ProcessId id, const Message& message, bool run_end) {
   if (flight_ == nullptr && observers_.empty()) {
-    processes_[id]->OnMessage(message);
+    Process& process = *processes_[id];
+    process.OnMessage(message);
+    if (run_end) process.OnRunEnd();
   } else {
-    DeliverTapped(id, message);
+    DeliverTapped(id, message, run_end);
   }
   total_pending_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
-void Network::DeliverTapped(ProcessId id, const Message& message) {
+void Network::DeliverTapped(ProcessId id, const Message& message,
+                            bool run_end) {
+  Process& process = *processes_[id];
   const uint64_t rows_sent_before = t_answer_rows_sent;
   const uint64_t start = FlightRecorder::NowNs();
-  processes_[id]->OnMessage(message);
+  process.OnMessage(message);
+  // Inside the window: the rows a run-end flush sends, and its time,
+  // belong to the run's last delivery.
+  if (run_end) process.OnRunEnd();
   const uint64_t end = FlightRecorder::NowNs();
   if (flight_ != nullptr) {
     FlightRecord record;
@@ -240,24 +256,25 @@ StatusOr<RunResult> Network::RunDeterministic(uint64_t max_messages) {
     bool progressed = false;
     for (ProcessId id = 0; id < static_cast<ProcessId>(processes_.size());
          ++id) {
-      Message msg;
-      {
-        Mailbox& box = *mailboxes_[id];
-        std::lock_guard<std::mutex> lock(box.mutex);
-        if (box.queue.empty()) continue;
-        msg = std::move(box.queue.front());
-        box.queue.pop_front();
-      }
-      Deliver(id, msg);
-      progressed = true;
-      ++result.delivered;
-      if (max_messages != 0 && result.delivered > max_messages) {
-        return ResourceExhaustedError(
-            StrCat("deterministic run exceeded max_messages=", max_messages));
-      }
-      if (stop_requested()) {
-        result.stopped = true;
-        return result;
+      // A turn is one run: the mail queued when it begins. Mail that
+      // arrives during the turn waits for the next round.
+      Mailbox& box = *mailboxes_[id];
+      const size_t queued = PendingCount(id);
+      for (size_t k = 1; k <= queued; ++k) {
+        Message msg;
+        size_t left;
+        Pop(box, msg, left);
+        Deliver(id, msg, /*run_end=*/k == queued);
+        progressed = true;
+        ++result.delivered;
+        if (max_messages != 0 && result.delivered > max_messages) {
+          return ResourceExhaustedError(StrCat(
+              "deterministic run exceeded max_messages=", max_messages));
+        }
+        if (stop_requested()) {
+          result.stopped = true;
+          return result;
+        }
       }
     }
     if (!progressed) {
@@ -277,33 +294,39 @@ StatusOr<RunResult> Network::RunRandom(uint64_t seed, uint64_t max_messages) {
       result.stopped = true;
       return result;
     }
-    // Pick a uniformly random starting point and deliver from the
-    // first nonempty mailbox at or after it (circularly). Per-channel
-    // FIFO is preserved; global interleaving is randomized.
+    // Pick a uniformly random starting point and run the first
+    // nonempty mailbox at or after it (circularly) for a random prefix
+    // of its queue, so run ends land anywhere. Per-channel FIFO is
+    // preserved; global interleaving is randomized.
     size_t start = rng.Below(n);
     bool progressed = false;
     for (size_t k = 0; k < n; ++k) {
       ProcessId id = static_cast<ProcessId>((start + k) % n);
-      Message msg;
-      {
-        Mailbox& box = *mailboxes_[id];
-        std::lock_guard<std::mutex> lock(box.mutex);
-        if (box.queue.empty()) continue;
-        msg = std::move(box.queue.front());
-        box.queue.pop_front();
+      const size_t queued = PendingCount(id);
+      if (queued == 0) continue;
+      Mailbox& box = *mailboxes_[id];
+      const size_t run = 1 + rng.Below(queued);
+      for (size_t j = 1; j <= run; ++j) {
+        Message msg;
+        size_t left;
+        Pop(box, msg, left);
+        Deliver(id, msg, /*run_end=*/j == run);
+        ++result.delivered;
+        if (max_messages != 0 && result.delivered > max_messages) {
+          return ResourceExhaustedError(
+              StrCat("random run exceeded max_messages=", max_messages));
+        }
+        if (stop_requested()) {
+          result.stopped = true;
+          return result;
+        }
       }
-      Deliver(id, msg);
       progressed = true;
-      ++result.delivered;
       break;
     }
     if (!progressed) {
       result.quiescent = true;
       return result;
-    }
-    if (max_messages != 0 && result.delivered > max_messages) {
-      return ResourceExhaustedError(
-          StrCat("random run exceeded max_messages=", max_messages));
     }
   }
 }
@@ -359,17 +382,18 @@ StatusOr<RunResult> Network::RunThreaded(int workers, uint64_t max_messages) {
       box.state.store(2, std::memory_order_release);
 
       bool bail = false;
+      uint32_t run_length = 0;
       for (;;) {
-        // Drain this mailbox, one message at a time.
+        // Drain this mailbox, one message at a time. A run ends at the
+        // delivery that empties it or at the quantum, and its hook runs
+        // here, before the state below releases the process.
         for (;;) {
           Message msg;
-          {
-            std::lock_guard<std::mutex> lock(box.mutex);
-            if (box.queue.empty()) break;
-            msg = std::move(box.queue.front());
-            box.queue.pop_front();
-          }
-          Deliver(id, msg);
+          size_t left;
+          if (!Pop(box, msg, left)) break;
+          const bool run_end = left == 0 || ++run_length == kRunQuantum;
+          if (run_end) run_length = 0;
+          Deliver(id, msg, run_end);
           uint64_t d = delivered.fetch_add(1, std::memory_order_acq_rel) + 1;
           if (max_messages != 0 && d > max_messages) {
             overflow.store(true);
@@ -395,7 +419,6 @@ StatusOr<RunResult> Network::RunThreaded(int workers, uint64_t max_messages) {
         }
         if (done || bail) break;
         // state was dirty and is 2 again: loop and drain more.
-        if (bail) break;
       }
 
       {

@@ -11,6 +11,13 @@
 //  * RunThreaded(n)   — a real thread pool with actor-style per-process
 //    serialization.
 //
+// Every scheduler delivers a process's mail in *runs*: consecutive
+// deliveries to one process, closed by one Process::OnRunEnd call on
+// the same thread (DESIGN.md §5). A run is the mail queued when a
+// deterministic turn begins, a seeded-random prefix of the queue, or a
+// threaded drain cut at the empty mailbox or at kRunQuantum
+// deliveries.
+//
 // The engine must terminate via its own end-message protocol: a run
 // normally finishes because a sink process calls RequestStop(). Runs
 // also finish on global quiescence (all mailboxes empty) — the oracle
@@ -77,6 +84,14 @@ class Process {
 
   virtual void OnMessage(const Message& message) = 0;
 
+  /// Called after the last delivery of each mailbox run, on the thread
+  /// that ran it and before any other worker can pick the process up,
+  /// so it never overlaps this process's OnMessage. A run cut short by
+  /// RequestStop() or max_messages ends without it. The one point where
+  /// a process may hold output across deliveries and still never sit
+  /// idle with it.
+  virtual void OnRunEnd() {}
+
   ProcessId process_id() const { return id_; }
 
  protected:
@@ -138,6 +153,11 @@ struct StallInfo {
 
 class Network {
  public:
+  /// The threaded scheduler closes a run after this many deliveries of
+  /// one drain even while mail keeps arriving, so a hot process cannot
+  /// hold its output indefinitely.
+  static constexpr uint32_t kRunQuantum = 64;
+
   Network() = default;
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -184,7 +204,8 @@ class Network {
 
   /// Attaches the session's flight-recorder tap (not owned; must
   /// outlive the network): one kDeliver record per delivery, stamped
-  /// with `query_id` (msg/flight_recorder.h). Attach before Start().
+  /// with `query_id` (msg/flight_recorder.h); a run's last record
+  /// also covers its OnRunEnd. Attach before Start().
   void SetFlightRecorder(FlightRecorder* recorder, uint64_t query_id) {
     flight_ = recorder;
     flight_query_id_ = query_id;
@@ -230,9 +251,14 @@ class Network {
     std::atomic<int> state{0};
   };
 
-  void Deliver(ProcessId id, const Message& message);
+  // Moves the oldest message of `box` into `out` and sets `left` to
+  // how many stay queued behind it; false when `box` is empty.
+  static bool Pop(Mailbox& box, Message& out, size_t& left);
+  // Hands `message` to process `id`; `run_end` closes the run with its
+  // OnRunEnd inside the same tapped window.
+  void Deliver(ProcessId id, const Message& message, bool run_end);
   // Deliver with observers or a flight recorder attached.
-  void DeliverTapped(ProcessId id, const Message& message);
+  void DeliverTapped(ProcessId id, const Message& message, bool run_end);
 
   std::vector<std::unique_ptr<Process>> processes_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;

@@ -15,7 +15,8 @@
 //    network is an actor system: at most one message of a process is
 //    in flight), but callbacks for *different* processes may run
 //    concurrently. OnDeliver fires after the process finished handling
-//    the message and carries the measured handling duration.
+//    the message (and, for a run's last delivery, its run-end hook)
+//    and carries the measured handling duration.
 //  * The send of a message happens-before its delivery callback: for
 //    every (from, to) channel the i-th OnSend precedes the i-th
 //    OnDeliver (per-channel FIFO).
@@ -83,7 +84,9 @@ struct DeliverEvent {
   // Columnar segments inside this message: 1 for kTupleSegment, the
   // packaged-segment count for kBatch, 0 otherwise.
   uint64_t payload_segments = 0;
-  // Wall time the receiver spent inside OnMessage.
+  // Wall time the receiver spent inside OnMessage; for the last
+  // delivery of a mailbox run, also inside the OnRunEnd that follows
+  // it (a node's outbox flush).
   uint64_t handle_ns = 0;
 };
 
@@ -101,8 +104,9 @@ struct NodeFireEvent {
   uint32_t tuples_in = 0;
   uint32_t tuples_out = 0;
   uint64_t dedup_hits = 0;
-  // Wall time the node spent handling this message (dispatch + emit
-  // flush), measured only while observers are installed.
+  // Wall time the node spent dispatching this message, measured only
+  // while observers are installed. The run-end flush is not included;
+  // it shows in the run's last DeliverEvent::handle_ns.
   uint64_t handle_ns = 0;
 };
 

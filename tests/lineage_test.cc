@@ -198,7 +198,7 @@ TEST(LineageTest, NonlinearFirstDerivationProofPinned) {
   ASSERT_FALSE(matches.empty());
   EXPECT_EQ(
       result.lineage->FormatProof(matches.front()->id),
-      "tc(0, 0)  (union #16)\n"
+      "tc(0, 0)  (union #17)\n"
       "  rule#1[tc(0, _?6) :- tc(0, _?12), tc(_?12, _?6).]  (rule #15)\n"
       "    tc(0, 2)  (union #10)\n"
       "      rule#1[tc(0, _?6) :- tc(0, _?12), tc(_?12, _?6).]  (rule #9)\n"

@@ -1,12 +1,16 @@
 // Tests for the message-passing substrate: mailbox FIFO, schedulers,
-// quiescence, stop, stats, and the thread pool.
+// quiescence, stop, stats, the run-end hook, and the thread pool.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <set>
+#include <string>
 #include <thread>
 
+#include "common/string_util.h"
 #include "msg/network.h"
 
 namespace mpqe {
@@ -44,7 +48,9 @@ class StopperProcess : public Process {
     if (count >= 3) network().RequestStop();
     (void)m;
   }
+  void OnRunEnd() override { ++run_ends; }
   int count = 0;
+  int run_ends = 0;
 };
 
 TEST(NetworkTest, DeterministicRunsToQuiescence) {
@@ -88,6 +94,7 @@ TEST(NetworkTest, StopRequestHonored) {
   ASSERT_TRUE(run.ok());
   EXPECT_TRUE(run->stopped);
   EXPECT_EQ(s->count, 3);
+  EXPECT_EQ(s->run_ends, 0);  // stopped mid-run: no hook
   EXPECT_GT(net.TotalPending(), 0u);  // undelivered mail remains
 }
 
@@ -249,6 +256,181 @@ TEST(NetworkTest, PendingCountTracksMailbox) {
   net.Send(kNoProcess, 0, MakeRelationRequest());
   EXPECT_EQ(net.PendingCount(0), 2u);
   EXPECT_EQ(net.TotalPending(), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// The run-end hook: every scheduler closes each mailbox run with one
+// Process::OnRunEnd on the thread that ran it.
+
+// Appends "pid:hops" per delivery and "pid:end" per hook to a shared
+// log, and forwards each hop to `next` (single-threaded schedulers).
+class RunLogProcess : public Process {
+ public:
+  RunLogProcess(std::vector<std::string>* log, ProcessId next)
+      : log_(log), next_(next) {}
+
+  void OnMessage(const Message& m) override {
+    int64_t hops = m.binding[0].payload();
+    log_->push_back(StrCat(process_id(), ":", hops));
+    if (hops > 0) Send(next_, Hop(hops - 1));
+  }
+  void OnRunEnd() override { log_->push_back(StrCat(process_id(), ":end")); }
+
+ private:
+  std::vector<std::string>* log_;
+  ProcessId next_;
+};
+
+TEST(RunEndHookTest, DeterministicTurnIsTheMailQueuedAtItsStart) {
+  std::vector<std::string> log;
+  Network net;
+  net.AddProcess(std::make_unique<RunLogProcess>(&log, 0));
+  net.AddProcess(std::make_unique<RunLogProcess>(&log, 0));
+  net.Start();
+  net.Send(kNoProcess, 0, Hop(1));
+  net.Send(kNoProcess, 0, Hop(0));
+  net.Send(kNoProcess, 1, Hop(1));
+  auto run = net.RunDeterministic();
+  ASSERT_TRUE(run.ok());
+  EXPECT_TRUE(run->quiescent);
+  // Process 0's first turn delivers the two queued messages, then the
+  // hook; the hop it sends itself meanwhile waits for the next round,
+  // together with process 1's.
+  EXPECT_EQ(log, (std::vector<std::string>{"0:1", "0:0", "0:end", "1:1",
+                                           "1:end", "0:0", "0:0", "0:end"}));
+}
+
+// Records deliveries and hooks of one process from any worker thread.
+// The scheduler serializes them; `overlaps` counts any call that starts
+// while another of the same process is still running.
+class ThreadedRunLogProcess : public Process {
+ public:
+  struct Entry {
+    bool run_end = false;
+    bool emptied = false;  // delivery: the mailbox was empty behind it
+  };
+
+  ThreadedRunLogProcess(ProcessId next, std::atomic<int>* overlaps)
+      : next_(next), overlaps_(overlaps) {}
+
+  void OnMessage(const Message& m) override {
+    Enter();
+    // Only this process's drain pops its mailbox, so an empty mailbox
+    // here means the delivery emptied it.
+    log.push_back({false, network().PendingCount(process_id()) == 0});
+    int64_t hops = m.binding[0].payload();
+    if (hops > 0) Send(next_, Hop(hops - 1));
+    Leave();
+  }
+  void OnRunEnd() override {
+    Enter();
+    log.push_back({true, false});
+    Leave();
+  }
+
+  std::vector<Entry> log;
+
+ private:
+  void Enter() {
+    if (busy_.exchange(true)) overlaps_->fetch_add(1);
+  }
+  void Leave() { busy_.store(false); }
+
+  ProcessId next_;
+  std::atomic<int>* overlaps_;
+  std::atomic<bool> busy_{false};
+};
+
+TEST(RunEndHookTest, ThreadedRunsEndAtEmptyMailboxOrQuantum) {
+  constexpr int kProcs = 4;
+  // More than one quantum queued up front: the first drain must be cut.
+  constexpr int kPreload = 3 * Network::kRunQuantum + 8;
+  std::atomic<int> overlaps{0};
+  Network net;
+  std::vector<ThreadedRunLogProcess*> procs;
+  for (int i = 0; i < kProcs; ++i) {
+    auto p = std::make_unique<ThreadedRunLogProcess>((i + 1) % kProcs,
+                                                     &overlaps);
+    procs.push_back(p.get());
+    net.AddProcess(std::move(p));
+  }
+  net.Start();
+  for (int i = 0; i < kProcs; ++i) {
+    for (int k = 0; k < kPreload; ++k) net.Send(kNoProcess, i, Hop(2));
+  }
+  auto run = net.RunThreaded(4);
+  ASSERT_TRUE(run.ok());
+  EXPECT_TRUE(run->quiescent);
+  EXPECT_EQ(run->delivered, static_cast<uint64_t>(kProcs * kPreload * 3));
+  EXPECT_EQ(overlaps.load(), 0);
+  for (int i = 0; i < kProcs; ++i) {
+    const auto& log = procs[i]->log;
+    size_t run_length = 0, longest = 0, deliveries = 0;
+    for (size_t j = 0; j < log.size(); ++j) {
+      if (log[j].run_end) {
+        EXPECT_GT(run_length, 0u) << "process " << i << ": empty run";
+        run_length = 0;
+        continue;
+      }
+      ++deliveries;
+      longest = std::max(longest, ++run_length);
+      if (log[j].emptied) {
+        ASSERT_LT(j + 1, log.size()) << "process " << i;
+        EXPECT_TRUE(log[j + 1].run_end)
+            << "process " << i << ": no hook after the emptying delivery";
+      }
+    }
+    EXPECT_EQ(run_length, 0u) << "process " << i << ": delivery without hook";
+    EXPECT_EQ(longest, size_t{Network::kRunQuantum}) << "process " << i;
+    EXPECT_EQ(deliveries, static_cast<size_t>(kPreload * 3));
+  }
+}
+
+// Three processes in a ring, four hops each queued up front: the
+// random scheduler's log of deliveries and hooks.
+std::vector<std::string> RandomRunLog(uint64_t seed) {
+  std::vector<std::string> log;
+  Network net;
+  for (int i = 0; i < 3; ++i) {
+    net.AddProcess(std::make_unique<RunLogProcess>(&log, (i + 1) % 3));
+  }
+  net.Start();
+  for (int i = 0; i < 3; ++i) {
+    for (int k = 0; k < 4; ++k) net.Send(kNoProcess, i, Hop(3));
+  }
+  auto run = net.RunRandom(seed);
+  EXPECT_TRUE(run.ok() && run->quiescent);
+  return log;
+}
+
+TEST(RunEndHookTest, RandomRunLengthsReplayBySeed) {
+  std::set<std::vector<std::string>> distinct;
+  size_t longest = 0;
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    std::vector<std::string> log = RandomRunLog(seed);
+    EXPECT_EQ(log, RandomRunLog(seed)) << "seed " << seed;
+    distinct.insert(log);
+    // Every run is one process's deliveries closed by that process's
+    // hook.
+    std::string run_pid;
+    size_t run_length = 0;
+    for (const std::string& entry : log) {
+      const std::string pid = entry.substr(0, entry.find(':'));
+      if (run_length == 0 && entry.find(":end") == std::string::npos) {
+        run_pid = pid;
+      }
+      EXPECT_EQ(pid, run_pid) << "seed " << seed << ": run mixes processes";
+      if (entry.find(":end") != std::string::npos) {
+        EXPECT_GT(run_length, 0u) << "seed " << seed;
+        run_length = 0;
+      } else {
+        longest = std::max(longest, ++run_length);
+      }
+    }
+    EXPECT_EQ(run_length, 0u) << "seed " << seed << ": delivery without hook";
+  }
+  EXPECT_GT(longest, 1u);          // runs longer than one message occur
+  EXPECT_GT(distinct.size(), 1u);  // and their lengths follow the seed
 }
 
 TEST(MessageTest, ToStringIsInformative) {

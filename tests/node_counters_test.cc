@@ -83,7 +83,7 @@ std::string NonlinearCycle(int n) {
 }
 
 struct PinnedRun {
-  std::string counters;
+  EngineCounters counters;
   std::string messages;
   size_t answers = 0;
 };
@@ -101,48 +101,49 @@ PinnedRun RunPinned(const std::string& text, EvaluationOptions options) {
     return {};
   }
   EXPECT_TRUE(result->ended_by_protocol);
-  return {result->counters.ToString(), result->message_stats.ToString(),
+  return {result->counters, result->message_stats.ToString(),
           result->answers.size()};
+}
+
+// The computation: what a rule-node join stores, rejects and forms.
+// No schedule may move these.
+void ExpectComputation(const PinnedRun& run, uint64_t stored, uint64_t dups,
+                       uint64_t contexts, uint64_t max_rel) {
+  EXPECT_EQ(run.counters.stored_tuples, stored);
+  EXPECT_EQ(run.counters.duplicate_drops, dups);
+  EXPECT_EQ(run.counters.contexts, contexts);
+  EXPECT_EQ(run.counters.max_node_relation, max_rel);
 }
 
 // Exact counts of the rule-node join on the deterministic scheduler:
 // the join state may change representation, never the computation.
-// Contexts count every partial and full join result, duplicate drops
-// include heads a rule node re-derives, and the message mix fixes
-// the order in which the join emits.
+// Contexts count every partial and full join result, and duplicate
+// drops include heads a rule node re-derives. The Fig. 2 waves and the
+// message mix pin the schedule itself: where mailbox runs end, and so
+// when nodes flush and start waves. They move when the scheduler does;
+// the computation above must not.
 TEST(NodeCountersTest, JoinCountsPinnedOnDeterministicScheduler) {
   const std::string cycle = NonlinearCycle(32);
 
   PinnedRun plain = RunPinned(cycle, {});
   EXPECT_EQ(plain.answers, 32u);
-  EXPECT_EQ(plain.counters,
-            "{stored=2209 dups=32769 contexts=34980 max_rel=1024 waves=317}");
+  ExpectComputation(plain, 2209, 32769, 34980, 1024);
+  EXPECT_EQ(plain.counters.protocol_waves, 107u);
   EXPECT_EQ(plain.messages,
-            "{relation_request=16 tuple_request=264 end=101 end_request=647 "
-            "end_negative=369 end_confirmed=278 scc_concluded=5 "
-            "tuple_segment=3669}");
+            "{relation_request=16 tuple_request=264 end=101 end_request=250 "
+            "end_negative=205 end_confirmed=45 scc_concluded=5 batch=258 "
+            "tuple_segment=3519}");
 
   EvaluationOptions coalesce;
   coalesce.graph_options.coalesce_nodes = true;
   PinnedRun coalesced = RunPinned(cycle, coalesce);
   EXPECT_EQ(coalesced.answers, 32u);
-  EXPECT_EQ(coalesced.counters,
-            "{stored=4289 dups=64545 contexts=68868 max_rel=1024 waves=608}");
+  ExpectComputation(coalesced, 4289, 64545, 68868, 1024);
+  EXPECT_EQ(coalesced.counters.protocol_waves, 145u);
   EXPECT_EQ(coalesced.messages,
-            "{relation_request=18 tuple_request=359 end=165 end_request=624 "
-            "end_negative=620 end_confirmed=4 scc_concluded=4 "
-            "tuple_segment=4315}");
-
-  EvaluationOptions batch;
-  batch.batch_messages = true;
-  PinnedRun batched = RunPinned(cycle, batch);
-  EXPECT_EQ(batched.answers, 32u);
-  EXPECT_EQ(batched.counters,
-            "{stored=2209 dups=32769 contexts=34980 max_rel=1024 waves=99}");
-  EXPECT_EQ(batched.messages,
-            "{relation_request=16 tuple_request=264 end=101 end_request=223 "
-            "end_negative=175 end_confirmed=48 scc_concluded=5 batch=251 "
-            "tuple_segment=3519}");
+            "{relation_request=18 tuple_request=359 end=165 end_request=215 "
+            "end_negative=211 end_confirmed=4 scc_concluded=4 batch=361 "
+            "tuple_segment=4204}");
 
   // Three subgoals under no_sips: whole relations arrive and the
   // equi-joins run as the rule node's join checks. Every e edge flips
@@ -160,11 +161,11 @@ TEST(NodeCountersTest, JoinCountsPinnedOnDeterministicScheduler) {
   no_sips.strategy = "no_sips";
   PinnedRun checks = RunPinned(three, no_sips);
   EXPECT_EQ(checks.answers, 0u);
-  EXPECT_EQ(checks.counters,
-            "{stored=368 dups=1024 contexts=1824 max_rel=72 waves=8}");
+  ExpectComputation(checks, 368, 1024, 1824, 72);
+  EXPECT_EQ(checks.counters.protocol_waves, 10u);
   EXPECT_EQ(checks.messages,
-            "{relation_request=27 tuple_request=27 end=17 end_request=24 "
-            "end_negative=14 end_confirmed=10 scc_concluded=6 "
+            "{relation_request=27 tuple_request=27 end=17 end_request=30 "
+            "end_negative=20 end_confirmed=10 scc_concluded=6 batch=20 "
             "tuple_segment=31}");
 }
 

@@ -125,7 +125,9 @@ TEST(MetricsObserverTest, EvaluationFillsRegistry) {
   for (const auto& [name, value] : registry.CounterRows()) {
     if (name.rfind("msg/sent/", 0) == 0) sent += value;
   }
-  EXPECT_EQ(sent, result->message_stats.Total());
+  // One OnSend per physical send; packaging is exercised.
+  EXPECT_EQ(sent, result->message_stats.PhysicalTotal());
+  EXPECT_GT(result->message_stats.packaged_submessages, 0u);
   EXPECT_EQ(registry.GetCounter("msg/delivered").value(), result->delivered);
   EXPECT_GT(registry.GetCounter("node/fires").value(), 0u);
   EXPECT_EQ(registry.GetHistogram("msg/handle_ns").count(),
@@ -165,7 +167,8 @@ TEST(MetricsObserverTest, PerArcCountersMatchTotals) {
     }
   }
   EXPECT_TRUE(saw_arc);
-  EXPECT_EQ(arc_total, result->message_stats.Total());
+  EXPECT_EQ(arc_total, result->message_stats.PhysicalTotal());
+  EXPECT_GT(result->message_stats.packaged_submessages, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -315,7 +318,8 @@ TEST(ObserverTest, ObserversComposeInRegistrationOrder) {
   options.observers.push_back(&b);
   auto result = Evaluate(unit->program, unit->database, options);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(a.sends(), result->message_stats.Total());
+  EXPECT_EQ(a.sends(), result->message_stats.PhysicalTotal());
+  EXPECT_GT(result->message_stats.packaged_submessages, 0u);
   EXPECT_EQ(a.sends(), b.sends());
   EXPECT_EQ(first_event_order, (std::vector<int>{1, 2}));
 }
@@ -382,7 +386,8 @@ TEST(TraceExporterTest, StructurallySoundJson) {
     ++ends;
     ++pos;
   }
-  EXPECT_EQ(starts, result->message_stats.Total());
+  EXPECT_EQ(starts, result->message_stats.PhysicalTotal());
+  EXPECT_GT(result->message_stats.packaged_submessages, 0u);
   EXPECT_EQ(starts, ends);
 }
 

@@ -171,12 +171,14 @@ TEST(SegmentTest, TransitiveClosureMatchesPerTuple) {
   EXPECT_EQ(t.segment_rows, t.Count(MessageKind::kTupleSegment));
   EXPECT_EQ(per_tuple_recorder.max_rows(), 1u);
 
-  // Segmented: fewer answer messages than answer rows, and far fewer
-  // physical messages than the per-tuple run.
+  // Segmented: fewer answer messages than answer rows, and fewer than
+  // the per-tuple run. (Physical totals are no measure here: both runs
+  // package per destination, and envelopes absorb the difference.)
   const MessageStats& s = segmented->message_stats;
   EXPECT_GT(s.Count(MessageKind::kTupleSegment), 0u);
   EXPECT_GT(s.segment_rows, s.Count(MessageKind::kTupleSegment));
-  EXPECT_LT(s.PhysicalTotal(), t.PhysicalTotal());
+  EXPECT_LT(s.Count(MessageKind::kTupleSegment),
+            t.Count(MessageKind::kTupleSegment));
 }
 
 TEST(SegmentTest, WorksWithBatchingCoalescingAndSchedulers) {
@@ -190,31 +192,26 @@ TEST(SegmentTest, WorksWithBatchingCoalescingAndSchedulers) {
     ASSERT_TRUE(t.ok());
     truth = t->goal;
   }
-  for (int batch = 0; batch <= 1; ++batch) {
-    for (int coalesce = 0; coalesce <= 1; ++coalesce) {
-      for (int sched = 0; sched < 3; ++sched) {
-        Database db;
-        ASSERT_TRUE(workload::MakeCycle(db, "edge", 10).ok());
-        Program program;
-        ASSERT_TRUE(
-            ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
-        EvaluationOptions options;
-        options.batch_messages = batch == 1;
-        options.graph_options.coalesce_nodes = coalesce == 1;
-        options.scheduler = static_cast<SchedulerKind>(sched);
-        options.seed = 17;
-        options.workers = 3;
-        auto result = Evaluate(program, db, options);
-        ASSERT_TRUE(result.ok())
-            << "batch=" << batch << " coalesce=" << coalesce
-            << " sched=" << sched << ": " << result.status();
-        EXPECT_TRUE(result->ended_by_protocol)
-            << "batch=" << batch << " coalesce=" << coalesce
-            << " sched=" << sched;
-        EXPECT_TRUE(result->answers == truth)
-            << "batch=" << batch << " coalesce=" << coalesce
-            << " sched=" << sched;
-      }
+  // Packaging is always on: segments ride inside batch envelopes.
+  for (int coalesce = 0; coalesce <= 1; ++coalesce) {
+    for (int sched = 0; sched < 3; ++sched) {
+      Database db;
+      ASSERT_TRUE(workload::MakeCycle(db, "edge", 10).ok());
+      Program program;
+      ASSERT_TRUE(
+          ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
+      EvaluationOptions options;
+      options.graph_options.coalesce_nodes = coalesce == 1;
+      options.scheduler = static_cast<SchedulerKind>(sched);
+      options.seed = 17;
+      options.workers = 3;
+      auto result = Evaluate(program, db, options);
+      ASSERT_TRUE(result.ok()) << "coalesce=" << coalesce << " sched=" << sched
+                               << ": " << result.status();
+      EXPECT_TRUE(result->ended_by_protocol)
+          << "coalesce=" << coalesce << " sched=" << sched;
+      EXPECT_TRUE(result->answers == truth)
+          << "coalesce=" << coalesce << " sched=" << sched;
     }
   }
 }

@@ -1,5 +1,6 @@
-// Stream-safety properties of the message protocol, checked with a
-// send observer across workloads, strategies and schedules:
+// Stream-safety properties of the message protocol, checked on the
+// wire (batch envelopes unpacked) with a send observer across
+// workloads, strategies and schedules:
 //
 //  * per (producer, consumer, binding) stream: no tuple is ever sent
 //    after that stream's `end` (an end means "the request is
@@ -112,17 +113,15 @@ struct Config {
   SchedulerKind scheduler;
   uint64_t seed;
   bool coalesce;
-  bool batch;
 };
 
 std::vector<Config> Configs() {
   return {
-      {"det", SchedulerKind::kDeterministic, 0, false, false},
-      {"det/coalesced", SchedulerKind::kDeterministic, 0, true, false},
-      {"det/batched", SchedulerKind::kDeterministic, 0, false, true},
-      {"rand7", SchedulerKind::kRandom, 7, false, false},
-      {"rand11/coalesced", SchedulerKind::kRandom, 11, true, false},
-      {"threaded", SchedulerKind::kThreaded, 0, false, false},
+      {"det", SchedulerKind::kDeterministic, 0, false},
+      {"det/coalesced", SchedulerKind::kDeterministic, 0, true},
+      {"rand7", SchedulerKind::kRandom, 7, false},
+      {"rand11/coalesced", SchedulerKind::kRandom, 11, true},
+      {"threaded", SchedulerKind::kThreaded, 0, false},
   };
 }
 
@@ -138,7 +137,6 @@ TEST(StreamOrderTest, RecursiveCycleWorkload) {
     options.seed = config.seed;
     options.workers = 3;
     options.graph_options.coalesce_nodes = config.coalesce;
-    options.batch_messages = config.batch;
     // Guard: a protocol regression must fail fast, not hang the test.
     options.max_messages = 1000000;
     options.observers.push_back(&monitor);
@@ -165,7 +163,6 @@ TEST(StreamOrderTest, MutualRecursionWorkload) {
     options.scheduler = config.scheduler;
     options.seed = config.seed;
     options.graph_options.coalesce_nodes = config.coalesce;
-    options.batch_messages = config.batch;
     // Guard: a protocol regression must fail fast, not hang the test.
     options.max_messages = 1000000;
     options.observers.push_back(&monitor);
