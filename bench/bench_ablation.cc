@@ -14,7 +14,7 @@
 
 #include "common/logging.h"
 #include "datalog/parser.h"
-#include "engine/evaluator.h"
+#include "prepared_workload.h"
 #include "workload/generators.h"
 
 namespace mpqe {
@@ -22,17 +22,16 @@ namespace {
 
 void RunIndexed(benchmark::State& state, bool use_indexes) {
   int64_t n = state.range(0);
+  Database db;
+  MPQE_CHECK(workload::MakeChain(db, "edge", n).ok());
+  Program program;
+  MPQE_CHECK(ParseInto(workload::LinearTcProgram(0), program, db).ok());
+  PreparedWorkload prepared(std::move(db), program);
+  SessionOptions options;
+  options.use_edb_indexes = use_indexes;
   size_t answers = 0;
   for (auto _ : state) {
-    Database db;
-    MPQE_CHECK(workload::MakeChain(db, "edge", n).ok());
-    Program program;
-    MPQE_CHECK(ParseInto(workload::LinearTcProgram(0), program, db).ok());
-    EvaluationOptions options;
-    options.use_edb_indexes = use_indexes;
-    auto result = Evaluate(program, db, options);
-    MPQE_CHECK(result.ok()) << result.status();
-    answers = result->answers.size();
+    answers = prepared.Run(options).answers.size();
   }
   state.SetLabel(use_indexes ? "indexed" : "scan");
   state.counters["answers"] = static_cast<double>(answers);
@@ -49,18 +48,17 @@ void BM_StrategyAblation(benchmark::State& state) {
   const char* names[] = {"greedy", "greedy_no_e", "left_to_right",
                          "qual_tree_or_greedy", "no_sips"};
   const char* name = names[state.range(0)];
+  Database db;
+  MPQE_CHECK(workload::MakeChain(db, "q", 48).ok());
+  MPQE_CHECK(workload::MakeChain(db, "r", 48).ok());
+  Program program;
+  MPQE_CHECK(ParseInto(workload::P1Program(0), program, db).ok());
+  PlanOptions options;
+  options.strategy = name;
+  PreparedWorkload prepared(std::move(db), program, options);
   EvaluationResult result;
   for (auto _ : state) {
-    Database db;
-    MPQE_CHECK(workload::MakeChain(db, "q", 48).ok());
-    MPQE_CHECK(workload::MakeChain(db, "r", 48).ok());
-    Program program;
-    MPQE_CHECK(ParseInto(workload::P1Program(0), program, db).ok());
-    EvaluationOptions options;
-    options.strategy = name;
-    auto r = Evaluate(program, db, options);
-    MPQE_CHECK(r.ok()) << r.status();
-    result = *std::move(r);
+    result = prepared.Run();
   }
   state.SetLabel(name);
   state.counters["answers"] = static_cast<double>(result.answers.size());

@@ -10,7 +10,7 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "datalog/parser.h"
-#include "engine/evaluator.h"
+#include "prepared_workload.h"
 #include "workload/generators.h"
 
 namespace mpqe {
@@ -29,20 +29,19 @@ void ReportPackaging(benchmark::State& state, const MessageStats& s) {
 
 void RunTc(benchmark::State& state, const std::string& shape) {
   int64_t n = state.range(0);
+  Database db;
+  if (shape == "tree") {
+    MPQE_CHECK(workload::MakeBinaryTree(db, "edge", n).ok());
+  } else {
+    Rng rng(5);
+    MPQE_CHECK(workload::MakeRandomGraph(db, "edge", n, 2, rng).ok());
+  }
+  Program program;
+  MPQE_CHECK(ParseInto(workload::LinearTcProgram(0), program, db).ok());
+  PreparedWorkload prepared(std::move(db), program);
   EvaluationResult result;
   for (auto _ : state) {
-    Database db;
-    if (shape == "tree") {
-      MPQE_CHECK(workload::MakeBinaryTree(db, "edge", n).ok());
-    } else {
-      Rng rng(5);
-      MPQE_CHECK(workload::MakeRandomGraph(db, "edge", n, 2, rng).ok());
-    }
-    Program program;
-    MPQE_CHECK(ParseInto(workload::LinearTcProgram(0), program, db).ok());
-    auto r = Evaluate(program, db);
-    MPQE_CHECK(r.ok()) << r.status();
-    result = *std::move(r);
+    result = prepared.Run();
   }
   ReportPackaging(state, result.message_stats);
 }
@@ -57,17 +56,16 @@ BENCHMARK(BM_RandomTc)->Arg(64)->Arg(128);
 // "single-processor, packaged" configuration.
 void BM_CombinedExtensions(benchmark::State& state) {
   bool coalesce = state.range(0) == 1;
+  Database db;
+  MPQE_CHECK(workload::MakeBinaryTree(db, "edge", 255).ok());
+  Program program;
+  MPQE_CHECK(ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
+  PlanOptions options;
+  options.graph_options.coalesce_nodes = coalesce;
+  PreparedWorkload prepared(std::move(db), program, options);
   EvaluationResult result;
   for (auto _ : state) {
-    Database db;
-    MPQE_CHECK(workload::MakeBinaryTree(db, "edge", 255).ok());
-    Program program;
-    MPQE_CHECK(ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
-    EvaluationOptions options;
-    options.graph_options.coalesce_nodes = coalesce;
-    auto r = Evaluate(program, db, options);
-    MPQE_CHECK(r.ok()) << r.status();
-    result = *std::move(r);
+    result = prepared.Run();
   }
   state.SetLabel(coalesce ? "coalesced" : "distributed");
   ReportPackaging(state, result.message_stats);

@@ -15,8 +15,8 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "datalog/parser.h"
-#include "engine/evaluator.h"
 #include "graph/rule_goal_graph.h"
+#include "prepared_workload.h"
 #include "sips/strategy.h"
 #include "workload/generators.h"
 
@@ -69,17 +69,16 @@ void BM_SharedSubqueries(benchmark::State& state) {
   for (int i = 0; i < consumers; ++i) {
     text += StrCat("goal(X) :- tc(", i, ", X).\n");
   }
+  Database db;
+  MPQE_CHECK(workload::MakeChain(db, "edge", 64).ok());
+  Program program;
+  MPQE_CHECK(ParseInto(text, program, db).ok());
+  PlanOptions options;
+  options.graph_options.coalesce_nodes = coalesce;
+  PreparedWorkload prepared(std::move(db), program, options);
   EvaluationResult result;
   for (auto _ : state) {
-    Database db;
-    MPQE_CHECK(workload::MakeChain(db, "edge", 64).ok());
-    Program program;
-    MPQE_CHECK(ParseInto(text, program, db).ok());
-    EvaluationOptions options;
-    options.graph_options.coalesce_nodes = coalesce;
-    auto r = Evaluate(program, db, options);
-    MPQE_CHECK(r.ok()) << r.status();
-    result = *std::move(r);
+    result = prepared.Run();
   }
   state.SetLabel(coalesce ? "coalesced" : "distributed");
   state.counters["consumers"] = consumers;
@@ -97,17 +96,16 @@ BENCHMARK(BM_SharedSubqueries)->ArgsProduct({{2, 4, 8}, {0, 1}});
 void BM_ProtocolOverhead(benchmark::State& state) {
   bool coalesce = state.range(1) == 1;
   int64_t n = state.range(0);
+  Database db;
+  MPQE_CHECK(workload::MakeCycle(db, "edge", n).ok());
+  Program program;
+  MPQE_CHECK(ParseInto(workload::LinearTcProgram(0), program, db).ok());
+  PlanOptions options;
+  options.graph_options.coalesce_nodes = coalesce;
+  PreparedWorkload prepared(std::move(db), program, options);
   EvaluationResult result;
   for (auto _ : state) {
-    Database db;
-    MPQE_CHECK(workload::MakeCycle(db, "edge", n).ok());
-    Program program;
-    MPQE_CHECK(ParseInto(workload::LinearTcProgram(0), program, db).ok());
-    EvaluationOptions options;
-    options.graph_options.coalesce_nodes = coalesce;
-    auto r = Evaluate(program, db, options);
-    MPQE_CHECK(r.ok()) << r.status();
-    result = *std::move(r);
+    result = prepared.Run();
   }
   state.SetLabel(coalesce ? "coalesced" : "distributed");
   state.counters["protocol_msgs"] =

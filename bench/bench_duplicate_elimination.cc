@@ -10,7 +10,7 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "datalog/parser.h"
-#include "engine/evaluator.h"
+#include "prepared_workload.h"
 #include "workload/generators.h"
 
 namespace mpqe {
@@ -19,16 +19,15 @@ namespace {
 void BM_DedupVsDensity(benchmark::State& state) {
   int64_t degree = state.range(0);
   const int64_t n = 48;
+  Database db;
+  Rng rng(11);
+  MPQE_CHECK(workload::MakeRandomGraph(db, "edge", n, degree, rng).ok());
+  Program program;
+  MPQE_CHECK(ParseInto(workload::LinearTcProgram(0), program, db).ok());
+  PreparedWorkload prepared(std::move(db), program);
   EvaluationResult result;
   for (auto _ : state) {
-    Database db;
-    Rng rng(11);
-    MPQE_CHECK(workload::MakeRandomGraph(db, "edge", n, degree, rng).ok());
-    Program program;
-    MPQE_CHECK(ParseInto(workload::LinearTcProgram(0), program, db).ok());
-    auto r = Evaluate(program, db);
-    MPQE_CHECK(r.ok()) << r.status();
-    result = *std::move(r);
+    result = prepared.Run();
   }
   uint64_t stored = result.counters.stored_tuples;
   uint64_t dropped = result.counters.duplicate_drops;
@@ -46,15 +45,14 @@ BENCHMARK(BM_DedupVsDensity)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 // derived tuple stay bounded.
 void BM_DedupOnCycles(benchmark::State& state) {
   int64_t n = state.range(0);
+  Database db;
+  MPQE_CHECK(workload::MakeCycle(db, "edge", n).ok());
+  Program program;
+  MPQE_CHECK(ParseInto(workload::LinearTcProgram(0), program, db).ok());
+  PreparedWorkload prepared(std::move(db), program);
   EvaluationResult result;
   for (auto _ : state) {
-    Database db;
-    MPQE_CHECK(workload::MakeCycle(db, "edge", n).ok());
-    Program program;
-    MPQE_CHECK(ParseInto(workload::LinearTcProgram(0), program, db).ok());
-    auto r = Evaluate(program, db);
-    MPQE_CHECK(r.ok());
-    result = *std::move(r);
+    result = prepared.Run();
   }
   state.counters["answers"] = static_cast<double>(result.answers.size());
   state.counters["dup_dropped"] =
@@ -70,17 +68,16 @@ BENCHMARK(BM_DedupOnCycles)->Arg(8)->Arg(32)->Arg(128)->Arg(256);
 void BM_DedupNonlinearVsLinear(benchmark::State& state) {
   bool nonlinear = state.range(1) == 1;
   int64_t n = state.range(0);
+  Database db;
+  MPQE_CHECK(workload::MakeChain(db, "edge", n).ok());
+  Program program;
+  std::string text = nonlinear ? workload::NonlinearTcProgram(0)
+                               : workload::LinearTcProgram(0);
+  MPQE_CHECK(ParseInto(text, program, db).ok());
+  PreparedWorkload prepared(std::move(db), program);
   EvaluationResult result;
   for (auto _ : state) {
-    Database db;
-    MPQE_CHECK(workload::MakeChain(db, "edge", n).ok());
-    Program program;
-    std::string text = nonlinear ? workload::NonlinearTcProgram(0)
-                                 : workload::LinearTcProgram(0);
-    MPQE_CHECK(ParseInto(text, program, db).ok());
-    auto r = Evaluate(program, db);
-    MPQE_CHECK(r.ok());
-    result = *std::move(r);
+    result = prepared.Run();
   }
   state.SetLabel(nonlinear ? "nonlinear" : "linear");
   state.counters["dup_dropped"] =

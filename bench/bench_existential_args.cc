@@ -11,7 +11,7 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "datalog/parser.h"
-#include "engine/evaluator.h"
+#include "prepared_workload.h"
 
 namespace mpqe {
 namespace {
@@ -30,16 +30,15 @@ std::string FanOutProgram(int64_t xs, int64_t fan) {
 void RunFanOut(benchmark::State& state, const char* strategy) {
   int64_t fan = state.range(0);
   const int64_t xs = 16;
-  std::string text = FanOutProgram(xs, fan);
+  auto unit = Parse(FanOutProgram(xs, fan));
+  MPQE_CHECK(unit.ok());
+  PlanOptions options;
+  options.strategy = strategy;
+  PreparedWorkload prepared(std::move(unit->database), unit->program,
+                            options);
   EvaluationResult result;
   for (auto _ : state) {
-    auto unit = Parse(text);
-    MPQE_CHECK(unit.ok());
-    EvaluationOptions options;
-    options.strategy = strategy;
-    auto r = Evaluate(unit->program, unit->database, options);
-    MPQE_CHECK(r.ok()) << r.status();
-    result = *std::move(r);
+    result = prepared.Run();
   }
   MPQE_CHECK(result.answers.size() == static_cast<size_t>(xs));
   state.counters["fan_out"] = static_cast<double>(fan);
@@ -71,15 +70,15 @@ void RunPipelined(benchmark::State& state, const char* strategy) {
     }
   }
   text += "s(X) :- r(X, Y), t(X).\n?- s(W).\n";
+  auto unit = Parse(text);
+  MPQE_CHECK(unit.ok());
+  PlanOptions options;
+  options.strategy = strategy;
+  PreparedWorkload prepared(std::move(unit->database), unit->program,
+                            options);
   EvaluationResult result;
   for (auto _ : state) {
-    auto unit = Parse(text);
-    MPQE_CHECK(unit.ok());
-    EvaluationOptions options;
-    options.strategy = strategy;
-    auto r = Evaluate(unit->program, unit->database, options);
-    MPQE_CHECK(r.ok()) << r.status();
-    result = *std::move(r);
+    result = prepared.Run();
   }
   state.counters["answer_rows"] =
       static_cast<double>(result.message_stats.segment_rows);

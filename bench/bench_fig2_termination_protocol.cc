@@ -9,32 +9,36 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "datalog/parser.h"
-#include "engine/evaluator.h"
+#include "prepared_workload.h"
 #include "workload/generators.h"
 
 namespace mpqe {
 namespace {
 
-EvaluationResult RunCycleTc(int64_t n, SchedulerKind scheduler,
-                            uint64_t seed) {
+// Linear TC over an n-cycle, prepared once.
+PreparedWorkload CycleTc(int64_t n) {
   Database db;
   MPQE_CHECK(workload::MakeCycle(db, "edge", n).ok());
   Program program;
   MPQE_CHECK(ParseInto(workload::LinearTcProgram(0), program, db).ok());
-  EvaluationOptions options;
+  return PreparedWorkload(std::move(db), program);
+}
+
+EvaluationResult RunCycleTc(PreparedWorkload& prepared,
+                            SchedulerKind scheduler, uint64_t seed) {
+  SessionOptions options;
   options.scheduler = scheduler;
   options.seed = seed;
-  auto result = Evaluate(program, db, options);
-  MPQE_CHECK(result.ok()) << result.status();
-  MPQE_CHECK(result->ended_by_protocol);
-  return *std::move(result);
+  EvaluationResult result = prepared.Run(options);
+  MPQE_CHECK(result.ended_by_protocol);
+  return result;
 }
 
 void BM_ProtocolDeterministic(benchmark::State& state) {
-  int64_t n = state.range(0);
+  PreparedWorkload prepared = CycleTc(state.range(0));
   EvaluationResult result;
   for (auto _ : state) {
-    result = RunCycleTc(n, SchedulerKind::kDeterministic, 0);
+    result = RunCycleTc(prepared, SchedulerKind::kDeterministic, 0);
     benchmark::DoNotOptimize(result);
   }
   const MessageStats& s = result.message_stats;
@@ -49,11 +53,11 @@ void BM_ProtocolDeterministic(benchmark::State& state) {
 BENCHMARK(BM_ProtocolDeterministic)->Arg(16)->Arg(64)->Arg(256)->Arg(512);
 
 void BM_ProtocolRandomSchedule(benchmark::State& state) {
-  int64_t n = state.range(0);
+  PreparedWorkload prepared = CycleTc(state.range(0));
   uint64_t seed = 1;
   EvaluationResult result;
   for (auto _ : state) {
-    result = RunCycleTc(n, SchedulerKind::kRandom, seed++);
+    result = RunCycleTc(prepared, SchedulerKind::kRandom, seed++);
     benchmark::DoNotOptimize(result);
   }
   const MessageStats& s = result.message_stats;
@@ -75,15 +79,14 @@ void BM_ProtocolNestedSccs(benchmark::State& state) {
   }
   text += StrCat("?- t", layers, "(0, W).\n");
 
+  Database db;
+  MPQE_CHECK(workload::MakeChain(db, "edge", 12).ok());
+  Program program;
+  MPQE_CHECK(ParseInto(text, program, db).ok());
+  PreparedWorkload prepared(std::move(db), program);
   EvaluationResult result;
   for (auto _ : state) {
-    Database db;
-    MPQE_CHECK(workload::MakeChain(db, "edge", 12).ok());
-    Program program;
-    MPQE_CHECK(ParseInto(text, program, db).ok());
-    auto r = Evaluate(program, db);
-    MPQE_CHECK(r.ok()) << r.status();
-    result = *std::move(r);
+    result = prepared.Run();
     benchmark::DoNotOptimize(result);
   }
   state.counters["sccs"] =

@@ -10,7 +10,7 @@
 #include "baseline/top_down_sld.h"
 #include "common/logging.h"
 #include "datalog/parser.h"
-#include "engine/evaluator.h"
+#include "prepared_workload.h"
 #include "workload/generators.h"
 
 namespace mpqe {
@@ -18,17 +18,17 @@ namespace {
 
 void BM_EngineLeftRecursiveTc(benchmark::State& state) {
   int64_t n = state.range(0);
+  Database db;
+  MPQE_CHECK(workload::MakeChain(db, "edge", n).ok());
+  Program program;
+  MPQE_CHECK(
+      ParseInto(workload::LeftRecursiveTcProgram(0), program, db).ok());
+  PreparedWorkload prepared(std::move(db), program);
   size_t answers = 0;
   for (auto _ : state) {
-    Database db;
-    MPQE_CHECK(workload::MakeChain(db, "edge", n).ok());
-    Program program;
-    MPQE_CHECK(
-        ParseInto(workload::LeftRecursiveTcProgram(0), program, db).ok());
-    auto result = Evaluate(program, db);
-    MPQE_CHECK(result.ok()) << result.status();
-    MPQE_CHECK(result->ended_by_protocol);
-    answers = result->answers.size();
+    EvaluationResult result = prepared.Run();
+    MPQE_CHECK(result.ended_by_protocol);
+    answers = result.answers.size();
   }
   state.counters["answers"] = static_cast<double>(answers);
   state.counters["terminates"] = 1;
@@ -102,15 +102,14 @@ BENCHMARK(BM_SldCyclicData)->Arg(8)->Arg(16);
 
 void BM_EngineCyclicData(benchmark::State& state) {
   int64_t n = state.range(0);
+  Database db;
+  MPQE_CHECK(workload::MakeCycle(db, "edge", n).ok());
+  Program program;
+  MPQE_CHECK(ParseInto(workload::LinearTcProgram(0), program, db).ok());
+  PreparedWorkload prepared(std::move(db), program);
   size_t answers = 0;
   for (auto _ : state) {
-    Database db;
-    MPQE_CHECK(workload::MakeCycle(db, "edge", n).ok());
-    Program program;
-    MPQE_CHECK(ParseInto(workload::LinearTcProgram(0), program, db).ok());
-    auto result = Evaluate(program, db);
-    MPQE_CHECK(result.ok());
-    answers = result->answers.size();
+    answers = prepared.Run().answers.size();
   }
   state.counters["answers"] = static_cast<double>(answers);
   state.counters["terminates"] = 1;
@@ -122,15 +121,14 @@ BENCHMARK(BM_EngineCyclicData)->Arg(8)->Arg(16)->Arg(64)->Arg(256);
 // through two recursive subgoals of the same rule.
 void BM_EngineNonlinearTc(benchmark::State& state) {
   int64_t n = state.range(0);
+  Database db;
+  MPQE_CHECK(workload::MakeChain(db, "edge", n).ok());
+  Program program;
+  MPQE_CHECK(ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
+  PreparedWorkload prepared(std::move(db), program);
   EvaluationResult result;
   for (auto _ : state) {
-    Database db;
-    MPQE_CHECK(workload::MakeChain(db, "edge", n).ok());
-    Program program;
-    MPQE_CHECK(ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
-    auto r = Evaluate(program, db);
-    MPQE_CHECK(r.ok()) << r.status();
-    result = *std::move(r);
+    result = prepared.Run();
   }
   state.counters["answers"] = static_cast<double>(result.answers.size());
   state.counters["answer_rows"] =
@@ -140,15 +138,14 @@ BENCHMARK(BM_EngineNonlinearTc)->Arg(16)->Arg(32)->Arg(64)->Arg(128);
 
 void BM_EngineLinearTcReference(benchmark::State& state) {
   int64_t n = state.range(0);
+  Database db;
+  MPQE_CHECK(workload::MakeChain(db, "edge", n).ok());
+  Program program;
+  MPQE_CHECK(ParseInto(workload::LinearTcProgram(0), program, db).ok());
+  PreparedWorkload prepared(std::move(db), program);
   EvaluationResult result;
   for (auto _ : state) {
-    Database db;
-    MPQE_CHECK(workload::MakeChain(db, "edge", n).ok());
-    Program program;
-    MPQE_CHECK(ParseInto(workload::LinearTcProgram(0), program, db).ok());
-    auto r = Evaluate(program, db);
-    MPQE_CHECK(r.ok());
-    result = *std::move(r);
+    result = prepared.Run();
   }
   state.counters["answers"] = static_cast<double>(result.answers.size());
   state.counters["answer_rows"] =

@@ -19,7 +19,7 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "datalog/parser.h"
-#include "engine/evaluator.h"
+#include "prepared_workload.h"
 #include "relational/operators.h"
 
 namespace mpqe {
@@ -95,14 +95,14 @@ void BM_R3ParallelBranches(benchmark::State& state) {
 BENCHMARK(BM_R3ParallelBranches)->Arg(64)->Arg(256)->Arg(1024);
 
 void RunEngine(benchmark::State& state, const std::string& facts,
-               const char* rule) {
+               const char* rule, const PlanOptions& options = {}) {
+  auto unit = Parse(StrCat(facts, rule));
+  MPQE_CHECK(unit.ok());
+  PreparedWorkload prepared(std::move(unit->database), unit->program,
+                            options);
   EvaluationResult result;
   for (auto _ : state) {
-    auto unit = Parse(StrCat(facts, rule));
-    MPQE_CHECK(unit.ok());
-    auto r = Evaluate(unit->program, unit->database);
-    MPQE_CHECK(r.ok()) << r.status();
-    result = *std::move(r);
+    result = prepared.Run();
   }
   state.counters["answers"] = static_cast<double>(result.answers.size());
   state.counters["contexts"] = static_cast<double>(result.counters.contexts);
@@ -127,19 +127,9 @@ BENCHMARK(BM_R2EngineSequential)->Arg(64)->Arg(256)->Arg(1024);
 // For contrast, R3 evaluated without any sideways passing at all
 // (no_sips): the full-relation hazard on top of the cyclic structure.
 void BM_R3EngineNoSips(benchmark::State& state) {
-  int64_t m = state.range(0);
-  EvaluationResult result;
-  for (auto _ : state) {
-    auto unit = Parse(StrCat(R3Facts(m), kR3Rule));
-    MPQE_CHECK(unit.ok());
-    EvaluationOptions options;
-    options.strategy = "no_sips";
-    auto r = Evaluate(unit->program, unit->database, options);
-    MPQE_CHECK(r.ok()) << r.status();
-    result = *std::move(r);
-  }
-  state.counters["answers"] = static_cast<double>(result.answers.size());
-  state.counters["contexts"] = static_cast<double>(result.counters.contexts);
+  PlanOptions options;
+  options.strategy = "no_sips";
+  RunEngine(state, R3Facts(state.range(0)), kR3Rule, options);
 }
 BENCHMARK(BM_R3EngineNoSips)->Arg(64)->Arg(128);
 

@@ -2,15 +2,16 @@
 // Evaluates a workload with several independent recursive components
 // on the threaded scheduler with 1..8 workers (UseRealTime: worker
 // threads don't count toward the main thread's CPU clock) against the
-// single-threaded deterministic scheduler. Setup (EDB, parse) happens
-// once per benchmark, outside the timed region.
+// single-threaded deterministic scheduler. Setup (EDB, parse, plan
+// compilation) happens once, outside the timed region: each iteration
+// is one CreateSession + Run of the prepared plan.
 
 #include <benchmark/benchmark.h>
 
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "datalog/parser.h"
-#include "engine/evaluator.h"
+#include "prepared_workload.h"
 #include "workload/generators.h"
 
 namespace mpqe {
@@ -21,44 +22,38 @@ constexpr int64_t kNodes = 200;
 
 // k separate transitive closures over separate EDB graphs, unioned by
 // the query — several strong components with concurrent work.
-struct Fixture {
-  Program program;
+PreparedWorkload MakeFixture() {
   Database db;
-
-  Fixture() {
-    Rng rng(7);
-    std::string text;
-    for (int i = 0; i < kComponents; ++i) {
-      MPQE_CHECK(
-          workload::MakeRandomGraph(db, StrCat("edge", i), kNodes, 2, rng)
-              .ok());
-      text += StrCat("t", i, "(X, Y) :- edge", i, "(X, Y).\n");
-      text += StrCat("t", i, "(X, Y) :- edge", i, "(X, Z), t", i, "(Z, Y).\n");
-      text += StrCat("goal(X) :- t", i, "(0, X).\n");
-    }
-    MPQE_CHECK(ParseInto(text, program, db).ok());
-    MPQE_CHECK(program.Validate(&db).ok());
+  Rng rng(7);
+  std::string text;
+  for (int i = 0; i < kComponents; ++i) {
+    MPQE_CHECK(
+        workload::MakeRandomGraph(db, StrCat("edge", i), kNodes, 2, rng).ok());
+    text += StrCat("t", i, "(X, Y) :- edge", i, "(X, Y).\n");
+    text += StrCat("t", i, "(X, Y) :- edge", i, "(X, Z), t", i, "(Z, Y).\n");
+    text += StrCat("goal(X) :- t", i, "(0, X).\n");
   }
-};
+  Program program;
+  MPQE_CHECK(ParseInto(text, program, db).ok());
+  return PreparedWorkload(std::move(db), program);
+}
 
-Fixture& GetFixture() {
-  static Fixture* fixture = new Fixture();
-  return *fixture;
+PreparedWorkload& GetFixture() {
+  static PreparedWorkload fixture = MakeFixture();
+  return fixture;
 }
 
 void BM_ThreadedWorkers(benchmark::State& state) {
-  Fixture& f = GetFixture();
+  PreparedWorkload& f = GetFixture();
   int workers = static_cast<int>(state.range(0));
+  SessionOptions options;
+  options.scheduler = SchedulerKind::kThreaded;
+  options.workers = workers;
   size_t answers = 0;
   for (auto _ : state) {
-    EvaluationOptions options;
-    options.scheduler = SchedulerKind::kThreaded;
-    options.workers = workers;
-    options.skip_validation = true;
-    auto result = Evaluate(f.program, f.db, options);
-    MPQE_CHECK(result.ok()) << result.status();
-    MPQE_CHECK(result->ended_by_protocol);
-    answers = result->answers.size();
+    EvaluationResult result = f.Run(options);
+    MPQE_CHECK(result.ended_by_protocol);
+    answers = result.answers.size();
     benchmark::DoNotOptimize(result);
   }
   state.counters["workers"] = workers;
@@ -73,14 +68,11 @@ BENCHMARK(BM_ThreadedWorkers)
     ->UseRealTime();
 
 void BM_DeterministicReference(benchmark::State& state) {
-  Fixture& f = GetFixture();
+  PreparedWorkload& f = GetFixture();
   size_t answers = 0;
   for (auto _ : state) {
-    EvaluationOptions options;
-    options.skip_validation = true;
-    auto result = Evaluate(f.program, f.db, options);
-    MPQE_CHECK(result.ok()) << result.status();
-    answers = result->answers.size();
+    EvaluationResult result = f.Run();
+    answers = result.answers.size();
     benchmark::DoNotOptimize(result);
   }
   state.counters["answers"] = static_cast<double>(answers);
@@ -90,23 +82,17 @@ BENCHMARK(BM_DeterministicReference)->Unit(benchmark::kMillisecond);
 // Message volume does not depend on the scheduler: the parallel run
 // does the same logical work.
 void BM_ThreadedMessageParity(benchmark::State& state) {
-  Fixture& f = GetFixture();
+  PreparedWorkload& f = GetFixture();
+  SessionOptions thr;
+  thr.scheduler = SchedulerKind::kThreaded;
+  thr.workers = 4;
   uint64_t det_msgs = 0, thr_msgs = 0;
   for (auto _ : state) {
-    EvaluationOptions det;
-    det.skip_validation = true;
-    auto r1 = Evaluate(f.program, f.db, det);
-    MPQE_CHECK(r1.ok());
-    det_msgs = r1->message_stats.ComputationTotal();
-
-    EvaluationOptions thr;
-    thr.scheduler = SchedulerKind::kThreaded;
-    thr.workers = 4;
-    thr.skip_validation = true;
-    auto r2 = Evaluate(f.program, f.db, thr);
-    MPQE_CHECK(r2.ok());
-    thr_msgs = r2->message_stats.ComputationTotal();
-    MPQE_CHECK(r1->answers == r2->answers);
+    EvaluationResult r1 = f.Run();
+    det_msgs = r1.message_stats.ComputationTotal();
+    EvaluationResult r2 = f.Run(thr);
+    thr_msgs = r2.message_stats.ComputationTotal();
+    MPQE_CHECK(r1.answers == r2.answers);
     benchmark::DoNotOptimize(r2);
   }
   state.counters["det_msgs"] = static_cast<double>(det_msgs);

@@ -15,7 +15,7 @@
 
 #include "common/string_util.h"
 #include "datalog/parser.h"
-#include "engine/evaluator.h"
+#include "engine/engine.h"
 #include "relational/io.h"
 
 namespace {
@@ -61,22 +61,36 @@ int main(int argc, char** argv) {
     std::cerr << unit.status() << "\n";
     return 1;
   }
-  auto result = mpqe::Evaluate(unit->program, unit->database);
+  // The catalog becomes the engine's snapshot; the rules compile into a
+  // plan, and one session runs it.
+  mpqe::Engine engine;
+  auto snapshot = engine.Attach(std::move(unit->database), "catalog");
+  auto plan = engine.Prepare(snapshot, unit->program);
+  if (!plan.ok()) {
+    std::cerr << plan.status() << "\n";
+    return 1;
+  }
+  auto session = engine.CreateSession(*plan);
+  if (!session.ok()) {
+    std::cerr << session.status() << "\n";
+    return 1;
+  }
+  auto result = (*session)->Run();
   if (!result.ok()) {
     std::cerr << result.status() << "\n";
     return 1;
   }
 
+  const mpqe::SymbolTable& symbols = snapshot->db().symbols();
   std::cout << "suppliers involved in building '" << assembly << "':\n";
   for (const mpqe::Tuple& t : result->answers.SortedTuples()) {
-    std::cout << "  " << t[0].ToString(&unit->database.symbols()) << " -> "
-              << t[1].ToString(&unit->database.symbols()) << "\n";
+    std::cout << "  " << t[0].ToString(&symbols) << " -> "
+              << t[1].ToString(&symbols) << "\n";
   }
 
   // Export the answer relation as TSV (demonstrates relational/io).
   std::ostringstream tsv;
-  if (auto s = mpqe::SaveRelationTsv(result->answers,
-                                     unit->database.symbols(), tsv);
+  if (auto s = mpqe::SaveRelationTsv(result->answers, symbols, tsv);
       !s.ok()) {
     std::cerr << s << "\n";
     return 1;

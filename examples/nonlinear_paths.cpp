@@ -10,9 +10,8 @@
 #include <iostream>
 
 #include "datalog/parser.h"
-#include "engine/evaluator.h"
+#include "engine/engine.h"
 #include "graph/rule_goal_graph.h"
-#include "sips/strategy.h"
 #include "workload/generators.h"
 
 int main(int argc, char** argv) {
@@ -32,23 +31,28 @@ int main(int argc, char** argv) {
   }
   std::cout << "program P1 (Example 2.1):\n" << text << "\n";
 
-  // Show the information passing rule/goal graph (Fig. 1).
-  if (auto s = program.Validate(&db); !s.ok()) {
-    std::cerr << s << "\n";
+  // Compile the plan: validation, adornment and the greedy information
+  // passing rule/goal graph (Fig. 1).
+  mpqe::Engine engine;
+  auto snapshot = engine.Attach(std::move(db));
+  auto plan = engine.Prepare(snapshot, program);
+  if (!plan.ok()) {
+    std::cerr << plan.status() << "\n";
     return 1;
   }
-  auto strategy = mpqe::MakeGreedyStrategy();
-  auto graph = mpqe::RuleGoalGraph::Build(program, *strategy);
-  if (!graph.ok()) {
-    std::cerr << graph.status() << "\n";
-    return 1;
-  }
+  const mpqe::RuleGoalGraph& graph = (*plan)->graph();
+  const mpqe::SymbolTable* symbols = &snapshot->db().symbols();
   std::cout << "greedy information passing rule/goal graph:\n"
-            << (*graph)->ToString(&db.symbols()) << "\n";
-  std::cout << "graphviz:\n" << GraphToDot(**graph, &db.symbols()) << "\n";
+            << graph.ToString(symbols) << "\n";
+  std::cout << "graphviz:\n" << GraphToDot(graph, symbols) << "\n";
 
-  // Evaluate over the graph.
-  auto result = mpqe::EvaluateWithGraph(**graph, db);
+  // Run the message-driven evaluation over that graph.
+  auto session = engine.CreateSession(*plan);
+  if (!session.ok()) {
+    std::cerr << session.status() << "\n";
+    return 1;
+  }
+  auto result = (*session)->Run();
   if (!result.ok()) {
     std::cerr << result.status() << "\n";
     return 1;

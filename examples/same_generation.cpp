@@ -13,7 +13,7 @@
 
 #include "common/string_util.h"
 #include "datalog/parser.h"
-#include "engine/evaluator.h"
+#include "engine/engine.h"
 #include "workload/generators.h"
 
 namespace {
@@ -40,22 +40,35 @@ int main(int argc, char** argv) {
   int64_t n = (1LL << depth) - 1;
   int64_t who = n - 1;  // a leaf in the last generation
 
-  for (const char* strategy : {"greedy", "no_sips"}) {
-    mpqe::Database db;
-    if (auto s = BuildFamily(db, depth); !s.ok()) {
-      std::cerr << s << "\n";
-      return 1;
-    }
-    mpqe::Program program;
-    std::string text = mpqe::workload::SameGenerationProgram(who);
-    if (auto s = mpqe::ParseInto(text, program, db); !s.ok()) {
-      std::cerr << s << "\n";
-      return 1;
-    }
+  mpqe::Database db;
+  if (auto s = BuildFamily(db, depth); !s.ok()) {
+    std::cerr << s << "\n";
+    return 1;
+  }
+  mpqe::Program program;
+  std::string text = mpqe::workload::SameGenerationProgram(who);
+  if (auto s = mpqe::ParseInto(text, program, db); !s.ok()) {
+    std::cerr << s << "\n";
+    return 1;
+  }
 
-    mpqe::EvaluationOptions options;
+  mpqe::Engine engine;
+  auto snapshot = engine.Attach(std::move(db), "family");
+  for (const char* strategy : {"greedy", "no_sips"}) {
+    // The information passing strategy is part of the compiled plan.
+    mpqe::PlanOptions options;
     options.strategy = strategy;
-    auto result = mpqe::Evaluate(program, db, options);
+    auto plan = engine.Prepare(snapshot, program, options);
+    if (!plan.ok()) {
+      std::cerr << plan.status() << "\n";
+      return 1;
+    }
+    auto session = engine.CreateSession(*plan);
+    if (!session.ok()) {
+      std::cerr << session.status() << "\n";
+      return 1;
+    }
+    auto result = (*session)->Run();
     if (!result.ok()) {
       std::cerr << result.status() << "\n";
       return 1;

@@ -14,10 +14,11 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <memory>
 #include <string>
 
 #include "datalog/parser.h"
-#include "engine/evaluator.h"
+#include "engine/engine.h"
 #include "obs/trace_exporter.h"
 #include "workload/generators.h"
 
@@ -33,19 +34,35 @@ int main(int argc, char** argv) {
     }
   }
 
+  // One engine. Each cycle size becomes a snapshot with its compiled
+  // plan; every run below is one session of a plan.
+  mpqe::Engine engine;
+  auto prepare_cycle_tc = [&engine](int64_t n)
+      -> mpqe::StatusOr<std::shared_ptr<const mpqe::PreparedQuery>> {
+    mpqe::Database db;
+    MPQE_RETURN_IF_ERROR(mpqe::workload::MakeCycle(db, "edge", n));
+    mpqe::Program program;
+    MPQE_RETURN_IF_ERROR(
+        mpqe::ParseInto(mpqe::workload::LinearTcProgram(0), program, db));
+    return engine.Prepare(engine.Attach(std::move(db)), program);
+  };
+
   std::cout << "cycle-graph transitive closure tc(0, W), deterministic "
                "schedule:\n";
   std::cout << "  n   answers  answer_rows  dup_drops  waves  end_req  "
                "end_neg  end_conf\n";
   for (int64_t n = 4; n <= max_n; n *= 2) {
-    mpqe::Database db;
-    if (!mpqe::workload::MakeCycle(db, "edge", n).ok()) return 1;
-    mpqe::Program program;
-    if (!mpqe::ParseInto(mpqe::workload::LinearTcProgram(0), program, db)
-             .ok()) {
+    auto plan = prepare_cycle_tc(n);
+    if (!plan.ok()) {
+      std::cerr << plan.status() << "\n";
       return 1;
     }
-    auto result = mpqe::Evaluate(program, db);
+    auto session = engine.CreateSession(*plan);
+    if (!session.ok()) {
+      std::cerr << session.status() << "\n";
+      return 1;
+    }
+    auto result = (*session)->Run();
     if (!result.ok()) {
       std::cerr << result.status() << "\n";
       return 1;
@@ -66,20 +83,25 @@ int main(int argc, char** argv) {
                     s.Count(mpqe::MessageKind::kEndConfirmed)));
   }
 
+  // The schedule is a session option: one plan runs unchanged under
+  // several random interleavings.
+  auto plan = prepare_cycle_tc(16);
+  if (!plan.ok()) {
+    std::cerr << plan.status() << "\n";
+    return 1;
+  }
   std::cout << "\nsame query (n=16) under random schedules — the protocol "
                "concludes correctly on every interleaving:\n";
   for (uint64_t seed = 0; seed < 5; ++seed) {
-    mpqe::Database db;
-    if (!mpqe::workload::MakeCycle(db, "edge", 16).ok()) return 1;
-    mpqe::Program program;
-    if (!mpqe::ParseInto(mpqe::workload::LinearTcProgram(0), program, db)
-             .ok()) {
-      return 1;
-    }
-    mpqe::EvaluationOptions options;
+    mpqe::SessionOptions options;
     options.scheduler = mpqe::SchedulerKind::kRandom;
     options.seed = seed;
-    auto result = mpqe::Evaluate(program, db, options);
+    auto session = engine.CreateSession(*plan, options);
+    if (!session.ok()) {
+      std::cerr << session.status() << "\n";
+      return 1;
+    }
+    auto result = (*session)->Run();
     if (!result.ok()) {
       std::cerr << result.status() << "\n";
       return 1;
@@ -91,26 +113,17 @@ int main(int argc, char** argv) {
   }
 
   if (!trace_path.empty()) {
-    mpqe::Database db;
-    if (!mpqe::workload::MakeCycle(db, "edge", 16).ok()) return 1;
-    mpqe::Program program;
-    if (!mpqe::ParseInto(mpqe::workload::LinearTcProgram(0), program, db)
-             .ok()) {
-      return 1;
-    }
-    if (!program.Validate(&db).ok()) return 1;
-    auto strategy = mpqe::MakeGreedyStrategy();
-    auto graph = mpqe::RuleGoalGraph::Build(program, *strategy);
-    if (!graph.ok()) {
-      std::cerr << graph.status() << "\n";
-      return 1;
-    }
     mpqe::TraceExporter exporter;
-    exporter.AttachGraph(graph->get(), &db.symbols());
-    mpqe::EvaluationOptions options;
-    options.skip_validation = true;
+    exporter.AttachGraph(&(*plan)->graph(),
+                         &(*plan)->snapshot()->db().symbols());
+    mpqe::SessionOptions options;
     options.observers.push_back(&exporter);
-    auto result = mpqe::EvaluateWithGraph(**graph, db, options);
+    auto session = engine.CreateSession(*plan, options);
+    if (!session.ok()) {
+      std::cerr << session.status() << "\n";
+      return 1;
+    }
+    auto result = (*session)->Run();
     if (!result.ok()) {
       std::cerr << result.status() << "\n";
       return 1;

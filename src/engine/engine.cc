@@ -175,8 +175,7 @@ StatusOr<EvaluationResult> QuerySession::Run() {
   DatabaseSnapshot& snapshot = *plan_->snapshot();
   // Lineage instrumentation writes tuple-id allocators into the shared
   // EDB relations, so it needs the snapshot to itself; everything else
-  // shares. Exclusive sessions may also register indexes (kRegister),
-  // shared ones must not (kLookupOnly).
+  // shares.
   const bool exclusive = options_.lineage;
   MPQE_RETURN_IF_ERROR(snapshot.BeginSession(exclusive));
 
@@ -201,9 +200,7 @@ StatusOr<EvaluationResult> QuerySession::Run() {
 
   const uint64_t start = NowNs();
   StatusOr<EvaluationResult> result =
-      RunSession(plan_->graph(), snapshot.db_, run_options,
-                 exclusive ? EdbIndexMode::kRegister
-                           : EdbIndexMode::kLookupOnly);
+      RunSession(plan_->graph(), snapshot.db_, run_options);
   latency_ns_ = NowNs() - start;
   snapshot.EndSession(exclusive);
   engine_->RecordSessionLatency(latency_ns_);
@@ -482,9 +479,7 @@ StatusOr<std::shared_ptr<const PreparedQuery>> Engine::Compile(
   // with the same lifetime.
   plan->program_ = std::make_unique<Program>(program);
 
-  if (!options.skip_validation) {
-    MPQE_RETURN_IF_ERROR(snapshot->ValidateProgram(*plan->program_));
-  }
+  MPQE_RETURN_IF_ERROR(snapshot->ValidateProgram(*plan->program_));
   MPQE_ASSIGN_OR_RETURN(std::unique_ptr<SipsStrategy> strategy,
                         MakeStrategyByName(options.strategy));
   MPQE_ASSIGN_OR_RETURN(

@@ -17,11 +17,11 @@
 //   a hash lookup (prepare_ns ~ 0).
 //
 // * DatabaseSnapshot wraps a Database the engine treats as immutable.
-//   All mutation the old API performed lazily at run time — index
-//   registration in EdbProcess::OnStart, relation creation inside
-//   Program::Validate — happens at prepare time under the snapshot
-//   mutex, and only while no session is running. Sessions then execute
-//   with EdbIndexMode::kLookupOnly: shared reads, no locks, no writes.
+//   All catalog mutation — hash-index builds for the plan's EDB leaves,
+//   relation creation inside Program::Validate — happens at prepare
+//   time under the snapshot mutex, and only while no session is
+//   running. Sessions then execute with shared reads, no locks, no
+//   writes: an EDB leaf only looks up its pre-built index.
 //
 // * PreparedQuery is an immutable compiled plan: its own Program copy,
 //   the adorned rule/goal graph with sips choices baked in, the EDB
@@ -29,13 +29,13 @@
 //   snapshot. Any number of concurrent sessions may share one plan.
 //
 // * QuerySession is one execution: scheduler choice, wire format,
-//   observers, metrics — the run-time half of the old
-//   EvaluationOptions. Sessions with lineage enabled take the snapshot
-//   exclusively (provenance instrumentation writes id allocators into
-//   the shared relations); everything else runs concurrently.
+//   observers, metrics (SessionOptions). Sessions with lineage enabled
+//   take the snapshot exclusively (provenance instrumentation numbers
+//   the shared relations' rows for the session, and detaches again
+//   when it ends); everything else runs concurrently.
 //
-// The one-shot Evaluate() in engine/evaluator.h remains as a thin
-// compatibility wrapper over the same run-time half.
+// This lifecycle is the only way to evaluate a query; RunSession in
+// engine/evaluator.h is its run-time half.
 
 #ifndef MPQE_ENGINE_ENGINE_H_
 #define MPQE_ENGINE_ENGINE_H_

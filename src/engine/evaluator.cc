@@ -74,17 +74,12 @@ Status SessionOptions::Validate() const {
   return Status::Ok();
 }
 
-Status EvaluationOptions::Validate() const {
-  MPQE_RETURN_IF_ERROR(PlanOptions::Validate());
-  return SessionOptions::Validate();
-}
-
 namespace {
 
-// The observers of one evaluation: the caller's ExecutionObservers,
-// plus (when configured) an internal MetricsObserver and the
-// ProfilingObserver backing EvaluationOptions::profile. The internal
-// observers live exactly as long as the evaluation.
+// The observers of one session: the caller's ExecutionObservers, plus
+// (when configured) an internal MetricsObserver and the observers
+// backing SessionOptions::profile, ::lineage and ::log_level. The
+// internal observers live exactly as long as the session.
 struct ScopedObservers {
   ObserverList list;
   std::optional<MetricsObserver> metrics;
@@ -153,7 +148,6 @@ PredicateId NodePredicate(const GraphNode& node) {
 }
 
 void DumpMetrics(const SessionOptions& options, const RuleGoalGraph& graph,
-                 const std::vector<NodeProcessBase*>& node_processes,
                  const EvaluationResult& result) {
   MetricsRegistry& registry = *options.metrics;
   registry.GetCounter("engine/stored_tuples")
@@ -171,14 +165,13 @@ void DumpMetrics(const SessionOptions& options, const RuleGoalGraph& graph,
       .Increment(result.ended_by_protocol ? 1 : 0);
 
   const PredicatePool& predicates = graph.program().predicates();
-  for (NodeId id = 0; id < static_cast<NodeId>(node_processes.size()); ++id) {
-    EngineCounters row;
-    node_processes[id]->AccumulateCounters(row);
-    const std::string& name = predicates.Name(NodePredicate(graph.node(id)));
+  for (const NodeCounters& row : result.node_counters) {
+    const std::string& name =
+        predicates.Name(NodePredicate(graph.node(row.node)));
     registry.GetCounter(StrCat("predicate/", name, "/stored_tuples"))
-        .Increment(row.stored_tuples);
+        .Increment(row.counters.stored_tuples);
     registry.GetCounter(StrCat("predicate/", name, "/dedup_hits"))
-        .Increment(row.duplicate_drops);
+        .Increment(row.counters.duplicate_drops);
   }
 }
 
@@ -241,7 +234,7 @@ void LogStall(const RuleGoalGraph& graph, const StallInfo& info) {
 // records of this session. Runs on the monitor thread while the
 // workers are (by definition of a stall) not delivering; every source
 // it reads is either immutable wiring state or a relaxed atomic.
-FlightDump BuildFlightDump(const RuleGoalGraph& graph, Database& db,
+FlightDump BuildFlightDump(const RuleGoalGraph& graph, const Database& db,
                            const std::vector<NodeProcessBase*>& node_processes,
                            const SessionOptions& options,
                            const StallInfo& info) {
@@ -349,16 +342,30 @@ FlightDump BuildFlightDump(const RuleGoalGraph& graph, Database& db,
   return dump;
 }
 
+// Detaches lineage from the EDB relations a session numbered, on every
+// path out of RunSession: no relation may keep the session's allocator
+// (it dies with the session), and the next lineage session over the
+// same database must renumber the rows from its own allocator.
+struct EdbLineageGuard {
+  EdbLineageGuard() = default;
+  EdbLineageGuard(const EdbLineageGuard&) = delete;
+  EdbLineageGuard& operator=(const EdbLineageGuard&) = delete;
+  ~EdbLineageGuard() {
+    for (Relation* relation : relations) relation->DisableLineage();
+  }
+
+  std::vector<Relation*> relations;
+};
+
 }  // namespace
 
 StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
-                                      const SessionOptions& options,
-                                      EdbIndexMode edb_index_mode) {
+                                      const SessionOptions& options) {
   MPQE_RETURN_IF_ERROR(options.Validate());
   ScopedObservers scoped(options);
   // Identify the session before any other event so every observer can
-  // stamp its output with the engine-minted query id. 0 means "no
-  // engine" (one-shot Evaluate): no event, outputs stay id-free.
+  // stamp its output with the engine-minted query id. 0 means no id
+  // (telemetry off, or a direct call): no event, outputs stay id-free.
   if (options.query_id != 0 && !scoped.list.empty()) {
     scoped.list.NotifySessionStart(SessionStartEvent{options.query_id});
   }
@@ -387,7 +394,7 @@ StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
   shared.segment_max_rows = options.segment_max_rows;
   shared.segment_max_rows_limit = options.segment_max_rows_limit;
   shared.use_edb_indexes = options.use_edb_indexes;
-  shared.edb_index_mode = edb_index_mode;
+  EdbLineageGuard edb_lineage;
   if (scoped.lineage.has_value()) {
     // Ids must be flowing before any process stores or serves a tuple:
     // number the EDB rows first (they are the smallest ids — leaves),
@@ -400,6 +407,7 @@ StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
     for (const std::string& name : names) {
       Relation* relation = db.GetMutableRelation(name);
       relation->EnableLineage(shared.lineage_ids);
+      edb_lineage.relations.push_back(relation);
       scoped.lineage->AttachEdbRelation(name, relation);
     }
   }
@@ -550,21 +558,16 @@ StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
     result.graph_stats = graph.Stats();
     result.delivered = run->delivered;
     result.observer_count = network.observers().size();
+    result.node_counters.reserve(node_processes.size());
     for (NodeProcessBase* p : node_processes) {
+      NodeCounters row;
+      row.node = p->node_id();
+      p->AccumulateCounters(row.counters);
       p->AccumulateCounters(result.counters);
-    }
-    if (options.collect_node_counters) {
-      result.node_counters.reserve(node_processes.size());
-      for (NodeId id = 0; id < static_cast<NodeId>(node_processes.size());
-           ++id) {
-        NodeCounters row;
-        row.node = id;
-        node_processes[id]->AccumulateCounters(row.counters);
-        result.node_counters.push_back(std::move(row));
-      }
+      result.node_counters.push_back(std::move(row));
     }
     if (options.metrics != nullptr) {
-      DumpMetrics(options, graph, node_processes, result);
+      DumpMetrics(options, graph, result);
     }
   }
   if (scoped.profiler.has_value()) {
@@ -586,35 +589,6 @@ StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
         "evaluation stopped without protocol end or quiescence");
   }
   return result;
-}
-
-StatusOr<EvaluationResult> EvaluateWithGraph(const RuleGoalGraph& graph,
-                                             Database& db,
-                                             const EvaluationOptions& options) {
-  MPQE_RETURN_IF_ERROR(options.Validate());
-  return RunSession(graph, db, options, EdbIndexMode::kRegister);
-}
-
-StatusOr<EvaluationResult> Evaluate(const Program& program, Database& db,
-                                    const EvaluationOptions& options) {
-  MPQE_RETURN_IF_ERROR(options.Validate());
-  ScopedObservers scoped(options);
-
-  std::unique_ptr<SipsStrategy> strategy;
-  {
-    ScopedPhase phase(scoped.list, options, Phase::kAdornment);
-    if (!options.skip_validation) {
-      MPQE_RETURN_IF_ERROR(program.Validate(&db));
-    }
-    MPQE_ASSIGN_OR_RETURN(strategy, MakeStrategyByName(options.strategy));
-  }
-  std::unique_ptr<RuleGoalGraph> graph;
-  {
-    ScopedPhase phase(scoped.list, options, Phase::kGraphBuild);
-    MPQE_ASSIGN_OR_RETURN(
-        graph, RuleGoalGraph::Build(program, *strategy, options.graph_options));
-  }
-  return EvaluateWithGraph(*graph, db, options);
 }
 
 }  // namespace mpqe

@@ -1,29 +1,25 @@
-// The public entry point: evaluate a Datalog query over an EDB with
-// the paper's message-passing framework.
+// The run-time half of query evaluation: the options of a plan and of
+// a session, the result of a run, and RunSession, which wires and runs
+// the process network over a compiled rule/goal graph.
 //
-// Quickstart:
-//   auto unit = Parse(R"(
-//     edge(a, b).  edge(b, c).
-//     path(X, Y) :- edge(X, Y).
-//     path(X, Y) :- edge(X, Z), path(Z, Y).
-//     ?- path(a, W).
-//   )");
-//   EvaluationOptions options;
-//   auto result = Evaluate(unit->program, unit->database, options);
+// The public way to evaluate a query is the prepared-query engine
+// (engine/engine.h):
+//   Engine engine;
+//   auto unit = Parse("edge(a, b). edge(b, c). "
+//                     "path(X, Y) :- edge(X, Y). "
+//                     "path(X, Y) :- edge(X, Z), path(Z, Y). "
+//                     "?- path(a, W).");
+//   auto snapshot = engine.Attach(std::move(unit->database));
+//   auto plan = engine.Prepare(snapshot, unit->program);   // PlanOptions
+//   auto session = engine.CreateSession(*plan);            // SessionOptions
+//   auto result = (*session)->Run();
 //   // result->answers is the goal relation {(b), (c)}.
 //
 // Observability (see DESIGN.md § Observability): attach any number of
-// ExecutionObservers via EvaluationOptions::observers — e.g. a
+// ExecutionObservers via SessionOptions::observers — e.g. a
 // TraceExporter for a chrome://tracing timeline or a custom observer
-// for test assertions — and/or point EvaluationOptions::metrics at a
-// MetricsRegistry to collect named counters and histograms:
-//   TraceExporter trace;
-//   MetricsRegistry metrics;
-//   options.observers.push_back(&trace);
-//   options.metrics = &metrics;
-//   auto result = Evaluate(...);
-//   trace.WriteFile("trace.json");   // load in chrome://tracing
-//   std::cout << metrics.ToString();
+// for test assertions — and/or point SessionOptions::metrics at a
+// MetricsRegistry to collect named counters and histograms.
 
 #ifndef MPQE_ENGINE_EVALUATOR_H_
 #define MPQE_ENGINE_EVALUATOR_H_
@@ -54,8 +50,7 @@ namespace mpqe {
 // (DESIGN.md §11): PlanOptions govern query *compilation* (parse,
 // validate, adorn, sips, graph build — everything a PreparedQuery
 // caches), SessionOptions govern one *execution* of a compiled plan
-// (scheduler, wire format, observers). EvaluationOptions, the one-shot
-// Evaluate() compatibility surface, is simply both halves.
+// (scheduler, wire format, observers).
 
 struct PlanOptions {
   // Information passing strategy name (see MakeStrategyByName):
@@ -64,9 +59,6 @@ struct PlanOptions {
   std::string strategy = "greedy";
 
   GraphBuildOptions graph_options;
-
-  // Skip Program::Validate (when the caller already validated).
-  bool skip_validation = false;
 
   /// Checks the plan options for configuration errors. The Status
   /// message names the offending field ("strategy: ...").
@@ -95,9 +87,6 @@ struct SessionOptions {
 
   // Safety valve against runaway computations (0 = unlimited).
   uint64_t max_messages = 0;
-
-  // Fill EvaluationResult::node_counters with a per-node breakdown.
-  bool collect_node_counters = false;
 
   // Ablation: disable EDB hash indexes (EDB leaves scan instead of
   // probe). Answers are unchanged; only time differs.
@@ -147,12 +136,12 @@ struct SessionOptions {
   // stall silently).
   int progress_interval_ms = 0;
 
-  // Engine-minted stable query id (DESIGN.md §12). Nonzero iff the
-  // session came from Engine::CreateSession; published to every
-  // observer as a SessionStartEvent before any other event, so trace
-  // spans, log lines, lineage dumps and the engine query log all carry
-  // the same id. The one-shot Evaluate path leaves it 0 and its
-  // outputs stay id-free.
+  // Engine-minted stable query id (DESIGN.md §12), set by
+  // Engine::CreateSession when the engine runs with telemetry; published
+  // to every observer as a SessionStartEvent before any other event, so
+  // trace spans, log lines, lineage dumps and the engine query log all
+  // carry the same id. 0 (an engine with telemetry off, or a direct
+  // RunSession) sends no event, and the outputs stay id-free.
   uint64_t query_id = 0;
 
   // Engine telemetry sink (not owned; set by Engine::CreateSession,
@@ -194,20 +183,12 @@ struct SessionOptions {
   /// 1, out-of-range scheduler — and returns an InvalidArgument Status
   /// naming the offending field ("workers: ...") instead of letting
   /// the misconfiguration surface deep inside the run. Called by the
-  /// session builder (Engine::CreateSession) and by
-  /// Evaluate/EvaluateWithGraph before any work.
+  /// session builder (Engine::CreateSession) and by RunSession before
+  /// any work.
   Status Validate() const;
 };
 
-// The one-shot compatibility surface: both halves in one flat struct,
-// exactly as the pre-Engine API exposed them.
-struct EvaluationOptions : public PlanOptions, public SessionOptions {
-  /// Validates both halves (PlanOptions then SessionOptions).
-  Status Validate() const;
-};
-
-// Per-node counter row (populated when
-// EvaluationOptions::collect_node_counters is set).
+// One graph node's share of EvaluationResult::counters.
 struct NodeCounters {
   NodeId node = kNoNode;
   EngineCounters counters;
@@ -233,50 +214,33 @@ struct EvaluationResult {
   // send, delivery and node firing took the zero-observer fast path.
   size_t observer_count = 0;
 
-  // One row per graph node (empty unless requested). Use together
-  // with RuleGoalGraph::NodeLabel to see where tuples accumulate.
+  // One row per graph node, summing to `counters`. Use together with
+  // RuleGoalGraph::NodeLabel to see where tuples accumulate.
   std::vector<NodeCounters> node_counters;
 
-  // The profiler's report (set iff EvaluationOptions::profile), with
+  // The profiler's report (set iff SessionOptions::profile), with
   // cost estimates already filled from the database. Shared so the
   // result stays copyable.
   std::shared_ptr<const ProfileReport> profile;
 
-  // The derivation DAG (set iff EvaluationOptions::lineage): one
+  // The derivation DAG (set iff SessionOptions::lineage): one
   // record per distinct tuple, EDB leaves resolved, minimal depths
   // computed. Query with Match/FormatProof; see obs/lineage.h. Shared
   // so the result stays copyable.
   std::shared_ptr<const LineageReport> lineage;
 };
 
-/// Builds the rule/goal graph for `program`, wires the process
-/// network, runs it, and returns the goal relation. `db` must hold the
-/// EDB; indexes may be added to its relations.
-///
-/// This is a thin compatibility wrapper over the prepared-query
-/// lifecycle (engine/engine.h): it compiles the plan, runs one
-/// exclusive session over it, and throws the plan away. Callers that
-/// dispatch the same program repeatedly or concurrently should use
-/// Engine::Prepare + QuerySession instead.
-StatusOr<EvaluationResult> Evaluate(const Program& program, Database& db,
-                                    const EvaluationOptions& options = {});
-
-/// As Evaluate, but over a pre-built graph (reuse across EDB scales;
-/// the graph's program must match).
-StatusOr<EvaluationResult> EvaluateWithGraph(const RuleGoalGraph& graph,
-                                             Database& db,
-                                             const EvaluationOptions& options = {});
-
-/// The run-time half on its own: executes one query session over an
-/// already-compiled plan. `edb_index_mode` selects whether EDB leaves
-/// may register missing hash indexes on `db` (kRegister — exclusive
-/// evaluations) or must treat the database as immutable and only probe
-/// indexes pre-built at plan time (kLookupOnly — concurrent sessions
-/// over a shared DatabaseSnapshot; missing indexes degrade to scans).
-/// QuerySession::Run and EvaluateWithGraph both land here.
-StatusOr<EvaluationResult> RunSession(
-    const RuleGoalGraph& graph, Database& db, const SessionOptions& options,
-    EdbIndexMode edb_index_mode = EdbIndexMode::kRegister);
+/// Executes one query session over an already-compiled plan: wires one
+/// process per graph node plus the sink, runs the scheduler and
+/// collects the result. EDB leaves probe the hash indexes already on
+/// `db` (Engine::Prepare builds the ones the plan needs; a missing one
+/// degrades to a scan) and never change it. With `options.lineage` the
+/// session numbers the EDB rows and detaches that numbering again
+/// before it returns, so it needs `db` to itself. QuerySession::Run
+/// lands here; tests and micro-benchmarks that drive a hand-built graph
+/// may call it directly.
+StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
+                                      const SessionOptions& options);
 
 }  // namespace mpqe
 

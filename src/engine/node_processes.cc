@@ -647,21 +647,12 @@ class EdbProcess : public NodeProcessBase {
     key_d_slots_ = std::move(plan.key_d_slots);
     equalities_ = std::move(plan.equalities);
     if (!key_positions_.empty() && shared_.use_edb_indexes) {
-      if (shared_.edb_index_mode == EdbIndexMode::kRegister) {
-        // Network::Start is single-threaded, and EnsureIndex
-        // deduplicates by key columns, so sharing the relation across
-        // EDB processes is safe.
-        index_handle_ = shared_.db->GetMutableRelation(name)->EnsureIndex(
-            key_positions_);
-        has_index_ = true;
-      } else {
-        // Shared snapshot: the index was pre-built at prepare time
-        // (DatabaseSnapshot::EnsureIndexes over the plan's specs);
-        // fall back to scanning when it is missing — e.g. the plan was
-        // prepared while other sessions were running — rather than
-        // mutating the shared relation.
-        has_index_ = relation_->FindIndex(key_positions_, &index_handle_);
-      }
+      // Engine::Prepare builds the index (ComputeEdbIndexSpecs derives
+      // it from the same access plan). When it is missing — the plan
+      // was prepared while other sessions were running, or RunSession
+      // got a hand-built graph — the leaf scans rather than mutating a
+      // relation other sessions may be reading.
+      has_index_ = relation_->FindIndex(key_positions_, &index_handle_);
     }
   }
 

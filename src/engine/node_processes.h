@@ -60,24 +60,12 @@ struct EngineCounters {
   std::string ToString() const;
 };
 
-// How EDB leaves acquire their hash indexes at wiring time.
-enum class EdbIndexMode {
-  // Exclusive database: OnStart may register missing indexes
-  // (single-threaded Start() phase; the legacy Evaluate path).
-  kRegister,
-  // Shared immutable snapshot: only look up indexes pre-built at plan
-  // time (Relation::FindIndex); a missing index degrades to a scan
-  // instead of racing concurrent sessions with a build.
-  kLookupOnly,
-};
-
 // Immutable state shared by all node processes of one evaluation.
 struct EngineShared {
   const RuleGoalGraph* graph = nullptr;
-  // Mutable only for index registration during the single-threaded
-  // Start() phase under kRegister; the run phase reads it
-  // concurrently.
-  Database* db = nullptr;
+  // Read-only: EDB leaves look up their relations and the hash indexes
+  // built at prepare time, concurrently with other sessions.
+  const Database* db = nullptr;
   // Seal an accumulating segment early once it reaches this many rows
   // (bounds per-run buffering; >= 1).
   size_t segment_max_rows = 1024;
@@ -89,9 +77,6 @@ struct EngineShared {
   // Ablation: when false, EDB node processes answer tuple requests by
   // scanning instead of probing hash indexes.
   bool use_edb_indexes = true;
-  // Whether EDB leaves may register indexes or must only look up
-  // pre-built ones (concurrent sessions over a shared snapshot).
-  EdbIndexMode edb_index_mode = EdbIndexMode::kRegister;
   // node id -> process id (processes are registered in node order, so
   // this is the identity; kept explicit for clarity).
   std::vector<ProcessId> node_pid;

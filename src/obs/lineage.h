@@ -23,7 +23,7 @@
 // extraction needs no cycle breaking — though FormatProof still
 // guards against malformed input.
 //
-// Usage: set EvaluationOptions::lineage and read
+// Usage: set SessionOptions::lineage and read
 // EvaluationResult::lineage, or attach a LineageObserver manually:
 //   LineageObserver lineage;
 //   lineage.AttachGraph(graph.get(), &db.symbols());
@@ -102,8 +102,8 @@ struct LineageReport {
   size_t derived = 0;
   int64_t max_depth = 0;
   // The engine-minted query id of the session that produced this
-  // report (0 for the one-shot Evaluate path; then omitted from the
-  // JSON dump, keeping pinned goldens id-free).
+  // report (0 when the session had none — an engine with telemetry
+  // off, or a direct RunSession; then omitted from the JSON dump).
   uint64_t query_id = 0;
 
   /// The record for `id`, or nullptr (binary search; records are

@@ -1,12 +1,12 @@
 // Wires common/logging into the engine: a LoggingObserver turns
 // evaluation phases and Fig. 2 termination-protocol waves into
-// leveled, thread-tagged log lines. Off by default — the evaluator
-// attaches one only when EvaluationOptions::log_level (or the
+// leveled, thread-tagged log lines. Off by default — RunSession
+// attaches one only when SessionOptions::log_level (or the
 // MPQE_LOG_LEVEL environment variable) asks for it, so the
 // deterministic scheduler tests see no extra output or state.
 //
 //   $ MPQE_LOG_LEVEL=debug ./mpqe_query examples/transitive_closure.dl
-//   [INFO t0 engine] phase run begin
+//   [INFO t0 engine] q1 phase run begin
 //   [DEBUG t2 engine] wave 1: node 3 answered end_negative (open_work=0)
 //   [INFO t1 engine] wave 2 concluded at node 1
 
@@ -44,8 +44,9 @@ class LoggingObserver : public ExecutionObserver {
   LogLevel level_;
   std::ostream* out_;
   // Engine query id prefixed to every line ("q17 ...") once a
-  // SessionStartEvent arrives — 0 (one-shot Evaluate) keeps lines
-  // exactly as before. Set before any other event is published.
+  // SessionStartEvent arrives. A session without an id (telemetry off,
+  // or a direct RunSession) sends none, and its lines carry no prefix.
+  // Set before any other event is published.
   uint64_t query_id_ = 0;
   std::mutex mutex_;
 };
@@ -59,7 +60,7 @@ StatusOr<std::optional<LogLevel>> EngineLogLevelFromName(
 /// The effective engine log level: `option_value` when non-empty, else
 /// the MPQE_LOG_LEVEL environment variable. Unset/invalid env means
 /// disabled (option values are validated earlier, by
-/// EvaluationOptions::Validate).
+/// SessionOptions::Validate).
 std::optional<LogLevel> ResolveEngineLogLevel(const std::string& option_value);
 
 }  // namespace mpqe

@@ -1,7 +1,7 @@
 // Named metrics for evaluations: monotonic counters, level gauges and
 // log2-bucketed histograms, grouped in a MetricsRegistry. The registry
-// subsumes the ad-hoc EngineCounters / NodeCounters plumbing: the
-// evaluator (when EvaluationOptions::metrics is set) installs a
+// subsumes the ad-hoc EngineCounters / NodeCounters plumbing: a
+// session (when SessionOptions::metrics is set) installs a
 // MetricsObserver that counts live events and, after the run, dumps
 // the per-node / per-predicate / per-kind breakdowns into the same
 // registry.

@@ -4,10 +4,6 @@ namespace mpqe {
 
 const char* PhaseToString(Phase phase) {
   switch (phase) {
-    case Phase::kAdornment:
-      return "adornment";
-    case Phase::kGraphBuild:
-      return "graph_build";
     case Phase::kNetworkWiring:
       return "network_wiring";
     case Phase::kRun:

@@ -40,14 +40,15 @@
 
 namespace mpqe {
 
-// Coarse evaluation phases, reported by the evaluator in order.
+// Coarse phases of one session, reported by RunSession in order. Plan
+// compilation (parse, adornment, graph build) happens once per
+// PreparedQuery, before any session: see engine/prepare_ns and
+// PreparedQuery::prepare_ns().
 enum class Phase : uint8_t {
-  kAdornment = 0,      // sips strategy construction + program validation
-  kGraphBuild = 1,     // rule/goal graph construction
-  kNetworkWiring = 2,  // process creation + termination configuration
-  kRun = 3,            // scheduler loop (bulk of the evaluation)
-  kDrain = 4,          // result collection after the run
-  kPhaseCount = 5,
+  kNetworkWiring = 0,  // process creation + termination configuration
+  kRun = 1,            // scheduler loop (bulk of the evaluation)
+  kDrain = 2,          // result collection after the run
+  kPhaseCount = 3,
 };
 
 const char* PhaseToString(Phase phase);
@@ -163,8 +164,9 @@ struct DeriveBatchEvent {
 // engine-minted stable id correlating this execution across every
 // artifact — trace spans, log lines, lineage dumps, profiler reports,
 // the engine query log and the /queries endpoint (DESIGN.md §12).
-// 0 means "no engine involved" (the one-shot Evaluate path), in which
-// case no event is published and all outputs stay id-free.
+// 0 means no id (an engine with telemetry off, or a direct
+// RunSession), in which case no event is published and all outputs
+// stay id-free.
 struct SessionStartEvent {
   uint64_t query_id = 0;
 };

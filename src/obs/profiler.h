@@ -10,7 +10,7 @@
 // pairing of OnSend and OnDeliver); per strong component it records
 // Fig. 2 protocol rounds and the termination tree's depth.
 //
-// Usage: set EvaluationOptions::profile and read
+// Usage: set SessionOptions::profile and read
 // EvaluationResult::profile, or attach a ProfilingObserver manually:
 //   ProfilingObserver profiler;
 //   profiler.AttachGraph(graph.get(), &db.symbols());
@@ -122,8 +122,8 @@ struct SccProfile {
 struct ProfileReport {
   std::vector<NodeProfile> nodes;
   std::vector<SccProfile> sccs;
-  // The engine-minted query id of the profiled session (0 = one-shot
-  // Evaluate path; then omitted from ToJson).
+  // The engine-minted query id of the profiled session (0 = no id;
+  // then omitted from ToJson).
   uint64_t query_id = 0;
   // Wall time per evaluator phase, in Phase order (0 if unobserved).
   std::vector<uint64_t> phase_ns;

@@ -397,6 +397,11 @@ void Relation::EnableLineage(TupleIdAllocator* ids) {
   }
 }
 
+void Relation::DisableLineage() {
+  lineage_ids_ = nullptr;
+  row_ids_.clear();
+}
+
 bool Relation::Contains(TupleRef tuple) const {
   if (tuple.size() != arity_ || slots_.empty()) return false;
   uint64_t hash = HashTuple(tuple);

@@ -221,13 +221,19 @@ class Relation {
   TupleRange tuples() const { return TupleRange(this); }
 
   /// Switches on per-row lineage ids drawn from `ids` (not owned; must
-  /// outlive the relation). Existing rows are numbered immediately in
-  /// row order; later inserts number new rows as they land, and
-  /// duplicate hits keep the original row's id — the first derivation
-  /// wins, mirroring duplicate elimination. Calling again with the same
-  /// allocator is a no-op; a different allocator renumbers all rows
-  /// (a fresh evaluation over the same database).
+  /// outlive the relation, or be detached with DisableLineage first).
+  /// Existing rows are numbered immediately in row order; later inserts
+  /// number new rows as they land, and duplicate hits keep the original
+  /// row's id — the first derivation wins, mirroring duplicate
+  /// elimination. Calling again with the same allocator is a no-op; a
+  /// different allocator renumbers all rows.
   void EnableLineage(TupleIdAllocator* ids);
+
+  /// Detaches the allocator and drops the row ids. A lineage session
+  /// calls this on the EDB relations it numbered when it ends, so the
+  /// next session's EnableLineage renumbers them from its own fresh
+  /// allocator even if that allocator reuses the old one's address.
+  void DisableLineage();
 
   bool lineage_enabled() const { return lineage_ids_ != nullptr; }
 

@@ -8,7 +8,7 @@
 #include "baseline/bottom_up.h"
 #include "common/random.h"
 #include "datalog/parser.h"
-#include "engine/evaluator.h"
+#include "test_engine.h"
 #include "workload/generators.h"
 
 namespace mpqe {
@@ -21,7 +21,7 @@ TEST(BatchingTest, TransitiveClosureMatchesUnbatched) {
   ASSERT_TRUE(ParseInto(workload::LinearTcProgram(0), program, db).ok());
   auto truth = SemiNaiveBottomUp(program, db);
   ASSERT_TRUE(truth.ok());
-  auto batched = Evaluate(program, db);
+  auto batched = TestEngine(std::move(db)).Run(program);
   ASSERT_TRUE(batched.ok()) << batched.status();
   EXPECT_TRUE(batched->answers == truth->goal);
   EXPECT_EQ(batched->answers.size(), 31u);
@@ -38,7 +38,7 @@ TEST(BatchingTest, PhysicalSavingsAreSubstantial) {
   ASSERT_TRUE(workload::MakeBinaryTree(db, "edge", 63).ok());
   Program program;
   ASSERT_TRUE(ParseInto(workload::LinearTcProgram(0), program, db).ok());
-  auto result = Evaluate(program, db);
+  auto result = TestEngine(std::move(db)).Run(program);
   ASSERT_TRUE(result.ok());
   const MessageStats& s = result->message_stats;
   // A tree root query fans out widely: most tuples travel packaged.
@@ -46,35 +46,28 @@ TEST(BatchingTest, PhysicalSavingsAreSubstantial) {
 }
 
 TEST(BatchingTest, WorksWithCoalescingAndSchedulers) {
-  Relation truth{0};
-  {
-    Database db;
-    EXPECT_TRUE(workload::MakeCycle(db, "edge", 10).ok());
-    Program program;
-    EXPECT_TRUE(ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
-    auto t = SemiNaiveBottomUp(program, db);
-    ASSERT_TRUE(t.ok());
-    truth = t->goal;
-  }
+  Database db;
+  ASSERT_TRUE(workload::MakeCycle(db, "edge", 10).ok());
+  Program program;
+  ASSERT_TRUE(ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
+  auto truth = SemiNaiveBottomUp(program, db);
+  ASSERT_TRUE(truth.ok());
+  TestEngine engine(std::move(db));
   for (int coalesce = 0; coalesce <= 1; ++coalesce) {
+    PlanOptions plan_options;
+    plan_options.graph_options.coalesce_nodes = coalesce == 1;
     for (int sched = 0; sched < 3; ++sched) {
-      Database db;
-      ASSERT_TRUE(workload::MakeCycle(db, "edge", 10).ok());
-      Program program;
-      ASSERT_TRUE(
-          ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
-      EvaluationOptions options;
-      options.graph_options.coalesce_nodes = coalesce == 1;
+      SessionOptions options;
       options.scheduler = static_cast<SchedulerKind>(sched);
       options.seed = 17;
       options.workers = 3;
-      auto result = Evaluate(program, db, options);
+      auto result = engine.Run(program, plan_options, options);
       ASSERT_TRUE(result.ok())
           << "coalesce=" << coalesce << " sched=" << sched << ": "
           << result.status();
       EXPECT_TRUE(result->ended_by_protocol)
           << "coalesce=" << coalesce << " sched=" << sched;
-      EXPECT_TRUE(result->answers == truth)
+      EXPECT_TRUE(result->answers == truth->goal)
           << "coalesce=" << coalesce << " sched=" << sched;
     }
   }
@@ -89,9 +82,10 @@ TEST_P(BatchedRandomEquivalence, MatchesSemiNaive) {
   ASSERT_TRUE(rp.ok());
   auto truth = SemiNaiveBottomUp(rp->unit.program, rp->unit.database);
   ASSERT_TRUE(truth.ok());
-  EvaluationOptions eval;
+  SessionOptions eval;
   eval.max_messages = 5000000;
-  auto result = Evaluate(rp->unit.program, rp->unit.database, eval);
+  auto result = TestEngine(std::move(rp->unit.database))
+                    .Run(rp->unit.program, {}, eval);
   if (!result.ok() &&
       result.status().code() == StatusCode::kResourceExhausted) {
     GTEST_SKIP() << "graph blow-up (no coalescing): " << result.status();
@@ -115,7 +109,7 @@ TEST(BatchingTest, EmptyBatchNeverSent) {
   ASSERT_TRUE(workload::MakeChain(db, "edge", 8).ok());
   Program program;
   ASSERT_TRUE(ParseInto(workload::LinearTcProgram(0), program, db).ok());
-  auto result = Evaluate(program, db);
+  auto result = TestEngine(std::move(db)).Run(program);
   ASSERT_TRUE(result.ok());
   const MessageStats& s = result->message_stats;
   // Each envelope holds >= 2 sub-messages by construction.

@@ -12,9 +12,9 @@
 #include "common/random.h"
 #include "common/string_util.h"
 #include "datalog/parser.h"
-#include "engine/evaluator.h"
 #include "graph/rule_goal_graph.h"
 #include "sips/strategy.h"
+#include "test_engine.h"
 #include "workload/generators.h"
 
 namespace mpqe {
@@ -32,9 +32,9 @@ GraphBuildOptions Coalesced() {
   return options;
 }
 
-EvaluationOptions CoalescedEval() {
-  EvaluationOptions options;
-  options.graph_options.coalesce_nodes = true;
+PlanOptions CoalescedPlan() {
+  PlanOptions options;
+  options.graph_options = Coalesced();
   return options;
 }
 
@@ -169,21 +169,19 @@ TEST(CoalescedEngineTest, CanonicalQueriesMatchPlainEngine) {
       {"left_recursive", workload::LeftRecursiveTcProgram(0), "chain", 16},
   };
   for (const auto& c : cases) {
-    Database db1, db2;
-    for (Database* db : {&db1, &db2}) {
-      if (c.shape == "chain") {
-        ASSERT_TRUE(workload::MakeChain(*db, "edge", c.n).ok());
-      } else if (c.shape == "cycle") {
-        ASSERT_TRUE(workload::MakeCycle(*db, "edge", c.n).ok());
-      } else {
-        ASSERT_TRUE(workload::MakeBinaryTree(*db, "edge", c.n).ok());
-      }
+    Database db;
+    if (c.shape == "chain") {
+      ASSERT_TRUE(workload::MakeChain(db, "edge", c.n).ok());
+    } else if (c.shape == "cycle") {
+      ASSERT_TRUE(workload::MakeCycle(db, "edge", c.n).ok());
+    } else {
+      ASSERT_TRUE(workload::MakeBinaryTree(db, "edge", c.n).ok());
     }
-    Program p1, p2;
-    ASSERT_TRUE(ParseInto(c.program, p1, db1).ok());
-    ASSERT_TRUE(ParseInto(c.program, p2, db2).ok());
-    auto plain = Evaluate(p1, db1);
-    auto shared = Evaluate(p2, db2, CoalescedEval());
+    Program program;
+    ASSERT_TRUE(ParseInto(c.program, program, db).ok());
+    TestEngine engine(std::move(db));
+    auto plain = engine.Run(program);
+    auto shared = engine.Run(program, CoalescedPlan());
     ASSERT_TRUE(plain.ok()) << c.name << ": " << plain.status();
     ASSERT_TRUE(shared.ok()) << c.name << ": " << shared.status();
     EXPECT_TRUE(plain->answers == shared->answers) << c.name;
@@ -213,13 +211,12 @@ TEST(CoalescedEngineTest, MultiEntrySccServesAllCustomers) {
   auto truth = SemiNaiveBottomUp(unit->program, unit->database);
   ASSERT_TRUE(truth.ok());
 
+  TestEngine engine(std::move(unit->database));
   for (uint64_t seed = 0; seed < 15; ++seed) {
-    auto unit2 = Parse(text);
-    ASSERT_TRUE(unit2.ok());
-    EvaluationOptions options = CoalescedEval();
+    SessionOptions options;
     options.scheduler = SchedulerKind::kRandom;
     options.seed = seed;
-    auto result = Evaluate(unit2->program, unit2->database, options);
+    auto result = engine.Run(unit->program, CoalescedPlan(), options);
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_TRUE(result->ended_by_protocol) << "seed " << seed;
     EXPECT_TRUE(result->answers == truth->goal) << "seed " << seed;
@@ -235,9 +232,10 @@ TEST_P(CoalescedRandomEquivalence, MatchesSemiNaive) {
   ASSERT_TRUE(rp.ok());
   auto truth = SemiNaiveBottomUp(rp->unit.program, rp->unit.database);
   ASSERT_TRUE(truth.ok());
-  EvaluationOptions eval = CoalescedEval();
+  SessionOptions eval;
   eval.max_messages = 5000000;
-  auto result = Evaluate(rp->unit.program, rp->unit.database, eval);
+  auto result = TestEngine(std::move(rp->unit.database))
+                    .Run(rp->unit.program, CoalescedPlan(), eval);
   ASSERT_TRUE(result.ok()) << result.status() << "\n" << rp->text;
   EXPECT_TRUE(result->ended_by_protocol) << rp->text;
   EXPECT_TRUE(result->answers == truth->goal)
@@ -264,9 +262,10 @@ TEST_P(CoalescedDenseEquivalence, MatchesSemiNaive) {
   ASSERT_TRUE(rp.ok());
   auto truth = SemiNaiveBottomUp(rp->unit.program, rp->unit.database);
   ASSERT_TRUE(truth.ok());
-  EvaluationOptions eval = CoalescedEval();
+  SessionOptions eval;
   eval.max_messages = 20000000;
-  auto result = Evaluate(rp->unit.program, rp->unit.database, eval);
+  auto result = TestEngine(std::move(rp->unit.database))
+                    .Run(rp->unit.program, CoalescedPlan(), eval);
   ASSERT_TRUE(result.ok()) << result.status() << "\n" << rp->text;
   EXPECT_TRUE(result->ended_by_protocol);
   EXPECT_TRUE(result->answers == truth->goal)
@@ -285,12 +284,13 @@ TEST(CoalescedEngineTest, RandomSchedulesOnCoalescedGraph) {
   ASSERT_TRUE(rp.ok());
   auto truth = SemiNaiveBottomUp(rp->unit.program, rp->unit.database);
   ASSERT_TRUE(truth.ok());
+  TestEngine engine(std::move(rp->unit.database));
   for (uint64_t seed = 0; seed < 12; ++seed) {
-    EvaluationOptions eval = CoalescedEval();
+    SessionOptions eval;
     eval.scheduler = SchedulerKind::kRandom;
     eval.seed = seed;
     eval.max_messages = 5000000;
-    auto result = Evaluate(rp->unit.program, rp->unit.database, eval);
+    auto result = engine.Run(rp->unit.program, CoalescedPlan(), eval);
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_TRUE(result->ended_by_protocol) << "seed " << seed;
     EXPECT_TRUE(result->answers == truth->goal) << "seed " << seed;
@@ -304,15 +304,12 @@ TEST(CoalescedEngineTest, ThreadedSchedulerOnCoalescedGraph) {
   ASSERT_TRUE(ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
   auto truth = SemiNaiveBottomUp(program, db);
   ASSERT_TRUE(truth.ok());
+  TestEngine engine(std::move(db));
   for (int workers : {1, 4}) {
-    Database db2;
-    ASSERT_TRUE(workload::MakeCycle(db2, "edge", 10).ok());
-    Program p2;
-    ASSERT_TRUE(ParseInto(workload::NonlinearTcProgram(0), p2, db2).ok());
-    EvaluationOptions eval = CoalescedEval();
+    SessionOptions eval;
     eval.scheduler = SchedulerKind::kThreaded;
     eval.workers = workers;
-    auto result = Evaluate(p2, db2, eval);
+    auto result = engine.Run(program, CoalescedPlan(), eval);
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_TRUE(result->ended_by_protocol);
     EXPECT_TRUE(result->answers == truth->goal) << workers << " workers";
@@ -329,14 +326,13 @@ TEST(CoalescedEngineTest, MessageSavingsOnSharedWork) {
     goal(X) :- marked(M), tc(M, X).
     goal(X) :- tc(0, X).
   )";
-  Database db1, db2;
-  ASSERT_TRUE(workload::MakeChain(db1, "edge", 16).ok());
-  ASSERT_TRUE(workload::MakeChain(db2, "edge", 16).ok());
-  Program p1, p2;
-  ASSERT_TRUE(ParseInto(text, p1, db1).ok());
-  ASSERT_TRUE(ParseInto(text, p2, db2).ok());
-  auto plain = Evaluate(p1, db1);
-  auto shared = Evaluate(p2, db2, CoalescedEval());
+  Database db;
+  ASSERT_TRUE(workload::MakeChain(db, "edge", 16).ok());
+  Program program;
+  ASSERT_TRUE(ParseInto(text, program, db).ok());
+  TestEngine engine(std::move(db));
+  auto plain = engine.Run(program);
+  auto shared = engine.Run(program, CoalescedPlan());
   ASSERT_TRUE(plain.ok()) << plain.status();
   ASSERT_TRUE(shared.ok()) << shared.status();
   EXPECT_TRUE(plain->answers == shared->answers);

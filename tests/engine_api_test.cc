@@ -1,12 +1,14 @@
 // Tests of the prepared-query engine lifecycle (engine/engine.h):
 // Engine / PreparedQuery / QuerySession, the LRU plan cache with its
 // keying and eviction rules, concurrent sessions over one shared
-// snapshot, and the Evaluate() compatibility wrapper staying
-// result-identical to prepare + run.
+// snapshot, repeated lineage sessions over one snapshot, and the
+// lifecycle's pinned counts and its run-time half (RunSession).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "datalog/parser.h"
 #include "engine/engine.h"
 #include "engine/evaluator.h"
+#include "obs/lineage.h"
 #include "obs/metrics.h"
 #include "workload/generators.h"
 
@@ -30,21 +33,11 @@ constexpr const char* kTcRules = R"(
     ?- tc(1, W).
 )";
 
-// The facts + rules in one text (for the Evaluate() baseline).
-std::string TcProgramText() { return StrCat(kTcFacts, kTcRules); }
-
 std::vector<Tuple> SortedAnswers(const EvaluationResult& result) {
   return result.answers.SortedTuples();
 }
 
 TEST(EngineApiTest, PrepareRunMatchesEvaluate) {
-  // Baseline: the one-shot compatibility wrapper.
-  auto unit = Parse(TcProgramText());
-  ASSERT_TRUE(unit.ok()) << unit.status();
-  auto baseline = Evaluate(unit->program, unit->database);
-  ASSERT_TRUE(baseline.ok()) << baseline.status();
-
-  // Same computation through the prepared-query lifecycle.
   auto facts = Parse(kTcFacts);
   ASSERT_TRUE(facts.ok()) << facts.status();
   Engine engine;
@@ -56,38 +49,49 @@ TEST(EngineApiTest, PrepareRunMatchesEvaluate) {
   auto result = (*session)->Run();
   ASSERT_TRUE(result.ok()) << result.status();
 
-  // Pinned: identical answers, message traffic, and engine counters —
-  // the wrapper and the lifecycle run the same network the same way.
-  EXPECT_EQ(SortedAnswers(*result), SortedAnswers(*baseline));
+  // Pinned: the answers, message traffic and engine counters recorded
+  // for this query from the one-shot evaluation entry point the Engine
+  // replaced. The lifecycle runs the same network the same way.
+  EXPECT_EQ(SortedAnswers(*result),
+            (std::vector<Tuple>{{Value::Int(2)},
+                                {Value::Int(3)},
+                                {Value::Int(4)},
+                                {Value::Int(5)}}));
   EXPECT_EQ(result->message_stats.ToString(),
-            baseline->message_stats.ToString());
-  EXPECT_EQ(result->counters.ToString(), baseline->counters.ToString());
-  EXPECT_EQ(result->ended_by_protocol, baseline->ended_by_protocol);
-  EXPECT_EQ(result->delivered, baseline->delivered);
+            "{relation_request=14 tuple_request=32 end=20 end_request=10 "
+            "end_negative=7 end_confirmed=3 scc_concluded=2 batch=33 "
+            "tuple_segment=48}");
+  EXPECT_EQ(result->counters.ToString(),
+            "{stored=45 dups=5 contexts=41 max_rel=12 waves=5}");
+  EXPECT_TRUE(result->ended_by_protocol);
+  EXPECT_EQ(result->delivered, 100u);
 }
 
 TEST(EngineApiTest, EvaluateWrapperIsPreparePlusSession) {
-  // EvaluateWithGraph (the wrapper's run half) equals RunSession over
-  // the same graph with the flat options split into halves.
-  auto unit = Parse(TcProgramText());
-  ASSERT_TRUE(unit.ok()) << unit.status();
-  EvaluationOptions options;
-  auto via_wrapper = Evaluate(unit->program, unit->database, options);
-  ASSERT_TRUE(via_wrapper.ok()) << via_wrapper.status();
-
-  auto unit2 = Parse(TcProgramText());
-  ASSERT_TRUE(unit2.ok()) << unit2.status();
-  ASSERT_TRUE(unit2->program.Validate(&unit2->database).ok());
-  auto strategy = MakeStrategyByName(options.strategy);
-  ASSERT_TRUE(strategy.ok());
-  auto graph = RuleGoalGraph::Build(unit2->program, **strategy,
-                                    options.graph_options);
-  ASSERT_TRUE(graph.ok());
-  auto via_session = RunSession(**graph, unit2->database, options);
+  // RunSession, the run-time half, over a prepared plan's graph equals
+  // a QuerySession run of that plan.
+  auto facts = Parse(kTcFacts);
+  ASSERT_TRUE(facts.ok()) << facts.status();
+  Engine engine(EngineOptions{.workers = 2});
+  auto snapshot = engine.Attach(std::move(facts->database));
+  auto plan = engine.Prepare(snapshot, kTcRules);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  auto session = engine.CreateSession(*plan);
+  ASSERT_TRUE(session.ok()) << session.status();
+  auto via_session = (*session)->Run();
   ASSERT_TRUE(via_session.ok()) << via_session.status();
-  EXPECT_EQ(SortedAnswers(*via_session), SortedAnswers(*via_wrapper));
-  EXPECT_EQ(via_session->message_stats.ToString(),
-            via_wrapper->message_stats.ToString());
+
+  // The same facts in a database of their own (RunSession may number
+  // its rows for lineage, so it takes a mutable one; this one has no
+  // indexes, and its EDB leaves scan).
+  auto facts2 = Parse(kTcFacts);
+  ASSERT_TRUE(facts2.ok()) << facts2.status();
+  auto direct = RunSession((*plan)->graph(), facts2->database, {});
+  ASSERT_TRUE(direct.ok()) << direct.status();
+  EXPECT_EQ(SortedAnswers(*direct), SortedAnswers(*via_session));
+  EXPECT_EQ(direct->message_stats.ToString(),
+            via_session->message_stats.ToString());
+  EXPECT_EQ(direct->counters.ToString(), via_session->counters.ToString());
 }
 
 TEST(EngineApiTest, ConcurrentSessionsShareOnePlan) {
@@ -95,12 +99,6 @@ TEST(EngineApiTest, ConcurrentSessionsShareOnePlan) {
   // pool; every one must reproduce the sequential answers. Run under
   // TSan this is the no-shared-mutable-state check for the whole
   // run-time half.
-  auto unit = Parse(TcProgramText());
-  ASSERT_TRUE(unit.ok()) << unit.status();
-  auto baseline = Evaluate(unit->program, unit->database);
-  ASSERT_TRUE(baseline.ok()) << baseline.status();
-  const std::vector<Tuple> expected = SortedAnswers(*baseline);
-
   auto facts = Parse(kTcFacts);
   ASSERT_TRUE(facts.ok()) << facts.status();
   EngineOptions engine_options;
@@ -109,6 +107,11 @@ TEST(EngineApiTest, ConcurrentSessionsShareOnePlan) {
   auto snapshot = engine.Attach(std::move(facts->database));
   auto plan = engine.Prepare(snapshot, kTcRules);
   ASSERT_TRUE(plan.ok()) << plan.status();
+  auto sequential = engine.CreateSession(*plan);
+  ASSERT_TRUE(sequential.ok()) << sequential.status();
+  auto baseline = (*sequential)->Run();
+  ASSERT_TRUE(baseline.ok()) << baseline.status();
+  const std::vector<Tuple> expected = SortedAnswers(*baseline);
 
   constexpr int kSessions = 16;
   std::vector<std::future<StatusOr<EvaluationResult>>> futures;
@@ -225,8 +228,22 @@ TEST(EngineApiTest, PlanCacheKeysOnPlanOptions) {
   ltr.strategy = "left_to_right";
   auto left_to_right = engine.Prepare(snapshot, kTcRules, ltr);
   ASSERT_TRUE(left_to_right.ok());
-  EXPECT_NE(greedy->get(), left_to_right->get());
-  EXPECT_EQ(engine.plan_cache_stats().size, 2u);
+  PlanOptions coalesce;
+  coalesce.graph_options.coalesce_nodes = true;
+  auto coalesced = engine.Prepare(snapshot, kTcRules, coalesce);
+  ASSERT_TRUE(coalesced.ok());
+  PlanOptions capped;
+  capped.graph_options.max_nodes = 1000;
+  auto small_cap = engine.Prepare(snapshot, kTcRules, capped);
+  ASSERT_TRUE(small_cap.ok());
+
+  // Every settable PlanOptions value keys its own plan.
+  std::set<const PreparedQuery*> plans = {greedy->get(), left_to_right->get(),
+                                          coalesced->get(), small_cap->get()};
+  EXPECT_EQ(plans.size(), 4u);
+  EXPECT_EQ(engine.plan_cache_stats().size, 4u);
+  EXPECT_TRUE((*coalesced)->graph().coalesced());
+  EXPECT_EQ((*small_cap)->plan_options().graph_options.max_nodes, 1000u);
 }
 
 TEST(EngineApiTest, PlanCacheEvictsLeastRecentlyUsed) {
@@ -314,15 +331,16 @@ TEST(EngineApiTest, PlanOptionsValidateNamesStrategy) {
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("strategy"), std::string::npos) << status;
 
-  // The flat compatibility struct validates both halves.
-  EvaluationOptions flat;
-  flat.strategy = "bogus";
-  EXPECT_FALSE(flat.Validate().ok());
-  flat.strategy = "greedy";
-  flat.workers = -1;
-  Status session_status = flat.Validate();
-  ASSERT_FALSE(session_status.ok());
-  EXPECT_NE(session_status.message().find("workers"), std::string::npos);
+  // Prepare validates before any work and reports the same field.
+  auto facts = Parse(kTcFacts);
+  ASSERT_TRUE(facts.ok()) << facts.status();
+  Engine engine(EngineOptions{.workers = 2});
+  auto plan = engine.Prepare(engine.Attach(std::move(facts->database)),
+                             kTcRules, options);
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(plan.status().message().find("strategy"), std::string::npos)
+      << plan.status();
 }
 
 TEST(EngineApiTest, SessionsAreSingleUse) {
@@ -357,6 +375,29 @@ TEST(EngineApiTest, LineageSessionIsExclusiveAndWorks) {
   ASSERT_NE(result->lineage, nullptr);
   EXPECT_GT(result->lineage->derived, 0u);
   EXPECT_EQ(snapshot->running_sessions(), 0);
+
+  // A second lineage session on the same plan and snapshot numbers the
+  // EDB rows afresh: same EDB leaves, byte-identical proofs (ids
+  // included) for every answer.
+  auto again_session = engine.CreateSession(*plan, lineage_options);
+  ASSERT_TRUE(again_session.ok());
+  auto again = (*again_session)->Run();
+  ASSERT_TRUE(again.ok()) << again.status();
+  ASSERT_NE(again->lineage, nullptr);
+  EXPECT_EQ(again->lineage->edb_facts, result->lineage->edb_facts);
+  EXPECT_EQ(again->lineage->records.size(), result->lineage->records.size());
+  ASSERT_EQ(SortedAnswers(*again), SortedAnswers(*result));
+  for (const Tuple& answer : SortedAnswers(*result)) {
+    const std::vector<std::optional<Value>> args = {Value::Int(1), answer[0]};
+    auto first = result->lineage->Match("tc", args);
+    auto second = again->lineage->Match("tc", args);
+    ASSERT_FALSE(first.empty()) << TupleToString(answer);
+    ASSERT_FALSE(second.empty()) << TupleToString(answer);
+    EXPECT_EQ(again->lineage->FormatProof(second.front()->id),
+              result->lineage->FormatProof(first.front()->id));
+  }
+  // No relation keeps a finished session's id allocator.
+  EXPECT_FALSE(snapshot->db().GetRelation("edge")->lineage_enabled());
 }
 
 TEST(EngineApiTest, SingleSessionLatencyHistogramRenders) {

@@ -7,7 +7,7 @@
 #include "baseline/bottom_up.h"
 #include "common/string_util.h"
 #include "datalog/parser.h"
-#include "engine/evaluator.h"
+#include "test_engine.h"
 #include "workload/generators.h"
 
 namespace mpqe {
@@ -16,10 +16,12 @@ namespace {
 Tuple T1(int64_t a) { return {Value::Int(a)}; }
 
 StatusOr<EvaluationResult> RunQuery(const char* text,
-                                    EvaluationOptions options = {}) {
+                                    const PlanOptions& plan_options = {},
+                                    const SessionOptions& options = {}) {
   auto unit = Parse(text);
   if (!unit.ok()) return unit.status();
-  return Evaluate(unit->program, unit->database, options);
+  return TestEngine(std::move(unit->database))
+      .Run(unit->program, plan_options, options);
 }
 
 TEST(EvaluatorTest, NonRecursiveJoin) {
@@ -69,7 +71,7 @@ TEST(EvaluatorTest, CyclicDataReachesFixpoint) {
   ASSERT_TRUE(workload::MakeCycle(db, "edge", 6).ok());
   Program program;
   ASSERT_TRUE(ParseInto(workload::LinearTcProgram(0), program, db).ok());
-  auto result = Evaluate(program, db);
+  auto result = TestEngine(std::move(db)).Run(program);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->answers.size(), 6u);
   EXPECT_TRUE(result->ended_by_protocol);
@@ -84,32 +86,26 @@ TEST(EvaluatorTest, PaperP1NonlinearRecursion) {
   ASSERT_TRUE(workload::MakeChain(db, "r", 6).ok());
   Program program;
   ASSERT_TRUE(ParseInto(workload::P1Program(0), program, db).ok());
-  auto result = Evaluate(program, db);
+  // Cross-check against semi-naive ground truth.
+  auto truth = SemiNaiveBottomUp(program, db);
+  ASSERT_TRUE(truth.ok());
+  auto result = TestEngine(std::move(db)).Run(program);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(result->ended_by_protocol);
-
-  // Cross-check against semi-naive ground truth.
-  Database db2;
-  ASSERT_TRUE(workload::MakeChain(db2, "q", 6).ok());
-  ASSERT_TRUE(workload::MakeChain(db2, "r", 6).ok());
-  Program program2;
-  ASSERT_TRUE(ParseInto(workload::P1Program(0), program2, db2).ok());
-  auto truth = SemiNaiveBottomUp(program2, db2);
-  ASSERT_TRUE(truth.ok());
   EXPECT_TRUE(result->answers == truth->goal)
       << "engine: " << result->answers.ToString()
       << " truth: " << truth->goal.ToString();
 }
 
 TEST(EvaluatorTest, NonlinearTcMatchesLinearTc) {
-  Database db1, db2;
-  ASSERT_TRUE(workload::MakeBinaryTree(db1, "edge", 15).ok());
-  ASSERT_TRUE(workload::MakeBinaryTree(db2, "edge", 15).ok());
+  Database db;
+  ASSERT_TRUE(workload::MakeBinaryTree(db, "edge", 15).ok());
   Program lin, nonlin;
-  ASSERT_TRUE(ParseInto(workload::LinearTcProgram(0), lin, db1).ok());
-  ASSERT_TRUE(ParseInto(workload::NonlinearTcProgram(0), nonlin, db2).ok());
-  auto r1 = Evaluate(lin, db1);
-  auto r2 = Evaluate(nonlin, db2);
+  ASSERT_TRUE(ParseInto(workload::LinearTcProgram(0), lin, db).ok());
+  ASSERT_TRUE(ParseInto(workload::NonlinearTcProgram(0), nonlin, db).ok());
+  TestEngine engine(std::move(db));
+  auto r1 = engine.Run(lin);
+  auto r2 = engine.Run(nonlin);
   ASSERT_TRUE(r1.ok()) << r1.status();
   ASSERT_TRUE(r2.ok()) << r2.status();
   EXPECT_TRUE(r1->answers == r2->answers);
@@ -209,15 +205,16 @@ TEST(EvaluatorTest, MultipleQueryRules) {
 }
 
 TEST(EvaluatorTest, AllStrategiesAgree) {
+  Database db;
+  ASSERT_TRUE(workload::MakeBinaryTree(db, "edge", 15).ok());
+  Program program;
+  ASSERT_TRUE(ParseInto(workload::LinearTcProgram(0), program, db).ok());
+  TestEngine engine(std::move(db));
   for (const char* strategy : {"greedy", "left_to_right",
                                "qual_tree_or_greedy", "no_sips"}) {
-    Database db;
-    ASSERT_TRUE(workload::MakeBinaryTree(db, "edge", 15).ok());
-    Program program;
-    ASSERT_TRUE(ParseInto(workload::LinearTcProgram(0), program, db).ok());
-    EvaluationOptions options;
+    PlanOptions options;
     options.strategy = strategy;
-    auto result = Evaluate(program, db, options);
+    auto result = engine.Run(program, options);
     ASSERT_TRUE(result.ok()) << strategy << ": " << result.status();
     EXPECT_EQ(result->answers.size(), 14u) << strategy;
     EXPECT_TRUE(result->ended_by_protocol) << strategy;
@@ -225,22 +222,17 @@ TEST(EvaluatorTest, AllStrategiesAgree) {
 }
 
 TEST(EvaluatorTest, AllSchedulersAgree) {
-  auto make = [](Database& db, Program& program) {
-    ASSERT_TRUE(workload::MakeRandomGraph(
-        db, "edge", 20, 2, *std::make_unique<Rng>(7)).ok());
-    ASSERT_TRUE(ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
-  };
-  Database db0;
-  Program p0;
-  make(db0, p0);
-  auto baseline = Evaluate(p0, db0);
+  Database db;
+  Rng rng(7);
+  ASSERT_TRUE(workload::MakeRandomGraph(db, "edge", 20, 2, rng).ok());
+  Program program;
+  ASSERT_TRUE(ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
+  TestEngine engine(std::move(db));
+  auto baseline = engine.Run(program);
   ASSERT_TRUE(baseline.ok()) << baseline.status();
 
   for (int mode = 0; mode < 2; ++mode) {
-    Database db;
-    Program program;
-    make(db, program);
-    EvaluationOptions options;
+    SessionOptions options;
     if (mode == 0) {
       options.scheduler = SchedulerKind::kRandom;
       options.seed = 1234;
@@ -248,7 +240,7 @@ TEST(EvaluatorTest, AllSchedulersAgree) {
       options.scheduler = SchedulerKind::kThreaded;
       options.workers = 4;
     }
-    auto result = Evaluate(program, db, options);
+    auto result = engine.Run(program, {}, options);
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_TRUE(result->answers == baseline->answers) << "mode " << mode;
     EXPECT_TRUE(result->ended_by_protocol) << "mode " << mode;
@@ -260,19 +252,18 @@ TEST(EvaluatorTest, SidewaysPassingRestrictsComputation) {
   // intermediate relation to values that are (at least potentially)
   // useful". Query tc(0, W) on a chain: with sips the engine explores
   // only the suffix from 0... compare stored tuples against no_sips.
-  Database db1, db2;
-  ASSERT_TRUE(workload::MakeChain(db1, "edge", 24).ok());
-  ASSERT_TRUE(workload::MakeChain(db2, "edge", 24).ok());
-  Program p1, p2;
-  ASSERT_TRUE(ParseInto(workload::LinearTcProgram(12), p1, db1).ok());
-  ASSERT_TRUE(ParseInto(workload::LinearTcProgram(12), p2, db2).ok());
+  Database db;
+  ASSERT_TRUE(workload::MakeChain(db, "edge", 24).ok());
+  Program program;
+  ASSERT_TRUE(ParseInto(workload::LinearTcProgram(12), program, db).ok());
+  TestEngine engine(std::move(db));
 
-  EvaluationOptions sips;
+  PlanOptions sips;
   sips.strategy = "greedy";
-  EvaluationOptions full;
+  PlanOptions full;
   full.strategy = "no_sips";
-  auto r1 = Evaluate(p1, db1, sips);
-  auto r2 = Evaluate(p2, db2, full);
+  auto r1 = engine.Run(program, sips);
+  auto r2 = engine.Run(program, full);
   ASSERT_TRUE(r1.ok()) << r1.status();
   ASSERT_TRUE(r2.ok()) << r2.status();
   EXPECT_TRUE(r1->answers == r2->answers);
@@ -309,9 +300,9 @@ TEST(EvaluatorTest, MaxMessagesGuardPropagates) {
   ASSERT_TRUE(workload::MakeChain(db, "edge", 50).ok());
   Program program;
   ASSERT_TRUE(ParseInto(workload::LinearTcProgram(0), program, db).ok());
-  EvaluationOptions options;
+  SessionOptions options;
   options.max_messages = 10;
-  auto result = Evaluate(program, db, options);
+  auto result = TestEngine(std::move(db)).Run(program, {}, options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
 }
@@ -342,26 +333,24 @@ TEST(EvaluatorTest, ExistentialProjectionReducesTuples) {
 }
 
 TEST(EvaluationOptionsTest, ValidateAcceptsDefaults) {
-  EvaluationOptions options;
-  EXPECT_TRUE(options.Validate().ok());
+  EXPECT_TRUE(PlanOptions().Validate().ok());
+  EXPECT_TRUE(SessionOptions().Validate().ok());
 }
 
 TEST(EvaluationOptionsTest, ValidateRejectsBadSchedulerValue) {
-  EvaluationOptions options;
+  SessionOptions options;
   options.scheduler = static_cast<SchedulerKind>(99);
   Status status = options.Validate();
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   // The misconfiguration is caught before any work, not mid-run.
-  auto unit = Parse("p(1).\n?- p(W).\n");
-  ASSERT_TRUE(unit.ok());
-  auto result = Evaluate(unit->program, unit->database, options);
+  auto result = RunQuery("p(1).\n?- p(W).\n", {}, options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(EvaluationOptionsTest, ValidateRejectsNonPositiveWorkers) {
-  EvaluationOptions options;
+  SessionOptions options;
   options.workers = 0;
   Status status = options.Validate();
   ASSERT_FALSE(status.ok());
@@ -371,14 +360,12 @@ TEST(EvaluationOptionsTest, ValidateRejectsNonPositiveWorkers) {
 }
 
 TEST(EvaluationOptionsTest, ValidateRejectsUnknownStrategy) {
-  EvaluationOptions options;
+  PlanOptions options;
   options.strategy = "definitely_not_a_strategy";
   Status status = options.Validate();
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  auto unit = Parse("p(1).\n?- p(W).\n");
-  ASSERT_TRUE(unit.ok());
-  auto result = Evaluate(unit->program, unit->database, options);
+  auto result = RunQuery("p(1).\n?- p(W).\n", options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }

@@ -9,7 +9,7 @@
 #include "baseline/bottom_up.h"
 #include "baseline/top_down_sld.h"
 #include "common/random.h"
-#include "engine/evaluator.h"
+#include "test_engine.h"
 #include "workload/generators.h"
 
 namespace mpqe {
@@ -39,12 +39,14 @@ TEST_P(RandomProgramEquivalence, EngineMatchesSemiNaive) {
   auto truth = SemiNaiveBottomUp(program, db);
   ASSERT_TRUE(truth.ok()) << truth.status() << "\n" << rp->text;
 
+  TestEngine engine(std::move(db));
+  SessionOptions eval;
+  eval.max_messages = 5000000;
   for (const char* strategy :
        {"greedy", "left_to_right", "qual_tree_or_greedy", "no_sips"}) {
-    EvaluationOptions eval;
-    eval.strategy = strategy;
-    eval.max_messages = 5000000;
-    auto result = Evaluate(program, db, eval);
+    PlanOptions plan;
+    plan.strategy = strategy;
+    auto result = engine.Run(program, plan, eval);
     MPQE_SKIP_IF_GRAPH_BLOWUP(result);
     ASSERT_TRUE(result.ok())
         << strategy << ": " << result.status() << "\n" << rp->text;
@@ -70,23 +72,24 @@ TEST_P(RandomProgramEquivalence, SchedulersMatchSemiNaive) {
   // Three random interleavings plus the thread pool. Theorem 3.1 in
   // practice: a premature leader `end` under any schedule would stop
   // the sink early and lose answers, which the equality would catch.
+  TestEngine engine(std::move(db));
   for (uint64_t seed : {1ull, 42ull, 99ull}) {
-    EvaluationOptions eval;
+    SessionOptions eval;
     eval.scheduler = SchedulerKind::kRandom;
     eval.seed = seed;
     eval.max_messages = 5000000;
-    auto result = Evaluate(program, db, eval);
+    auto result = engine.Run(program, {}, eval);
     MPQE_SKIP_IF_GRAPH_BLOWUP(result);
     ASSERT_TRUE(result.ok()) << result.status() << "\n" << rp->text;
     EXPECT_TRUE(result->ended_by_protocol) << rp->text;
     EXPECT_TRUE(result->answers == truth->goal)
         << "random seed " << seed << "\n" << rp->text;
   }
-  EvaluationOptions threaded;
+  SessionOptions threaded;
   threaded.scheduler = SchedulerKind::kThreaded;
   threaded.workers = 4;
   threaded.max_messages = 5000000;
-  auto result = Evaluate(program, db, threaded);
+  auto result = engine.Run(program, {}, threaded);
   MPQE_SKIP_IF_GRAPH_BLOWUP(result);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(result->ended_by_protocol);
@@ -113,9 +116,10 @@ TEST_P(DenseProgramEquivalence, EngineMatchesSemiNaive) {
 
   auto truth = SemiNaiveBottomUp(rp->unit.program, rp->unit.database);
   ASSERT_TRUE(truth.ok());
-  EvaluationOptions eval;
+  SessionOptions eval;
   eval.max_messages = 10000000;
-  auto result = Evaluate(rp->unit.program, rp->unit.database, eval);
+  auto result = TestEngine(std::move(rp->unit.database))
+                    .Run(rp->unit.program, {}, eval);
   MPQE_SKIP_IF_GRAPH_BLOWUP(result);
   ASSERT_TRUE(result.ok()) << result.status() << "\n" << rp->text;
   EXPECT_TRUE(result->ended_by_protocol);

@@ -35,6 +35,7 @@
 #include "msg/network.h"
 #include "obs/flight_dump.h"
 #include "sips/strategy.h"
+#include "test_engine.h"
 
 namespace mpqe {
 namespace {
@@ -251,14 +252,23 @@ TEST(FlightRecorderTest, SessionRecordsAgreeWithTheRunsOwnCounts) {
   // the delivery records must reproduce the scheduler's delivery
   // count, the profiler's per-node msgs_in, and the answer rows the
   // network counted as sent.
-  auto unit = Parse(StrCat(kTcFacts, kTcRules));
-  ASSERT_TRUE(unit.ok()) << unit.status();
+  auto facts = Parse(kTcFacts);
+  ASSERT_TRUE(facts.ok()) << facts.status();
+  // An engine without telemetry or a recorder of its own leaves the
+  // session's recorder and query id as the test sets them.
+  Engine engine(EngineOptions{
+      .workers = 2, .telemetry = false, .flight_recorder = false});
+  auto plan = engine.Prepare(engine.Attach(std::move(facts->database)),
+                             kTcRules);
+  ASSERT_TRUE(plan.ok()) << plan.status();
   FlightRecorder recorder({.ring_capacity = 1 << 16, .ring_count = 1});
-  EvaluationOptions options;
+  SessionOptions options;
   options.flight = &recorder;
   options.query_id = 99;
   options.profile = true;
-  auto result = Evaluate(unit->program, unit->database, options);
+  auto session = engine.CreateSession(*plan, options);
+  ASSERT_TRUE(session.ok()) << session.status();
+  auto result = (*session)->Run();
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_NE(result->profile, nullptr);
 
@@ -434,15 +444,14 @@ TEST(FlightRecorderTest, WatchdogQuietOnHealthyRuns) {
     ?- tc(1, W).
   )");
   ASSERT_TRUE(unit.ok()) << unit.status();
-  FlightRecorder recorder;
   int dumps = 0;
-  EvaluationOptions options;
+  SessionOptions options;
   options.scheduler = SchedulerKind::kThreaded;
   options.workers = 2;
-  options.flight = &recorder;
   options.watchdog_stall_ms = 2000;
   options.flight_dump_sink = [&](const FlightDump&) { ++dumps; };
-  auto result = Evaluate(unit->program, unit->database, options);
+  auto result =
+      TestEngine(std::move(unit->database)).Run(unit->program, {}, options);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(dumps, 0);
 }

@@ -12,8 +12,8 @@
 #include <vector>
 
 #include "datalog/parser.h"
-#include "engine/evaluator.h"
 #include "obs/lineage.h"
+#include "test_engine.h"
 
 namespace mpqe {
 namespace {
@@ -41,10 +41,11 @@ EvaluationResult EvalWithLineage(const char* text,
                                      SchedulerKind::kDeterministic) {
   auto unit = Parse(text);
   EXPECT_TRUE(unit.ok()) << unit.status().ToString();
-  EvaluationOptions options;
+  SessionOptions options;
   options.lineage = true;
   options.scheduler = scheduler;
-  auto result = Evaluate(unit->program, unit->database, options);
+  auto result =
+      TestEngine(std::move(unit->database)).Run(unit->program, {}, options);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return *std::move(result);
 }
@@ -155,13 +156,14 @@ TEST(LineageTest, TransitiveClosureProofPinned) {
 TEST(LineageTest, SameGenerationProofPinned) {
   auto unit = Parse(kSg);
   ASSERT_TRUE(unit.ok());
-  EvaluationOptions options;
-  options.lineage = true;
-  auto result = Evaluate(unit->program, unit->database, options);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_NE(result->lineage, nullptr);
   auto query = ParseLineageQuery("sg(a, x)", unit->database.symbols());
   ASSERT_TRUE(query.ok());
+  SessionOptions options;
+  options.lineage = true;
+  auto result =
+      TestEngine(std::move(unit->database)).Run(unit->program, {}, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_NE(result->lineage, nullptr);
   auto matches = result->lineage->Match(*query);
   ASSERT_FALSE(matches.empty());
   EXPECT_EQ(
@@ -255,13 +257,15 @@ TEST(LineageTest, DagIsAcyclicWithEdbLeaves) {
 }
 
 TEST(LineageTest, ThreadedRunsYieldValidFirstDerivations) {
+  auto unit = Parse(kSg);
+  ASSERT_TRUE(unit.ok());
+  const Value a = unit->database.symbols().Symbol("a");
+  TestEngine engine(std::move(unit->database));
+  SessionOptions options;
+  options.lineage = true;
+  options.scheduler = SchedulerKind::kThreaded;
   for (int round = 0; round < 3; ++round) {
-    auto unit = Parse(kSg);
-    ASSERT_TRUE(unit.ok());
-    EvaluationOptions options;
-    options.lineage = true;
-    options.scheduler = SchedulerKind::kThreaded;
-    auto result = Evaluate(unit->program, unit->database, options);
+    auto result = engine.Run(unit->program, {}, options);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ASSERT_NE(result->lineage, nullptr);
     // Which derivation wins the race varies; every answer must still
@@ -272,8 +276,7 @@ TEST(LineageTest, ThreadedRunsYieldValidFirstDerivations) {
     ASSERT_EQ(result->answers.size(), 2u);
     for (const Tuple& answer : result->answers.SortedTuples()) {
       ASSERT_EQ(answer.size(), 1u);
-      std::vector<std::optional<Value>> args = {
-          unit->database.symbols().Symbol("a"), answer[0]};
+      std::vector<std::optional<Value>> args = {a, answer[0]};
       auto matches = result->lineage->Match("sg", args);
       ASSERT_FALSE(matches.empty());
       std::string proof = result->lineage->FormatProof(matches.front()->id);
@@ -305,11 +308,12 @@ TEST(LineageTest, JsonCarriesSchemaMarker) {
 TEST(LineageTest, OffByDefaultLeavesResultAndFastPathUntouched) {
   auto unit = Parse(kTc);
   ASSERT_TRUE(unit.ok());
-  auto result = Evaluate(unit->program, unit->database, {});
+  TestEngine engine(std::move(unit->database));
+  auto result = engine.Run(unit->program);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->lineage, nullptr);
   // Without lineage the EDB relations never get ids.
-  EXPECT_FALSE(unit->database.GetRelation("edge")->lineage_enabled());
+  EXPECT_FALSE(engine.db().GetRelation("edge")->lineage_enabled());
   EXPECT_EQ(result->answers.size(), 2u);
 }
 

@@ -7,11 +7,13 @@
 
 #include "common/string_util.h"
 #include "datalog/parser.h"
-#include "engine/evaluator.h"
+#include "test_engine.h"
 
 namespace mpqe {
 namespace {
 
+// Every session fills the per-node rows (they were once opt-in): one
+// row per graph node, in node order.
 TEST(NodeCountersTest, EmptyUnlessRequested) {
   auto unit = Parse(R"(
     e(1, 2).
@@ -19,9 +21,12 @@ TEST(NodeCountersTest, EmptyUnlessRequested) {
     ?- p(1, W).
   )");
   ASSERT_TRUE(unit.ok());
-  auto result = Evaluate(unit->program, unit->database);
+  auto result = TestEngine(std::move(unit->database)).Run(unit->program);
   ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->node_counters.empty());
+  ASSERT_EQ(result->node_counters.size(), result->graph_stats.node_count);
+  for (size_t i = 0; i < result->node_counters.size(); ++i) {
+    EXPECT_EQ(result->node_counters[i].node, static_cast<NodeId>(i));
+  }
 }
 
 TEST(NodeCountersTest, RowsSumToAggregate) {
@@ -32,9 +37,7 @@ TEST(NodeCountersTest, RowsSumToAggregate) {
     ?- tc(1, W).
   )");
   ASSERT_TRUE(unit.ok());
-  EvaluationOptions options;
-  options.collect_node_counters = true;
-  auto result = Evaluate(unit->program, unit->database, options);
+  auto result = TestEngine(std::move(unit->database)).Run(unit->program);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->node_counters.size(), result->graph_stats.node_count);
 
@@ -59,9 +62,7 @@ TEST(NodeCountersTest, HotNodesShowUp) {
     ?- tc(1, W).
   )");
   ASSERT_TRUE(unit.ok());
-  EvaluationOptions options;
-  options.collect_node_counters = true;
-  auto result = Evaluate(unit->program, unit->database, options);
+  auto result = TestEngine(std::move(unit->database)).Run(unit->program);
   ASSERT_TRUE(result.ok());
   // At least one node stored multiple tuples (the recursive tc node).
   bool hot = false;
@@ -88,14 +89,16 @@ struct PinnedRun {
   size_t answers = 0;
 };
 
-PinnedRun RunPinned(const std::string& text, EvaluationOptions options) {
+PinnedRun RunPinned(const std::string& text, const PlanOptions& options) {
   auto unit = Parse(text);
   if (!unit.ok()) {
     ADD_FAILURE() << unit.status().ToString();
     return {};
   }
-  options.scheduler = SchedulerKind::kDeterministic;
-  auto result = Evaluate(unit->program, unit->database, options);
+  SessionOptions session;
+  session.scheduler = SchedulerKind::kDeterministic;
+  auto result = TestEngine(std::move(unit->database))
+                    .Run(unit->program, options, session);
   if (!result.ok()) {
     ADD_FAILURE() << result.status().ToString();
     return {};
@@ -134,7 +137,7 @@ TEST(NodeCountersTest, JoinCountsPinnedOnDeterministicScheduler) {
             "end_negative=205 end_confirmed=45 scc_concluded=5 batch=258 "
             "tuple_segment=3519}");
 
-  EvaluationOptions coalesce;
+  PlanOptions coalesce;
   coalesce.graph_options.coalesce_nodes = true;
   PinnedRun coalesced = RunPinned(cycle, coalesce);
   EXPECT_EQ(coalesced.answers, 32u);
@@ -157,7 +160,7 @@ TEST(NodeCountersTest, JoinCountsPinnedOnDeterministicScheduler) {
            "p(X, Y) :- p(X, Z), e(Z, W), p(W, Y).\n"
            "q(X) :- p(X, X).\n"
            "?- q(W).\n";
-  EvaluationOptions no_sips;
+  PlanOptions no_sips;
   no_sips.strategy = "no_sips";
   PinnedRun checks = RunPinned(three, no_sips);
   EXPECT_EQ(checks.answers, 0u);

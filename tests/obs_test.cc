@@ -17,10 +17,10 @@
 
 #include "common/string_util.h"
 #include "datalog/parser.h"
-#include "engine/evaluator.h"
 #include "obs/logging_observer.h"
 #include "obs/metrics.h"
 #include "obs/trace_exporter.h"
+#include "test_engine.h"
 #include "workload/generators.h"
 
 namespace mpqe {
@@ -32,6 +32,14 @@ constexpr const char* kTc = R"(
   tc(X, Y) :- edge(X, Z), tc(Z, Y).
   ?- tc(1, W).
 )";
+
+// One session of kTc on a fresh engine.
+StatusOr<EvaluationResult> RunTc(const SessionOptions& options) {
+  auto unit = Parse(kTc);
+  if (!unit.ok()) return unit.status();
+  return TestEngine(std::move(unit->database))
+      .Run(unit->program, {}, options);
+}
 
 // ---------------------------------------------------------------------------
 // Counter / Histogram / MetricsRegistry
@@ -112,12 +120,10 @@ TEST(MetricsTest, RegistryJsonIsWellFormedish) {
 // Evaluation-level metrics plumbing
 
 TEST(MetricsObserverTest, EvaluationFillsRegistry) {
-  auto unit = Parse(kTc);
-  ASSERT_TRUE(unit.ok());
   MetricsRegistry registry;
-  EvaluationOptions options;
+  SessionOptions options;
   options.metrics = &registry;
-  auto result = Evaluate(unit->program, unit->database, options);
+  auto result = RunTc(options);
   ASSERT_TRUE(result.ok());
 
   // Live per-event metrics.
@@ -141,8 +147,7 @@ TEST(MetricsObserverTest, EvaluationFillsRegistry) {
   EXPECT_GT(registry.GetCounter("predicate/tc/stored_tuples").value(), 0u);
 
   // Every phase ran exactly once.
-  for (const char* phase :
-       {"adornment", "graph_build", "network_wiring", "run", "drain"}) {
+  for (const char* phase : {"network_wiring", "run", "drain"}) {
     EXPECT_EQ(registry.GetHistogram(StrCat("phase/", phase, "/ns")).count(),
               1u)
         << phase;
@@ -150,13 +155,11 @@ TEST(MetricsObserverTest, EvaluationFillsRegistry) {
 }
 
 TEST(MetricsObserverTest, PerArcCountersMatchTotals) {
-  auto unit = Parse(kTc);
-  ASSERT_TRUE(unit.ok());
   MetricsRegistry registry;
-  EvaluationOptions options;
+  SessionOptions options;
   options.metrics = &registry;
   options.metrics_per_arc = true;
-  auto result = Evaluate(unit->program, unit->database, options);
+  auto result = RunTc(options);
   ASSERT_TRUE(result.ok());
   uint64_t arc_total = 0;
   bool saw_arc = false;
@@ -188,15 +191,11 @@ class PhaseRecorder : public ExecutionObserver {
 };
 
 TEST(ObserverTest, PhasesArriveInOrder) {
-  auto unit = Parse(kTc);
-  ASSERT_TRUE(unit.ok());
   PhaseRecorder recorder;
-  EvaluationOptions options;
+  SessionOptions options;
   options.observers.push_back(&recorder);
-  ASSERT_TRUE(Evaluate(unit->program, unit->database, options).ok());
+  ASSERT_TRUE(RunTc(options).ok());
   std::vector<std::pair<Phase, bool>> expected = {
-      {Phase::kAdornment, true},     {Phase::kAdornment, false},
-      {Phase::kGraphBuild, true},    {Phase::kGraphBuild, false},
       {Phase::kNetworkWiring, true}, {Phase::kNetworkWiring, false},
       {Phase::kRun, true},           {Phase::kRun, false},
       {Phase::kDrain, true},         {Phase::kDrain, false},
@@ -266,18 +265,19 @@ class ContractMonitor : public ExecutionObserver {
 };
 
 TEST(ObserverTest, ThreadedSchedulerHonorsContract) {
+  Database db;
+  ASSERT_TRUE(workload::MakeCycle(db, "edge", 12).ok());
+  Program program;
+  ASSERT_TRUE(ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
+  TestEngine engine(std::move(db));
   for (int round = 0; round < 3; ++round) {
-    Database db;
-    ASSERT_TRUE(workload::MakeCycle(db, "edge", 12).ok());
-    Program program;
-    ASSERT_TRUE(ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
     ContractMonitor monitor;
-    EvaluationOptions options;
+    SessionOptions options;
     options.scheduler = SchedulerKind::kThreaded;
     options.workers = 4;
     options.max_messages = 1000000;
     options.observers.push_back(&monitor);
-    auto result = Evaluate(program, db, options);
+    auto result = engine.Run(program, {}, options);
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_GT(monitor.total_delivers(), 0u);
     EXPECT_EQ(monitor.serialization_violations(), 0u) << "round " << round;
@@ -308,15 +308,13 @@ class CountingObserver : public ExecutionObserver {
 };
 
 TEST(ObserverTest, ObserversComposeInRegistrationOrder) {
-  auto unit = Parse(kTc);
-  ASSERT_TRUE(unit.ok());
   std::vector<int> first_event_order;
   CountingObserver a(&first_event_order, 1);
   CountingObserver b(&first_event_order, 2);
-  EvaluationOptions options;
+  SessionOptions options;
   options.observers.push_back(&a);
   options.observers.push_back(&b);
-  auto result = Evaluate(unit->program, unit->database, options);
+  auto result = RunTc(options);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(a.sends(), result->message_stats.PhysicalTotal());
   EXPECT_GT(result->message_stats.packaged_submessages, 0u);
@@ -345,9 +343,9 @@ TEST(ObserverTest, TerminationEventsOnCyclicWorkload) {
         by_kind_{};
   } recorder;
 
-  EvaluationOptions options;
+  SessionOptions options;
   options.observers.push_back(&recorder);
-  auto result = Evaluate(program, db, options);
+  auto result = TestEngine(std::move(db)).Run(program, {}, options);
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(result->ended_by_protocol);
   EXPECT_GT(recorder.count(TerminationEvent::Kind::kWaveStarted), 0u);
@@ -360,12 +358,10 @@ TEST(ObserverTest, TerminationEventsOnCyclicWorkload) {
 // Trace exporter
 
 TEST(TraceExporterTest, StructurallySoundJson) {
-  auto unit = Parse(kTc);
-  ASSERT_TRUE(unit.ok());
   TraceExporter exporter;
-  EvaluationOptions options;
+  SessionOptions options;
   options.observers.push_back(&exporter);
-  auto result = Evaluate(unit->program, unit->database, options);
+  auto result = RunTc(options);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(exporter.event_count(), 0u);
   EXPECT_EQ(exporter.dropped_events(), 0u);
@@ -392,14 +388,12 @@ TEST(TraceExporterTest, StructurallySoundJson) {
 }
 
 TEST(TraceExporterTest, MaxEventsDropsInsteadOfGrowing) {
-  auto unit = Parse(kTc);
-  ASSERT_TRUE(unit.ok());
   TraceExporter::Options trace_options;
   trace_options.max_events = 5;
   TraceExporter exporter(trace_options);
-  EvaluationOptions options;
+  SessionOptions options;
   options.observers.push_back(&exporter);
-  ASSERT_TRUE(Evaluate(unit->program, unit->database, options).ok());
+  ASSERT_TRUE(RunTc(options).ok());
   EXPECT_EQ(exporter.event_count(), 5u);
   EXPECT_GT(exporter.dropped_events(), 0u);
 }
@@ -409,12 +403,10 @@ TEST(TraceExporterTest, MaxEventsDropsInsteadOfGrowing) {
 // file pins the exporter's event stream. Regenerate with
 //   MPQE_REGEN_GOLDEN=1 ./obs_test --gtest_filter='*GoldenSummary*'
 TEST(TraceExporterTest, GoldenSummaryForTinyQuery) {
-  auto unit = Parse(kTc);
-  ASSERT_TRUE(unit.ok());
   TraceExporter exporter;
-  EvaluationOptions options;  // deterministic scheduler
+  SessionOptions options;  // deterministic scheduler
   options.observers.push_back(&exporter);
-  ASSERT_TRUE(Evaluate(unit->program, unit->database, options).ok());
+  ASSERT_TRUE(RunTc(options).ok());
   std::string summary = exporter.NormalizedSummary();
   ASSERT_FALSE(summary.empty());
 
@@ -447,18 +439,17 @@ TEST(TraceExporterTest, WriteFileRejectsBadPath) {
 // LoggingObserver (engine log lines)
 
 TEST(LoggingObserverTest, EmitsLeveledThreadTaggedLines) {
-  auto unit = Parse(kTc);
-  ASSERT_TRUE(unit.ok());
   std::ostringstream log;
   LoggingObserver logger(LogLevel::kInfo, &log);
-  EvaluationOptions options;
+  SessionOptions options;
   options.observers.push_back(&logger);
-  auto result = Evaluate(unit->program, unit->database, options);
+  auto result = RunTc(options);
   ASSERT_TRUE(result.ok());
   std::string text = log.str();
   EXPECT_NE(text.find("[INFO"), std::string::npos);
-  EXPECT_NE(text.find("engine] phase run begin"), std::string::npos);
-  EXPECT_NE(text.find("engine] phase run end"), std::string::npos);
+  // The engine minted query id 1 for the session; every line carries it.
+  EXPECT_NE(text.find("engine] q1 phase run begin"), std::string::npos);
+  EXPECT_NE(text.find("engine] q1 phase run end"), std::string::npos);
   // Fig. 2 waves on the cyclic tc SCC.
   EXPECT_NE(text.find("wave 1 started"), std::string::npos);
   EXPECT_NE(text.find("concluded"), std::string::npos);
@@ -467,13 +458,11 @@ TEST(LoggingObserverTest, EmitsLeveledThreadTaggedLines) {
 }
 
 TEST(LoggingObserverTest, DebugLevelAddsProtocolAnswers) {
-  auto unit = Parse(kTc);
-  ASSERT_TRUE(unit.ok());
   std::ostringstream log;
   LoggingObserver logger(LogLevel::kDebug, &log);
-  EvaluationOptions options;
+  SessionOptions options;
   options.observers.push_back(&logger);
-  ASSERT_TRUE(Evaluate(unit->program, unit->database, options).ok());
+  ASSERT_TRUE(RunTc(options).ok());
   EXPECT_NE(log.str().find("end_confirmed"), std::string::npos);
 }
 
@@ -489,7 +478,7 @@ TEST(LoggingObserverTest, LevelNamesResolve) {
   EXPECT_FALSE(empty->has_value());
   EXPECT_FALSE(EngineLogLevelFromName("verbose").ok());
   // An explicit bad level is a Validate-time configuration error.
-  EvaluationOptions options;
+  SessionOptions options;
   options.log_level = "verbose";
   EXPECT_FALSE(options.Validate().ok());
   options.log_level = "info";
@@ -498,7 +487,8 @@ TEST(LoggingObserverTest, LevelNamesResolve) {
 }
 
 TEST(ObserverTest, EnumNamesAreStable) {
-  EXPECT_STREQ(PhaseToString(Phase::kAdornment), "adornment");
+  EXPECT_STREQ(PhaseToString(Phase::kNetworkWiring), "network_wiring");
+  EXPECT_STREQ(PhaseToString(Phase::kRun), "run");
   EXPECT_STREQ(PhaseToString(Phase::kDrain), "drain");
   EXPECT_STREQ(NodeRoleToString(NodeRole::kRule), "rule");
   EXPECT_STREQ(

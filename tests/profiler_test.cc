@@ -11,10 +11,11 @@
 #include <string>
 
 #include "datalog/parser.h"
-#include "engine/evaluator.h"
+#include "engine/engine.h"
 #include "obs/explain.h"
 #include "obs/profiler.h"
 #include "sips/cost_model.h"
+#include "test_engine.h"
 
 namespace mpqe {
 namespace {
@@ -42,10 +43,11 @@ const NodeProfile* FindNode(const ProfileReport& report, int32_t id) {
 StatusOr<EvaluationResult> RunProfiled(SchedulerKind scheduler) {
   auto unit = Parse(kTcShortcut);
   if (!unit.ok()) return unit.status();
-  EvaluationOptions options;
+  SessionOptions options;
   options.scheduler = scheduler;
   options.profile = true;
-  return Evaluate(unit->program, unit->database, options);
+  return TestEngine(std::move(unit->database))
+      .Run(unit->program, {}, options);
 }
 
 // ---------------------------------------------------------------------------
@@ -221,16 +223,16 @@ TEST(ProfilerTest, DrainPhaseIsTimed) {
 TEST(ProfilerTest, ExplainPlanModes) {
   auto unit = Parse(kTcShortcut);
   ASSERT_TRUE(unit.ok());
-  auto strategy = MakeStrategyByName("greedy");
-  ASSERT_TRUE(strategy.ok());
-  auto graph = RuleGoalGraph::Build(unit->program, **strategy);
-  ASSERT_TRUE(graph.ok());
-  CostModelParams params =
-      CostModelParamsFromDatabase(unit->program, unit->database);
+  Engine engine(EngineOptions{.workers = 2});
+  auto snapshot = engine.Attach(std::move(unit->database));
+  auto plan = engine.Prepare(snapshot, unit->program);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  const RuleGoalGraph& graph = (*plan)->graph();
+  const CostModelParams& params = (*plan)->cost_params();
+  const SymbolTable* symbols = &snapshot->db().symbols();
 
   // Plain EXPLAIN: adorned nodes + estimates, no actuals.
-  std::string plain = ExplainPlan(**graph, params, nullptr,
-                                  &unit->database.symbols());
+  std::string plain = ExplainPlan(graph, params, nullptr, symbols);
   EXPECT_NE(plain.find("EXPLAIN"), std::string::npos);
   EXPECT_NE(plain.find("est: ~10^"), std::string::npos);
   EXPECT_NE(plain.find("sips:"), std::string::npos);
@@ -239,15 +241,16 @@ TEST(ProfilerTest, ExplainPlanModes) {
   EXPECT_EQ(plain.find("act:"), std::string::npos);
 
   // EXPLAIN ANALYZE: actuals beside the estimates.
-  EvaluationOptions options;
+  SessionOptions options;
   options.profile = true;
-  auto result = EvaluateWithGraph(**graph, unit->database, options);
+  auto session = engine.CreateSession(*plan, options);
+  ASSERT_TRUE(session.ok()) << session.status();
+  auto result = (*session)->Run();
   ASSERT_TRUE(result.ok());
   ExplainOptions explain_options;
   explain_options.analyze = true;
-  std::string analyzed =
-      ExplainPlan(**graph, params, result->profile.get(),
-                  &unit->database.symbols(), explain_options);
+  std::string analyzed = ExplainPlan(graph, params, result->profile.get(),
+                                     symbols, explain_options);
   EXPECT_NE(analyzed.find("EXPLAIN ANALYZE"), std::string::npos);
   EXPECT_NE(analyzed.find("act:"), std::string::npos);
   EXPECT_NE(analyzed.find("waves 2"), std::string::npos);
@@ -256,9 +259,8 @@ TEST(ProfilerTest, ExplainPlanModes) {
   // A tight deviation threshold flags at least the recursive goal,
   // whose 8.8x deviation exceeds it.
   explain_options.deviation_factor = 2.0;
-  std::string flagged =
-      ExplainPlan(**graph, params, result->profile.get(),
-                  &unit->database.symbols(), explain_options);
+  std::string flagged = ExplainPlan(graph, params, result->profile.get(),
+                                    symbols, explain_options);
   EXPECT_NE(flagged.find("!! deviates"), std::string::npos);
   EXPECT_EQ(analyzed.find("!! deviates"), std::string::npos)
       << "default x10 threshold should not flag this run";
@@ -271,10 +273,11 @@ TEST(ProfilerTest, AggregatedMetricsDumpedPerNode) {
   auto unit = Parse(kTcShortcut);
   ASSERT_TRUE(unit.ok());
   MetricsRegistry metrics;
-  EvaluationOptions options;
+  SessionOptions options;
   options.profile = true;
   options.metrics = &metrics;
-  auto result = Evaluate(unit->program, unit->database, options);
+  auto result =
+      TestEngine(std::move(unit->database)).Run(unit->program, {}, options);
   ASSERT_TRUE(result.ok());
   std::string dump = metrics.ToString();
   EXPECT_NE(dump.find("aggregated/node/0/tuples_out=2"), std::string::npos);

@@ -15,9 +15,9 @@
 
 #include "baseline/bottom_up.h"
 #include "datalog/parser.h"
-#include "engine/evaluator.h"
 #include "msg/segment.h"
 #include "obs/lineage.h"
+#include "test_engine.h"
 #include "workload/generators.h"
 
 namespace mpqe {
@@ -127,37 +127,39 @@ TEST(TupleSegmentTest, EmptySegmentToleratedByConsumer) {
 // ship multi-row segments that the kernels absorb whole. Both must
 // compute the same relations and proof trees.
 
-EvaluationOptions PerTuple() {
-  EvaluationOptions options;
+SessionOptions PerTuple() {
+  SessionOptions options;
   options.segment_max_rows = 1;
   options.segment_max_rows_limit = 0;
   return options;
 }
 
+// A nonlinear TC over an n-cycle with its semi-naive goal relation.
+struct CycleTc {
+  Database db;
+  Program program;
+  Relation truth{0};
+
+  explicit CycleTc(int64_t n) {
+    EXPECT_TRUE(workload::MakeCycle(db, "edge", n).ok());
+    EXPECT_TRUE(ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
+    auto t = SemiNaiveBottomUp(program, db);
+    EXPECT_TRUE(t.ok());
+    if (t.ok()) truth = t->goal;
+  }
+};
+
 TEST(SegmentTest, TransitiveClosureMatchesPerTuple) {
   // Nonlinear TC on a cycle: the tc relation grows to n^2 and answer
   // runs span many rows, so real multi-row segments travel.
-  Relation truth{0};
-  {
-    Database db;
-    ASSERT_TRUE(workload::MakeCycle(db, "edge", 12).ok());
-    Program program;
-    ASSERT_TRUE(ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
-    auto t = SemiNaiveBottomUp(program, db);
-    ASSERT_TRUE(t.ok());
-    truth = t->goal;
-  }
-  Database db1, db2;
-  ASSERT_TRUE(workload::MakeCycle(db1, "edge", 12).ok());
-  ASSERT_TRUE(workload::MakeCycle(db2, "edge", 12).ok());
-  Program p1, p2;
-  ASSERT_TRUE(ParseInto(workload::NonlinearTcProgram(0), p1, db1).ok());
-  ASSERT_TRUE(ParseInto(workload::NonlinearTcProgram(0), p2, db2).ok());
+  CycleTc tc(12);
+  const Relation truth = tc.truth;
+  TestEngine engine(std::move(tc.db));
   SegmentRecorder per_tuple_recorder;
-  EvaluationOptions per_tuple_options = PerTuple();
+  SessionOptions per_tuple_options = PerTuple();
   per_tuple_options.observers.push_back(&per_tuple_recorder);
-  auto segmented = Evaluate(p1, db1);  // default caps
-  auto per_tuple = Evaluate(p2, db2, per_tuple_options);
+  auto segmented = engine.Run(tc.program);  // default caps
+  auto per_tuple = engine.Run(tc.program, {}, per_tuple_options);
   ASSERT_TRUE(segmented.ok()) << segmented.status();
   ASSERT_TRUE(per_tuple.ok()) << per_tuple.status();
   EXPECT_TRUE(segmented->answers == truth);
@@ -182,30 +184,19 @@ TEST(SegmentTest, TransitiveClosureMatchesPerTuple) {
 }
 
 TEST(SegmentTest, WorksWithBatchingCoalescingAndSchedulers) {
-  Relation truth{0};
-  {
-    Database db;
-    EXPECT_TRUE(workload::MakeCycle(db, "edge", 10).ok());
-    Program program;
-    EXPECT_TRUE(ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
-    auto t = SemiNaiveBottomUp(program, db);
-    ASSERT_TRUE(t.ok());
-    truth = t->goal;
-  }
+  CycleTc tc(10);
+  const Relation truth = tc.truth;
+  TestEngine engine(std::move(tc.db));
   // Packaging is always on: segments ride inside batch envelopes.
   for (int coalesce = 0; coalesce <= 1; ++coalesce) {
+    PlanOptions plan;
+    plan.graph_options.coalesce_nodes = coalesce == 1;
     for (int sched = 0; sched < 3; ++sched) {
-      Database db;
-      ASSERT_TRUE(workload::MakeCycle(db, "edge", 10).ok());
-      Program program;
-      ASSERT_TRUE(
-          ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
-      EvaluationOptions options;
-      options.graph_options.coalesce_nodes = coalesce == 1;
+      SessionOptions options;
       options.scheduler = static_cast<SchedulerKind>(sched);
       options.seed = 17;
       options.workers = 3;
-      auto result = Evaluate(program, db, options);
+      auto result = engine.Run(tc.program, plan, options);
       ASSERT_TRUE(result.ok()) << "coalesce=" << coalesce << " sched=" << sched
                                << ": " << result.status();
       EXPECT_TRUE(result->ended_by_protocol)
@@ -224,7 +215,7 @@ TEST(SegmentTest, ArityZeroProgramEvaluates) {
     ?- flooded.
   )");
   ASSERT_TRUE(unit.ok()) << unit.status().ToString();
-  auto result = Evaluate(unit->program, unit->database);
+  auto result = TestEngine(std::move(unit->database)).Run(unit->program);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->answers.arity(), 0u);
   EXPECT_EQ(result->answers.size(), 1u);
@@ -255,16 +246,17 @@ std::map<std::string, std::string> ProofsByAnswer(
 }
 
 TEST(SegmentTest, ProofTreesMatchPerTuplePath) {
-  auto eval = [](bool per_tuple, SchedulerKind scheduler) {
-    Database db;
-    EXPECT_TRUE(workload::MakeChain(db, "edge", 16).ok());
-    Program program;
-    EXPECT_TRUE(ParseInto(workload::LinearTcProgram(0), program, db).ok());
-    EvaluationOptions options = per_tuple ? PerTuple() : EvaluationOptions{};
+  Database db;
+  ASSERT_TRUE(workload::MakeChain(db, "edge", 16).ok());
+  Program program;
+  ASSERT_TRUE(ParseInto(workload::LinearTcProgram(0), program, db).ok());
+  TestEngine engine(std::move(db));
+  auto eval = [&](bool per_tuple, SchedulerKind scheduler) {
+    SessionOptions options = per_tuple ? PerTuple() : SessionOptions{};
     options.scheduler = scheduler;
     options.workers = 3;
     options.lineage = true;
-    auto result = Evaluate(program, db, options);
+    auto result = engine.Run(program, {}, options);
     EXPECT_TRUE(result.ok()) << result.status();
     return *std::move(result);
   };
@@ -294,13 +286,13 @@ TEST(SegmentTest, SegmentsRespectTheRowCap) {
   Program program;
   ASSERT_TRUE(ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
   SegmentRecorder recorder;
-  EvaluationOptions options;
+  SessionOptions options;
   options.segment_max_rows = 8;
   // Pin the adaptive cap: this test asserts the exact fixed cap, so
   // disable growth toward segment_max_rows_limit.
   options.segment_max_rows_limit = 0;
   options.observers.push_back(&recorder);
-  auto result = Evaluate(program, db, options);
+  auto result = TestEngine(std::move(db)).Run(program, {}, options);
   ASSERT_TRUE(result.ok()) << result.status();
   // Nonlinear TC on a 16-cycle produces answer runs well past 8 rows,
   // so the cap must split them into multiple full segments.
@@ -313,9 +305,9 @@ TEST(SegmentTest, RowCapMustBePositive) {
   ASSERT_TRUE(workload::MakeChain(db, "edge", 4).ok());
   Program program;
   ASSERT_TRUE(ParseInto(workload::LinearTcProgram(0), program, db).ok());
-  EvaluationOptions options;
+  SessionOptions options;
   options.segment_max_rows = 0;
-  auto result = Evaluate(program, db, options);
+  auto result = TestEngine(std::move(db)).Run(program, {}, options);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
@@ -329,16 +321,9 @@ TEST(SegmentTest, VectorizedMatchesRowAtATimeMatrix) {
   // (default caps) and one-row absorption (PerTuple) must both
   // reproduce the semi-naive oracle under every scheduler x lineage
   // arm, with one lineage record per distinct tuple in every arm.
-  Relation truth{0};
-  {
-    Database db;
-    ASSERT_TRUE(workload::MakeCycle(db, "edge", 12).ok());
-    Program program;
-    ASSERT_TRUE(ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
-    auto t = SemiNaiveBottomUp(program, db);
-    ASSERT_TRUE(t.ok());
-    truth = t->goal;
-  }
+  CycleTc tc(12);
+  const Relation truth = tc.truth;
+  TestEngine engine(std::move(tc.db));
   size_t lineage_records = 0;
   for (SchedulerKind scheduler :
        {SchedulerKind::kDeterministic, SchedulerKind::kRandom,
@@ -349,18 +334,12 @@ TEST(SegmentTest, VectorizedMatchesRowAtATimeMatrix) {
                           SchedulerKindToName(scheduler) +
                           " lineage=" + (lineage ? "on" : "off") +
                           " vectorized=" + (vectorized ? "on" : "off");
-        Database db;
-        ASSERT_TRUE(workload::MakeCycle(db, "edge", 12).ok());
-        Program program;
-        ASSERT_TRUE(
-            ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
-        EvaluationOptions options = vectorized ? EvaluationOptions{}
-                                               : PerTuple();
+        SessionOptions options = vectorized ? SessionOptions{} : PerTuple();
         options.scheduler = scheduler;
         options.seed = 23;
         options.workers = 3;
         options.lineage = lineage;
-        auto result = Evaluate(program, db, options);
+        auto result = engine.Run(tc.program, {}, options);
         ASSERT_TRUE(result.ok()) << arm << ": " << result.status();
         EXPECT_TRUE(result->answers == truth) << arm;
         EXPECT_TRUE(result->ended_by_protocol) << arm;
@@ -395,16 +374,17 @@ TEST(SegmentTest, VectorizedProofTreesMatchRowAtATime) {
   // byte-identical (modulo ids) whether the kernels absorbed multi-row
   // segments whole or one row at a time, under both schedulers. Each
   // node's two edges answer together, so multi-row segments travel.
-  auto eval = [](bool vectorized, SchedulerKind scheduler) {
-    Database db;
-    EXPECT_TRUE(workload::MakeBinaryTree(db, "edge", 31).ok());
-    Program program;
-    EXPECT_TRUE(ParseInto(workload::LinearTcProgram(0), program, db).ok());
-    EvaluationOptions options = vectorized ? EvaluationOptions{} : PerTuple();
+  Database db;
+  ASSERT_TRUE(workload::MakeBinaryTree(db, "edge", 31).ok());
+  Program program;
+  ASSERT_TRUE(ParseInto(workload::LinearTcProgram(0), program, db).ok());
+  TestEngine engine(std::move(db));
+  auto eval = [&](bool vectorized, SchedulerKind scheduler) {
+    SessionOptions options = vectorized ? SessionOptions{} : PerTuple();
     options.scheduler = scheduler;
     options.workers = 3;
     options.lineage = true;
-    auto result = Evaluate(program, db, options);
+    auto result = engine.Run(program, {}, options);
     EXPECT_TRUE(result.ok()) << result.status();
     return *std::move(result);
   };
@@ -440,11 +420,11 @@ TEST(SegmentTest, AdaptiveCapGrowsTowardLimit) {
   Program program;
   ASSERT_TRUE(ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
   SegmentRecorder recorder;
-  EvaluationOptions options;
+  SessionOptions options;
   options.segment_max_rows = 4;
   options.segment_max_rows_limit = 32;
   options.observers.push_back(&recorder);
-  auto result = Evaluate(program, db, options);
+  auto result = TestEngine(std::move(db)).Run(program, {}, options);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_GT(recorder.max_rows(), 4u);
   EXPECT_LE(recorder.max_rows(), 32u);
@@ -455,10 +435,10 @@ TEST(SegmentTest, AdaptiveCapRejectsLimitBelowCap) {
   ASSERT_TRUE(workload::MakeChain(db, "edge", 4).ok());
   Program program;
   ASSERT_TRUE(ParseInto(workload::LinearTcProgram(0), program, db).ok());
-  EvaluationOptions options;
+  SessionOptions options;
   options.segment_max_rows = 64;
   options.segment_max_rows_limit = 8;  // nonzero but below the cap
-  auto result = Evaluate(program, db, options);
+  auto result = TestEngine(std::move(db)).Run(program, {}, options);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
@@ -477,9 +457,9 @@ TEST(SegmentTest, SingleAnswersTravelAsSharedOneRowSegments) {
   Program program;
   ASSERT_TRUE(ParseInto(workload::LinearTcProgram(0), program, db).ok());
   SegmentRecorder recorder;
-  EvaluationOptions options;
+  SessionOptions options;
   options.observers.push_back(&recorder);
-  auto result = Evaluate(program, db, options);
+  auto result = TestEngine(std::move(db)).Run(program, {}, options);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->answers.size(), 15u);
   EXPECT_GT(result->message_stats.Count(MessageKind::kTupleSegment), 0u);
@@ -495,9 +475,9 @@ TEST(SegmentTest, FanOutSharesOneSegmentAcrossConsumers) {
   Program program;
   ASSERT_TRUE(ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
   SegmentRecorder recorder;
-  EvaluationOptions options;
+  SessionOptions options;
   options.observers.push_back(&recorder);
-  auto result = Evaluate(program, db, options);
+  auto result = TestEngine(std::move(db)).Run(program, {}, options);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_GT(recorder.shared_segments(), 0u);
 }

@@ -18,7 +18,7 @@
 #include "common/random.h"
 #include "common/string_util.h"
 #include "datalog/parser.h"
-#include "engine/evaluator.h"
+#include "test_engine.h"
 #include "workload/generators.h"
 
 namespace mpqe {
@@ -126,21 +126,23 @@ std::vector<Config> Configs() {
 }
 
 TEST(StreamOrderTest, RecursiveCycleWorkload) {
+  Database db;
+  ASSERT_TRUE(workload::MakeCycle(db, "edge", 8).ok());
+  Program program;
+  ASSERT_TRUE(ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
+  TestEngine engine(std::move(db));
   for (const Config& config : Configs()) {
-    Database db;
-    ASSERT_TRUE(workload::MakeCycle(db, "edge", 8).ok());
-    Program program;
-    ASSERT_TRUE(ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
     StreamMonitor monitor;
-    EvaluationOptions options;
+    PlanOptions plan;
+    plan.graph_options.coalesce_nodes = config.coalesce;
+    SessionOptions options;
     options.scheduler = config.scheduler;
     options.seed = config.seed;
     options.workers = 3;
-    options.graph_options.coalesce_nodes = config.coalesce;
     // Guard: a protocol regression must fail fast, not hang the test.
     options.max_messages = 1000000;
     options.observers.push_back(&monitor);
-    auto result = Evaluate(program, db, options);
+    auto result = engine.Run(program, plan, options);
     ASSERT_TRUE(result.ok()) << config.name << ": " << result.status();
     EXPECT_TRUE(result->ended_by_protocol) << config.name;
     monitor.ExpectClean(config.name);
@@ -148,25 +150,27 @@ TEST(StreamOrderTest, RecursiveCycleWorkload) {
 }
 
 TEST(StreamOrderTest, MutualRecursionWorkload) {
+  auto unit = Parse(R"(
+    zero(0).
+    succ(0, 1). succ(1, 2). succ(2, 3). succ(3, 4). succ(4, 5).
+    even(X) :- zero(X).
+    even(X) :- succ(Y, X), odd(Y).
+    odd(X) :- succ(Y, X), even(Y).
+    ?- even(N).
+  )");
+  ASSERT_TRUE(unit.ok());
+  TestEngine engine(std::move(unit->database));
   for (const Config& config : Configs()) {
-    auto unit = Parse(R"(
-      zero(0).
-      succ(0, 1). succ(1, 2). succ(2, 3). succ(3, 4). succ(4, 5).
-      even(X) :- zero(X).
-      even(X) :- succ(Y, X), odd(Y).
-      odd(X) :- succ(Y, X), even(Y).
-      ?- even(N).
-    )");
-    ASSERT_TRUE(unit.ok());
     StreamMonitor monitor;
-    EvaluationOptions options;
+    PlanOptions plan;
+    plan.graph_options.coalesce_nodes = config.coalesce;
+    SessionOptions options;
     options.scheduler = config.scheduler;
     options.seed = config.seed;
-    options.graph_options.coalesce_nodes = config.coalesce;
     // Guard: a protocol regression must fail fast, not hang the test.
     options.max_messages = 1000000;
     options.observers.push_back(&monitor);
-    auto result = Evaluate(unit->program, unit->database, options);
+    auto result = engine.Run(unit->program, plan, options);
     ASSERT_TRUE(result.ok()) << config.name;
     monitor.ExpectClean(config.name);
   }
@@ -179,12 +183,13 @@ TEST(StreamOrderTest, RandomProgramsUnderRandomSchedules) {
     auto rp = workload::MakeRandomProgram(program_options, rng);
     ASSERT_TRUE(rp.ok());
     StreamMonitor monitor;
-    EvaluationOptions options;
+    SessionOptions options;
     options.scheduler = SchedulerKind::kRandom;
     options.seed = seed;
     options.max_messages = 5000000;
     options.observers.push_back(&monitor);
-    auto result = Evaluate(rp->unit.program, rp->unit.database, options);
+    auto result = TestEngine(std::move(rp->unit.database))
+                      .Run(rp->unit.program, {}, options);
     if (!result.ok() &&
         result.status().code() == StatusCode::kResourceExhausted) {
       continue;  // graph blow-up; covered elsewhere

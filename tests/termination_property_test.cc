@@ -10,7 +10,7 @@
 #include "common/random.h"
 #include "common/string_util.h"
 #include "datalog/parser.h"
-#include "engine/evaluator.h"
+#include "test_engine.h"
 #include "workload/generators.h"
 
 namespace mpqe {
@@ -57,11 +57,11 @@ TEST_P(TerminationUnderSchedules, ProtocolEndsExactlyOnCompletion) {
   Relation truth = Truth(shape, n, seed);
 
   Workload w = MakeWorkload(shape, n, seed);
-  EvaluationOptions options;
+  SessionOptions options;
   options.scheduler = SchedulerKind::kRandom;
   options.seed = seed;
   options.max_messages = 5000000;
-  auto result = Evaluate(w.program, w.db, options);
+  auto result = TestEngine(std::move(w.db)).Run(w.program, {}, options);
   ASSERT_TRUE(result.ok()) << w.name << ": " << result.status();
 
   // Not withheld: the run finished because the protocol said so.
@@ -83,7 +83,7 @@ TEST(TerminationProtocolTest, DeterministicQuiescenceOracleAgrees) {
   // of Theorem 3.1: when the sink's end arrives the whole network
   // drains with no further computation messages.
   Workload w = MakeWorkload("cycle", 16, 0);
-  auto result = Evaluate(w.program, w.db);
+  auto result = TestEngine(std::move(w.db)).Run(w.program);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(result->ended_by_protocol);
   EXPECT_TRUE(result->quiescent_after);
@@ -95,7 +95,7 @@ TEST(TerminationProtocolTest, ConfirmRequiresTwoIdleWaves) {
   // appears at least once (the first wave's leaves always answer
   // negative).
   Workload w = MakeWorkload("chain", 10, 0);
-  auto result = Evaluate(w.program, w.db);
+  auto result = TestEngine(std::move(w.db)).Run(w.program);
   ASSERT_TRUE(result.ok());
   const MessageStats& stats = result->message_stats;
   EXPECT_GE(result->counters.protocol_waves, 2u);
@@ -107,13 +107,14 @@ TEST(TerminationProtocolTest, ConfirmRequiresTwoIdleWaves) {
 
 TEST(TerminationProtocolTest, ThreadedSchedulesAcrossWorkerCounts) {
   Relation truth = Truth("random", 16, 3);
+  Workload w = MakeWorkload("random", 16, 3);
+  TestEngine engine(std::move(w.db));
   for (int workers : {1, 2, 4, 8}) {
-    Workload w = MakeWorkload("random", 16, 3);
-    EvaluationOptions options;
+    SessionOptions options;
     options.scheduler = SchedulerKind::kThreaded;
     options.workers = workers;
     options.max_messages = 5000000;
-    auto result = Evaluate(w.program, w.db, options);
+    auto result = engine.Run(w.program, {}, options);
     ASSERT_TRUE(result.ok()) << workers << ": " << result.status();
     EXPECT_TRUE(result->ended_by_protocol) << workers;
     EXPECT_TRUE(result->answers == truth) << workers << " workers";
@@ -122,13 +123,14 @@ TEST(TerminationProtocolTest, ThreadedSchedulesAcrossWorkerCounts) {
 
 TEST(TerminationProtocolTest, RepeatedRandomSchedulesConverge) {
   Relation truth = Truth("cycle", 9, 0);
+  Workload w = MakeWorkload("cycle", 9, 0);
+  TestEngine engine(std::move(w.db));
   for (uint64_t seed = 0; seed < 30; ++seed) {
-    Workload w = MakeWorkload("cycle", 9, 0);
-    EvaluationOptions options;
+    SessionOptions options;
     options.scheduler = SchedulerKind::kRandom;
     options.seed = seed;
     options.max_messages = 5000000;
-    auto result = Evaluate(w.program, w.db, options);
+    auto result = engine.Run(w.program, {}, options);
     ASSERT_TRUE(result.ok()) << "seed " << seed;
     EXPECT_TRUE(result->ended_by_protocol) << "seed " << seed;
     EXPECT_TRUE(result->answers == truth) << "seed " << seed;
@@ -147,11 +149,12 @@ TEST(TerminationProtocolTest, MutualRecursionScc) {
     ?- even(N).
   )");
   ASSERT_TRUE(unit.ok());
+  TestEngine engine(std::move(unit->database));
   for (uint64_t seed = 0; seed < 10; ++seed) {
-    EvaluationOptions options;
+    SessionOptions options;
     options.scheduler = SchedulerKind::kRandom;
     options.seed = seed;
-    auto result = Evaluate(unit->program, unit->database, options);
+    auto result = engine.Run(unit->program, {}, options);
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_TRUE(result->ended_by_protocol);
     EXPECT_EQ(result->answers.size(), 5u) << "seed " << seed;  // 0,2,4,6,8
@@ -166,7 +169,7 @@ TEST(TerminationProtocolTest, NestedSccsEndInOrder) {
   ASSERT_TRUE(workload::MakeChain(db, "r", 8).ok());
   Program program;
   ASSERT_TRUE(ParseInto(workload::P1Program(0), program, db).ok());
-  auto result = Evaluate(program, db);
+  auto result = TestEngine(std::move(db)).Run(program);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(result->ended_by_protocol);
   EXPECT_EQ(result->graph_stats.nontrivial_sccs, 2u);
