@@ -105,29 +105,26 @@ constexpr size_t kSegmentRows = 128;
 
 // Forwards the SAME shared 128-row segment back and forth: one
 // envelope per hop carries kSegmentRows tuples with zero row copies
-// (the hop counter rides in the message binding). Items = rows
+// (the pair shares one countdown of the hops left). Items = rows
 // transported; compare per-item against BM_MessageHopDeterministic
 // (one single-binding message per hop) for what a row costs when it
 // rides in a shared segment.
 class SegmentForward : public Process {
  public:
-  explicit SegmentForward(ProcessId peer) : peer_(peer) {}
+  SegmentForward(ProcessId peer, int64_t* hops_left)
+      : peer_(peer), hops_left_(hops_left) {}
   void OnMessage(const Message& m) override {
-    int64_t hops = m.binding[0].payload();
-    if (hops > 0) {
-      Message out = MakeTupleSegment(m.segment_ptr());
-      out.binding = Tuple{Value::Int(hops - 1)};
-      Send(peer_, std::move(out));
-    }
+    if ((*hops_left_)-- > 0) Send(peer_, MakeTupleSegment(m.segment_ptr()));
   }
 
  private:
   ProcessId peer_;
+  int64_t* hops_left_;
 };
 
 std::shared_ptr<TupleSegment> MakeSeedSegment(int64_t hops) {
   auto seed = std::make_shared<TupleSegment>();
-  seed->binding = Tuple{Value::Int(hops)};
+  seed->binding.assign({Value::Int(hops)});
   seed->arity = 1;
   for (size_t i = 0; i < kSegmentRows; ++i) {
     seed->AppendRow(Tuple{Value::Int(static_cast<int64_t>(i))});
@@ -138,9 +135,10 @@ std::shared_ptr<TupleSegment> MakeSeedSegment(int64_t hops) {
 void BM_SegmentHopDeterministic(benchmark::State& state) {
   const int64_t kHops = 10000;
   for (auto _ : state) {
+    int64_t hops_left = kHops;
     Network net;
-    net.AddProcess(std::make_unique<SegmentForward>(1));
-    net.AddProcess(std::make_unique<SegmentForward>(0));
+    net.AddProcess(std::make_unique<SegmentForward>(1, &hops_left));
+    net.AddProcess(std::make_unique<SegmentForward>(0, &hops_left));
     net.Start();
     net.Send(kNoProcess, 0, MakeTupleSegment(MakeSeedSegment(kHops)));
     auto run = net.RunDeterministic();
@@ -165,10 +163,11 @@ class SegmentDedupHop : public Process {
 
   void OnMessage(const Message& m) override {
     const TupleSegment& in = m.segment();
-    int64_t hops = m.binding[0].payload();
+    // The hop count rides in the segment's binding.
+    int64_t hops = in.binding[0].payload();
     bool lineage = seen_.lineage_enabled();
     auto out = std::make_shared<TupleSegment>();
-    out->binding = Tuple{Value::Int(hops - 1)};
+    out->binding.assign({Value::Int(hops - 1)});
     out->arity = 1;
     out->values.reserve(in.num_rows);
     std::vector<uint64_t> inputs;
@@ -397,8 +396,8 @@ BENCHMARK(BM_SingleRowHopFlight);
 
 // The absorb workload models a goal node over a full query lifetime:
 // the relation starts empty and absorbs a stream of fat segments
-// (adaptive sizing: steady-state recursion ships segments near
-// segment_max_rows_limit, not the 128-row default). The goal has a
+// (4096 rows each: the shape a session with segment_max_rows raised to
+// 4096 ships; the default cap is 1024 rows). The goal has a
 // free head variable in its d-projection, so a segment's rows split
 // across kAbsorbGroups distinct output bindings — the multi-group
 // case whose O(groups)-per-row linear scan the vectorized path
@@ -474,7 +473,7 @@ void BM_SegmentAbsorb(benchmark::State& state) {
           OutGroup& group = it->second;
           if (is_new) {
             group.segment = std::make_shared<TupleSegment>();
-            group.segment->binding = dproj;
+            group.segment->binding.assign(dproj);
             group.segment->arity = seg->arity;
             group_order.push_back(&group);
           }
@@ -505,7 +504,7 @@ void BM_SegmentAbsorb(benchmark::State& state) {
           if (group == nullptr) {
             OutGroup g;
             g.segment = std::make_shared<TupleSegment>();
-            g.segment->binding = dproj;
+            g.segment->binding.assign(dproj);
             g.segment->arity = seg->arity;
             groups.push_back(std::move(g));
             group = &groups.back();

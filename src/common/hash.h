@@ -7,8 +7,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <string>
-#include <vector>
+#include <iterator>
 
 namespace mpqe {
 
@@ -26,14 +25,6 @@ size_t HashRange(It first, It last) {
   }
   return seed;
 }
-
-/// Hash functor for vectors of hashable elements.
-template <typename T>
-struct VectorHash {
-  size_t operator()(const std::vector<T>& v) const {
-    return HashRange(v.begin(), v.end());
-  }
-};
 
 /// splitmix64 finalizer. Open-addressing tables mask hashes with a
 /// power of two, so the low bits must depend on every input bit;

@@ -45,12 +45,6 @@ Status SessionOptions::Validate() const {
   if (segment_max_rows < 1) {
     return InvalidArgumentError("segment_max_rows: must be >= 1");
   }
-  if (segment_max_rows_limit != 0 &&
-      segment_max_rows_limit < segment_max_rows) {
-    return InvalidArgumentError(
-        "segment_max_rows_limit: must be 0 (fixed caps) or >= "
-        "segment_max_rows");
-  }
   // Empty log_level is fine (defers to MPQE_LOG_LEVEL); an explicit
   // but unknown name is a configuration error.
   StatusOr<std::optional<LogLevel>> level = EngineLogLevelFromName(log_level);
@@ -392,7 +386,6 @@ StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
   shared.graph = &graph;
   shared.db = &db;
   shared.segment_max_rows = options.segment_max_rows;
-  shared.segment_max_rows_limit = options.segment_max_rows_limit;
   shared.use_edb_indexes = options.use_edb_indexes;
   EdbLineageGuard edb_lineage;
   if (scoped.lineage.has_value()) {

@@ -78,13 +78,6 @@ struct SessionOptions {
   // destination (the paper's footnote 2).
   size_t segment_max_rows = 1024;
 
-  // Adaptive segment sizing: each (node, destination) stream starts at
-  // the segment_max_rows cap and doubles it toward this limit after
-  // consecutive full seals, so steady-state recursion ships fewer,
-  // fatter batches while bursty streams keep small segments. Must be 0
-  // (growth disabled, fixed caps) or >= segment_max_rows.
-  size_t segment_max_rows_limit = 8192;
-
   // Safety valve against runaway computations (0 = unlimited).
   uint64_t max_messages = 0;
 

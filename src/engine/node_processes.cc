@@ -117,43 +117,21 @@ void NodeProcessBase::Emit(ProcessId to, Message m) {
   outbox_.emplace_back(to, std::move(m));
 }
 
-size_t NodeProcessBase::SegmentCap(ProcessId to) {
-  size_t base = shared_.segment_max_rows;
-  if (shared_.segment_max_rows_limit <= base) return base;  // growth off
-  auto [it, inserted] = dest_sizing_.emplace(to, DestSizing{base, 0});
-  return it->second.cap;
-}
-
-void NodeProcessBase::NoteSealedSegment(ProcessId to, bool full) {
-  if (shared_.segment_max_rows_limit <= shared_.segment_max_rows) return;
-  DestSizing& sizing =
-      dest_sizing_.emplace(to, DestSizing{shared_.segment_max_rows, 0})
-          .first->second;
-  if (!full) {
-    sizing.full_streak = 0;
-    return;
-  }
-  if (++sizing.full_streak < 2) return;
-  sizing.full_streak = 0;
-  sizing.cap = std::min(sizing.cap * 2, shared_.segment_max_rows_limit);
-}
-
-void NodeProcessBase::EmitTuple(ProcessId to, const Tuple& binding,
+void NodeProcessBase::EmitTuple(ProcessId to, TupleRef binding,
                                 TupleRef values, uint64_t lineage_id) {
   if (observing_fire_) ++fire_tuples_out_;
   size_t i = 0;
   while (i < open_segments_.size() &&
          (open_segments_[i].to != to ||
-          !(open_segments_[i].segment->binding == binding))) {
+          TupleRef(open_segments_[i].segment->binding) != binding)) {
     ++i;
   }
   if (i == open_segments_.size()) {
     auto segment = std::make_shared<TupleSegment>();
-    segment->binding = binding;
+    segment->binding.assign(binding);
     segment->arity = values.size();
     OpenSegment open;
     open.to = to;
-    open.cap = SegmentCap(to);
     open.segment = segment;
     outbox_.emplace_back(to, MakeTupleSegment(std::move(segment)));
     open_segments_.push_back(std::move(open));
@@ -161,14 +139,13 @@ void NodeProcessBase::EmitTuple(ProcessId to, const Tuple& binding,
   OpenSegment& open = open_segments_[i];
   open.segment->AppendRow(values);
   if (lineage_id != kNoLineage) open.segment->lineage.push_back(lineage_id);
-  if (open.segment->num_rows >= open.cap) {
+  if (open.segment->num_rows >= shared_.segment_max_rows) {
     // Seal at the size cap (a new segment's first row included, so a
     // cap of 1 ships one row per segment): the handle stays at its
     // outbox position; further rows on this stream open a new (later)
     // segment, so per-stream order is preserved.
     open.segment->CheckConsistent();
     open_segments_.erase(open_segments_.begin() + static_cast<ptrdiff_t>(i));
-    NoteSealedSegment(to, /*full=*/true);
   }
 }
 
@@ -186,13 +163,7 @@ void NodeProcessBase::EmitSegment(ProcessId to,
 
 void NodeProcessBase::FlushEmits() {
   // Open segments are sealed simply by dropping the mutable handle.
-  for (OpenSegment& open : open_segments_) {
-    // Run-end seals are partial by definition (cap seals left
-    // open_segments_ in EmitTuple): they reset the destination's
-    // full-segment streak.
-    NoteSealedSegment(open.to, /*full=*/false);
-    open.segment->CheckConsistent();
-  }
+  for (OpenSegment& open : open_segments_) open.segment->CheckConsistent();
   open_segments_.clear();
   if (outbox_.empty()) return;
   if (outbox_.size() == 1) {  // a lone message goes bare
@@ -278,7 +249,8 @@ namespace {
 // requested different subsets of the total temporary relation").
 struct ConsumerStream {
   bool external = false;  // in a different SCC (or the sink)
-  std::unordered_set<Tuple, TupleHash> bindings;
+  // Probed with segment bindings in place (TupleEq is transparent).
+  std::unordered_set<Tuple, TupleHash, TupleEq> bindings;
   std::unordered_set<Tuple, TupleHash> ended;
 };
 
@@ -388,12 +360,12 @@ class GoalProcess : public NodeProcessBase {
     if (!c.bindings.insert(m.binding).second) return;  // duplicate request
 
     // Replay the stored stream restricted to this binding as shared
-    // segments of at most the destination's row cap.
+    // segments of at most the row cap.
     const std::vector<size_t>* hits = answers_.Probe(d_index_, m.binding);
     if (hits != nullptr) {
-      size_t cap = SegmentCap(m.from);
+      const size_t cap = shared_.segment_max_rows;
       auto replay = std::make_shared<TupleSegment>();
-      replay->binding = m.binding;
+      replay->binding.assign(m.binding);
       replay->arity = out_positions_.size();
       for (size_t pos : *hits) {
         replay->AppendRow(answers_.tuple(pos));
@@ -403,14 +375,10 @@ class GoalProcess : public NodeProcessBase {
           next->binding = replay->binding;
           next->arity = replay->arity;
           EmitSegment(m.from, std::move(replay));
-          NoteSealedSegment(m.from, /*full=*/true);
           replay = std::move(next);
         }
       }
-      if (!replay->empty()) {
-        EmitSegment(m.from, std::move(replay));
-        NoteSealedSegment(m.from, /*full=*/false);
-      }
+      if (!replay->empty()) EmitSegment(m.from, std::move(replay));
     }
     if (completed_.count(m.binding) != 0) {
       if (c.external && c.ended.insert(m.binding).second) {
@@ -455,7 +423,7 @@ class GoalProcess : public NodeProcessBase {
 
     if (!lineage_on() && ins.all_inserted() && AllRowsMatchBinding(in)) {
       for (auto& [pid, c] : consumers_) {
-        if (c.bindings.count(in.binding) != 0) {
+        if (c.bindings.count(TupleRef(in.binding)) != 0) {
           EmitSegment(pid, m.segment_ptr());
         }
       }
@@ -472,24 +440,21 @@ class GoalProcess : public NodeProcessBase {
     };
     std::unordered_map<Tuple, OutGroup, TupleHash> groups;
     std::vector<OutGroup*> group_order;
-    // Shared fan-out segments go to several consumers; size them with
-    // the node-wide (kNoProcess) adaptive cap.
-    size_t cap = SegmentCap(kNoProcess);
+    const size_t cap = shared_.segment_max_rows;
     // Publishes one derive batch for the group and hands every
     // subscribed consumer the same segment object. Called at the size
     // cap and once at the end.
-    auto flush_group = [&](OutGroup& group, bool full) {
+    auto flush_group = [&](OutGroup& group) {
       if (group.segment->empty()) return;
       group.segment->CheckConsistent();
       if (lineage_on()) {
         PublishDeriveBatch(DeriveKind::kUnion, group.segment, group.inputs);
       }
       for (auto& [pid, c] : consumers_) {
-        if (c.bindings.count(group.segment->binding) != 0) {
+        if (c.bindings.count(TupleRef(group.segment->binding)) != 0) {
           EmitSegment(pid, group.segment);
         }
       }
-      NoteSealedSegment(kNoProcess, full);
     };
     Tuple dproj(d_in_out_.size(), Value());
     for (size_t r = 0; r < in.num_rows; ++r) {
@@ -502,7 +467,7 @@ class GoalProcess : public NodeProcessBase {
       OutGroup& group = it->second;
       if (is_new) {
         group.segment = std::make_shared<TupleSegment>();
-        group.segment->binding = dproj;
+        group.segment->binding.assign(dproj);
         group.segment->arity = in.arity;
         group_order.push_back(&group);
       }
@@ -512,7 +477,7 @@ class GoalProcess : public NodeProcessBase {
         group.inputs.push_back(in.row_lineage(r));
       }
       if (group.segment->num_rows >= cap) {
-        flush_group(group, /*full=*/true);
+        flush_group(group);
         auto next = std::make_shared<TupleSegment>();
         next->binding = group.segment->binding;
         next->arity = group.segment->arity;
@@ -520,7 +485,7 @@ class GoalProcess : public NodeProcessBase {
         group.inputs.clear();
       }
     }
-    for (OutGroup* group : group_order) flush_group(*group, /*full=*/false);
+    for (OutGroup* group : group_order) flush_group(*group);
   }
 
   // Every row's d-projection equals the stream binding (the wholesale
@@ -693,9 +658,9 @@ class EdbProcess : public NodeProcessBase {
     // The whole answer set for this request is known within this one
     // handler, so rows go straight into one segment (EmitTuple's
     // open-segment lookup would be per-row overhead).
-    size_t cap = SegmentCap(m.from);
+    const size_t cap = shared_.segment_max_rows;
     auto segment = std::make_shared<TupleSegment>();
-    segment->binding = m.binding;
+    segment->binding.assign(m.binding);
     segment->arity = out_positions_.size();
     auto emit = [&](size_t pos) {
       TupleRef t = relation_->tuple(pos);
@@ -715,7 +680,6 @@ class EdbProcess : public NodeProcessBase {
         next->binding = segment->binding;
         next->arity = segment->arity;
         EmitSegment(m.from, std::move(segment));
-        NoteSealedSegment(m.from, /*full=*/true);
         segment = std::move(next);
       }
     };
@@ -740,10 +704,7 @@ class EdbProcess : public NodeProcessBase {
         if (match) emit(pos);
       }
     }
-    if (!segment->empty()) {
-      EmitSegment(m.from, std::move(segment));
-      NoteSealedSegment(m.from, /*full=*/false);
-    }
+    if (!segment->empty()) EmitSegment(m.from, std::move(segment));
     Emit(m.from, MakeEnd(m.binding));
   }
 
@@ -881,7 +842,9 @@ class RuleProcess : public NodeProcessBase {
     // Each context's k input ids in sips order, flat and parallel to
     // the rows (lineage only).
     std::vector<uint64_t> sources;
-    std::unordered_map<Tuple, ChildReq, TupleHash> requests;
+    // Keyed by request binding; probed in place with the binding of
+    // an arriving segment (TupleEq is transparent).
+    std::unordered_map<Tuple, ChildReq, TupleHash, TupleEq> requests;
     // Scratch: a stage k + 1 context being built from one of these
     // and a child answer, its k + 1 input ids (lineage only), and the
     // binding a new context requests.
@@ -892,7 +855,7 @@ class RuleProcess : public NodeProcessBase {
 
   /// The state of this node's request for `binding` to child `stage`
   /// (AddContext opens it before the child can answer or end it).
-  ChildReq& Requested(size_t stage, const Tuple& binding) {
+  ChildReq& Requested(size_t stage, TupleRef binding) {
     auto& requests = stages_[stage - 1].requests;
     auto it = requests.find(binding);
     MPQE_CHECK(it != requests.end())
@@ -1049,7 +1012,7 @@ class RuleProcess : public NodeProcessBase {
   void OnChildSegment(const Message& m) {
     const TupleSegment& segment = m.segment();
     size_t stage = pid_to_stage_.at(m.from);
-    ChildReq& cr = Requested(stage, m.binding);
+    ChildReq& cr = Requested(stage, segment.binding);
     const BatchInsertResult& ins = cr.answers.InsertSegment(segment);
     duplicate_drops_ += segment.num_rows - ins.num_inserted;
     if (ins.num_inserted != 0) {
@@ -1062,7 +1025,7 @@ class RuleProcess : public NodeProcessBase {
       }
       const Stage& waiting = stages_[stage - 1];
       const std::vector<size_t>* waiters =
-          waiting.contexts.Probe(waiting.waiters, m.binding);
+          waiting.contexts.Probe(waiting.waiters, segment.binding);
       if (waiters != nullptr) {
         for (size_t r = 0; r < segment.num_rows; ++r) {
           if (!ins.inserted(r)) continue;

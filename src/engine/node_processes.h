@@ -35,7 +35,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "engine/termination.h"
@@ -67,13 +66,9 @@ struct EngineShared {
   // built at prepare time, concurrently with other sessions.
   const Database* db = nullptr;
   // Seal an accumulating segment early once it reaches this many rows
-  // (bounds per-run buffering; >= 1).
+  // (bounds per-run buffering; >= 1). Every segment a node builds,
+  // accumulated or pre-built, is capped here.
   size_t segment_max_rows = 1024;
-  // Adaptive segment sizing: each (node, destination) stream starts
-  // with a segment_max_rows cap that doubles toward this limit while
-  // consecutive full segments flow, so steady-state recursion ships
-  // fewer, fatter batches. 0 disables growth (fixed caps).
-  size_t segment_max_rows_limit = 8192;
   // Ablation: when false, EDB node processes answer tuple requests by
   // scanning instead of probing hash indexes.
   bool use_edb_indexes = true;
@@ -160,29 +155,15 @@ class NodeProcessBase : public Process, public TerminationOwner {
   /// Emits one answer tuple on the (`to`, `binding`) stream: the row
   /// lands in that stream's accumulating segment (opened at the
   /// emission point to preserve stream order, sealed at run end, before
-  /// a protocol message, or at the row cap; a lone row ships as a
-  /// one-row segment).
-  void EmitTuple(ProcessId to, const Tuple& binding, TupleRef values,
+  /// a protocol message, or at segment_max_rows rows; a lone row ships
+  /// as a one-row segment, a single allocation when the binding and
+  /// row fit the segment's inline block).
+  void EmitTuple(ProcessId to, TupleRef binding, TupleRef values,
                  uint64_t lineage_id);
 
   /// Emits a pre-built (sealed, immutable) segment. Fan-out call sites
   /// pass the same handle to several consumers — no per-tuple copy.
   void EmitSegment(ProcessId to, std::shared_ptr<const TupleSegment> segment);
-
-  /// Current row cap for segments built for destination `to`. Starts
-  /// at segment_max_rows; with adaptive sizing enabled
-  /// (segment_max_rows_limit > segment_max_rows) it doubles toward the
-  /// limit as full segments flow (NoteSealedSegment). Call sites that
-  /// build shared fan-out segments for several consumers use
-  /// kNoProcess as the node-wide destination key.
-  size_t SegmentCap(ProcessId to);
-
-  /// Records that a segment headed to `to` sealed; `full` means it hit
-  /// its row cap. Two consecutive full seals double the destination's
-  /// cap (up to segment_max_rows_limit); a partial seal resets the
-  /// streak — bursty producers keep small segments, steady full
-  /// streams down rule chains grow theirs.
-  void NoteSealedSegment(ProcessId to, bool full);
 
   bool lineage_on() const { return shared_.lineage_ids != nullptr; }
 
@@ -218,14 +199,7 @@ class NodeProcessBase : public Process, public TerminationOwner {
   // Nothing reads the payload until FlushEmits sends it.
   struct OpenSegment {
     ProcessId to = kNoProcess;
-    size_t cap = 0;  // row cap latched from SegmentCap(to) at open time
     std::shared_ptr<TupleSegment> segment;
-  };
-
-  // Adaptive per-destination sizing state (see SegmentCap).
-  struct DestSizing {
-    size_t cap = 0;
-    uint32_t full_streak = 0;
   };
 
   std::vector<std::pair<ProcessId, Message>> outbox_;
@@ -234,7 +208,6 @@ class NodeProcessBase : public Process, public TerminationOwner {
   // in first-appearance order and each one's message count.
   std::vector<ProcessId> flush_dests_;
   std::vector<size_t> flush_counts_;
-  std::unordered_map<ProcessId, DestSizing> dest_sizing_;
   // Per-firing observability scratch: tuples emitted during the
   // current OnMessage, counted only while observers are installed.
   uint32_t fire_tuples_out_ = 0;

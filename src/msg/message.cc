@@ -48,14 +48,14 @@ uint64_t Message::answer_rows() const {
 
 std::string Message::ToString(const SymbolTable* symbols) const {
   std::string out = StrCat(MessageKindToString(kind), " from=", from);
-  if (kind == MessageKind::kTupleRequest || kind == MessageKind::kEnd ||
-      kind == MessageKind::kTupleSegment) {
+  if (kind == MessageKind::kTupleRequest || kind == MessageKind::kEnd) {
     out += StrCat(" binding=", TupleToString(binding, symbols));
   }
   if (IsProtocolMessage(kind)) out += StrCat(" wave=", wave);
   if (kind == MessageKind::kBatch) out += StrCat(" n=", batch().size());
   if (kind == MessageKind::kTupleSegment) {
-    out += StrCat(" rows=", segment().num_rows);
+    out += StrCat(" binding=", TupleToString(segment().binding, symbols),
+                  " rows=", segment().num_rows);
   }
   return out;
 }
@@ -132,7 +132,6 @@ Message MakeBatch(std::vector<Message> messages) {
 Message MakeTupleSegment(std::shared_ptr<const TupleSegment> segment) {
   Message m;
   m.kind = MessageKind::kTupleSegment;
-  m.binding = segment->binding;
   m.payload = std::move(segment);
   return m;
 }

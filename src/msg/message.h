@@ -68,10 +68,10 @@ struct Message {
   MessageKind kind = MessageKind::kRelationRequest;
   ProcessId from = kNoProcess;  // stamped by Network::Send
 
-  // kTupleRequest / kEnd / kTupleSegment: values of the producer's d
-  // positions, in position order; empty when the producer has no d
-  // arguments. (For kTupleSegment this duplicates the segment's
-  // binding so stream-level code never touches the payload.)
+  // kTupleRequest / kEnd: values of the producer's d positions, in
+  // position order; empty when the producer has no d arguments. Empty
+  // on kTupleSegment: an answer's binding travels only inside its
+  // segment (segment().binding), so a hop copies no binding.
   Tuple binding;
 
   // Protocol wave number (diagnostics / sanity checks).

@@ -10,6 +10,9 @@
 namespace mpqe {
 namespace {
 
+constexpr size_t kNumKinds =
+    static_cast<size_t>(MessageKind::kMessageKindCount);
+
 uint32_t ClampU32(uint64_t v) {
   return v > UINT32_MAX ? UINT32_MAX : static_cast<uint32_t>(v);
 }
@@ -115,27 +118,36 @@ void Network::Send(ProcessId from, ProcessId to, Message message) {
     event.message = &message;
     observers_.NotifySend(event);
   }
-  sent_by_kind_[static_cast<size_t>(message.kind)].fetch_add(
-      1, std::memory_order_relaxed);
-  // Batches count once physically (above) and per sub-message
-  // logically; segments count once physically and per row logically —
-  // so ComputationTotal() keeps its meaning.
+  // Batches count once physically and per sub-message logically;
+  // segments count once physically and per row logically — so
+  // ComputationTotal() keeps its meaning. One pass over an envelope
+  // counts into locals, then each counter gets one atomic add.
+  uint64_t rows = 0;
   if (message.kind == MessageKind::kBatch) {
     const std::vector<Message>& batch = message.batch();
+    std::array<uint64_t, kNumKinds> kinds{};
+    kinds[static_cast<size_t>(MessageKind::kBatch)] = 1;
     for (const Message& sub : batch) {
-      sent_by_kind_[static_cast<size_t>(sub.kind)].fetch_add(
-          1, std::memory_order_relaxed);
+      ++kinds[static_cast<size_t>(sub.kind)];
       if (sub.kind == MessageKind::kTupleSegment) {
-        segment_rows_.fetch_add(sub.segment().num_rows,
-                                std::memory_order_relaxed);
+        rows += sub.segment().num_rows;
+      }
+    }
+    for (size_t k = 0; k < kNumKinds; ++k) {
+      if (kinds[k] != 0) {
+        sent_by_kind_[k].fetch_add(kinds[k], std::memory_order_relaxed);
       }
     }
     packaged_submessages_.fetch_add(batch.size(), std::memory_order_relaxed);
-  } else if (message.kind == MessageKind::kTupleSegment) {
-    segment_rows_.fetch_add(message.segment().num_rows,
-                            std::memory_order_relaxed);
+  } else {
+    sent_by_kind_[static_cast<size_t>(message.kind)].fetch_add(
+        1, std::memory_order_relaxed);
+    if (message.kind == MessageKind::kTupleSegment) {
+      rows = message.segment().num_rows;
+    }
   }
-  if (flight_ != nullptr) t_answer_rows_sent += message.answer_rows();
+  if (rows != 0) segment_rows_.fetch_add(rows, std::memory_order_relaxed);
+  if (flight_ != nullptr) t_answer_rows_sent += rows;
   Mailbox& box = *mailboxes_[to];
   {
     std::lock_guard<std::mutex> lock(box.mutex);

@@ -16,7 +16,6 @@
 namespace mpqe {
 
 using Tuple = std::vector<Value>;
-using TupleHash = VectorHash<Value>;
 
 // Non-owning view of a contiguous run of Values. Relations store all
 // tuples flat in one arena strided by arity, and every read path hands
@@ -75,10 +74,23 @@ inline bool operator<(TupleRef a, TupleRef b) {
   return a.size() < b.size();
 }
 
-/// Hashes the viewed values; agrees with TupleHash on equal contents.
+/// Hashes the viewed values.
 inline size_t HashTuple(TupleRef tuple) {
   return HashRange(tuple.begin(), tuple.end());
 }
+
+// Hash and equality for unordered containers keyed by Tuple. Both are
+// transparent, so a container that names both (TupleEq as its key
+// equality) can be probed with any TupleRef-convertible key — a view
+// into an arena or a message payload — without materializing a Tuple.
+struct TupleHash {
+  using is_transparent = void;
+  size_t operator()(TupleRef tuple) const { return HashTuple(tuple); }
+};
+struct TupleEq {
+  using is_transparent = void;
+  bool operator()(TupleRef a, TupleRef b) const { return a == b; }
+};
 
 /// Projects `tuple` onto `columns` (in the given order).
 Tuple ProjectTuple(TupleRef tuple, const std::vector<size_t>& columns);

@@ -435,7 +435,7 @@ TEST(RunEndHookTest, RandomRunLengthsReplayBySeed) {
 
 TEST(MessageTest, ToStringIsInformative) {
   auto segment = std::make_shared<TupleSegment>();
-  segment->binding = {Value::Int(1)};
+  segment->binding.assign({Value::Int(1)});
   segment->arity = 2;
   segment->AppendRow(Tuple{Value::Int(2), Value::Int(3)});
   segment->AppendRow(Tuple{Value::Int(4), Value::Int(5)});

@@ -2,7 +2,8 @@
 // message: multi-row and one-row (per-tuple) segments compute exactly
 // the semi-naive relations and the same proof trees, across
 // schedulers; segment edge
-// cases (empty, arity 0, flush at the size cap); single answers ship
+// cases (empty, arity 0, flush at the size cap, storage growing past
+// its inline block); single answers ship
 // as one-row segments; and shared fan-out (one segment object sent to
 // several consumers without copying rows).
 
@@ -12,11 +13,13 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "baseline/bottom_up.h"
 #include "datalog/parser.h"
 #include "msg/segment.h"
 #include "obs/lineage.h"
+#include "relational/relation.h"
 #include "test_engine.h"
 #include "workload/generators.h"
 
@@ -106,6 +109,82 @@ TEST(TupleSegmentTest, ArityZeroRowsAreCounted) {
   EXPECT_EQ(segment.row(1).size(), 0u);
 }
 
+TEST(SegmentTest, StorageGrowsAcrossTheInlineBlock) {
+  // A segment keeps its binding and first row values inline and spills
+  // past them. Every shape must read back identically — row views, the
+  // binding, the columnar invariants, the batch insert kernel — and a
+  // copy or move taken after the spill must own equal, independent
+  // storage.
+  struct Shape {
+    size_t binding_width;
+    size_t arity;
+    size_t rows;
+  };
+  const Shape shapes[] = {
+      {0, 2, 1},                     // no binding, one inline row
+      {1, 2, 1},                     // one binding value
+      {3, 2, 1},                     // binding past its inline block
+      {1, kInlineRowValues + 1, 1},  // one row wider than the block
+      {1, 3, 1000},                  // many rows, spilled at the second
+      {3, 3, 1000},
+  };
+  auto cell = [](size_t r, size_t c) {
+    return Value::Int(static_cast<int64_t>(r * 10 + c));
+  };
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(testing::Message()
+                 << "binding=" << shape.binding_width
+                 << " arity=" << shape.arity << " rows=" << shape.rows);
+    Tuple binding;
+    for (size_t i = 0; i < shape.binding_width; ++i) {
+      binding.push_back(Value::Int(100 + static_cast<int64_t>(i)));
+    }
+    TupleSegment segment;
+    segment.binding.assign(binding);
+    segment.arity = shape.arity;
+    Tuple row(shape.arity);
+    for (size_t r = 0; r < shape.rows; ++r) {
+      for (size_t c = 0; c < shape.arity; ++c) row[c] = cell(r, c);
+      segment.AppendRow(row);
+    }
+    segment.CheckConsistent();
+
+    auto expect_contents = [&](const TupleSegment& s) {
+      EXPECT_EQ(TupleRef(s.binding), TupleRef(binding));
+      ASSERT_EQ(s.num_rows, shape.rows);
+      ASSERT_EQ(s.values.size(), shape.rows * shape.arity);
+      for (size_t r = 0; r < shape.rows; ++r) {
+        for (size_t c = 0; c < shape.arity; ++c) {
+          ASSERT_EQ(s.row(r)[c], cell(r, c)) << "row " << r;
+        }
+      }
+    };
+    expect_contents(segment);
+
+    Relation relation(shape.arity);
+    const BatchInsertResult& ins = relation.InsertSegment(segment);
+    EXPECT_EQ(ins.num_inserted, shape.rows);
+    for (size_t r = 0; r < shape.rows; ++r) {
+      EXPECT_TRUE(relation.Contains(segment.row(r)));
+    }
+
+    TupleSegment copy = segment;
+    TupleSegment moved = std::move(segment);
+    copy.CheckConsistent();
+    moved.CheckConsistent();
+    expect_contents(copy);
+    expect_contents(moved);
+    EXPECT_NE(copy.values.data(), moved.values.data());
+    // Growing the copy leaves the moved-to segment untouched.
+    Tuple extra(shape.arity, Value::Int(-1));
+    copy.AppendRow(extra);
+    copy.binding.push_back(Value::Int(-1));
+    copy.CheckConsistent();
+    EXPECT_EQ(copy.row(shape.rows), TupleRef(extra));
+    expect_contents(moved);
+  }
+}
+
 TEST(TupleSegmentTest, EmptySegmentToleratedByConsumer) {
   // Producers never emit empty segments, but consumers must not
   // misbehave if handed one (defensive decoding).
@@ -121,7 +200,7 @@ TEST(TupleSegmentTest, EmptySegmentToleratedByConsumer) {
 // Engine equivalence
 //
 // There is one answer message, a segment of >= 1 rows. A per-tuple run
-// pins every segment at one row (segment_max_rows = 1, growth off):
+// pins every segment at one row (segment_max_rows = 1):
 // each answer then travels alone, as §3.1's tuple message does, and
 // the batch kernels absorb it one row at a time. The default caps
 // ship multi-row segments that the kernels absorb whole. Both must
@@ -130,7 +209,6 @@ TEST(TupleSegmentTest, EmptySegmentToleratedByConsumer) {
 SessionOptions PerTuple() {
   SessionOptions options;
   options.segment_max_rows = 1;
-  options.segment_max_rows_limit = 0;
   return options;
 }
 
@@ -288,9 +366,6 @@ TEST(SegmentTest, SegmentsRespectTheRowCap) {
   SegmentRecorder recorder;
   SessionOptions options;
   options.segment_max_rows = 8;
-  // Pin the adaptive cap: this test asserts the exact fixed cap, so
-  // disable growth toward segment_max_rows_limit.
-  options.segment_max_rows_limit = 0;
   options.observers.push_back(&recorder);
   auto result = TestEngine(std::move(db)).Run(program, {}, options);
   ASSERT_TRUE(result.ok()) << result.status();
@@ -405,42 +480,6 @@ TEST(SegmentTest, VectorizedProofTreesMatchRowAtATime) {
     EXPECT_EQ(ProofsByAnswer(vec), seed_proofs)
         << "scheduler=" << SchedulerKindToName(scheduler);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Adaptive segment sizing
-
-TEST(SegmentTest, AdaptiveCapGrowsTowardLimit) {
-  // Nonlinear TC on a 16-cycle ships long answer runs. With a tiny
-  // starting cap and a higher limit, consecutive full seals must
-  // double the per-destination cap past the start, and no segment may
-  // ever exceed the limit.
-  Database db;
-  ASSERT_TRUE(workload::MakeCycle(db, "edge", 16).ok());
-  Program program;
-  ASSERT_TRUE(ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
-  SegmentRecorder recorder;
-  SessionOptions options;
-  options.segment_max_rows = 4;
-  options.segment_max_rows_limit = 32;
-  options.observers.push_back(&recorder);
-  auto result = TestEngine(std::move(db)).Run(program, {}, options);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_GT(recorder.max_rows(), 4u);
-  EXPECT_LE(recorder.max_rows(), 32u);
-}
-
-TEST(SegmentTest, AdaptiveCapRejectsLimitBelowCap) {
-  Database db;
-  ASSERT_TRUE(workload::MakeChain(db, "edge", 4).ok());
-  Program program;
-  ASSERT_TRUE(ParseInto(workload::LinearTcProgram(0), program, db).ok());
-  SessionOptions options;
-  options.segment_max_rows = 64;
-  options.segment_max_rows_limit = 8;  // nonzero but below the cap
-  auto result = TestEngine(std::move(db)).Run(program, {}, options);
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------------

@@ -77,10 +77,13 @@ class StreamMonitor : public ExecutionObserver {
         streams_[{to, m.from, m.binding}].requested = true;
         break;
       case MessageKind::kTupleSegment: {
-        // A segment is a run of tuples on one stream: every row is
-        // subject to the same ordering invariants.
-        StreamState& s = streams_[{m.from, to, m.binding}];
-        size_t rows = m.segment().num_rows;
+        // A segment is a run of tuples on one stream (its binding
+        // names the stream): every row is subject to the same ordering
+        // invariants.
+        const TupleSegment& segment = m.segment();
+        StreamState& s =
+            streams_[{m.from, to, TupleRef(segment.binding).ToTuple()}];
+        size_t rows = segment.num_rows;
         EXPECT_GT(rows, 0u) << "empty segment on the wire";
         if (s.ended) s.tuples_after_end += rows;
         if (!s.requested) s.answers_before_request += rows;
