@@ -18,8 +18,6 @@
 #include "msg/flight_recorder.h"
 #include "msg/network.h"
 #include "obs/lineage.h"
-#include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "relational/operators.h"
 #include "sips/strategy.h"
 
@@ -72,27 +70,24 @@ void BM_MessageHopThreaded(benchmark::State& state) {
 BENCHMARK(BM_MessageHopThreaded)->Arg(1)->Arg(4);
 
 // The profiler-overhead guard: same ping-pong as
-// BM_MessageHopDeterministic, but with a ProfilingObserver attached
-// (graph-less — pure observer cost). Compare against the profiler-off
-// run above; the off-path must stay unchanged (the zero-observer fast
-// path) while the on-path's per-hop cost is the tracked overhead in
-// BENCH_obs.json.
+// BM_MessageHopDeterministic, on a network that profiles — every
+// delivery clocked and every message's send time stamped for its queue
+// wait. The network counts both runs' traffic per process; the gap is
+// what profiling adds per hop (BENCH_obs.json).
 void BM_MessageHopProfiled(benchmark::State& state) {
   const int64_t kHops = 10000;
   for (auto _ : state) {
     Network net;
-    ProfilingObserver profiler;
     net.AddProcess(std::make_unique<PingPong>(1));
     net.AddProcess(std::make_unique<PingPong>(0));
-    net.AddObserver(&profiler);
+    net.EnableProfiling();
     net.Start();
     net.Send(kNoProcess, 0, MakeTupleRequest({Value::Int(kHops)}));
     auto run = net.RunDeterministic();
     MPQE_CHECK(run.ok() && run->quiescent);
-    ProfileReport report = profiler.Finalize();
-    MPQE_CHECK(report.total_msgs_delivered ==
+    MPQE_CHECK(net.counts(0).delivered + net.counts(1).delivered ==
                static_cast<uint64_t>(kHops) + 1);
-    benchmark::DoNotOptimize(report);
+    benchmark::DoNotOptimize(net.counts(0).queue_wait_ns);
   }
   state.SetItemsProcessed(state.iterations() * (kHops + 1));
 }
@@ -223,36 +218,6 @@ void BM_SegmentHopDedup(benchmark::State& state) {
                           static_cast<int64_t>(kSegmentRows));
 }
 BENCHMARK(BM_SegmentHopDedup);
-
-// The telemetry-overhead guard: same dedup hop as BM_SegmentHopDedup,
-// but with a MetricsObserver attached — the exact observer every
-// telemetry-on engine session runs with (per-message counters, handle
-// histograms, per-node fire counts). bench_guard.py --telemetry
-// asserts this stays within 1.05x of BM_SegmentHopDedup; the off-path
-// remains the zero-observer fast path and must not move at all.
-void BM_SegmentHopTelemetry(benchmark::State& state) {
-  const int64_t kHops = 1000;
-  for (auto _ : state) {
-    Network net;
-    MetricsRegistry registry;
-    MetricsObserver observer(&registry);
-    net.AddObserver(&observer);
-    net.AddProcess(
-        std::make_unique<SegmentDedupHop>(1, nullptr, &net.observers()));
-    net.AddProcess(
-        std::make_unique<SegmentDedupHop>(0, nullptr, &net.observers()));
-    net.Start();
-    net.Send(kNoProcess, 0, MakeTupleSegment(MakeSeedSegment(kHops)));
-    auto run = net.RunDeterministic();
-    MPQE_CHECK(run.ok() && run->quiescent);
-    MPQE_CHECK(registry.GetCounter("msg/delivered").value() ==
-               static_cast<uint64_t>(kHops) + 1);
-    benchmark::DoNotOptimize(registry);
-  }
-  state.SetItemsProcessed(state.iterations() * (kHops + 1) *
-                          static_cast<int64_t>(kSegmentRows));
-}
-BENCHMARK(BM_SegmentHopTelemetry);
 
 // As BM_SegmentHopDedup with full lineage recording: per row an id
 // assignment and a lineage-column push, per segment ONE batched derive

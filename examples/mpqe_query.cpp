@@ -52,11 +52,11 @@
 //                      (validate with scripts/check_trace.py --lineage)
 //   --log-level=<l>    engine log level (debug|info|warning|error|off;
 //                      also settable via MPQE_LOG_LEVEL)
-//   --progress-interval-ms=<n>  threaded-scheduler stall heartbeat
-//   --watchdog-ms=<n>  stall-watchdog threshold for the threaded
-//                      scheduler: no delivery progress for n ms
-//                      snapshots a flight-recorder diagnostic bundle
-//                      (0 keeps the engine default of 30s)
+//   --watchdog-ms=<n>  stall-watchdog interval for the threaded
+//                      scheduler: each n ms without delivery progress
+//                      logs the queue depths, and the first snapshots
+//                      a flight-recorder diagnostic bundle (0 keeps the
+//                      engine default of 30s)
 //   --flight-dump=<f>  after the run, write the engine's flight dump
 //                      (the latest watchdog bundle, or a manual
 //                      snapshot of the black box) as mpqe-flightdump-v1
@@ -113,7 +113,6 @@ int main(int argc, char** argv) {
   std::string why;
   std::string lineage_out;
   std::string log_level;
-  int progress_interval_ms = 0;
   int watchdog_ms = 0;
   std::string flight_dump_out;
   bool park_scc = false;
@@ -170,8 +169,6 @@ int main(int argc, char** argv) {
       lineage_out = value("--lineage-out=");
     } else if (arg.rfind("--log-level=", 0) == 0) {
       log_level = value("--log-level=");
-    } else if (arg.rfind("--progress-interval-ms=", 0) == 0) {
-      progress_interval_ms = std::stoi(value("--progress-interval-ms="));
     } else if (arg.rfind("--watchdog-ms=", 0) == 0) {
       watchdog_ms = std::stoi(value("--watchdog-ms="));
       if (watchdog_ms < 0) return Fail("--watchdog-ms must be >= 0");
@@ -261,7 +258,6 @@ int main(int argc, char** argv) {
   bool lineage = !why.empty() || !lineage_out.empty();
   session_options.lineage = lineage;
   session_options.log_level = log_level;
-  session_options.progress_interval_ms = progress_interval_ms;
   session_options.watchdog_stall_ms = watchdog_ms;
   if (park_scc) {
     // Park a member of the first nontrivial SCC — a non-leader where

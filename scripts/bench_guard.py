@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Fail if a recorded performance guard regresses.
 
-Seven modes:
+Six modes:
 
 Lineage overhead (default):
 
@@ -10,10 +10,6 @@ Lineage overhead (default):
 Plan-cache prepare speedup:
 
     bench_guard.py --prepare BENCH_engine.json [min_speedup]
-
-Telemetry hop overhead:
-
-    bench_guard.py --telemetry fresh_micro.json [max_ratio]
 
 Telemetry end-to-end qps:
 
@@ -64,18 +60,11 @@ flat-arena InsertSegment kernel). Both benches count items = rows, so
 the real_time ratio is the rows/s speedup. Medians are preferred when
 the run carries repetitions.
 
-The --telemetry mode reads fresh google-benchmark output containing
-the segment-hop pair BM_SegmentHopDedup (no observers — the
-zero-observer fast path) and BM_SegmentHopTelemetry (a MetricsObserver
-attached, exactly what a telemetry-on engine session runs) and fails
-if telemetry_on / telemetry_off exceeds max_ratio (default 1.05):
-metrics collection must cost at most 5% per hop.
-
 The --qps mode compares two mpqe_bench_concurrent summaries — one run
 with --telemetry=on, one with --telemetry=off — and fails unless
 qps_on / qps_off >= min_ratio (default 0.95): the telemetry layer
-(query ids, session aggregation, gauge sampling, stats endpoint) may
-cost at most 5% of end-to-end throughput.
+(query ids, every session's totals added to the engine registry, gauge
+sampling, stats endpoint) may cost at most 5% of end-to-end throughput.
 
 The --prepare mode reads the summary written by mpqe_bench_concurrent
 (scripts/bench.sh records it as BENCH_engine.json) and fails unless
@@ -158,22 +147,6 @@ def micro_rows(fresh_path):
         elif b.get("run_type") != "aggregate":
             rows[b["name"]] = b["real_time"]
     return medians if medians else rows
-
-
-def check_telemetry(fresh_path, max_ratio):
-    rows = micro_rows(fresh_path)
-    off = rows.get("BM_SegmentHopDedup")
-    on = rows.get("BM_SegmentHopTelemetry")
-    if not off or not on:
-        fail(f"{fresh_path} lacks BM_SegmentHopDedup/BM_SegmentHopTelemetry "
-             f"rows (got {sorted(rows)})")
-    ratio = on / off
-    if ratio > max_ratio:
-        fail(f"telemetry hop overhead ratio {ratio:.3f} exceeds guard "
-             f"{max_ratio} (off={off:.0f} ns, on={on:.0f} ns)")
-    print(f"bench_guard: OK: telemetry hop overhead ratio {ratio:.3f} "
-          f"<= guard {max_ratio}")
-    sys.exit(0)
 
 
 def check_qps(on_path, off_path, min_ratio):
@@ -284,13 +257,6 @@ def main():
             sys.exit(2)
         min_speedup = float(sys.argv[3]) if len(sys.argv) == 4 else 10.0
         check_prepare(sys.argv[2], min_speedup)
-        return
-    if len(sys.argv) >= 2 and sys.argv[1] == "--telemetry":
-        if len(sys.argv) not in (3, 4):
-            print(__doc__, file=sys.stderr)
-            sys.exit(2)
-        max_ratio = float(sys.argv[3]) if len(sys.argv) == 4 else 1.05
-        check_telemetry(sys.argv[2], max_ratio)
         return
     if len(sys.argv) >= 2 and sys.argv[1] == "--absorb":
         if len(sys.argv) not in (3, 4):

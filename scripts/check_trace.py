@@ -99,7 +99,6 @@ NODE_COUNTERS = [
     "fires", "requests_in", "tuples_in", "tuples_out", "dedup_hits",
     "msgs_in", "msgs_out", "batch_envelopes_in", "batch_envelopes_out",
     "segments_in", "segments_out", "segment_rows_in", "segment_rows_out",
-    "batch_rows_in", "batch_dedup_hits",
     "fire_ns", "queue_wait_ns",
 ]
 
@@ -188,21 +187,6 @@ def check_profile(path):
             fail(f'node {nid} rows_per_segment_in '
                  f'{n.get("rows_per_segment_in")!r} inconsistent with '
                  f"counters (want {want_rpsi:.6f})")
-        # Batch counters cover the subset of traffic that arrived in
-        # segments/envelopes, so they are bounded by the totals.
-        if n["batch_rows_in"] > n["tuples_in"] + n["dedup_hits"]:
-            fail(f'node {nid} batch_rows_in {n["batch_rows_in"]} exceeds '
-                 f'tuples_in + dedup_hits '
-                 f'{n["tuples_in"] + n["dedup_hits"]}')
-        if n["batch_dedup_hits"] > n["dedup_hits"]:
-            fail(f'node {nid} batch_dedup_hits {n["batch_dedup_hits"]} '
-                 f'exceeds dedup_hits {n["dedup_hits"]}')
-        want_bhr = (n["batch_dedup_hits"] / n["batch_rows_in"]
-                    if n["batch_rows_in"] else 0.0)
-        if abs(n.get("batch_dedup_hit_rate", -1) - want_bhr) > 1e-4:
-            fail(f'node {nid} batch_dedup_hit_rate '
-                 f'{n.get("batch_dedup_hit_rate")!r} inconsistent with '
-                 f"counters (want {want_bhr:.6f})")
         if "est_log10_tuples" in n:
             estimated += 1
             if not isinstance(n["est_log10_tuples"], (int, float)):

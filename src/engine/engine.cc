@@ -180,27 +180,11 @@ StatusOr<EvaluationResult> QuerySession::Run() {
   MPQE_RETURN_IF_ERROR(snapshot.BeginSession(exclusive));
 
   EngineTelemetry* telemetry = options_.telemetry;
-  // With telemetry on, a SAMPLE of sessions (every Nth —
-  // TelemetryOptions::session_metrics_every) collects deep metrics:
-  // the session registry is merged into the engine-lifetime one on
-  // completion. Observation forfeits the network's zero-observer fast
-  // path, so doing this for every session would cost far more than the
-  // 5% telemetry budget on message-heavy queries. When the caller
-  // brought their own registry it is used as-is but NOT merged (they
-  // own those numbers, and a caller registry spans sessions — merging
-  // would double-count) — the query-log entry is still recorded, just
-  // without the fire_ns breakdown.
-  MetricsRegistry session_metrics;
-  SessionOptions run_options = options_;
-  const bool own_metrics = telemetry != nullptr &&
-                           run_options.metrics == nullptr &&
-                           telemetry->ShouldSampleSessionMetrics();
-  if (own_metrics) run_options.metrics = &session_metrics;
   if (telemetry != nullptr) telemetry->OnSessionStart();
 
   const uint64_t start = NowNs();
   StatusOr<EvaluationResult> result =
-      RunSession(plan_->graph(), snapshot.db_, run_options);
+      RunSession(plan_->graph(), snapshot.db_, options_);
   latency_ns_ = NowNs() - start;
   snapshot.EndSession(exclusive);
   engine_->RecordSessionLatency(latency_ns_);
@@ -222,8 +206,15 @@ StatusOr<EvaluationResult> QuerySession::Run() {
     entry.wall_ns = latency_ns_;
     entry.status =
         result.ok() ? "ok" : StatusCodeToString(result.status().code());
-    telemetry->OnSessionComplete(std::move(entry),
-                                 own_metrics ? &session_metrics : nullptr);
+    if (result.ok()) {
+      // Every session adds its totals once, whatever registry it
+      // brought for itself.
+      engine_->session_totals_->Add(*result);
+      const ProcessCounts nodes = result->NodeTraffic();
+      entry.fire_ns = nodes.handler_ns;
+      entry.queue_wait_ns = nodes.queue_wait_ns;
+    }
+    telemetry->OnSessionComplete(std::move(entry), nullptr);
   }
   return result;
 }
@@ -259,16 +250,10 @@ Engine::Engine(EngineOptions options)
     registry.GetCounter("plan_cache/evictions");
     registry.GetHistogram("engine/prepare_ns");
     registry.GetHistogram("engine/session_latency_ns");
-    // The message-layer families too: session registries only merge
-    // non-zero counters, so without these a workload that (say) has
-    // shipped no answers yet would drop the whole family from the
-    // exposition instead of reporting 0 — and Prometheus rate() needs
-    // the zero sample to exist.
-    registry.GetCounter("msg/sent/tuple_segment");
-    registry.GetCounter("msg/delivered");
-    registry.GetCounter("msg/segment_rows");
-    registry.GetCounter("node/fires");
-    registry.GetCounter("dedup/hits");
+    // Resolving the session families registers them too, so a workload
+    // that has (say) shipped no answers yet reports 0 instead of
+    // dropping the family — Prometheus rate() needs the zero sample.
+    session_totals_ = std::make_unique<SessionTotals>(registry);
     registry.GetCounter("watchdog/stalls");
     registry.GetCounter("watchdog/dumps");
     telemetry_->StartSampling(

@@ -89,9 +89,9 @@ struct EngineOptions {
   // Engine-wide telemetry (DESIGN.md §12): cross-session metric
   // aggregation, the structured query log, query-id minting, live
   // gauges. On by default; the switch exists for overhead A/B runs
-  // (bench/bench_concurrent --telemetry=off) — with it off sessions
-  // skip the built-in metrics collection entirely, no query ids are
-  // minted and the stats server cannot start.
+  // (bench/bench_concurrent --telemetry=off) — with it off no session
+  // adds its totals to an engine registry, no query ids are minted and
+  // the stats server cannot start.
   bool telemetry = true;
 
   // Query-log capacity / slow-query threshold / background gauge
@@ -405,6 +405,9 @@ class Engine {
   // tears them down explicitly (server before telemetry — its handlers
   // read the telemetry registry).
   std::unique_ptr<EngineTelemetry> telemetry_;
+  // The telemetry registry's session families, resolved once; every
+  // completed session adds its totals here (null iff telemetry is off).
+  std::unique_ptr<SessionTotals> session_totals_;
   std::unique_ptr<StatsServer> stats_server_;
   Status stats_server_status_;
 };

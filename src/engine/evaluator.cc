@@ -52,11 +52,6 @@ Status SessionOptions::Validate() const {
     return InvalidArgumentError(
         StrCat("log_level: ", level.status().message()));
   }
-  if (progress_interval_ms < 0) {
-    return InvalidArgumentError(
-        StrCat("progress_interval_ms: must be >= 0, got ",
-               progress_interval_ms));
-  }
   if (watchdog_stall_ms < 0) {
     return InvalidArgumentError(
         StrCat("watchdog_stall_ms: must be >= 0, got ", watchdog_stall_ms));
@@ -71,28 +66,16 @@ Status SessionOptions::Validate() const {
 namespace {
 
 // The observers of one session: the caller's ExecutionObservers, plus
-// (when configured) an internal MetricsObserver and the observers
-// backing SessionOptions::profile, ::lineage and ::log_level. The
-// internal observers live exactly as long as the session.
+// (when configured) the observers backing SessionOptions::lineage and
+// ::log_level. The internal observers live exactly as long as the
+// session.
 struct ScopedObservers {
   ObserverList list;
-  std::optional<MetricsObserver> metrics;
-  std::optional<ProfilingObserver> profiler;
   std::optional<LineageObserver> lineage;
   std::optional<LoggingObserver> logger;
 
   explicit ScopedObservers(const SessionOptions& options) {
     for (ExecutionObserver* o : options.observers) list.Add(o);
-    if (options.metrics != nullptr) {
-      MetricsObserver::Options metrics_options;
-      metrics_options.per_arc = options.metrics_per_arc;
-      metrics.emplace(options.metrics, metrics_options);
-      list.Add(&*metrics);
-    }
-    if (options.profile) {
-      profiler.emplace();
-      list.Add(&*profiler);
-    }
     if (options.lineage) {
       lineage.emplace();
       list.Add(&*lineage);
@@ -109,15 +92,21 @@ struct ScopedObservers {
 };
 
 // RAII phase reporter: begin on construction, end on destruction, to
-// the observers and straight to the flight recorder.
+// the observers and straight to the flight recorder. The end stores
+// the phase's wall time in `result.phase_ns`.
 class ScopedPhase {
  public:
   ScopedPhase(const ObserverList& list, const SessionOptions& options,
-              Phase phase)
-      : list_(list), options_(options), phase_(phase) {
+              Phase phase, EvaluationResult& result)
+      : list_(list), options_(options), phase_(phase), result_(result) {
     Report(/*begin=*/true);
+    begin_ns_ = FlightRecorder::NowNs();
   }
-  ~ScopedPhase() { Report(/*begin=*/false); }
+  ~ScopedPhase() {
+    result_.phase_ns[static_cast<size_t>(phase_)] =
+        FlightRecorder::NowNs() - begin_ns_;
+    Report(/*begin=*/false);
+  }
 
  private:
   void Report(bool begin) const {
@@ -132,6 +121,55 @@ class ScopedPhase {
   const ObserverList& list_;
   const SessionOptions& options_;
   Phase phase_;
+  EvaluationResult& result_;
+  uint64_t begin_ns_ = 0;
+};
+
+// The scalar families SessionTotals writes, each with the count it
+// reads from a session's result.
+struct CounterFamily {
+  const char* name;
+  uint64_t (*count)(const EvaluationResult&);
+};
+
+const CounterFamily kCounterFamilies[] = {
+    {"msg/delivered",
+     [](const EvaluationResult& r) { return r.traffic.delivered; }},
+    {"msg/segment_rows",
+     [](const EvaluationResult& r) { return r.message_stats.segment_rows; }},
+    {"node/fires",
+     [](const EvaluationResult& r) { return r.NodeTraffic().delivered; }},
+    {"dedup/hits",
+     [](const EvaluationResult& r) { return r.counters.duplicate_drops; }},
+    {"termination/wave_started",
+     [](const EvaluationResult& r) { return r.counters.protocol_waves; }},
+    {"termination/answer_negative",
+     [](const EvaluationResult& r) { return r.counters.negative_answers; }},
+    {"termination/answer_confirmed",
+     [](const EvaluationResult& r) { return r.counters.confirmed_answers; }},
+    {"termination/concluded",
+     [](const EvaluationResult& r) { return r.counters.conclusions; }},
+    {"termination/work_notice",
+     [](const EvaluationResult& r) { return r.counters.work_notices; }},
+    {"engine/stored_tuples",
+     [](const EvaluationResult& r) { return r.counters.stored_tuples; }},
+    {"engine/duplicate_drops",
+     [](const EvaluationResult& r) { return r.counters.duplicate_drops; }},
+    {"engine/contexts",
+     [](const EvaluationResult& r) { return r.counters.contexts; }},
+    {"engine/max_node_relation",
+     [](const EvaluationResult& r) { return r.counters.max_node_relation; }},
+    {"engine/protocol_waves",
+     [](const EvaluationResult& r) { return r.counters.protocol_waves; }},
+    {"run/answers",
+     [](const EvaluationResult& r) {
+       return static_cast<uint64_t>(r.answers.size());
+     }},
+    {"run/delivered", [](const EvaluationResult& r) { return r.delivered; }},
+    {"run/ended_by_protocol",
+     [](const EvaluationResult& r) {
+       return static_cast<uint64_t>(r.ended_by_protocol ? 1 : 0);
+     }},
 };
 
 // The predicate a graph node computes/serves (for the per-predicate
@@ -141,23 +179,11 @@ PredicateId NodePredicate(const GraphNode& node) {
                                       : node.atom.predicate;
 }
 
-void DumpMetrics(const SessionOptions& options, const RuleGoalGraph& graph,
-                 const EvaluationResult& result) {
-  MetricsRegistry& registry = *options.metrics;
-  registry.GetCounter("engine/stored_tuples")
-      .Increment(result.counters.stored_tuples);
-  registry.GetCounter("engine/duplicate_drops")
-      .Increment(result.counters.duplicate_drops);
-  registry.GetCounter("engine/contexts").Increment(result.counters.contexts);
-  registry.GetCounter("engine/max_node_relation")
-      .Increment(result.counters.max_node_relation);
-  registry.GetCounter("engine/protocol_waves")
-      .Increment(result.counters.protocol_waves);
-  registry.GetCounter("run/answers").Increment(result.answers.size());
-  registry.GetCounter("run/delivered").Increment(result.delivered);
-  registry.GetCounter("run/ended_by_protocol")
-      .Increment(result.ended_by_protocol ? 1 : 0);
-
+// Writes the session's counts into the caller's registry once, at the
+// end: the session totals, one row per predicate and one per node.
+void DumpMetrics(const RuleGoalGraph& graph, const EvaluationResult& result,
+                 MetricsRegistry& registry) {
+  SessionTotals(registry).Add(result);
   const PredicatePool& predicates = graph.program().predicates();
   for (const NodeCounters& row : result.node_counters) {
     const std::string& name =
@@ -166,35 +192,97 @@ void DumpMetrics(const SessionOptions& options, const RuleGoalGraph& graph,
         .Increment(row.counters.stored_tuples);
     registry.GetCounter(StrCat("predicate/", name, "/dedup_hits"))
         .Increment(row.counters.duplicate_drops);
+
+    const ProcessCounts& t = row.traffic;
+    const std::pair<const char*, uint64_t> fields[] = {
+        {"fires", t.delivered},
+        {"tuples_in", t.segment_rows_in},
+        {"tuples_out", t.segment_rows_out},
+        {"dedup_hits", row.counters.duplicate_drops},
+        {"msgs_in", t.delivered},
+        {"msgs_out", t.sent()},
+        {"segments_out", t.segments_out},
+        {"segment_rows_out", t.segment_rows_out},
+        {"fire_ns", t.handler_ns},
+        {"queue_wait_ns", t.queue_wait_ns},
+    };
+    for (const auto& [field, value] : fields) {
+      registry.GetCounter(StrCat("aggregated/node/", row.node, "/", field))
+          .Increment(value);
+    }
   }
 }
 
-// Per-node profiler counters as aggregated/node/<id>/<field> metric
-// entries (the MetricsRegistry dump is the one sink CI scrapes).
-void DumpProfileMetrics(const ProfileReport& report,
-                        MetricsRegistry& registry) {
-  for (const NodeProfile& n : report.nodes) {
-    std::string prefix = StrCat("aggregated/node/", n.node, "/");
-    registry.GetCounter(StrCat(prefix, "fires")).Increment(n.fires);
-    registry.GetCounter(StrCat(prefix, "tuples_in")).Increment(n.tuples_in);
-    registry.GetCounter(StrCat(prefix, "tuples_out")).Increment(n.tuples_out);
-    registry.GetCounter(StrCat(prefix, "dedup_hits")).Increment(n.dedup_hits);
-    registry.GetCounter(StrCat(prefix, "msgs_in")).Increment(n.msgs_in);
-    registry.GetCounter(StrCat(prefix, "msgs_out")).Increment(n.msgs_out);
-    registry.GetCounter(StrCat(prefix, "segments_out")).Increment(n.segments_out);
-    registry.GetCounter(StrCat(prefix, "segment_rows_out"))
-        .Increment(n.segment_rows_out);
-    registry.GetCounter(StrCat(prefix, "batch_rows_in"))
-        .Increment(n.batch_rows_in);
-    registry.GetCounter(StrCat(prefix, "batch_dedup_hits"))
-        .Increment(n.batch_dedup_hits);
-    registry.GetCounter(StrCat(prefix, "fire_ns")).Increment(n.fire_ns);
-    registry.GetCounter(StrCat(prefix, "queue_wait_ns"))
-        .Increment(n.queue_wait_ns);
+// The session's profile, assembled from the counts every session keeps:
+// per node the network's traffic record and the node's relation and
+// Fig. 2 counters, per run the phase times.
+ProfileReport BuildProfile(const RuleGoalGraph& graph, const Database& db,
+                           uint64_t query_id, const EvaluationResult& result) {
+  ProfileReport report;
+  report.query_id = query_id;
+  report.phase_ns.assign(result.phase_ns.begin(), result.phase_ns.end());
+  report.total_msgs_sent = result.traffic.sent();
+  report.total_msgs_delivered = result.traffic.delivered;
+  for (const NodeCounters& row : result.node_counters) {
+    const GraphNode& n = graph.node(row.node);
+    const ProcessCounts& t = row.traffic;
+    NodeProfile p;
+    p.node = row.node;
+    p.role = NodeRoleOf(n.kind);
+    p.label = graph.NodeLabel(row.node, &db.symbols());
+    p.scc_id = n.scc_id;
+    p.fires = t.delivered;
+    p.requests_in = t.requests_in;
+    p.tuples_in = t.segment_rows_in;
+    p.tuples_out = t.segment_rows_out;
+    p.dedup_hits = row.counters.duplicate_drops;
+    p.msgs_in = t.delivered;
+    p.msgs_out = t.sent();
+    p.batch_envelopes_in = t.envelopes_in;
+    p.batch_envelopes_out =
+        t.sent_by_kind[static_cast<size_t>(MessageKind::kBatch)];
+    p.segments_in = t.segments_in;
+    p.segments_out = t.segments_out;
+    p.segment_rows_in = t.segment_rows_in;
+    p.segment_rows_out = t.segment_rows_out;
+    p.fire_ns = t.handler_ns;
+    p.queue_wait_ns = t.queue_wait_ns;
+    report.total_fires += p.fires;
+    report.total_tuples_in += p.tuples_in;
+    report.total_tuples_out += p.tuples_out;
+    report.total_dedup_hits += p.dedup_hits;
+    report.total_fire_ns += p.fire_ns;
+    report.total_queue_wait_ns += p.queue_wait_ns;
+    report.nodes.push_back(std::move(p));
   }
+  // One SccProfile per nontrivial component, its members' Fig. 2
+  // counts summed.
+  for (int scc = 0; scc < graph.scc_count(); ++scc) {
+    const std::vector<NodeId>& members = graph.scc_members(scc);
+    if (members.empty() || graph.node(members.front()).scc_is_trivial) {
+      continue;
+    }
+    SccProfile row;
+    row.scc_id = scc;
+    row.members.assign(members.begin(), members.end());
+    row.leader = graph.scc_leader(scc);
+    row.tree_depth = graph.BfstHeight(scc);
+    for (NodeId m : members) {
+      const EngineCounters& c = result.node_counters[m].counters;
+      row.waves += c.protocol_waves;
+      row.negative_answers += c.negative_answers;
+      row.confirmed_answers += c.confirmed_answers;
+      row.work_notices += c.work_notices;
+      row.concluded += c.conclusions;
+    }
+    report.sccs.push_back(std::move(row));
+  }
+  FillCostEstimates(graph, CostModelParamsFromDatabase(graph.program(), db),
+                    report);
+  return report;
 }
 
-// The stall-heartbeat sink: one WARNING line with the nonempty
+// The stall watchdog's log line: one WARNING with the nonempty
 // mailboxes grouped by strong component (runs on the monitor thread;
 // MPQE_LOG serializes whole lines).
 void LogStall(const RuleGoalGraph& graph, const StallInfo& info) {
@@ -353,6 +441,41 @@ struct EdbLineageGuard {
 
 }  // namespace
 
+ProcessCounts EvaluationResult::NodeTraffic() const {
+  ProcessCounts sum;
+  for (const NodeCounters& row : node_counters) sum.Add(row.traffic);
+  return sum;
+}
+
+SessionTotals::SessionTotals(MetricsRegistry& registry) {
+  for (const CounterFamily& family : kCounterFamilies) {
+    counters_.push_back(&registry.GetCounter(family.name));
+  }
+  for (size_t k = 0; k < sent_.size(); ++k) {
+    sent_[k] = &registry.GetCounter(
+        StrCat("msg/sent/", MessageKindToString(static_cast<MessageKind>(k))));
+  }
+  for (size_t p = 0; p < phase_ns_.size(); ++p) {
+    phase_ns_[p] = &registry.GetHistogram(
+        StrCat("phase/", PhaseToString(static_cast<Phase>(p)), "/ns"));
+  }
+}
+
+void SessionTotals::Add(const EvaluationResult& result) const {
+  for (size_t i = 0; i < counters_.size(); ++i) {
+    const uint64_t count = kCounterFamilies[i].count(result);
+    if (count != 0) counters_[i]->Increment(count);
+  }
+  for (size_t k = 0; k < sent_.size(); ++k) {
+    if (result.traffic.sent_by_kind[k] != 0) {
+      sent_[k]->Increment(result.traffic.sent_by_kind[k]);
+    }
+  }
+  for (size_t p = 0; p < phase_ns_.size(); ++p) {
+    phase_ns_[p]->Record(result.phase_ns[p]);
+  }
+}
+
 StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
                                       const SessionOptions& options) {
   MPQE_RETURN_IF_ERROR(options.Validate());
@@ -370,9 +493,6 @@ StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
                                 static_cast<int32_t>(options.scheduler),
                                 options.workers);
   }
-  if (scoped.profiler.has_value()) {
-    scoped.profiler->AttachGraph(&graph, &db.symbols());
-  }
   if (scoped.lineage.has_value()) {
     scoped.lineage->AttachGraph(&graph, &db.symbols());
   }
@@ -382,6 +502,7 @@ StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
   if (options.flight != nullptr) {
     network.SetFlightRecorder(options.flight, options.query_id);
   }
+  if (options.profile) network.EnableProfiling();
   EngineShared shared;
   shared.graph = &graph;
   shared.db = &db;
@@ -407,10 +528,11 @@ StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
   shared.fault_park_node = options.fault_park_node;
   shared.fault_park_ms = options.fault_park_ms;
 
+  EvaluationResult result;
   std::vector<NodeProcessBase*> node_processes;
   SinkProcess* sink_ptr = nullptr;
   {
-    ScopedPhase phase(scoped.list, options, Phase::kNetworkWiring);
+    ScopedPhase phase(scoped.list, options, Phase::kNetworkWiring, result);
     // One process per graph node (pid == node id), plus the sink. The
     // pid map is filled up front because process constructors plan
     // against it.
@@ -447,21 +569,14 @@ StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
     network.Start();
   }
 
-  // Stall heartbeat + watchdog. Configured after wiring so the monitor
-  // handler can read the node processes' termination state; the
-  // monitor thread only exists while Network::Run executes, so every
-  // capture below outlives it.
+  // Stall watchdog. Configured after wiring so the monitor handler can
+  // read the node processes' termination state; the monitor thread only
+  // exists while Network::Run executes, so every capture below outlives
+  // it.
   if (options.scheduler == SchedulerKind::kThreaded &&
-      (options.progress_interval_ms > 0 || options.watchdog_stall_ms > 0)) {
+      options.watchdog_stall_ms > 0) {
     EngineTelemetry* telemetry = options.telemetry;
     const uint64_t query_id = options.query_id;
-    // Report at the finer of the two cadences so a watchdog threshold
-    // is noticed within one interval of being crossed.
-    int interval = options.progress_interval_ms;
-    if (options.watchdog_stall_ms > 0 &&
-        (interval <= 0 || options.watchdog_stall_ms < interval)) {
-      interval = options.watchdog_stall_ms;
-    }
     // One dump per stall episode: a delivery in between starts a new
     // episode (only the monitor thread touches this state).
     struct WatchdogState {
@@ -470,7 +585,7 @@ StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
     };
     auto watchdog = std::make_shared<WatchdogState>();
     network.ConfigureStallMonitor(
-        interval,
+        options.watchdog_stall_ms,
         [&graph, &db, &node_processes, &options, telemetry, query_id,
          watchdog](const StallInfo& info) {
           LogStall(graph, info);
@@ -499,10 +614,6 @@ StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
                                                           by_scc.end()),
                 info.in_flight);
           }
-          if (options.watchdog_stall_ms <= 0 ||
-              info.stalled_ms < options.watchdog_stall_ms) {
-            return;
-          }
           if (watchdog->dumped &&
               watchdog->delivered_at_dump == info.delivered) {
             return;  // already dumped this episode
@@ -530,7 +641,7 @@ StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
 
   StatusOr<RunResult> run = InternalError("scheduler did not run");
   {
-    ScopedPhase phase(scoped.list, options, Phase::kRun);
+    ScopedPhase phase(scoped.list, options, Phase::kRun, result);
     SchedulerParams params;
     params.seed = options.seed;
     params.workers = options.workers;
@@ -539,11 +650,10 @@ StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
   }
   if (!run.ok()) return run.status();
 
-  EvaluationResult result;
   {
-    // Ends before the profile and lineage finalizers below, so the
-    // profile reports the drain phase's time too.
-    ScopedPhase phase(scoped.list, options, Phase::kDrain);
+    // Ends before the profile, metrics and lineage below, so they carry
+    // the drain phase's time too.
+    ScopedPhase phase(scoped.list, options, Phase::kDrain, result);
     result.answers = sink_ptr->answers();
     result.ended_by_protocol = sink_ptr->done();
     result.quiescent_after = network.TotalPending() == 0;
@@ -557,22 +667,17 @@ StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
       row.node = p->node_id();
       p->AccumulateCounters(row.counters);
       p->AccumulateCounters(result.counters);
+      row.traffic = network.counts(p->process_id());
+      result.traffic.Add(row.traffic);
       result.node_counters.push_back(std::move(row));
     }
-    if (options.metrics != nullptr) {
-      DumpMetrics(options, graph, result);
-    }
+    result.traffic.Add(network.counts(shared.sink_pid));
   }
-  if (scoped.profiler.has_value()) {
-    auto report = std::make_shared<ProfileReport>(scoped.profiler->Finalize());
-    FillCostEstimates(graph,
-                      CostModelParamsFromDatabase(graph.program(), db),
-                      *report);
-    if (options.metrics != nullptr) {
-      DumpProfileMetrics(*report, *options.metrics);
-    }
-    result.profile = std::move(report);
+  if (options.profile) {
+    result.profile = std::make_shared<const ProfileReport>(
+        BuildProfile(graph, db, options.query_id, result));
   }
+  if (options.metrics != nullptr) DumpMetrics(graph, result, *options.metrics);
   if (scoped.lineage.has_value()) {
     result.lineage =
         std::make_shared<const LineageReport>(scoped.lineage->Finalize());

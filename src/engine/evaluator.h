@@ -15,15 +15,20 @@
 //   auto result = (*session)->Run();
 //   // result->answers is the goal relation {(b), (c)}.
 //
-// Observability (see DESIGN.md § Observability): attach any number of
-// ExecutionObservers via SessionOptions::observers — e.g. a
-// TraceExporter for a chrome://tracing timeline or a custom observer
-// for test assertions — and/or point SessionOptions::metrics at a
-// MetricsRegistry to collect named counters and histograms.
+// Observability (see DESIGN.md § Observability): every session counts
+// each process's traffic in its Network and each node's relation and
+// Fig. 2 work in its node processes; EvaluationResult carries those
+// counts. SessionOptions::profile turns them into a ProfileReport,
+// SessionOptions::metrics receives them as named counters, and the
+// engine's telemetry adds every session's totals to its registry — one
+// source for all three. ExecutionObservers (SessionOptions::observers)
+// are for event streams: a TraceExporter for a chrome://tracing
+// timeline, or a custom observer for test assertions.
 
 #ifndef MPQE_ENGINE_EVALUATOR_H_
 #define MPQE_ENGINE_EVALUATOR_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -91,20 +96,16 @@ struct SessionOptions {
   // for the callback set and threading contract.
   std::vector<ExecutionObserver*> observers;
 
-  // When set, the evaluation feeds this registry live (via an
-  // internal MetricsObserver) and dumps the end-of-run engine /
-  // per-predicate counters into it. Not owned.
+  // When set, the session writes its counts into this registry once,
+  // at the end: the SessionTotals families, one predicate/<name>/* row
+  // per predicate and one aggregated/node/<id>/* row per graph node.
+  // Not owned.
   MetricsRegistry* metrics = nullptr;
 
-  // Record per-arc send counters in `metrics` (cardinality = number
-  // of live graph edges; off by default).
-  bool metrics_per_arc = false;
-
-  // Attach a ProfilingObserver for the run and fill
-  // EvaluationResult::profile with per-node / per-SCC attribution and
-  // §4.3 cost estimates sized from the database (see obs/profiler.h).
-  // When `metrics` is also set, the per-node counters are additionally
-  // dumped as aggregated/node/<id>/<field> entries.
+  // Fill EvaluationResult::profile with per-node / per-SCC attribution
+  // and §4.3 cost estimates sized from the database (see
+  // obs/profiler.h). Also stamps every message's queue wait and clocks
+  // every delivery, even with no flight recorder attached.
   bool profile = false;
 
   // Record derivation provenance: every tuple first inserted into any
@@ -122,13 +123,6 @@ struct SessionOptions {
   // never changes evaluation behavior or results.
   std::string log_level;
 
-  // Stall heartbeat for the threaded scheduler: when > 0 and no
-  // message is delivered for this many milliseconds, log per-SCC queue
-  // depths and in-flight counts (at WARNING, repeating each stalled
-  // interval). 0 disables; other schedulers ignore it (they cannot
-  // stall silently).
-  int progress_interval_ms = 0;
-
   // Engine-minted stable query id (DESIGN.md §12), set by
   // Engine::CreateSession when the engine runs with telemetry; published
   // to every observer as a SessionStartEvent before any other event, so
@@ -138,7 +132,7 @@ struct SessionOptions {
   uint64_t query_id = 0;
 
   // Engine telemetry sink (not owned; set by Engine::CreateSession,
-  // never by callers). When set, the stall heartbeat additionally
+  // never by callers). When set, the stall watchdog additionally
   // publishes per-SCC queue depths as live gauges.
   EngineTelemetry* telemetry = nullptr;
 
@@ -150,13 +144,14 @@ struct SessionOptions {
   // attaches no observer.
   FlightRecorder* flight = nullptr;
 
-  // Stall watchdog (threaded scheduler only): when > 0 and the session
-  // makes no delivery progress for this many milliseconds, build a
-  // FlightDump diagnostic bundle — flight-recorder contents, per-SCC
-  // Fig. 2 protocol state, per-node queue depths — and hand it to
-  // flight_dump_sink (once per stall episode). Builds on the
-  // progress_interval_ms heartbeat; both may be set, and the monitor
-  // runs at the smaller interval. 0 disables.
+  // Stall watchdog (threaded scheduler only): when > 0, a monitor
+  // checks delivery progress at this cadence. Each interval with no
+  // delivery logs per-SCC queue depths and in-flight counts (WARNING)
+  // and publishes them as telemetry gauges; the first stalled interval
+  // of an episode also builds a FlightDump diagnostic bundle —
+  // flight-recorder contents, per-SCC Fig. 2 protocol state, per-node
+  // queue depths — and hands it to flight_dump_sink. Other schedulers
+  // ignore it (they cannot stall silently). 0 disables.
   int watchdog_stall_ms = 0;
 
   // Receives the watchdog's diagnostic bundle. Called on the monitor
@@ -181,10 +176,12 @@ struct SessionOptions {
   Status Validate() const;
 };
 
-// One graph node's share of EvaluationResult::counters.
+// One graph node's counts: its share of EvaluationResult::counters,
+// and the network's record of its process's traffic.
 struct NodeCounters {
   NodeId node = kNoNode;
   EngineCounters counters;
+  ProcessCounts traffic;
 };
 
 struct EvaluationResult {
@@ -203,6 +200,14 @@ struct EvaluationResult {
   GraphStats graph_stats;
   uint64_t delivered = 0;
 
+  // The network's traffic records summed over every process, the sink
+  // included: traffic.sent() == message_stats.PhysicalTotal() and
+  // traffic.delivered == delivered.
+  ProcessCounts traffic;
+
+  // Wall time of each session phase, in Phase order.
+  std::array<uint64_t, static_cast<size_t>(Phase::kPhaseCount)> phase_ns{};
+
   // ExecutionObservers the session's network carried: 0 means every
   // send, delivery and node firing took the zero-observer fast path.
   size_t observer_count = 0;
@@ -210,6 +215,12 @@ struct EvaluationResult {
   // One row per graph node, summing to `counters`. Use together with
   // RuleGoalGraph::NodeLabel to see where tuples accumulate.
   std::vector<NodeCounters> node_counters;
+
+  /// The node rows' traffic summed, the sink excluded. A fire is one
+  /// handler run at a graph node, so `delivered` is the session's
+  /// fires and `handler_ns` its fire time — the profile's
+  /// total_fire_ns and the query log's fire_ns.
+  ProcessCounts NodeTraffic() const;
 
   // The profiler's report (set iff SessionOptions::profile), with
   // cost estimates already filled from the database. Shared so the
@@ -221,6 +232,26 @@ struct EvaluationResult {
   // computed. Query with Match/FormatProof; see obs/lineage.h. Shared
   // so the result stays copyable.
   std::shared_ptr<const LineageReport> lineage;
+};
+
+// The session-level metric families of a run: msg/sent/<kind>
+// (physical sends), msg/delivered, msg/segment_rows, node/fires,
+// dedup/hits, termination/<event>, the engine/* and run/* counts, and
+// the phase/<name>/ns histograms. The handles are resolved once against
+// one registry, so adding a session costs no name lookup: the engine
+// keeps one over its telemetry registry and adds every session to it.
+class SessionTotals {
+ public:
+  explicit SessionTotals(MetricsRegistry& registry);
+
+  /// Adds one session's totals.
+  void Add(const EvaluationResult& result) const;
+
+ private:
+  std::vector<Counter*> counters_;  // one per scalar family
+  std::array<Counter*, static_cast<size_t>(MessageKind::kMessageKindCount)>
+      sent_{};
+  std::array<Histogram*, static_cast<size_t>(Phase::kPhaseCount)> phase_ns_{};
 };
 
 /// Executes one query session over an already-compiled plan: wires one

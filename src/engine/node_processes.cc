@@ -10,6 +10,7 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "engine/plan.h"
+#include "obs/profiler.h"
 #include "relational/operators.h"
 
 namespace mpqe {
@@ -25,20 +26,6 @@ void NodeProcessBase::ConfigureTermination(
     std::vector<ProcessId> bfst_children) {
   termination_.Configure(this, network, process_id(), is_leader, leader,
                          bfst_parent, std::move(bfst_children));
-}
-
-NodeRole NodeProcessBase::Role() const {
-  switch (gnode().kind) {
-    case NodeKind::kGoal:
-      return NodeRole::kGoal;
-    case NodeKind::kRule:
-      return NodeRole::kRule;
-    case NodeKind::kEdbLeaf:
-      return NodeRole::kEdbLeaf;
-    case NodeKind::kCycleRef:
-      return NodeRole::kCycleRef;
-  }
-  return NodeRole::kGoal;
 }
 
 void NodeProcessBase::OnMessage(const Message& message) {
@@ -61,22 +48,16 @@ void NodeProcessBase::OnMessage(const Message& message) {
   uint64_t drops_before = LocalDuplicateDrops();
   fire_tuples_out_ = 0;
   observing_fire_ = true;
-  auto fire_start = std::chrono::steady_clock::now();
   Dispatch(message);
   observing_fire_ = false;
-  auto fire_end = std::chrono::steady_clock::now();
   NodeFireEvent event;
   event.node = node_id_;
   event.pid = process_id();
-  event.role = Role();
+  event.role = NodeRoleOf(gnode().kind);
   event.trigger = message.kind;
   event.tuples_in = static_cast<uint32_t>(message.answer_rows());
   event.tuples_out = fire_tuples_out_;
   event.dedup_hits = LocalDuplicateDrops() - drops_before;
-  event.handle_ns = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(fire_end -
-                                                           fire_start)
-          .count());
   obs.NotifyNodeFire(event);
 }
 
@@ -204,7 +185,12 @@ void NodeProcessBase::FlushEmits() {
 }
 
 void NodeProcessBase::AccumulateCounters(EngineCounters& out) const {
+  using Kind = TerminationEvent::Kind;
   out.protocol_waves += static_cast<uint64_t>(termination_.waves_started());
+  out.negative_answers += termination_.events(Kind::kAnswerNegative);
+  out.confirmed_answers += termination_.events(Kind::kAnswerConfirmed);
+  out.work_notices += termination_.events(Kind::kWorkNotice);
+  out.conclusions += termination_.events(Kind::kConcluded);
 }
 
 void NodeProcessBase::PublishDerive(uint64_t id, DeriveKind kind,
@@ -215,7 +201,7 @@ void NodeProcessBase::PublishDerive(uint64_t id, DeriveKind kind,
   DeriveEvent event;
   event.tuple_id = id;
   event.node = node_id_;
-  event.role = Role();
+  event.role = NodeRoleOf(gnode().kind);
   event.kind = kind;
   if (gnode().kind == NodeKind::kRule) {
     event.rule_index = static_cast<int32_t>(gnode().program_rule_index);
@@ -234,7 +220,7 @@ void NodeProcessBase::PublishDeriveBatch(
   if (obs.empty()) return;
   DeriveBatchEvent event;
   event.node = node_id_;
-  event.role = Role();
+  event.role = NodeRoleOf(gnode().kind);
   event.kind = kind;
   event.segment = segment;
   event.inputs = inputs.data();

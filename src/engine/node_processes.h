@@ -55,6 +55,12 @@ struct EngineCounters {
   uint64_t contexts = 0;
   uint64_t max_node_relation = 0;  // largest single temporary relation
   uint64_t protocol_waves = 0;     // Fig. 2 waves initiated
+  // The Fig. 2 participants' other events: wave answers sent, work
+  // notices sent (footnote 4) and conclusions reached.
+  uint64_t negative_answers = 0;
+  uint64_t confirmed_answers = 0;
+  uint64_t work_notices = 0;
+  uint64_t conclusions = 0;
 
   std::string ToString() const;
 };
@@ -191,7 +197,6 @@ class NodeProcessBase : public Process, public TerminationOwner {
   // Seals the open segments and sends the outbox, one batch envelope
   // per destination that has more than one message (footnote 2).
   void FlushEmits();
-  NodeRole Role() const;
 
   // A segment still accepting rows. Its (const-aliased) handle already
   // sits in outbox_ — queued at first-row time so later non-tuple

@@ -34,7 +34,8 @@ void TerminationParticipant::OnWorkMessage() {
   idleness_.store(0, std::memory_order_relaxed);
 }
 
-void TerminationParticipant::Publish(TerminationEvent::Kind kind) const {
+void TerminationParticipant::Publish(TerminationEvent::Kind kind) {
+  ++events_[static_cast<size_t>(kind)];
   FlightRecorder* flight = network_->flight_recorder();
   const ObserverList& observers = network_->observers();
   if (flight == nullptr && observers.empty()) return;

@@ -34,6 +34,7 @@
 #ifndef MPQE_ENGINE_TERMINATION_H_
 #define MPQE_ENGINE_TERMINATION_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <vector>
@@ -100,6 +101,11 @@ class TerminationParticipant {
   int64_t waves_started() const {
     return waves_started_.load(std::memory_order_relaxed);
   }
+  /// How many events of `kind` this participant published. Read after
+  /// the run.
+  uint64_t events(TerminationEvent::Kind kind) const {
+    return events_[static_cast<size_t>(kind)];
+  }
 
   /// Snapshot of the protocol fields. Safe from any thread at any time
   /// (the fields are relaxed atomics with the owner process as the
@@ -128,9 +134,9 @@ class TerminationParticipant {
 
  private:
   bool EmptyQueues() const;
-  // Reports a protocol event to the network's flight recorder and
-  // observers (no-op with neither attached).
-  void Publish(TerminationEvent::Kind kind) const;
+  // Counts a protocol event and reports it to the network's flight
+  // recorder and observers.
+  void Publish(TerminationEvent::Kind kind);
   void StartWave();
   // Shared tail of process-end-request: record idleness, fan out to
   // children or answer immediately.
@@ -160,6 +166,10 @@ class TerminationParticipant {
   std::atomic<bool> wave_active_{false};     // leader: wave in flight
   std::atomic<int64_t> wave_{0};
   std::atomic<int64_t> waves_started_{0};
+  // Events published, by kind. Only the owner writes them and nothing
+  // reads them during the run.
+  std::array<uint64_t, static_cast<size_t>(TerminationEvent::Kind::kKindCount)>
+      events_{};
 };
 
 }  // namespace mpqe

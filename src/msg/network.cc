@@ -17,10 +17,22 @@ uint32_t ClampU32(uint64_t v) {
   return v > UINT32_MAX ? UINT32_MAX : static_cast<uint32_t>(v);
 }
 
-// Answer rows this thread has sent into flight-recorded networks. A
-// delivery (handler plus any run-end hook) runs start to finish on one
-// thread, so the difference across it is exactly the rows it sent.
-thread_local uint64_t t_answer_rows_sent = 0;
+// What one physical message carries, counted in one pass over an
+// envelope.
+struct Contents {
+  uint64_t requests = 0;
+  uint64_t segments = 0;
+  uint64_t rows = 0;
+
+  void Count(const Message& m) {
+    if (m.kind == MessageKind::kTupleRequest) {
+      ++requests;
+    } else if (m.kind == MessageKind::kTupleSegment) {
+      ++segments;
+      rows += m.segment().num_rows;
+    }
+  }
+};
 
 }  // namespace
 
@@ -61,6 +73,27 @@ StatusOr<RunResult> Network::Run(SchedulerKind kind,
 
 void Process::Send(ProcessId to, Message message) {
   network_->Send(id_, to, std::move(message));
+}
+
+uint64_t ProcessCounts::sent() const {
+  uint64_t total = 0;
+  for (uint64_t c : sent_by_kind) total += c;
+  return total;
+}
+
+void ProcessCounts::Add(const ProcessCounts& other) {
+  for (size_t k = 0; k < sent_by_kind.size(); ++k) {
+    sent_by_kind[k] += other.sent_by_kind[k];
+  }
+  segments_out += other.segments_out;
+  segment_rows_out += other.segment_rows_out;
+  delivered += other.delivered;
+  envelopes_in += other.envelopes_in;
+  requests_in += other.requests_in;
+  segments_in += other.segments_in;
+  segment_rows_in += other.segment_rows_in;
+  handler_ns += other.handler_ns;
+  queue_wait_ns += other.queue_wait_ns;
 }
 
 uint64_t MessageStats::Total() const {
@@ -104,7 +137,14 @@ ProcessId Network::AddProcess(std::unique_ptr<Process> process) {
   process->network_ = this;
   processes_.push_back(std::move(process));
   mailboxes_.push_back(std::make_unique<Mailbox>());
+  if (profiling_) mailboxes_.back()->sent_ns.emplace();
   return id;
+}
+
+void Network::EnableProfiling() {
+  MPQE_CHECK(TotalPending() == 0) << "enable profiling before the first send";
+  profiling_ = true;
+  for (auto& box : mailboxes_) box->sent_ns.emplace();
 }
 
 void Network::Send(ProcessId from, ProcessId to, Message message) {
@@ -121,17 +161,15 @@ void Network::Send(ProcessId from, ProcessId to, Message message) {
   // Batches count once physically and per sub-message logically;
   // segments count once physically and per row logically — so
   // ComputationTotal() keeps its meaning. One pass over an envelope
-  // counts into locals, then each counter gets one atomic add.
-  uint64_t rows = 0;
+  // counts into locals, then each shared counter gets one atomic add.
+  Contents contents;
   if (message.kind == MessageKind::kBatch) {
     const std::vector<Message>& batch = message.batch();
     std::array<uint64_t, kNumKinds> kinds{};
     kinds[static_cast<size_t>(MessageKind::kBatch)] = 1;
     for (const Message& sub : batch) {
       ++kinds[static_cast<size_t>(sub.kind)];
-      if (sub.kind == MessageKind::kTupleSegment) {
-        rows += sub.segment().num_rows;
-      }
+      contents.Count(sub);
     }
     for (size_t k = 0; k < kNumKinds; ++k) {
       if (kinds[k] != 0) {
@@ -142,16 +180,23 @@ void Network::Send(ProcessId from, ProcessId to, Message message) {
   } else {
     sent_by_kind_[static_cast<size_t>(message.kind)].fetch_add(
         1, std::memory_order_relaxed);
-    if (message.kind == MessageKind::kTupleSegment) {
-      rows = message.segment().num_rows;
-    }
+    contents.Count(message);
   }
-  if (rows != 0) segment_rows_.fetch_add(rows, std::memory_order_relaxed);
-  if (flight_ != nullptr) t_answer_rows_sent += rows;
+  if (contents.rows != 0) {
+    segment_rows_.fetch_add(contents.rows, std::memory_order_relaxed);
+  }
+  if (from != kNoProcess) {
+    ProcessCounts& sender = mailboxes_[from]->counts;
+    ++sender.sent_by_kind[static_cast<size_t>(message.kind)];
+    sender.segments_out += contents.segments;
+    sender.segment_rows_out += contents.rows;
+  }
+  const uint64_t sent_ns = profiling_ ? FlightRecorder::NowNs() : 0;
   Mailbox& box = *mailboxes_[to];
   {
     std::lock_guard<std::mutex> lock(box.mutex);
     box.queue.push_back(std::move(message));
+    if (profiling_) box.sent_ns->push_back(sent_ns);
   }
   total_pending_.fetch_add(1, std::memory_order_acq_rel);
 
@@ -194,36 +239,63 @@ void Network::Start() {
   for (auto& p : processes_) p->OnStart();
 }
 
-bool Network::Pop(Mailbox& box, Message& out, size_t& left) {
+bool Network::Pop(Mailbox& box, Message& out, uint64_t& sent_ns,
+                  size_t& left) const {
   std::lock_guard<std::mutex> lock(box.mutex);
   if (box.queue.empty()) return false;
   out = std::move(box.queue.front());
   box.queue.pop_front();
+  sent_ns = 0;
+  if (profiling_) {
+    sent_ns = box.sent_ns->front();
+    box.sent_ns->pop_front();
+  }
   left = box.queue.size();
   return true;
 }
 
-void Network::Deliver(ProcessId id, const Message& message, bool run_end) {
-  if (flight_ == nullptr && observers_.empty()) {
+void Network::Deliver(ProcessId id, const Message& message, uint64_t sent_ns,
+                      bool run_end) {
+  ProcessCounts& receiver = mailboxes_[id]->counts;
+  ++receiver.delivered;
+  if (message.kind == MessageKind::kBatch) {
+    ++receiver.envelopes_in;
+    Contents contents;
+    for (const Message& sub : message.batch()) contents.Count(sub);
+    receiver.requests_in += contents.requests;
+    receiver.segments_in += contents.segments;
+    receiver.segment_rows_in += contents.rows;
+  } else if (message.kind == MessageKind::kTupleRequest) {
+    ++receiver.requests_in;
+  } else if (message.kind == MessageKind::kTupleSegment) {
+    ++receiver.segments_in;
+    receiver.segment_rows_in += message.segment().num_rows;
+  }
+  if (flight_ == nullptr && observers_.empty() && !profiling_) {
     Process& process = *processes_[id];
     process.OnMessage(message);
     if (run_end) process.OnRunEnd();
   } else {
-    DeliverTapped(id, message, run_end);
+    DeliverTapped(id, message, sent_ns, run_end);
   }
   total_pending_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
 void Network::DeliverTapped(ProcessId id, const Message& message,
-                            bool run_end) {
+                            uint64_t sent_ns, bool run_end) {
   Process& process = *processes_[id];
-  const uint64_t rows_sent_before = t_answer_rows_sent;
+  ProcessCounts& counts = mailboxes_[id]->counts;
+  // The process's own sends land in its own record, so the difference
+  // across the window is exactly the rows this delivery sent.
+  const uint64_t rows_sent_before = counts.segment_rows_out;
   const uint64_t start = FlightRecorder::NowNs();
   process.OnMessage(message);
   // Inside the window: the rows a run-end flush sends, and its time,
   // belong to the run's last delivery.
   if (run_end) process.OnRunEnd();
   const uint64_t end = FlightRecorder::NowNs();
+  counts.handler_ns += end - start;
+  if (profiling_ && start > sent_ns) counts.queue_wait_ns += start - sent_ns;
   if (flight_ != nullptr) {
     FlightRecord record;
     record.ts_ns = end;
@@ -231,7 +303,7 @@ void Network::DeliverTapped(ProcessId id, const Message& message,
     record.a = message.from;
     record.b = id;
     record.rows = ClampU32(message.answer_rows());
-    record.rows_out = ClampU32(t_answer_rows_sent - rows_sent_before);
+    record.rows_out = ClampU32(counts.segment_rows_out - rows_sent_before);
     record.aux = ClampU32(end - start);
     record.type = static_cast<uint8_t>(FlightEventType::kDeliver);
     record.kind = static_cast<uint8_t>(message.kind);
@@ -274,9 +346,10 @@ StatusOr<RunResult> Network::RunDeterministic(uint64_t max_messages) {
       const size_t queued = PendingCount(id);
       for (size_t k = 1; k <= queued; ++k) {
         Message msg;
+        uint64_t sent_ns;
         size_t left;
-        Pop(box, msg, left);
-        Deliver(id, msg, /*run_end=*/k == queued);
+        Pop(box, msg, sent_ns, left);
+        Deliver(id, msg, sent_ns, /*run_end=*/k == queued);
         progressed = true;
         ++result.delivered;
         if (max_messages != 0 && result.delivered > max_messages) {
@@ -320,9 +393,10 @@ StatusOr<RunResult> Network::RunRandom(uint64_t seed, uint64_t max_messages) {
       const size_t run = 1 + rng.Below(queued);
       for (size_t j = 1; j <= run; ++j) {
         Message msg;
+        uint64_t sent_ns;
         size_t left;
-        Pop(box, msg, left);
-        Deliver(id, msg, /*run_end=*/j == run);
+        Pop(box, msg, sent_ns, left);
+        Deliver(id, msg, sent_ns, /*run_end=*/j == run);
         ++result.delivered;
         if (max_messages != 0 && result.delivered > max_messages) {
           return ResourceExhaustedError(
@@ -401,11 +475,12 @@ StatusOr<RunResult> Network::RunThreaded(int workers, uint64_t max_messages) {
         // here, before the state below releases the process.
         for (;;) {
           Message msg;
+          uint64_t sent_ns;
           size_t left;
-          if (!Pop(box, msg, left)) break;
+          if (!Pop(box, msg, sent_ns, left)) break;
           const bool run_end = left == 0 || ++run_length == kRunQuantum;
           if (run_end) run_length = 0;
-          Deliver(id, msg, run_end);
+          Deliver(id, msg, sent_ns, run_end);
           uint64_t d = delivered.fetch_add(1, std::memory_order_acq_rel) + 1;
           if (max_messages != 0 && d > max_messages) {
             overflow.store(true);
@@ -445,7 +520,7 @@ StatusOr<RunResult> Network::RunThreaded(int workers, uint64_t max_messages) {
     }
   };
 
-  // Stall heartbeat (ConfigureStallMonitor): a monitor thread watches
+  // Stall monitor (ConfigureStallMonitor): a monitor thread watches
   // the `delivered` counter; whenever it sits still for a full
   // interval, the handler gets a queue-depth snapshot. Purely
   // diagnostic — it never touches scheduling state.
@@ -488,9 +563,8 @@ StatusOr<RunResult> Network::RunThreaded(int workers, uint64_t max_messages) {
         stall_handler_(info);
         lock.lock();
         // No re-arm: while the stall persists the handler keeps firing
-        // every interval with a *cumulative* stalled_ms, so a watchdog
-        // can threshold on total stall age (watchdog_stall_ms) instead
-        // of counting heartbeats. Any delivery resets the clock above.
+        // every interval with a *cumulative* stalled_ms. Any delivery
+        // resets the clock above.
       }
     });
   }

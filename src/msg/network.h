@@ -22,6 +22,11 @@
 // normally finishes because a sink process calls RequestStop(). Runs
 // also finish on global quiescence (all mailboxes empty) — the oracle
 // — and report which happened.
+//
+// The network sees every send and every delivery, so it is where a
+// process's traffic is counted: one ProcessCounts record per process,
+// always on (DESIGN.md §8). The profile, the session metrics and the
+// engine telemetry are built from these records.
 
 #ifndef MPQE_MSG_NETWORK_H_
 #define MPQE_MSG_NETWORK_H_
@@ -34,6 +39,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -135,6 +141,37 @@ struct MessageStats {
   std::string ToString() const;
 };
 
+// One process's traffic, counted by the Network as messages move: its
+// sends in Send, its deliveries in Deliver. A record has one writer at
+// a time (a process's sends run on the thread that runs it, and its
+// deliveries are serialized) and is read after Run returns, so the
+// fields are plain integers. Sends from outside any process
+// (kNoProcess) are in MessageStats only.
+struct ProcessCounts {
+  // Physical sends by kind: an envelope counts once, as kBatch.
+  std::array<uint64_t, static_cast<size_t>(MessageKind::kMessageKindCount)>
+      sent_by_kind{};
+  uint64_t segments_out = 0;      // segments sent, bare or packaged
+  uint64_t segment_rows_out = 0;  // answer rows in them
+  uint64_t delivered = 0;         // physical deliveries (handler runs)
+  uint64_t envelopes_in = 0;      // kBatch deliveries among them
+  uint64_t requests_in = 0;       // tuple requests, bare or packaged
+  uint64_t segments_in = 0;       // segments delivered, bare or packaged
+  uint64_t segment_rows_in = 0;   // answer rows in them
+  // Handler time: OnMessage plus the OnRunEnd a run's last delivery
+  // closes, the window of the flight record's `aux`. Clocked only on
+  // tapped deliveries (a flight recorder, an observer or profiling
+  // attached).
+  uint64_t handler_ns = 0;
+  // Send to delivery start, per physical message (profiling only).
+  uint64_t queue_wait_ns = 0;
+
+  /// Physical sends of every kind.
+  uint64_t sent() const;
+  /// Adds `other` field by field.
+  void Add(const ProcessCounts& other);
+};
+
 struct RunResult {
   bool stopped = false;    // a process called RequestStop()
   bool quiescent = false;  // all mailboxes drained
@@ -216,7 +253,17 @@ class Network {
   FlightRecorder* flight_recorder() const { return flight_; }
   uint64_t flight_query_id() const { return flight_query_id_; }
 
-  /// Installs a stall heartbeat for RunThreaded: when no delivery
+  /// Times every delivery (the tapped path, as with a flight recorder)
+  /// and stamps each physical message's send time, so the receiver's
+  /// record also sums queue wait. Call before the first send.
+  void EnableProfiling();
+
+  /// The traffic record of process `id`. Read it after Run returns.
+  const ProcessCounts& counts(ProcessId id) const {
+    return mailboxes_[id]->counts;
+  }
+
+  /// Installs a stall monitor for RunThreaded: when no delivery
   /// completes for `interval_ms`, `handler` runs (on a dedicated
   /// monitor thread, concurrently with the workers — it must be
   /// thread-safe) with a queue-depth snapshot, and again after each
@@ -246,25 +293,37 @@ class Network {
   struct Mailbox {
     mutable std::mutex mutex;
     std::deque<Message> queue;
+    // Send times of the queued messages, in queue order (engaged only
+    // when profiling: an empty deque still allocates).
+    std::optional<std::deque<uint64_t>> sent_ns;
     // Threaded-scheduler actor state: 0 idle, 1 scheduled, 2 running,
     // 3 running with new mail.
     std::atomic<int> state{0};
+    // The process's traffic record, on cache lines of its own: senders
+    // on other threads touch the lock, queue and state above.
+    alignas(64) ProcessCounts counts;
   };
 
-  // Moves the oldest message of `box` into `out` and sets `left` to
-  // how many stay queued behind it; false when `box` is empty.
-  static bool Pop(Mailbox& box, Message& out, size_t& left);
-  // Hands `message` to process `id`; `run_end` closes the run with its
-  // OnRunEnd inside the same tapped window.
-  void Deliver(ProcessId id, const Message& message, bool run_end);
-  // Deliver with observers or a flight recorder attached.
-  void DeliverTapped(ProcessId id, const Message& message, bool run_end);
+  // Moves the oldest message of `box` into `out`, its send time into
+  // `sent_ns` (0 unless profiling) and sets `left` to how many stay
+  // queued behind it; false when `box` is empty.
+  bool Pop(Mailbox& box, Message& out, uint64_t& sent_ns, size_t& left) const;
+  // Counts `message` into process `id`'s record and hands it over;
+  // `run_end` closes the run with its OnRunEnd inside the same tapped
+  // window.
+  void Deliver(ProcessId id, const Message& message, uint64_t sent_ns,
+               bool run_end);
+  // The handler run of Deliver with a flight recorder, observers or
+  // profiling attached.
+  void DeliverTapped(ProcessId id, const Message& message, uint64_t sent_ns,
+                     bool run_end);
 
   std::vector<std::unique_ptr<Process>> processes_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   ObserverList observers_;
   FlightRecorder* flight_ = nullptr;
   uint64_t flight_query_id_ = 0;
+  bool profiling_ = false;
   std::atomic<bool> started_{false};
   std::atomic<bool> stop_requested_{false};
   std::atomic<int64_t> total_pending_{0};
@@ -282,7 +341,7 @@ class Network {
   // skip the notify syscall when every worker is already busy.
   int sleeping_workers_ = 0;
 
-  // Stall heartbeat (ConfigureStallMonitor).
+  // Stall monitor (ConfigureStallMonitor).
   int stall_interval_ms_ = 0;
   std::function<void(const StallInfo&)> stall_handler_;
 };

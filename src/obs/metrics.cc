@@ -2,23 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cmath>
 
 #include "common/string_util.h"
 
 namespace mpqe {
-
-namespace {
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Histogram
@@ -268,96 +256,6 @@ void MetricsRegistry::Clear() {
   counters_.clear();
   gauges_.clear();
   histograms_.clear();
-}
-
-// ---------------------------------------------------------------------------
-// MetricsObserver
-// ---------------------------------------------------------------------------
-
-MetricsObserver::MetricsObserver(MetricsRegistry* registry, Options options)
-    : registry_(registry), options_(options) {
-  for (size_t k = 0; k < sent_by_kind_.size(); ++k) {
-    sent_by_kind_[k] = &registry_->GetCounter(
-        StrCat("msg/sent/", MessageKindToString(static_cast<MessageKind>(k))));
-  }
-  for (size_t k = 0; k < termination_by_kind_.size(); ++k) {
-    termination_by_kind_[k] = &registry_->GetCounter(
-        StrCat("termination/", TerminationEvent::KindToString(
-                                   static_cast<TerminationEvent::Kind>(k))));
-  }
-  delivered_ = &registry_->GetCounter("msg/delivered");
-  fires_ = &registry_->GetCounter("node/fires");
-  dedup_hits_ = &registry_->GetCounter("dedup/hits");
-  segment_rows_sent_ = &registry_->GetCounter("msg/segment_rows");
-  handle_ns_ = &registry_->GetHistogram("msg/handle_ns");
-  tuples_out_ = &registry_->GetHistogram("fire/tuples_out");
-  segment_rows_ = &registry_->GetHistogram("msg/segment_rows_per_segment");
-}
-
-Counter& MetricsObserver::PerNodeFires(int32_t node) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto [it, inserted] = node_fires_.emplace(node, nullptr);
-  if (inserted) {
-    it->second = &registry_->GetCounter(StrCat("node/", node, "/fires"));
-  }
-  return *it->second;
-}
-
-Counter& MetricsObserver::PerArcSends(ProcessId from, ProcessId to) {
-  uint64_t key = (static_cast<uint64_t>(static_cast<uint32_t>(from)) << 32) |
-                 static_cast<uint32_t>(to);
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto [it, inserted] = arc_sends_.emplace(key, nullptr);
-  if (inserted) {
-    it->second =
-        &registry_->GetCounter(StrCat("arc/", from, "->", to, "/sends"));
-  }
-  return *it->second;
-}
-
-void MetricsObserver::OnSend(const SendEvent& event) {
-  sent_by_kind_[static_cast<size_t>(event.message->kind)]->Increment();
-  if (event.message->kind == MessageKind::kTupleSegment) {
-    uint64_t rows = event.message->segment().num_rows;
-    segment_rows_sent_->Increment(rows);
-    segment_rows_->Record(rows);
-  } else if (event.message->kind == MessageKind::kBatch) {
-    for (const Message& sub : event.message->batch()) {
-      if (sub.kind != MessageKind::kTupleSegment) continue;
-      uint64_t rows = sub.segment().num_rows;
-      segment_rows_sent_->Increment(rows);
-      segment_rows_->Record(rows);
-    }
-  }
-  if (options_.per_arc) PerArcSends(event.from, event.to).Increment();
-}
-
-void MetricsObserver::OnDeliver(const DeliverEvent& event) {
-  delivered_->Increment();
-  handle_ns_->Record(event.handle_ns);
-}
-
-void MetricsObserver::OnNodeFire(const NodeFireEvent& event) {
-  fires_->Increment();
-  dedup_hits_->Increment(event.dedup_hits);
-  tuples_out_->Record(event.tuples_out);
-  if (options_.per_node) PerNodeFires(event.node).Increment();
-}
-
-void MetricsObserver::OnPhase(const PhaseEvent& event) {
-  size_t index = static_cast<size_t>(event.phase);
-  if (event.begin) {
-    phase_begin_ns_[index] = NowNs();
-    return;
-  }
-  uint64_t begin = phase_begin_ns_[index];
-  if (begin == 0) return;  // end without begin (defensive)
-  registry_->GetHistogram(StrCat("phase/", PhaseToString(event.phase), "/ns"))
-      .Record(NowNs() - begin);
-}
-
-void MetricsObserver::OnTermination(const TerminationEvent& event) {
-  termination_by_kind_[static_cast<size_t>(event.kind)]->Increment();
 }
 
 }  // namespace mpqe

@@ -1,13 +1,13 @@
 // Named metrics for evaluations: monotonic counters, level gauges and
-// log2-bucketed histograms, grouped in a MetricsRegistry. The registry
-// subsumes the ad-hoc EngineCounters / NodeCounters plumbing: a
-// session (when SessionOptions::metrics is set) installs a
-// MetricsObserver that counts live events and, after the run, dumps
-// the per-node / per-predicate / per-kind breakdowns into the same
-// registry.
+// log2-bucketed histograms, grouped in a MetricsRegistry. A session with
+// SessionOptions::metrics set writes its counts into the registry once,
+// at the end (engine/evaluator.h SessionTotals plus the per-node and
+// per-predicate rows); the engine adds every session's totals to its
+// telemetry registry the same way (obs/telemetry.h). Nothing here
+// observes events.
 //
 // Naming convention: '/'-separated paths, lowest-cardinality prefix
-// first — e.g. "msg/sent/tuple", "node/7/fires",
+// first — e.g. "msg/sent/tuple_segment", "aggregated/node/7/fires",
 // "predicate/path/stored_tuples", "phase/run/ns". The Prometheus
 // serializer (obs/prometheus.h) maps these paths onto metric families
 // `mpqe_<subsystem>_<name>{label="..."}` (DESIGN.md §12).
@@ -15,7 +15,7 @@
 // Thread safety: Counter::Increment, Gauge::Set/Add and
 // Histogram::Record are lock-free (relaxed atomics); Get*() takes a
 // registry mutex, so callers on hot paths should resolve references
-// once and cache them (MetricsObserver does).
+// once and cache them (SessionTotals does).
 //
 // Dump determinism: every dump (ToString, ToJson, CounterRows,
 // GaugeRows, HistogramNames — and the Prometheus exposition built on
@@ -29,14 +29,11 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
-
-#include "obs/observer.h"
 
 namespace mpqe {
 
@@ -160,65 +157,6 @@ class MetricsRegistry {
   std::unordered_map<std::string, std::unique_ptr<Counter>> counters_;
   std::unordered_map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::unordered_map<std::string, std::unique_ptr<Histogram>> histograms_;
-};
-
-// An ExecutionObserver that feeds a MetricsRegistry from live events:
-//   msg/sent/<kind>         sends per message kind
-//   msg/delivered           deliveries
-//   msg/handle_ns           histogram of per-message handling time
-//   node/fires              node firings (all nodes)
-//   node/<id>/fires         per-node firings (when per_node)
-//   arc/<from>-><to>/sends  per-arc sends (when per_arc; high card.)
-//   fire/tuples_out         histogram of tuples emitted per firing
-//   dedup/hits              duplicate-elimination rejections
-//   phase/<name>/ns         histogram (single sample) per phase
-//   termination/<event>     protocol events per kind
-class MetricsObserver : public ExecutionObserver {
- public:
-  struct Options {
-    bool per_node = true;
-    bool per_arc = false;  // cardinality = live (from, to) pairs
-  };
-
-  explicit MetricsObserver(MetricsRegistry* registry)
-      : MetricsObserver(registry, Options()) {}
-  MetricsObserver(MetricsRegistry* registry, Options options);
-
-  void OnSend(const SendEvent& event) override;
-  void OnDeliver(const DeliverEvent& event) override;
-  void OnNodeFire(const NodeFireEvent& event) override;
-  void OnPhase(const PhaseEvent& event) override;
-  void OnTermination(const TerminationEvent& event) override;
-
- private:
-  Counter& PerNodeFires(int32_t node);
-  Counter& PerArcSends(ProcessId from, ProcessId to);
-
-  MetricsRegistry* registry_;
-  Options options_;
-
-  // Cached hot-path handles (resolved once in the constructor).
-  std::array<Counter*, static_cast<size_t>(MessageKind::kMessageKindCount)>
-      sent_by_kind_{};
-  std::array<Counter*,
-             static_cast<size_t>(TerminationEvent::Kind::kKindCount)>
-      termination_by_kind_{};
-  Counter* delivered_ = nullptr;
-  Counter* fires_ = nullptr;
-  Counter* dedup_hits_ = nullptr;
-  Counter* segment_rows_sent_ = nullptr;
-  Histogram* handle_ns_ = nullptr;
-  Histogram* tuples_out_ = nullptr;
-  Histogram* segment_rows_ = nullptr;  // rows per emitted segment
-
-  // Per-node / per-arc handles are created lazily under mutex_.
-  std::mutex mutex_;
-  std::map<int32_t, Counter*> node_fires_;
-  std::map<uint64_t, Counter*> arc_sends_;
-
-  // Phase begin timestamps (phases are serialized; no lock needed).
-  std::array<uint64_t,
-             static_cast<size_t>(Phase::kPhaseCount)> phase_begin_ns_{};
 };
 
 }  // namespace mpqe

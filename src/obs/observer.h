@@ -3,8 +3,11 @@
 // evaluation — message sends and deliveries (msg/network), node
 // firings (engine/node_processes), evaluator phases
 // (engine/evaluator), and the Fig. 2 termination protocol
-// (engine/termination) — and can be stacked: tracing, metrics and
-// test assertions all run side by side on one evaluation.
+// (engine/termination) — and can be stacked: tracing, lineage, logging
+// and test assertions all run side by side on one evaluation.
+// Observers serve event streams only: per-process counts come from the
+// network's records (msg/network.h ProcessCounts), which every session
+// keeps without an observer.
 //
 // Threading contract (see DESIGN.md § Observability):
 //  * OnSend fires in the *sending* process's execution context, after
@@ -26,8 +29,9 @@
 //    With no observers installed the engine skips event construction
 //    entirely (one empty() branch per site).
 //  * The engine's always-on flight recorder is not an observer but a
-//    direct Network tap (msg/flight_recorder.h), so a default engine
-//    session keeps this fast path.
+//    direct Network tap (msg/flight_recorder.h), and the profile and
+//    metrics read the network's counts, so a default engine session
+//    keeps this fast path.
 
 #ifndef MPQE_OBS_OBSERVER_H_
 #define MPQE_OBS_OBSERVER_H_
@@ -96,7 +100,8 @@ struct DeliverEvent {
 // tuples consumed/emitted during this firing — the rows of the
 // columnar segments involved, whether sent alone or packaged in a
 // batch; `dedup_hits` is how many arrivals/results duplicate
-// elimination rejected.
+// elimination rejected. The firing's time is its delivery's
+// DeliverEvent::handle_ns.
 struct NodeFireEvent {
   int32_t node = -1;  // graph NodeId
   ProcessId pid = kNoProcess;
@@ -105,10 +110,6 @@ struct NodeFireEvent {
   uint32_t tuples_in = 0;
   uint32_t tuples_out = 0;
   uint64_t dedup_hits = 0;
-  // Wall time the node spent dispatching this message, measured only
-  // while observers are installed. The run-end flush is not included;
-  // it shows in the run's last DeliverEvent::handle_ns.
-  uint64_t handle_ns = 0;
 };
 
 // How a tuple came to exist at a node. Only a tuple's *first*

@@ -1,7 +1,6 @@
 #include "obs/profiler.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 
@@ -10,13 +9,6 @@
 namespace mpqe {
 
 namespace {
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 // Minimal JSON string escaping for node labels (rule labels contain
 // no quotes/backslashes today, but labels are user-predicate-derived).
@@ -79,12 +71,6 @@ double NodeProfile::RowsPerSegmentIn() const {
   return segments_in == 0 ? 0.0
                           : static_cast<double>(segment_rows_in) /
                                 static_cast<double>(segments_in);
-}
-
-double NodeProfile::BatchDedupHitRate() const {
-  return batch_rows_in == 0 ? 0.0
-                            : static_cast<double>(batch_dedup_hits) /
-                                  static_cast<double>(batch_rows_in);
 }
 
 double NodeProfile::Selectivity() const {
@@ -160,10 +146,6 @@ std::string ProfileReport::ToJson() const {
                   JsonDouble(n.RowsPerSegmentOut()),
                   ", \"rows_per_segment_in\": ",
                   JsonDouble(n.RowsPerSegmentIn()),
-                  ", \"batch_rows_in\": ", n.batch_rows_in,
-                  ", \"batch_dedup_hits\": ", n.batch_dedup_hits,
-                  ", \"batch_dedup_hit_rate\": ",
-                  JsonDouble(n.BatchDedupHitRate()),
                   ", \"fire_ns\": ", n.fire_ns,
                   ", \"queue_wait_ns\": ", n.queue_wait_ns);
     if (n.est_log10_tuples != kNoEstimate) {
@@ -195,221 +177,18 @@ std::string ProfileReport::ToJson() const {
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// ProfilingObserver
-// ---------------------------------------------------------------------------
-
-void ProfilingObserver::AttachGraph(const RuleGoalGraph* graph,
-                                    const SymbolTable* symbols) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  graph_ = graph;
-  symbols_ = symbols;
-}
-
-ProfilingObserver::PidStats& ProfilingObserver::Stats(ProcessId pid) {
-  size_t index = static_cast<size_t>(pid);
-  if (by_pid_.size() <= index) by_pid_.resize(index + 1);
-  return by_pid_[index];
-}
-
-void ProfilingObserver::OnSessionStart(const SessionStartEvent& event) {
-  query_id_ = event.query_id;
-}
-
-void ProfilingObserver::OnSend(const SendEvent& event) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++total_sends_;
-  in_flight_sends_[{event.from, event.to}].push_back(NowNs());
-  if (event.from >= 0) {
-    PidStats& s = Stats(event.from);
-    ++s.msgs_out;
-    if (event.message->kind == MessageKind::kBatch) {
-      ++s.batch_envelopes_out;
-      for (const Message& sub : event.message->batch()) {
-        if (sub.kind == MessageKind::kTupleSegment) {
-          ++s.segments_out;
-          s.segment_rows_out += sub.segment().num_rows;
-        }
-      }
-    } else if (event.message->kind == MessageKind::kTupleSegment) {
-      ++s.segments_out;
-      s.segment_rows_out += event.message->segment().num_rows;
-    }
+NodeRole NodeRoleOf(NodeKind kind) {
+  switch (kind) {
+    case NodeKind::kGoal:
+      return NodeRole::kGoal;
+    case NodeKind::kRule:
+      return NodeRole::kRule;
+    case NodeKind::kEdbLeaf:
+      return NodeRole::kEdbLeaf;
+    case NodeKind::kCycleRef:
+      return NodeRole::kCycleRef;
   }
-}
-
-void ProfilingObserver::OnDeliver(const DeliverEvent& event) {
-  uint64_t now = NowNs();
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++total_delivers_;
-  PidStats& s = Stats(event.to);
-  ++s.msgs_in;
-  if (event.kind == MessageKind::kBatch) ++s.batch_envelopes_in;
-  if (event.kind == MessageKind::kTupleRequest) ++s.requests_in;
-  s.segments_in += event.payload_segments;
-  s.segment_rows_in += event.payload_rows;
-  // Per-channel FIFO: the oldest in-flight send on this channel is the
-  // one just delivered. The delivery *started* handle_ns ago.
-  auto it = in_flight_sends_.find({event.from, event.to});
-  if (it != in_flight_sends_.end() && !it->second.empty()) {
-    uint64_t sent_at = it->second.front();
-    it->second.pop_front();
-    uint64_t started_at = now - std::min(now, event.handle_ns);
-    if (started_at > sent_at) s.queue_wait_ns += started_at - sent_at;
-  }
-}
-
-void ProfilingObserver::OnNodeFire(const NodeFireEvent& event) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  PidStats& s = Stats(event.pid);
-  s.fired = true;
-  s.node = event.node;
-  s.role = event.role;
-  ++s.fires;
-  s.tuples_in += event.tuples_in;
-  s.tuples_out += event.tuples_out;
-  s.dedup_hits += event.dedup_hits;
-  if (event.trigger == MessageKind::kTupleSegment ||
-      event.trigger == MessageKind::kBatch) {
-    // Batched arrivals: the rows (and the dedup hits their handling
-    // produced) that flow through the whole-segment absorb paths.
-    s.batch_rows_in += event.tuples_in;
-    s.batch_dedup_hits += event.dedup_hits;
-  }
-  s.fire_ns += event.handle_ns;
-}
-
-void ProfilingObserver::OnPhase(const PhaseEvent& event) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  size_t index = static_cast<size_t>(event.phase);
-  size_t count = static_cast<size_t>(Phase::kPhaseCount);
-  if (phase_ns_.size() < count) {
-    phase_ns_.resize(count, 0);
-    phase_begin_ns_.resize(count, 0);
-  }
-  if (event.begin) {
-    phase_begin_ns_[index] = NowNs();
-  } else if (phase_begin_ns_[index] != 0) {
-    phase_ns_[index] += NowNs() - phase_begin_ns_[index];
-  }
-}
-
-void ProfilingObserver::OnTermination(const TerminationEvent& event) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  SccStats& s = term_by_pid_[event.node];
-  switch (event.kind) {
-    case TerminationEvent::Kind::kWaveStarted:
-      ++s.waves;
-      break;
-    case TerminationEvent::Kind::kAnswerNegative:
-      ++s.negative_answers;
-      break;
-    case TerminationEvent::Kind::kAnswerConfirmed:
-      ++s.confirmed_answers;
-      break;
-    case TerminationEvent::Kind::kConcluded:
-      ++s.concluded;
-      break;
-    case TerminationEvent::Kind::kWorkNotice:
-      ++s.work_notices;
-      break;
-    case TerminationEvent::Kind::kKindCount:
-      break;
-  }
-}
-
-ProfileReport ProfilingObserver::Finalize() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ProfileReport report;
-  report.query_id = query_id_;
-  report.phase_ns = phase_ns_;
-  report.phase_ns.resize(static_cast<size_t>(Phase::kPhaseCount), 0);
-  report.total_msgs_sent = total_sends_;
-  report.total_msgs_delivered = total_delivers_;
-
-  for (size_t pid = 0; pid < by_pid_.size(); ++pid) {
-    const PidStats& s = by_pid_[pid];
-    report.total_fires += s.fires;
-    report.total_tuples_in += s.tuples_in;
-    report.total_tuples_out += s.tuples_out;
-    report.total_dedup_hits += s.dedup_hits;
-    report.total_fire_ns += s.fire_ns;
-    report.total_queue_wait_ns += s.queue_wait_ns;
-
-    // Rows: graph nodes when a graph is attached (pid == node id);
-    // otherwise every pid that saw traffic.
-    bool is_graph_node =
-        graph_ != nullptr ? pid < graph_->size() : (s.msgs_in + s.msgs_out) > 0;
-    if (!is_graph_node) continue;
-    NodeProfile row;
-    row.node = s.fired ? s.node : static_cast<int32_t>(pid);
-    row.fires = s.fires;
-    row.requests_in = s.requests_in;
-    row.tuples_in = s.tuples_in;
-    row.tuples_out = s.tuples_out;
-    row.dedup_hits = s.dedup_hits;
-    row.msgs_in = s.msgs_in;
-    row.msgs_out = s.msgs_out;
-    row.batch_envelopes_in = s.batch_envelopes_in;
-    row.batch_envelopes_out = s.batch_envelopes_out;
-    row.segments_in = s.segments_in;
-    row.segments_out = s.segments_out;
-    row.segment_rows_in = s.segment_rows_in;
-    row.segment_rows_out = s.segment_rows_out;
-    row.batch_rows_in = s.batch_rows_in;
-    row.batch_dedup_hits = s.batch_dedup_hits;
-    row.fire_ns = s.fire_ns;
-    row.queue_wait_ns = s.queue_wait_ns;
-    if (graph_ != nullptr) {
-      const GraphNode& n = graph_->node(static_cast<NodeId>(pid));
-      row.label = graph_->NodeLabel(n.id, symbols_);
-      row.scc_id = n.scc_id;
-      switch (n.kind) {
-        case NodeKind::kGoal:
-          row.role = NodeRole::kGoal;
-          break;
-        case NodeKind::kRule:
-          row.role = NodeRole::kRule;
-          break;
-        case NodeKind::kEdbLeaf:
-          row.role = NodeRole::kEdbLeaf;
-          break;
-        case NodeKind::kCycleRef:
-          row.role = NodeRole::kCycleRef;
-          break;
-      }
-    } else {
-      row.role = s.role;
-      row.label = StrCat("pid", pid);
-    }
-    report.nodes.push_back(std::move(row));
-  }
-
-  if (graph_ != nullptr) {
-    // One SccProfile per nontrivial component, protocol events summed
-    // over its members.
-    for (int scc = 0; scc < graph_->scc_count(); ++scc) {
-      const std::vector<NodeId>& members = graph_->scc_members(scc);
-      if (members.empty()) continue;
-      if (graph_->node(members.front()).scc_is_trivial) continue;
-      SccProfile row;
-      row.scc_id = scc;
-      row.members.assign(members.begin(), members.end());
-      row.leader = graph_->scc_leader(scc);
-      row.tree_depth = graph_->BfstHeight(scc);
-      for (NodeId m : members) {
-        auto it = term_by_pid_.find(static_cast<ProcessId>(m));
-        if (it == term_by_pid_.end()) continue;
-        row.waves += it->second.waves;
-        row.negative_answers += it->second.negative_answers;
-        row.confirmed_answers += it->second.confirmed_answers;
-        row.work_notices += it->second.work_notices;
-        row.concluded += it->second.concluded;
-      }
-      report.sccs.push_back(std::move(row));
-    }
-  }
-  return report;
+  return NodeRole::kGoal;
 }
 
 // ---------------------------------------------------------------------------

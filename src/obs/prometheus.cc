@@ -14,7 +14,7 @@ namespace {
 
 // A registry path mapped onto a Prometheus family: the low-cardinality
 // segments become the family name, the high-cardinality middle segment
-// (node id, predicate name, arc, ...) becomes a label.
+// (node id, predicate name, scc, ...) becomes a label.
 struct MappedPath {
   std::string family;  // without the mpqe_ prefix
   std::string label_key;
@@ -50,7 +50,6 @@ MappedPath MapPath(const std::string& name) {
   if (n == 3 && p[0] == "predicate") {
     return {"predicate_" + p[2], "predicate", p[1]};
   }
-  if (n == 3 && p[0] == "arc") return {"arc_" + p[2], "arc", p[1]};
   if (n == 3 && p[0] == "phase") return {"phase_" + p[2], "phase", p[1]};
   if (n == 3 && p[0] == "scc") return {"scc_" + p[2], "scc", p[1]};
   if (n == 4 && p[0] == "aggregated" && p[1] == "node") {

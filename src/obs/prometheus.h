@@ -13,7 +13,6 @@
 //   predicate/path/stored_tuples -> mpqe_predicate_stored_tuples{predicate="path"}
 //   scc/3/queue_depth            -> mpqe_scc_queue_depth{scc="3"}
 //   phase/run/ns                 -> mpqe_phase_ns{phase="run"}
-//   arc/1->2/sends               -> mpqe_arc_sends{arc="1->2"}
 //   msg/sent/tuple_segment       -> mpqe_msg_sent{kind="tuple_segment"}
 //   termination/wave_started     -> mpqe_termination_events{event="wave_started"}
 //   aggregated/node/7/fires      -> mpqe_profile_node_fires{node="7"}

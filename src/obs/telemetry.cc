@@ -102,13 +102,8 @@ void EngineTelemetry::OnSessionComplete(
     QueryLogEntry entry, const MetricsRegistry* session_metrics) {
   registry_.GetGauge("engine/active_sessions").Add(-1.0);
   if (session_metrics != nullptr) {
-    // Pull the query-log timing breakdown out of the session registry
-    // before it is folded in: fire time is the sum of per-message
-    // handling, queue wait only exists when the session profiled
+    // Queue wait exists only when the session profiled
     // (aggregated/node/<id>/queue_wait_ns counters).
-    if (const Histogram* h = session_metrics->FindHistogram("msg/handle_ns")) {
-      entry.fire_ns = h->sum();
-    }
     constexpr char kQueueWaitSuffix[] = "/queue_wait_ns";
     constexpr size_t kSuffixLen = sizeof(kQueueWaitSuffix) - 1;
     for (const auto& [name, value] : session_metrics->CounterRows()) {

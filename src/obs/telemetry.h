@@ -1,19 +1,25 @@
 // Engine-wide telemetry (DESIGN.md §12): the always-on, engine-scoped
-// aggregation layer that every QuerySession reports into. Where the
-// per-evaluation MetricsRegistry of PRs 2/3 dies with its session,
-// EngineTelemetry outlives them all and is what the ops surface — the
-// Prometheus exposition (obs/prometheus.h), the /metrics and /queries
-// endpoints (engine/stats_server.h) and `mpqe_query --stats` — reads.
+// aggregation layer that every QuerySession reports into. Where a
+// session's own MetricsRegistry (SessionOptions::metrics) belongs to its
+// caller, EngineTelemetry outlives every session and is what the ops
+// surface — the Prometheus exposition (obs/prometheus.h), the /metrics
+// and /queries endpoints (engine/stats_server.h) and `mpqe_query
+// --stats` — reads.
 //
 // Three pieces:
 //
-//  * an engine-lifetime MetricsRegistry. Counters and histograms from
-//    each completed session merge in (MetricsRegistry::MergeFrom);
-//    live *gauges* — active sessions, plan-cache size/hit-rate,
-//    worker-pool utilization, per-SCC queue depths from the stall
-//    heartbeat — are written in place and re-sampled by a background
-//    thread at `sample_interval_ms` via the sampler hook the Engine
-//    installs (and once more, synchronously, on every scrape).
+//  * an engine-lifetime MetricsRegistry. Every completed session adds
+//    its totals — messages by kind, deliveries, segment rows, node
+//    fires, dedup hits, Fig. 2 events, phase times — exactly once,
+//    through counter handles the Engine resolves when it starts
+//    (engine/evaluator.h SessionTotals), so every session counts and
+//    none pays a name lookup. Per-node and per-predicate rows stay out:
+//    node ids are plan-local. Live *gauges* — active sessions,
+//    plan-cache size/hit-rate, worker-pool utilization, per-SCC queue
+//    depths from the stall watchdog — are written in place and
+//    re-sampled by a background thread at `sample_interval_ms` via the
+//    sampler hook the Engine installs (and once more, synchronously, on
+//    every scrape).
 //
 //  * a structured query log: a fixed-capacity ring buffer of
 //    QueryLogEntry rows (query id, query text hash, plan reuse, rows
@@ -64,19 +70,6 @@ struct TelemetryOptions {
   // calls SampleNow, so /metrics is never stale either way).
   int sample_interval_ms = 0;
 
-  // Deep per-session metrics (a MetricsObserver on the session's
-  // network: per-message counters, handle-time histograms, per-node
-  // fires) are collected for every Nth session and merged into the
-  // engine registry on completion. Observation disables the network's
-  // zero-observer fast path and costs real per-message time, so
-  // always-on collection would blow the <= 5% qps budget on
-  // message-heavy workloads; sampling keeps the cumulative families
-  // moving at bounded cost. 1 = every session (full fidelity — what
-  // the tests use), 0 = never. Sessions that bring their own registry
-  // (SessionOptions::metrics) are unaffected. The query log and the
-  // session-latency histogram still cover EVERY session.
-  uint32_t session_metrics_every = 16;
-
   Status Validate() const;
 };
 
@@ -91,9 +84,12 @@ struct QueryLogEntry {
   bool plan_reused = false;
   uint64_t rows_out = 0;
   uint64_t wall_ns = 0;
-  // Cumulative scheduler-queue wait and in-handler time across the
-  // session's node processes (0 when the source metric was not
-  // collected — queue_wait_ns needs profiling).
+  // Handler time and scheduler-queue wait summed over the session's
+  // graph-node processes: the profile's total_fire_ns and
+  // total_queue_wait_ns. Queue wait is stamped only in sessions that
+  // profile (0 otherwise); handler time is clocked on every tapped
+  // delivery (0 on an engine with the flight recorder off, unless the
+  // session profiles).
   uint64_t queue_wait_ns = 0;
   uint64_t fire_ns = 0;
   std::string status = "ok";  // "ok" or the failing Status code name
@@ -135,26 +131,18 @@ class EngineTelemetry {
   /// Session lifecycle: bumps the engine/active_sessions gauge.
   void OnSessionStart();
 
-  /// Whether the next own-metrics session should collect deep metrics
-  /// (every `session_metrics_every`th call returns true, starting with
-  /// the first). Sessions with a caller-supplied registry skip this.
-  bool ShouldSampleSessionMetrics() {
-    uint32_t every = options_.session_metrics_every;
-    if (every == 0) return false;
-    return sampled_sessions_.fetch_add(1, std::memory_order_relaxed) %
-               every ==
-           0;
-  }
-
-  /// Session completion: merges the session's registry (pass nullptr
-  /// when the session collected none), appends the query-log entry
-  /// (stamping `slow` from the threshold), and updates the engine
-  /// counters/histograms (telemetry/queries, telemetry/slow_queries,
-  /// engine/query_wall_ns, engine/query_rows_out).
+  /// Session completion: appends the query-log entry (stamping `slow`
+  /// from the threshold) and updates the engine counters/histograms
+  /// (telemetry/queries, telemetry/slow_queries, engine/query_wall_ns,
+  /// engine/query_rows_out). A driver that collected a registry of its
+  /// own for just this session may pass it to be merged, and the
+  /// entry's queue wait then adds the registry's
+  /// aggregated/node/<id>/queue_wait_ns rows. Engine sessions pass
+  /// nullptr: their totals arrive through SessionTotals.
   void OnSessionComplete(QueryLogEntry entry,
                          const MetricsRegistry* session_metrics);
 
-  /// Stall-heartbeat sink: publishes per-SCC queue depths and the
+  /// Stall-watchdog sink: publishes per-SCC queue depths and the
   /// total in-flight count as gauges (scc/<id>/queue_depth,
   /// engine/in_flight_messages). Stall state is tracked per query so
   /// concurrent sessions compose: each gauge is the sum over the live
@@ -179,7 +167,7 @@ class EngineTelemetry {
   }
 
  private:
-  // One session's latest stall heartbeat.
+  // One session's latest stall report.
   struct StallState {
     std::vector<std::pair<int64_t, uint64_t>> scc_depths;
     uint64_t in_flight = 0;
@@ -197,12 +185,11 @@ class EngineTelemetry {
   std::atomic<uint64_t> next_query_id_{1};
   std::atomic<uint64_t> completed_{0};
   std::atomic<uint64_t> slow_{0};
-  std::atomic<uint64_t> sampled_sessions_{0};
 
   mutable std::mutex mutex_;  // ring + sampler hook + stall state
   std::deque<QueryLogEntry> ring_;
   std::function<void(MetricsRegistry&)> sampler_;
-  // Live stall heartbeat per query id, so one session completing (or
+  // Live stall report per query id, so one session completing (or
   // recovering) cannot clobber the gauges of another still-stalled
   // session. published_sccs_ is the set of SCC ids whose gauge is
   // currently nonzero, so a recovered stall resets its gauges instead

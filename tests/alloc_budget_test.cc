@@ -84,9 +84,9 @@ uint64_t SteadyStateAllocations(Database db, const std::string& program_text,
   Program program;
   Status parsed = ParseInto(program_text, program, db);
   EXPECT_TRUE(parsed.ok()) << parsed;
-  // Telemetry off: no sampled session attaches a MetricsObserver. The
-  // flight recorder stays at its default (on), as in every default
-  // session.
+  // Telemetry off: the count covers the session, not the engine's
+  // query log. The flight recorder stays at its default (on), as in
+  // every default session.
   EngineOptions engine_options;
   engine_options.telemetry = false;
   Engine engine(engine_options);

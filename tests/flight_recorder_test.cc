@@ -34,6 +34,8 @@
 #include "graph/rule_goal_graph.h"
 #include "msg/network.h"
 #include "obs/flight_dump.h"
+#include "obs/metrics.h"
+#include "obs/profiler.h"
 #include "sips/strategy.h"
 #include "test_engine.h"
 
@@ -302,10 +304,107 @@ TEST(FlightRecorderTest, SessionRecordsAgreeWithTheRunsOwnCounts) {
   EXPECT_FALSE(types.count(static_cast<uint8_t>(FlightEventType::kNodeFire)));
 }
 
+TEST(FlightRecorderTest, EverySurfaceReportsTheSameCounts) {
+  // One program on both schedulers, on an engine with telemetry and the
+  // flight recorder on, profiled and with a metrics registry of its
+  // own: the profile, the result, the session's metrics, the engine
+  // registry, the query log and the flight ring all read the network's
+  // counts, so they must agree exactly.
+  auto facts = Parse(kTcFacts);
+  ASSERT_TRUE(facts.ok()) << facts.status();
+  EngineOptions engine_options;
+  engine_options.workers = 2;
+  engine_options.flight_recorder_options = {.ring_capacity = 1 << 16,
+                                            .ring_count = 1};
+  Engine engine(engine_options);
+  ASSERT_NE(engine.telemetry(), nullptr);
+  ASSERT_NE(engine.flight_recorder(), nullptr);
+  auto plan = engine.Prepare(engine.Attach(std::move(facts->database)),
+                             kTcRules);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  MetricsRegistry& engine_registry = engine.telemetry()->registry();
+
+  for (SchedulerKind scheduler :
+       {SchedulerKind::kDeterministic, SchedulerKind::kThreaded}) {
+    SCOPED_TRACE(SchedulerKindToName(scheduler));
+    const uint64_t engine_delivered_before =
+        engine_registry.GetCounter("msg/delivered").value();
+    MetricsRegistry metrics;
+    SessionOptions options;
+    options.scheduler = scheduler;
+    options.workers = 2;
+    options.profile = true;
+    options.metrics = &metrics;
+    auto session = engine.CreateSession(*plan, options);
+    ASSERT_TRUE(session.ok()) << session.status();
+    const uint64_t query_id = (*session)->query_id();
+    auto result = (*session)->Run();
+    ASSERT_TRUE(result.ok()) << result.status();
+    ASSERT_NE(result->profile, nullptr);
+    const ProfileReport& profile = *result->profile;
+
+    // Deliveries: five surfaces.
+    uint64_t ring_deliveries = 0;
+    uint64_t ring_node_handler_ns = 0;
+    for (const FlightRecord& r : engine.flight_recorder()->Snapshot()) {
+      if (r.query_id == query_id &&
+          r.type == static_cast<uint8_t>(FlightEventType::kDeliver)) {
+        ++ring_deliveries;
+        // The sink is the process after the graph's nodes.
+        if (r.b < static_cast<int32_t>(profile.nodes.size())) {
+          ring_node_handler_ns += r.aux;
+        }
+      }
+    }
+    EXPECT_LT(engine.flight_recorder()->recorded(), uint64_t{1} << 16)
+        << "ring wrapped";
+    EXPECT_GT(result->delivered, 0u);
+    EXPECT_EQ(profile.total_msgs_delivered, result->delivered);
+    EXPECT_EQ(metrics.GetCounter("msg/delivered").value(), result->delivered);
+    EXPECT_EQ(engine_registry.GetCounter("msg/delivered").value() -
+                  engine_delivered_before,
+              result->delivered);
+    EXPECT_EQ(ring_deliveries, result->delivered);
+
+    // Physical sends.
+    uint64_t sent_by_kind = 0;
+    for (const auto& [name, value] : metrics.CounterRows()) {
+      if (name.rfind("msg/sent/", 0) == 0) sent_by_kind += value;
+    }
+    EXPECT_EQ(profile.total_msgs_sent, result->message_stats.PhysicalTotal());
+    EXPECT_EQ(sent_by_kind, result->message_stats.PhysicalTotal());
+
+    // Answer rows shipped.
+    uint64_t segment_rows_out = 0;
+    for (const NodeProfile& node : profile.nodes) {
+      segment_rows_out += node.segment_rows_out;
+    }
+    EXPECT_GT(segment_rows_out, 0u);
+    EXPECT_EQ(segment_rows_out, result->message_stats.segment_rows);
+
+    // Duplicate elimination.
+    EXPECT_EQ(profile.total_dedup_hits, result->counters.duplicate_drops);
+    EXPECT_EQ(metrics.GetCounter("dedup/hits").value(),
+              result->counters.duplicate_drops);
+
+    // Fire time: each graph-node delivery's handler plus the run-end
+    // flush it closes, summed over the nodes.
+    std::vector<QueryLogEntry> log = engine.telemetry()->QueryLog();
+    auto entry = std::find_if(log.begin(), log.end(), [&](const auto& e) {
+      return e.query_id == query_id;
+    });
+    ASSERT_NE(entry, log.end());
+    EXPECT_GT(entry->fire_ns, 0u);
+    EXPECT_EQ(entry->fire_ns, profile.total_fire_ns);
+    EXPECT_EQ(ring_node_handler_ns, profile.total_fire_ns);
+    EXPECT_EQ(entry->queue_wait_ns, profile.total_queue_wait_ns);
+  }
+}
+
 TEST(FlightRecorderTest, UnsampledEngineSessionRecordsWithoutObservers) {
-  // A default Engine samples deep metrics on every 16th session,
-  // starting with the first. The second session is unsampled: the
-  // recorder is on, yet its network carries no observer at all.
+  // A default Engine samples no session: telemetry reads the network's
+  // counts. Every session records, and its network carries no observer
+  // at all.
   auto facts = Parse(kTcFacts);
   ASSERT_TRUE(facts.ok()) << facts.status();
   EngineOptions engine_options;
@@ -316,9 +415,9 @@ TEST(FlightRecorderTest, UnsampledEngineSessionRecordsWithoutObservers) {
   auto plan = engine.Prepare(snapshot, kTcRules);
   ASSERT_TRUE(plan.ok()) << plan.status();
 
-  auto sampled = engine.RunAsync(*plan).get();
-  ASSERT_TRUE(sampled.ok()) << sampled.status();
-  EXPECT_GE(sampled->observer_count, 1u);
+  auto first = engine.RunAsync(*plan).get();
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(first->observer_count, 0u);
   const uint64_t before = engine.flight_recorder()->recorded();
   auto unsampled = engine.RunAsync(*plan).get();
   ASSERT_TRUE(unsampled.ok()) << unsampled.status();

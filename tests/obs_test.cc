@@ -136,8 +136,6 @@ TEST(MetricsObserverTest, EvaluationFillsRegistry) {
   EXPECT_GT(result->message_stats.packaged_submessages, 0u);
   EXPECT_EQ(registry.GetCounter("msg/delivered").value(), result->delivered);
   EXPECT_GT(registry.GetCounter("node/fires").value(), 0u);
-  EXPECT_EQ(registry.GetHistogram("msg/handle_ns").count(),
-            result->delivered);
 
   // End-of-run dumps.
   EXPECT_EQ(registry.GetCounter("run/answers").value(),
@@ -152,26 +150,6 @@ TEST(MetricsObserverTest, EvaluationFillsRegistry) {
               1u)
         << phase;
   }
-}
-
-TEST(MetricsObserverTest, PerArcCountersMatchTotals) {
-  MetricsRegistry registry;
-  SessionOptions options;
-  options.metrics = &registry;
-  options.metrics_per_arc = true;
-  auto result = RunTc(options);
-  ASSERT_TRUE(result.ok());
-  uint64_t arc_total = 0;
-  bool saw_arc = false;
-  for (const auto& [name, value] : registry.CounterRows()) {
-    if (name.rfind("arc/", 0) == 0) {
-      saw_arc = true;
-      arc_total += value;
-    }
-  }
-  EXPECT_TRUE(saw_arc);
-  EXPECT_EQ(arc_total, result->message_stats.PhysicalTotal());
-  EXPECT_GT(result->message_stats.packaged_submessages, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -480,9 +458,6 @@ TEST(LoggingObserverTest, LevelNamesResolve) {
   // An explicit bad level is a Validate-time configuration error.
   SessionOptions options;
   options.log_level = "verbose";
-  EXPECT_FALSE(options.Validate().ok());
-  options.log_level = "info";
-  options.progress_interval_ms = -1;
   EXPECT_FALSE(options.Validate().ok());
 }
 

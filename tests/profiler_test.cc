@@ -97,6 +97,14 @@ TEST(ProfilerTest, DeterministicTcExactCounts) {
   EXPECT_EQ(rec->tuples_in, 3u);
   EXPECT_EQ(rec->tuples_out, 1u);
 
+  // Node 7, the recursive goal tc(Z, _): the rule #5 requests it for
+  // Z in {2, 3} (edge(1, Z)), and the cycle reference #12 for Z = 3
+  // (edge(2, 3) via #10). Requests travel packaged in batches, and
+  // each one counts.
+  const NodeProfile* recursive = FindNode(report, 7);
+  ASSERT_NE(recursive, nullptr);
+  EXPECT_EQ(recursive->requests_in, 3u);
+
   // Rule nodes carry database-sized estimates; EDB leaves do not.
   EXPECT_NE(rec->est_log10_tuples, kNoEstimate);
   EXPECT_NE(rec->est_total_cost, kNoEstimate);
@@ -168,6 +176,8 @@ TEST(ProfilerTest, ThreadedTotalsMatchDeterministic) {
     EXPECT_EQ(t->tuples_in, d.tuples_in) << "node " << d.node;
     EXPECT_EQ(t->tuples_out, d.tuples_out) << "node " << d.node;
     EXPECT_EQ(t->dedup_hits, d.dedup_hits) << "node " << d.node;
+    // A consumer requests each binding once, whatever the schedule.
+    EXPECT_EQ(t->requests_in, d.requests_in) << "node " << d.node;
   }
 }
 
@@ -288,29 +298,36 @@ TEST(ProfilerTest, AggregatedMetricsDumpedPerNode) {
 // ---------------------------------------------------------------------------
 // Graph-less operation (raw Network benchmarks)
 
-TEST(ProfilerTest, WorksWithoutAttachedGraph) {
-  ProfilingObserver profiler;
-  SendEvent send;
-  send.from = 0;
-  send.to = 1;
-  Message message;
-  message.kind = MessageKind::kTupleRequest;
-  send.message = &message;
-  profiler.OnSend(send);
-  DeliverEvent deliver;
-  deliver.from = 0;
-  deliver.to = 1;
-  deliver.kind = MessageKind::kTupleRequest;
-  profiler.OnDeliver(deliver);
+// Sends one tuple request to `peer` when started (kNoProcess: none).
+class OneRequest : public Process {
+ public:
+  explicit OneRequest(ProcessId peer) : peer_(peer) {}
+  void OnStart() override {
+    if (peer_ != kNoProcess) Send(peer_, MakeTupleRequest({Value::Int(1)}));
+  }
+  void OnMessage(const Message&) override {}
 
-  ProfileReport report = profiler.Finalize();
-  EXPECT_EQ(report.total_msgs_sent, 1u);
-  EXPECT_EQ(report.total_msgs_delivered, 1u);
-  ASSERT_EQ(report.nodes.size(), 2u);  // pid0 (sender), pid1 (receiver)
-  EXPECT_EQ(report.nodes[0].msgs_out, 1u);
-  EXPECT_EQ(report.nodes[1].msgs_in, 1u);
-  EXPECT_EQ(report.nodes[1].label, "pid1");
-  EXPECT_TRUE(report.sccs.empty());
+ private:
+  ProcessId peer_;
+};
+
+// The counts a profile is built from need no rule/goal graph: a raw
+// network keeps one record per process.
+TEST(ProfilerTest, WorksWithoutAttachedGraph) {
+  Network net;
+  net.AddProcess(std::make_unique<OneRequest>(1));
+  net.AddProcess(std::make_unique<OneRequest>(kNoProcess));
+  net.EnableProfiling();
+  auto run = net.RunDeterministic();
+  ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_EQ(run->delivered, 1u);
+  EXPECT_EQ(net.counts(0).sent(), 1u);
+  EXPECT_EQ(net.counts(0).delivered, 0u);
+  EXPECT_EQ(net.counts(1).sent(), 0u);
+  EXPECT_EQ(net.counts(1).delivered, 1u);
+  EXPECT_EQ(net.counts(1).requests_in, 1u);
+  EXPECT_EQ(net.counts(0).sent() + net.counts(1).sent(),
+            net.stats().PhysicalTotal());
 }
 
 }  // namespace
