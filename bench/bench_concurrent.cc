@@ -14,10 +14,6 @@
 //   --workers=<n>    engine worker-pool size             (default = sessions)
 //   --repeats=<r>    hit-path Prepare calls to sample    (default 64)
 //   --json=<file>    write the machine-readable summary  (default stdout only)
-//   --telemetry=<on|off>  engine-wide telemetry + stats endpoint
-//                    (default on; `off` is the A/B baseline for the
-//                    overhead guard — bench_guard.py --qps compares the
-//                    two JSON summaries and asserts on/off >= 0.95)
 //   --scrape-out=<f> serve GET /metrics on an ephemeral loopback port,
 //                    scrape it REPEATEDLY WHILE THE LOAD RUNS, and
 //                    write the final post-load scrape to <f> (validate
@@ -118,7 +114,6 @@ int main(int argc, char** argv) {
   int workers = 0;
   int repeats = 64;
   std::string json_path;
-  bool telemetry = true;
   std::string scrape_path;
   std::string queries_path;
 
@@ -139,10 +134,6 @@ int main(int argc, char** argv) {
       repeats = std::stoi(value("--repeats="));
     } else if (arg.rfind("--json=", 0) == 0) {
       json_path = value("--json=");
-    } else if (arg.rfind("--telemetry=", 0) == 0) {
-      const std::string v = value("--telemetry=");
-      if (v != "on" && v != "off") return Fail("--telemetry expects on|off");
-      telemetry = v == "on";
     } else if (arg.rfind("--scrape-out=", 0) == 0) {
       scrape_path = value("--scrape-out=");
     } else if (arg.rfind("--queries-out=", 0) == 0) {
@@ -155,9 +146,6 @@ int main(int argc, char** argv) {
     return Fail("sessions/queries/repeats must be >= 1 and scale >= 2");
   }
   const bool scraping = !scrape_path.empty() || !queries_path.empty();
-  if (scraping && !telemetry) {
-    return Fail("--scrape-out/--queries-out require --telemetry=on");
-  }
 
   // The TC-over-a-chain example: one plan, shared by every stream.
   mpqe::Database db;
@@ -166,11 +154,8 @@ int main(int argc, char** argv) {
   }
   const std::string program_text = mpqe::workload::LinearTcProgram(0);
 
-  mpqe::MetricsRegistry metrics;
   mpqe::EngineOptions engine_options;
   engine_options.workers = workers > 0 ? workers : sessions;
-  engine_options.metrics = &metrics;
-  engine_options.telemetry = telemetry;
   if (scraping) engine_options.stats_port = 0;  // ephemeral loopback port
   mpqe::Engine engine(engine_options);
   if (scraping) {
@@ -287,7 +272,6 @@ int main(int argc, char** argv) {
        << "  \"queries_per_session\": " << queries << ",\n"
        << "  \"total_queries\": " << total_queries << ",\n"
        << "  \"engine_workers\": " << engine.workers() << ",\n"
-       << "  \"telemetry\": " << (telemetry ? "true" : "false") << ",\n"
        << "  \"scrapes\": " << scrapes.load() << ",\n"
        << "  \"wall_ns\": " << wall_ns << ",\n"
        << "  \"qps\": " << qps << ",\n"

@@ -220,9 +220,7 @@ int main(int argc, char** argv) {
 
   // The engine lifecycle: snapshot the EDB, compile the program into
   // one PreparedQuery (cached), run sessions over it.
-  mpqe::MetricsRegistry engine_metrics;
   mpqe::EngineOptions engine_options;
-  engine_options.metrics = &engine_metrics;
   engine_options.telemetry_options.slow_query_ns =
       static_cast<uint64_t>(slow_query_ms) * 1'000'000;
   mpqe::Engine engine(engine_options);
@@ -348,7 +346,9 @@ int main(int argc, char** argv) {
   if (show_stats || repeat > 1) {
     std::cerr << engine.plan_cache_stats().ToString() << "\n"
               << "session latency: "
-              << engine_metrics.GetHistogram("engine/session_latency_ns")
+              << engine.telemetry()
+                     .registry()
+                     .GetHistogram("engine/session_latency_ns")
                      .ToString()
               << "\n";
   }
@@ -360,9 +360,7 @@ int main(int argc, char** argv) {
               << " cycle_edges=" << result->graph_stats.cycle_refs << "\n"
               << "ended_by_protocol: "
               << (result->ended_by_protocol ? "yes" : "no") << "\n";
-    if (engine.telemetry() != nullptr) {
-      std::cerr << "query log: " << engine.telemetry()->QueryLogJson();
-    }
+    std::cerr << "query log: " << engine.telemetry().QueryLogJson();
   }
   if (!flight_dump_out.empty()) {
     std::ofstream out(flight_dump_out);
@@ -372,13 +370,10 @@ int main(int argc, char** argv) {
               << engine.watchdog_dumps() << " watchdog dump(s))\n";
   }
   if (!metrics_out.empty()) {
-    if (engine.telemetry() == nullptr) {
-      return Fail("--metrics-out requires engine telemetry");
-    }
-    engine.telemetry()->SampleNow();
+    engine.telemetry().SampleNow();
     std::ofstream out(metrics_out);
     if (!out) return Fail("cannot write " + metrics_out);
-    out << mpqe::ToPrometheusText(engine.telemetry()->registry());
+    out << mpqe::ToPrometheusText(engine.telemetry().registry());
     std::cerr << "metrics written to " << metrics_out << "\n";
   }
   return 0;

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Fail if a recorded performance guard regresses.
 
-Six modes:
+Five modes:
 
 Lineage overhead (default):
 
@@ -10,10 +10,6 @@ Lineage overhead (default):
 Plan-cache prepare speedup:
 
     bench_guard.py --prepare BENCH_engine.json [min_speedup]
-
-Telemetry end-to-end qps:
-
-    bench_guard.py --qps BENCH_on.json BENCH_off.json [min_ratio]
 
 Vectorized segment kernel speedup:
 
@@ -59,12 +55,6 @@ scratch-Tuple copy into a std::unordered_set answer table (vs. /1: the
 flat-arena InsertSegment kernel). Both benches count items = rows, so
 the real_time ratio is the rows/s speedup. Medians are preferred when
 the run carries repetitions.
-
-The --qps mode compares two mpqe_bench_concurrent summaries — one run
-with --telemetry=on, one with --telemetry=off — and fails unless
-qps_on / qps_off >= min_ratio (default 0.95): the telemetry layer
-(query ids, every session's totals added to the engine registry, gauge
-sampling, stats endpoint) may cost at most 5% of end-to-end throughput.
 
 The --prepare mode reads the summary written by mpqe_bench_concurrent
 (scripts/bench.sh records it as BENCH_engine.json) and fails unless
@@ -147,28 +137,6 @@ def micro_rows(fresh_path):
         elif b.get("run_type") != "aggregate":
             rows[b["name"]] = b["real_time"]
     return medians if medians else rows
-
-
-def check_qps(on_path, off_path, min_ratio):
-    docs = {}
-    for path, want in ((on_path, True), (off_path, False)):
-        doc = load(path)
-        if doc.get("telemetry") is not want:
-            fail(f"{path} records telemetry={doc.get('telemetry')!r}, "
-                 f"expected a --telemetry={'on' if want else 'off'} run")
-        qps = doc.get("qps")
-        if not isinstance(qps, (int, float)) or qps <= 0:
-            fail(f"{path} qps is {qps!r}")
-        docs[want] = qps
-    ratio = docs[True] / docs[False]
-    if ratio < min_ratio:
-        fail(f"telemetry-on qps is {ratio:.3f}x the telemetry-off run "
-             f"(on={docs[True]:.0f}, off={docs[False]:.0f}), "
-             f"expected >= {min_ratio}")
-    print(f"bench_guard: OK: telemetry-on qps {ratio:.3f}x of off "
-          f"(on={docs[True]:.0f}, off={docs[False]:.0f}, guard "
-          f">= {min_ratio})")
-    sys.exit(0)
 
 
 def check_absorb(fresh_path, min_speedup):
@@ -278,13 +246,6 @@ def main():
             sys.exit(2)
         max_ratio = float(sys.argv[4]) if len(sys.argv) == 5 else 1.25
         check_history(sys.argv[2], sys.argv[3], max_ratio)
-        return
-    if len(sys.argv) >= 2 and sys.argv[1] == "--qps":
-        if len(sys.argv) not in (4, 5):
-            print(__doc__, file=sys.stderr)
-            sys.exit(2)
-        min_ratio = float(sys.argv[4]) if len(sys.argv) == 5 else 0.95
-        check_qps(sys.argv[2], sys.argv[3], min_ratio)
         return
     if len(sys.argv) != 3:
         print(__doc__, file=sys.stderr)

@@ -59,14 +59,17 @@ served by the engine's GET /metrics and mpqe_query --metrics-out):
     in le order), the last bucket is le="+Inf" and equals _count, and
     _sum/_count are present;
   * the engine's core families are all present: plan-cache
-    (mpqe_plan_cache_hit, mpqe_plan_cache_size), session latency
+    (mpqe_plan_cache_hit, mpqe_plan_cache_size), sessions created
+    (mpqe_engine_sessions), session latency
     (mpqe_engine_session_latency_ns), queue depth
     (mpqe_engine_pool_queue_depth), and message/segment traffic
     (mpqe_msg_sent, mpqe_msg_segment_rows);
   * with --queries, the mpqe-querylog-v1 document correlates with the
-    scrape: query ids are unique and >= 1, and the log's completed
-    total equals the scrape's mpqe_engine_session_latency_ns_count —
-    every completed session shows up in both surfaces.
+    scrape: query ids are unique and >= 1, the log's completed total
+    equals the scrape's mpqe_engine_session_latency_ns_count — every
+    completed session shows up in both surfaces — and
+    mpqe_engine_sessions is at least that total (every completed
+    session was created).
 
 Flight dump checks (--flight, schema "mpqe-flightdump-v1" as written
 by the stall watchdog, GET /debug/flight, and mpqe_query
@@ -306,6 +309,7 @@ def check_lineage(path):
 REQUIRED_FAMILIES = [
     "mpqe_plan_cache_hit",
     "mpqe_plan_cache_size",
+    "mpqe_engine_sessions",
     "mpqe_engine_session_latency_ns",
     "mpqe_engine_pool_queue_depth",
     "mpqe_msg_sent",
@@ -423,9 +427,12 @@ def check_prometheus(scrape_path, queries_path):
              f"(got {sorted(types)})")
 
     latency_count = None
+    sessions_created = None
     for line in text.splitlines():
         if line.startswith("mpqe_engine_session_latency_ns_count "):
             latency_count = float(line.split()[1])
+        elif line.startswith("mpqe_engine_sessions "):
+            sessions_created = float(line.split()[1])
 
     if queries_path is not None:
         log = load(queries_path)
@@ -458,6 +465,9 @@ def check_prometheus(scrape_path, queries_path):
         if completed != int(latency_count):
             fail(f"query log says {completed} completed sessions but the "
                  f"scrape recorded {int(latency_count)} session latencies")
+        if sessions_created is None or sessions_created < completed:
+            fail(f"scrape says {sessions_created} sessions were created, "
+                 f"fewer than the query log's {completed} completed")
 
     correlated = (f", correlated with query log ({queries_path})"
                   if queries_path else "")

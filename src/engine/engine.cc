@@ -50,17 +50,12 @@ Status EngineOptions::Validate() const {
     return InvalidArgumentError(
         StrCat("stats_port: must be <= 65535, got ", stats_port));
   }
-  if (stats_port >= 0 && !telemetry) {
-    return InvalidArgumentError(
-        "stats_port: the stats endpoint serves telemetry; enable "
-        "EngineOptions::telemetry");
-  }
   if (watchdog_stall_ms < 0) {
     return InvalidArgumentError(
         StrCat("watchdog_stall_ms: must be >= 0, got ", watchdog_stall_ms));
   }
-  if (flight_recorder && (flight_recorder_options.ring_capacity < 1 ||
-                          flight_recorder_options.ring_count < 1)) {
+  if (flight_recorder_options.ring_capacity < 1 ||
+      flight_recorder_options.ring_count < 1) {
     return InvalidArgumentError(
         "flight_recorder_options: ring_capacity and ring_count must be "
         ">= 1");
@@ -179,43 +174,37 @@ StatusOr<EvaluationResult> QuerySession::Run() {
   const bool exclusive = options_.lineage;
   MPQE_RETURN_IF_ERROR(snapshot.BeginSession(exclusive));
 
-  EngineTelemetry* telemetry = options_.telemetry;
-  if (telemetry != nullptr) telemetry->OnSessionStart();
+  engine_->telemetry_.OnSessionStart();
 
   const uint64_t start = NowNs();
   StatusOr<EvaluationResult> result =
       RunSession(plan_->graph(), snapshot.db_, options_);
   latency_ns_ = NowNs() - start;
   snapshot.EndSession(exclusive);
-  engine_->RecordSessionLatency(latency_ns_);
+  engine_->session_latency_ns_.Record(latency_ns_);
 
-  if (options_.flight != nullptr) {
-    const uint64_t rows = result.ok() ? result.value().answers.size() : 0;
-    options_.flight->RecordEvent(
-        FlightEventType::kSessionEnd, options_.query_id,
-        result.ok() ? 1 : 0, -1,
-        static_cast<uint32_t>(std::min<uint64_t>(rows, UINT32_MAX)));
-  }
+  const uint64_t rows = result.ok() ? result.value().answers.size() : 0;
+  engine_->flight_.RecordEvent(
+      FlightEventType::kSessionEnd, options_.query_id, result.ok() ? 1 : 0,
+      -1, static_cast<uint32_t>(std::min<uint64_t>(rows, UINT32_MAX)));
 
-  if (telemetry != nullptr) {
-    QueryLogEntry entry;
-    entry.query_id = options_.query_id;
-    entry.text_hash = HashQueryText(plan_->canonical_text());
-    entry.plan_reused = plan_reused_;
-    entry.rows_out = result.ok() ? result.value().answers.size() : 0;
-    entry.wall_ns = latency_ns_;
-    entry.status =
-        result.ok() ? "ok" : StatusCodeToString(result.status().code());
-    if (result.ok()) {
-      // Every session adds its totals once, whatever registry it
-      // brought for itself.
-      engine_->session_totals_->Add(*result);
-      const ProcessCounts nodes = result->NodeTraffic();
-      entry.fire_ns = nodes.handler_ns;
-      entry.queue_wait_ns = nodes.queue_wait_ns;
-    }
-    telemetry->OnSessionComplete(std::move(entry), nullptr);
+  QueryLogEntry entry;
+  entry.query_id = options_.query_id;
+  entry.text_hash = HashQueryText(plan_->canonical_text());
+  entry.plan_reused = plan_reused_;
+  entry.rows_out = rows;
+  entry.wall_ns = latency_ns_;
+  entry.status =
+      result.ok() ? "ok" : StatusCodeToString(result.status().code());
+  if (result.ok()) {
+    // Every session adds its totals once, whatever registry it brought
+    // for itself.
+    engine_->session_totals_.Add(*result);
+    const ProcessCounts nodes = result->NodeTraffic();
+    entry.fire_ns = nodes.handler_ns;
+    entry.queue_wait_ns = nodes.queue_wait_ns;
   }
+  engine_->telemetry_.OnSessionComplete(std::move(entry));
   return result;
 }
 
@@ -224,9 +213,24 @@ StatusOr<EvaluationResult> QuerySession::Run() {
 
 Engine::Engine(EngineOptions options)
     : options_(std::move(options)),
-      plan_cache_(std::max<size_t>(1, options_.plan_cache_capacity)) {
+      plan_cache_(options_.plan_cache_capacity),
+      flight_(options_.flight_recorder_options),
+      telemetry_(options_.telemetry_options),
+      plan_cache_hits_(telemetry_.registry().GetCounter("plan_cache/hit")),
+      plan_cache_misses_(telemetry_.registry().GetCounter("plan_cache/miss")),
+      plan_cache_evictions_(
+          telemetry_.registry().GetCounter("plan_cache/evictions")),
+      index_builds_skipped_(
+          telemetry_.registry().GetCounter("plan_cache/index_builds_skipped")),
+      sessions_(telemetry_.registry().GetCounter("engine/sessions")),
+      prepare_ns_(telemetry_.registry().GetHistogram("engine/prepare_ns")),
+      session_latency_ns_(
+          telemetry_.registry().GetHistogram("engine/session_latency_ns")),
+      session_totals_(telemetry_.registry()) {
+  const Status valid = options_.Validate();
+  MPQE_CHECK(valid.ok()) << "EngineOptions: " << valid;
   int n = options_.workers;
-  if (n <= 0) {
+  if (n == 0) {
     unsigned hw = std::thread::hardware_concurrency();
     n = static_cast<int>(std::clamp(hw, 2u, 8u));
   }
@@ -235,61 +239,39 @@ Engine::Engine(EngineOptions options)
     workers_.emplace_back([this] { WorkerLoop(); });
   }
 
-  if (options_.flight_recorder) {
-    flight_ =
-        std::make_unique<FlightRecorder>(options_.flight_recorder_options);
-  }
+  // The session watchdog (engine/evaluator.cc) counts these by name;
+  // registered here so a scrape sees them at zero.
+  telemetry_.registry().GetCounter("watchdog/stalls");
+  telemetry_.registry().GetCounter("watchdog/dumps");
+  telemetry_.StartSampling(
+      [this](MetricsRegistry& r) { SampleEngineGauges(r); });
 
-  if (options_.telemetry) {
-    telemetry_ = std::make_unique<EngineTelemetry>(options_.telemetry_options);
-    // Pre-register the cumulative families so a scrape sees them (at
-    // zero) before the first Prepare/Run.
-    MetricsRegistry& registry = telemetry_->registry();
-    registry.GetCounter("plan_cache/hit");
-    registry.GetCounter("plan_cache/miss");
-    registry.GetCounter("plan_cache/evictions");
-    registry.GetHistogram("engine/prepare_ns");
-    registry.GetHistogram("engine/session_latency_ns");
-    // Resolving the session families registers them too, so a workload
-    // that has (say) shipped no answers yet reports 0 instead of
-    // dropping the family — Prometheus rate() needs the zero sample.
-    session_totals_ = std::make_unique<SessionTotals>(registry);
-    registry.GetCounter("watchdog/stalls");
-    registry.GetCounter("watchdog/dumps");
-    telemetry_->StartSampling(
-        [this](MetricsRegistry& r) { SampleEngineGauges(r); });
-
-    if (options_.stats_port >= 0) {
-      StatsServerOptions server_options;
-      server_options.port = options_.stats_port;
-      server_options.bind_address = options_.stats_bind_address;
-      stats_server_ = std::make_unique<StatsServer>(server_options);
-      EngineTelemetry* telemetry = telemetry_.get();
-      stats_server_->AddRoute("/metrics", PrometheusContentType(),
-                              [telemetry] {
-                                telemetry->SampleNow();
-                                return ToPrometheusText(telemetry->registry());
-                              });
-      stats_server_->AddRoute("/queries", "application/json", [telemetry] {
-        return telemetry->QueryLogJson();
-      });
-      stats_server_->AddRoute("/healthz", "text/plain",
-                              [] { return std::string("ok\n"); });
-      stats_server_->AddRoute("/debug/flight", "application/json",
-                              [this] { return FlightDumpJson(); });
-      stats_server_status_ = stats_server_->Start();
-      if (!stats_server_status_.ok()) stats_server_.reset();
-    }
+  if (options_.stats_port >= 0) {
+    StatsServerOptions server_options;
+    server_options.port = options_.stats_port;
+    server_options.bind_address = options_.stats_bind_address;
+    stats_server_ = std::make_unique<StatsServer>(server_options);
+    stats_server_->AddRoute("/metrics", PrometheusContentType(), [this] {
+      telemetry_.SampleNow();
+      return ToPrometheusText(telemetry_.registry());
+    });
+    stats_server_->AddRoute("/queries", "application/json",
+                            [this] { return telemetry_.QueryLogJson(); });
+    stats_server_->AddRoute("/healthz", "text/plain",
+                            [] { return std::string("ok\n"); });
+    stats_server_->AddRoute("/debug/flight", "application/json",
+                            [this] { return FlightDumpJson(); });
+    stats_server_status_ = stats_server_->Start();
+    if (!stats_server_status_.ok()) stats_server_.reset();
   }
 }
 
 Engine::~Engine() {
-  // The stats server's handlers read the telemetry registry, so it
-  // goes first. Then drain and join the pool BEFORE destroying
-  // telemetry_: WorkerLoop runs every queued task during shutdown, and
-  // pending RunAsync sessions hold the raw EngineTelemetry* stamped at
-  // CreateSession — freeing it earlier is a use-after-free. The
-  // sampler reading pool state is safe until members destruct.
+  // The stats server's handlers read the telemetry and the recorder, so
+  // it goes first. Then drain and join the pool: WorkerLoop runs every
+  // queued task during shutdown, and pending RunAsync sessions report
+  // into telemetry_ and flight_, which members destroy only after this
+  // body returns.
   stats_server_.reset();
   {
     std::lock_guard<std::mutex> lock(pool_mutex_);
@@ -297,7 +279,6 @@ Engine::~Engine() {
   }
   pool_cv_.notify_all();
   for (std::thread& worker : workers_) worker.join();
-  telemetry_.reset();
 }
 
 void Engine::SampleEngineGauges(MetricsRegistry& registry) {
@@ -384,21 +365,13 @@ StatusOr<std::shared_ptr<const PreparedQuery>> Engine::PrepareImpl(
   }
   MPQE_RETURN_IF_ERROR(options.Validate());
   const uint64_t start = NowNs();
-  // Counters land in the caller's engine registry (EngineOptions::
-  // metrics) and in the built-in telemetry; either may be absent.
-  auto count = [this](const char* name, uint64_t delta = 1) {
-    if (options_.metrics) options_.metrics->GetCounter(name).Increment(delta);
-    if (telemetry_) telemetry_->registry().GetCounter(name).Increment(delta);
-  };
-  auto record_prepare_ns = [this, start] {
+  // Times the call and counts the lookup, once per plan returned.
+  auto found = [this, start](bool hit) {
     const uint64_t ns = NowNs() - start;
     last_prepare_ns_.store(ns, std::memory_order_relaxed);
-    if (options_.metrics) {
-      options_.metrics->GetHistogram("engine/prepare_ns").Record(ns);
-    }
-    if (telemetry_) {
-      telemetry_->registry().GetHistogram("engine/prepare_ns").Record(ns);
-    }
+    prepare_ns_.Record(ns);
+    (hit ? plan_cache_hits_ : plan_cache_misses_).Increment();
+    flight_.RecordEvent(FlightEventType::kPlanPrepare, 0, /*a=*/hit ? 1 : 0);
   };
 
   const std::string prefix = KeyPrefix(*snapshot, options);
@@ -409,11 +382,7 @@ StatusOr<std::shared_ptr<const PreparedQuery>> Engine::PrepareImpl(
     raw_key = StrCat("raw;", prefix, program_text);
     if (std::shared_ptr<const PreparedQuery> plan =
             plan_cache_.Lookup(raw_key, /*count_miss=*/false)) {
-      record_prepare_ns();
-      count("plan_cache/hit");
-      if (flight_) {
-        flight_->RecordEvent(FlightEventType::kPlanPrepare, 0, /*a=*/1);
-      }
+      found(/*hit=*/true);
       return plan;
     }
   }
@@ -424,7 +393,7 @@ StatusOr<std::shared_ptr<const PreparedQuery>> Engine::PrepareImpl(
     Status parse_status =
         ParseRulesInto(program_text, parsed, snapshot->db_.symbols());
     if (!parse_status.ok()) {
-      count("plan_cache/miss");
+      plan_cache_misses_.Increment();
       return parse_status;
     }
     program = &parsed;
@@ -439,16 +408,11 @@ StatusOr<std::shared_ptr<const PreparedQuery>> Engine::PrepareImpl(
     MPQE_ASSIGN_OR_RETURN(
         plan, Compile(snapshot, *program, std::move(canonical_text), options));
     size_t evicted = plan_cache_.Insert(canonical_key, plan);
-    if (evicted > 0) count("plan_cache/evictions", evicted);
+    plan_cache_evictions_.Increment(evicted);
   }
   if (!raw_key.empty()) plan_cache_.AddAlias(raw_key, canonical_key);
 
-  record_prepare_ns();
-  count(hit ? "plan_cache/hit" : "plan_cache/miss");
-  if (flight_) {
-    flight_->RecordEvent(FlightEventType::kPlanPrepare, 0,
-                         /*a=*/hit ? 1 : 0);
-  }
+  found(hit);
   return plan;
 }
 
@@ -473,11 +437,8 @@ StatusOr<std::shared_ptr<const PreparedQuery>> Engine::Compile(
   // Decide and build physical access paths now so sessions never touch
   // the relation catalog.
   plan->index_specs_ = ComputeEdbIndexSpecs(*plan->graph_);
-  size_t skipped = snapshot->EnsureIndexes(plan->index_specs_);
-  if (skipped > 0 && options_.metrics) {
-    options_.metrics->GetCounter("plan_cache/index_builds_skipped")
-        .Increment(skipped);
-  }
+  index_builds_skipped_.Increment(
+      snapshot->EnsureIndexes(plan->index_specs_));
   plan->cost_params_ =
       CostModelParamsFromDatabase(*plan->program_, snapshot->db());
   plan->prepare_ns_ = NowNs() - start;
@@ -490,20 +451,15 @@ StatusOr<std::unique_ptr<QuerySession>> Engine::CreateSession(
     return InvalidArgumentError("CreateSession: plan must not be null");
   }
   MPQE_RETURN_IF_ERROR(options.Validate());
-  if (options_.metrics) {
-    options_.metrics->GetCounter("engine/sessions").Increment();
-  }
+  sessions_.Increment();
   SessionOptions session_options = options;
-  bool plan_reused = false;
-  if (telemetry_) {
-    // Mint the stable query id here — it identifies the session from
-    // birth, whether or not Run is ever called.
-    session_options.query_id = telemetry_->MintQueryId();
-    session_options.telemetry = telemetry_.get();
-    plan_reused =
-        plan->sessions_created_.fetch_add(1, std::memory_order_relaxed) > 0;
-  }
-  if (flight_) session_options.flight = flight_.get();
+  // Mint the stable query id here — it identifies the session from
+  // birth, whether or not Run is ever called.
+  session_options.query_id = telemetry_.MintQueryId();
+  session_options.telemetry = &telemetry_;
+  session_options.flight = &flight_;
+  const bool plan_reused =
+      plan->sessions_created_.fetch_add(1, std::memory_order_relaxed) > 0;
   // Engine-level watchdog default; a session may set a tighter (or
   // looser) threshold of its own. The sink persists through the
   // engine unless the caller installed one.
@@ -541,29 +497,10 @@ std::future<StatusOr<EvaluationResult>> Engine::RunAsync(
   return future;
 }
 
-void Engine::RecordSessionLatency(uint64_t ns) {
-  if (options_.metrics) {
-    options_.metrics->GetHistogram("engine/session_latency_ns").Record(ns);
-  }
-  if (telemetry_) {
-    telemetry_->registry().GetHistogram("engine/session_latency_ns")
-        .Record(ns);
-  }
-}
-
 void Engine::HandleFlightDump(const FlightDump& dump) {
   // Runs on a stalled session's monitor thread: serialize once here so
   // /debug/flight is a string copy under the mutex.
-  FlightDump annotated = dump;
-  if (telemetry_) {
-    for (const QueryLogEntry& entry : telemetry_->QueryLog()) {
-      if (entry.query_id == dump.query_id) {
-        annotated.query_log_entry_json = entry.ToJson();
-        break;
-      }
-    }
-  }
-  std::string json = annotated.ToJson();
+  std::string json = dump.ToJson();
   watchdog_dumps_.fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(flight_dump_mutex_);
@@ -591,7 +528,7 @@ std::string Engine::FlightDumpJson() const {
   }
   // No watchdog has fired: a manual snapshot of the black box.
   FlightDump dump;
-  if (flight_) dump.events = flight_->Snapshot();
+  dump.events = flight_.Snapshot();
   return dump.ToJson();
 }
 

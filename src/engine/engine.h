@@ -8,7 +8,8 @@
 //   auto session = engine.CreateSession(*plan);    // per-execution state
 //   auto result = (*session)->Run();               // or engine.RunAsync(...)
 //
-// * Engine owns the worker pool and the plan cache. Prepare compiles a
+// * Engine owns the worker pool, the plan cache, the telemetry
+//   (DESIGN.md §12) and the flight recorder (§14). Prepare compiles a
 //   program against one snapshot and caches the result keyed on the
 //   canonicalized program text (which carries the goal adornment —
 //   same rules, different query constants => distinct entries), the
@@ -28,7 +29,7 @@
 //   index specs, and the §4.3 cost-model parameters sized from the
 //   snapshot. Any number of concurrent sessions may share one plan.
 //
-// * QuerySession is one execution: scheduler choice, wire format,
+// * QuerySession is one execution: scheduler choice, segment size,
 //   observers, metrics (SessionOptions). Sessions with lineage enabled
 //   take the snapshot exclusively (provenance instrumentation numbers
 //   the shared relations' rows for the session, and detaches again
@@ -60,6 +61,7 @@
 #include "engine/plan_cache.h"
 #include "engine/stats_server.h"
 #include "graph/rule_goal_graph.h"
+#include "msg/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "relational/database.h"
@@ -79,47 +81,25 @@ struct EngineOptions {
   // Max resident plans in the LRU plan cache (>= 1).
   size_t plan_cache_capacity = 64;
 
-  // Optional engine-lifetime metrics (not owned): plan_cache/hit,
-  // plan_cache/miss, plan_cache/evictions counters; engine/prepare_ns
-  // and engine/session_latency_ns histograms; engine/sessions counter.
-  // Independent of any per-session SessionOptions::metrics registry
-  // and of the built-in telemetry below.
-  MetricsRegistry* metrics = nullptr;
-
-  // Engine-wide telemetry (DESIGN.md §12): cross-session metric
-  // aggregation, the structured query log, query-id minting, live
-  // gauges. On by default; the switch exists for overhead A/B runs
-  // (bench/bench_concurrent --telemetry=off) — with it off no session
-  // adds its totals to an engine registry, no query ids are minted and
-  // the stats server cannot start.
-  bool telemetry = true;
-
-  // Query-log capacity / slow-query threshold / background gauge
-  // sampling interval (see obs/telemetry.h).
+  // Query-log capacity and slow-query threshold of the engine's
+  // telemetry (DESIGN.md §12, obs/telemetry.h).
   TelemetryOptions telemetry_options = {};
 
   // TCP port of the built-in stats endpoint (GET /metrics, /queries,
   // /healthz on loopback; engine/stats_server.h). -1 = off (default);
   // 0 = ephemeral port (tests: read it back from stats_port());
-  // >0 = that port. Requires `telemetry`.
+  // >0 = that port.
   int stats_port = -1;
 
   // Bind address of the stats endpoint. Loopback unless explicitly
   // widened.
   std::string stats_bind_address = "127.0.0.1";
 
-  // The engine black box (msg/flight_recorder.h): an always-on
-  // lock-free ring of recent events every session feeds. It is a
-  // direct network tap, not an observer: per delivery, two clock reads
-  // and one 48-byte ring write (CI guards the cost on single-row
-  // engine hops, bench_guard.py --flight). The switch exists for
-  // overhead A/B runs. With it off, sessions record nothing,
-  // /debug/flight serves an empty manual dump and the watchdog still
-  // fires but its dumps carry no event history.
-  bool flight_recorder = true;
-
-  // Flight-recorder retention (per ring / ring count; see
-  // FlightRecorderOptions).
+  // Retention (per ring / ring count) of the engine's flight recorder
+  // (msg/flight_recorder.h), the lock-free ring of recent events every
+  // session feeds: per delivery, two clock reads and one 48-byte ring
+  // write (CI guards the cost on single-row engine hops,
+  // bench_guard.py --flight).
   FlightRecorderOptions flight_recorder_options = {};
 
   // Default stall-watchdog threshold stamped into every session that
@@ -134,6 +114,8 @@ struct EngineOptions {
   // = keep dumps in memory only (still served via /debug/flight).
   std::string debug_dump_dir = "";
 
+  /// InvalidArgument naming the offending field. The Engine constructor
+  /// enforces it.
   Status Validate() const;
 };
 
@@ -256,8 +238,7 @@ class QuerySession {
   uint64_t latency_ns() const { return latency_ns_; }
 
   /// The engine-minted stable query id correlating this session across
-  /// trace spans, log lines, lineage dumps and the query log (0 when
-  /// the engine runs with telemetry off).
+  /// trace spans, log lines, lineage dumps and the query log.
   uint64_t query_id() const { return options_.query_id; }
 
  private:
@@ -278,6 +259,7 @@ class QuerySession {
 
 class Engine {
  public:
+  /// Aborts (MPQE_CHECK) when `options` fail Validate().
   explicit Engine(EngineOptions options = {});
   ~Engine();  // drains the queue and joins the workers
 
@@ -322,12 +304,10 @@ class Engine {
   PlanCacheStats plan_cache_stats() const;
 
   int workers() const { return static_cast<int>(workers_.size()); }
-  MetricsRegistry* metrics() const { return options_.metrics; }
 
-  /// The engine-wide telemetry (nullptr iff EngineOptions::telemetry
-  /// is off): the cross-session registry, the query log, the /metrics
-  /// payload source.
-  EngineTelemetry* telemetry() const { return telemetry_.get(); }
+  /// The engine-wide telemetry: the engine's registry, the query log,
+  /// the /metrics payload source.
+  EngineTelemetry& telemetry() { return telemetry_; }
 
   /// The bound port of the stats endpoint, or -1 when it is not
   /// running (off, or the bind failed — see stats_server_status()).
@@ -339,10 +319,9 @@ class Engine {
   /// bind/listen error otherwise (the engine itself still works).
   const Status& stats_server_status() const { return stats_server_status_; }
 
-  /// The engine's black box (nullptr iff EngineOptions::flight_recorder
-  /// is off). Sessions record into it; the watchdog and /debug/flight
-  /// read it.
-  FlightRecorder* flight_recorder() const { return flight_.get(); }
+  /// The engine's black box. Sessions record into it; the watchdog and
+  /// /debug/flight read it.
+  FlightRecorder& flight_recorder() { return flight_; }
 
   /// The most recent watchdog diagnostic bundle as mpqe-flightdump-v1
   /// JSON — or, when no watchdog has fired, a fresh "manual" dump of
@@ -370,7 +349,6 @@ class Engine {
       const PlanOptions& options);
 
   void WorkerLoop();
-  void RecordSessionLatency(uint64_t ns);
   /// The session watchdogs' dump sink: serialize once, retain as the
   /// latest dump, persist to debug_dump_dir when set.
   void HandleFlightDump(const FlightDump& dump);
@@ -390,24 +368,30 @@ class Engine {
   std::atomic<int> busy_workers_{0};
   std::vector<std::thread> workers_;
 
-  // The black box. Sessions hold the raw pointer through
-  // SessionOptions::flight; destroyed after the pool joins (and after
-  // the stats server stops) so no recording or snapshotting thread can
-  // outlive it.
-  std::unique_ptr<FlightRecorder> flight_;
+  // The black box and the telemetry. Sessions hold raw pointers to both
+  // through SessionOptions::flight and ::telemetry; ~Engine stops the
+  // stats server (whose handlers read them) and joins the pool before
+  // members are destroyed, so no thread outlives them.
+  FlightRecorder flight_;
   // Latest watchdog bundle, pre-serialized (the monitor thread pays
   // the serialization once; /debug/flight is then a string copy).
   mutable std::mutex flight_dump_mutex_;
   std::string latest_flight_dump_json_;
   std::atomic<uint64_t> watchdog_dumps_{0};
 
-  // Declared after the pool so they are destroyed first; ~Engine also
-  // tears them down explicitly (server before telemetry — its handlers
-  // read the telemetry registry).
-  std::unique_ptr<EngineTelemetry> telemetry_;
-  // The telemetry registry's session families, resolved once; every
-  // completed session adds its totals here (null iff telemetry is off).
-  std::unique_ptr<SessionTotals> session_totals_;
+  EngineTelemetry telemetry_;
+  // The engine's telemetry families, resolved once at construction
+  // (which registers them, so a scrape sees them at zero before the
+  // first Prepare or Run).
+  Counter& plan_cache_hits_;
+  Counter& plan_cache_misses_;
+  Counter& plan_cache_evictions_;
+  Counter& index_builds_skipped_;
+  Counter& sessions_;
+  Histogram& prepare_ns_;
+  Histogram& session_latency_ns_;
+  // The session families; every completed session adds its totals here.
+  SessionTotals session_totals_;
   std::unique_ptr<StatsServer> stats_server_;
   Status stats_server_status_;
 };

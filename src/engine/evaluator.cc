@@ -482,7 +482,7 @@ StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
   ScopedObservers scoped(options);
   // Identify the session before any other event so every observer can
   // stamp its output with the engine-minted query id. 0 means no id
-  // (telemetry off, or a direct call): no event, outputs stay id-free.
+  // (a direct call that set none): no event, outputs stay id-free.
   if (options.query_id != 0 && !scoped.list.empty()) {
     scoped.list.NotifySessionStart(SessionStartEvent{options.query_id});
   }

@@ -55,7 +55,7 @@ namespace mpqe {
 // (DESIGN.md §11): PlanOptions govern query *compilation* (parse,
 // validate, adorn, sips, graph build — everything a PreparedQuery
 // caches), SessionOptions govern one *execution* of a compiled plan
-// (scheduler, wire format, observers).
+// (scheduler, segment size, observers).
 
 struct PlanOptions {
   // Information passing strategy name (see MakeStrategyByName):
@@ -124,11 +124,11 @@ struct SessionOptions {
   std::string log_level;
 
   // Engine-minted stable query id (DESIGN.md §12), set by
-  // Engine::CreateSession when the engine runs with telemetry; published
-  // to every observer as a SessionStartEvent before any other event, so
-  // trace spans, log lines, lineage dumps and the engine query log all
-  // carry the same id. 0 (an engine with telemetry off, or a direct
-  // RunSession) sends no event, and the outputs stay id-free.
+  // Engine::CreateSession; published to every observer as a
+  // SessionStartEvent before any other event, so trace spans, log
+  // lines, lineage dumps and the engine query log all carry the same
+  // id. 0 (a direct RunSession that sets none) sends no event, and the
+  // outputs stay id-free.
   uint64_t query_id = 0;
 
   // Engine telemetry sink (not owned; set by Engine::CreateSession,
@@ -136,8 +136,8 @@ struct SessionOptions {
   // publishes per-SCC queue depths as live gauges.
   EngineTelemetry* telemetry = nullptr;
 
-  // Flight recorder sink (not owned; set by Engine::CreateSession when
-  // EngineOptions::flight_recorder is on, or directly by tests). When
+  // Flight recorder sink (not owned; set by Engine::CreateSession to
+  // the engine's recorder, or directly by RunSession callers). When
   // set, the session's Network writes one record per delivery and the
   // engine records phases, Fig. 2 transitions and the session
   // lifecycle into the engine's black box (msg/flight_recorder.h). It

@@ -115,9 +115,6 @@ std::string FlightDump::ToJson() const {
   AppendJsonArray(&out, "nodes", nodes, NodeJson);
   out += ",\n";
   AppendJsonArray(&out, "events", events, RecordJson);
-  if (!query_log_entry_json.empty()) {
-    out += StrCat(",\n  \"query_log_entry\": ", query_log_entry_json);
-  }
   out += "\n}\n";
   return out;
 }

@@ -2,9 +2,8 @@
 // watchdog (engine/evaluator.cc) or an operator snapshot builds from
 // the flight recorder (msg/flight_recorder.h), serialized as
 // `mpqe-flightdump-v1` JSON: the merged recorder contents plus per-SCC
-// termination-protocol state, per-node queue and delivery accounting,
-// and the query-log entry when one exists. scripts/check_trace.py
-// --flight validates the schema.
+// termination-protocol state, and per-node queue and delivery
+// accounting. scripts/check_trace.py --flight validates the schema.
 
 #ifndef MPQE_OBS_FLIGHT_DUMP_H_
 #define MPQE_OBS_FLIGHT_DUMP_H_
@@ -69,9 +68,6 @@ struct FlightDump {
   std::vector<FlightDumpScc> sccs;
   std::vector<FlightDumpNode> nodes;
   std::vector<FlightRecord> events;  // time-ordered
-  // The query log entry for query_id as JSON, or "" when none exists
-  // yet (a stalled session has not completed).
-  std::string query_log_entry_json;
 
   /// Serializes the bundle as mpqe-flightdump-v1 JSON.
   std::string ToJson() const;

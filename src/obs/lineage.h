@@ -33,10 +33,11 @@
 //   LineageReport report = lineage.Finalize();
 //   std::cout << report.FormatProof(report.Match("tc", args)[0]->id);
 //
-// Overhead: opt-in like the profiler (PR 3). With lineage off the
+// Overhead: opt-in like the profiler. With lineage off the
 // zero-observer fast path is untouched — one null-pointer branch per
-// insert site and an extra 8-byte field on Message. See
-// BENCH_obs.json (BM_MessageHopLineage) for the tracked numbers.
+// insert site, and segments carry no lineage column. BENCH_obs.json
+// tracks the lineage-on cost (BM_SegmentHopLineage against
+// BM_SegmentHopDedup; scripts/bench_guard.py holds the ratio <= 1.5).
 
 #ifndef MPQE_OBS_LINEAGE_H_
 #define MPQE_OBS_LINEAGE_H_

@@ -44,8 +44,8 @@ class LoggingObserver : public ExecutionObserver {
   LogLevel level_;
   std::ostream* out_;
   // Engine query id prefixed to every line ("q17 ...") once a
-  // SessionStartEvent arrives. A session without an id (telemetry off,
-  // or a direct RunSession) sends none, and its lines carry no prefix.
+  // SessionStartEvent arrives. A session without an id (a direct
+  // RunSession that set none) sends none, and its lines carry no prefix.
   // Set before any other event is published.
   uint64_t query_id_ = 0;
   std::mutex mutex_;

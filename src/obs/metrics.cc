@@ -59,25 +59,6 @@ uint64_t Histogram::Percentile(double p) const {
   return max();
 }
 
-void Histogram::MergeFrom(const Histogram& other) {
-  for (size_t b = 0; b < kBuckets; ++b) {
-    uint64_t n = other.buckets_[b].load(std::memory_order_relaxed);
-    if (n != 0) buckets_[b].fetch_add(n, std::memory_order_relaxed);
-  }
-  count_.fetch_add(other.count(), std::memory_order_relaxed);
-  sum_.fetch_add(other.sum(), std::memory_order_relaxed);
-  uint64_t other_min = other.min_.load(std::memory_order_relaxed);
-  uint64_t seen = min_.load(std::memory_order_relaxed);
-  while (other_min < seen && !min_.compare_exchange_weak(
-                                 seen, other_min, std::memory_order_relaxed)) {
-  }
-  uint64_t other_max = other.max();
-  seen = max_.load(std::memory_order_relaxed);
-  while (other_max > seen && !max_.compare_exchange_weak(
-                                 seen, other_max, std::memory_order_relaxed)) {
-  }
-}
-
 std::vector<uint64_t> Histogram::BucketCounts() const {
   std::vector<uint64_t> out(kBuckets);
   for (size_t b = 0; b < kBuckets; ++b) {
@@ -191,22 +172,6 @@ std::vector<std::string> MetricsRegistry::HistogramNames() const {
     names.push_back(name);
   }
   return names;
-}
-
-void MetricsRegistry::MergeFrom(const MetricsRegistry& other) {
-  // Snapshot `other` first: GetCounter/GetHistogram below take our own
-  // mutex, and self-merge (or two registries merging into each other)
-  // must not deadlock on lock order.
-  for (const auto& [name, counter] : other.SortedCounters()) {
-    uint64_t v = counter->value();
-    if (v != 0) GetCounter(name).Increment(v);
-  }
-  for (const auto& [name, histogram] : other.SortedHistograms()) {
-    if (histogram->count() != 0) GetHistogram(name).MergeFrom(*histogram);
-  }
-  // Gauges are levels, not deltas: summing per-session gauge values
-  // into an engine gauge would be meaningless. Engine-wide gauges are
-  // sampled by EngineTelemetry instead.
 }
 
 std::string MetricsRegistry::ToString() const {

@@ -14,8 +14,8 @@
 //
 // Thread safety: Counter::Increment, Gauge::Set/Add and
 // Histogram::Record are lock-free (relaxed atomics); Get*() takes a
-// registry mutex, so callers on hot paths should resolve references
-// once and cache them (SessionTotals does).
+// registry mutex, so writers resolve references once and cache them
+// (SessionTotals, the Engine and EngineTelemetry do).
 //
 // Dump determinism: every dump (ToString, ToJson, CounterRows,
 // GaugeRows, HistogramNames — and the Prometheus exposition built on
@@ -82,11 +82,6 @@ class Histogram {
   uint64_t max() const { return max_.load(std::memory_order_relaxed); }
   double mean() const;
 
-  /// Adds every sample of `other` into this histogram (bucket-wise;
-  /// min/max/sum/count folded in). The engine-wide aggregation path:
-  /// session histograms merge into the engine registry on completion.
-  void MergeFrom(const Histogram& other);
-
   /// Upper-bound estimate of the p-th percentile (p in [0, 100]),
   /// resolved to bucket boundaries.
   uint64_t Percentile(double p) const;
@@ -126,13 +121,6 @@ class MetricsRegistry {
   /// companion to GetHistogram for serializers that must not create).
   const Histogram* FindHistogram(const std::string& name) const;
 
-  /// Folds `other` into this registry: counters add, histograms merge
-  /// sample-by-bucket. Gauges are *levels*, not deltas — they are
-  /// skipped (an engine-wide gauge is sampled, never summed from
-  /// per-session values). This is how EngineTelemetry aggregates a
-  /// completed session's registry into the engine-lifetime one.
-  void MergeFrom(const MetricsRegistry& other);
-
   /// "name=value" per line for counters, then gauges, then one summary
   /// line per histogram — each section sorted by name.
   std::string ToString() const;
@@ -152,8 +140,8 @@ class MetricsRegistry {
   std::vector<std::pair<std::string, Histogram*>> SortedHistograms() const;
 
   mutable std::mutex mutex_;
-  // Unordered on purpose: Get*() is the hot path (plan-cache counters
-  // on every Prepare); dump order is imposed by the Sorted* helpers.
+  // Unordered: lookups are by name only; dump order is imposed by the
+  // Sorted* helpers.
   std::unordered_map<std::string, std::unique_ptr<Counter>> counters_;
   std::unordered_map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::unordered_map<std::string, std::unique_ptr<Histogram>> histograms_;

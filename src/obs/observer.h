@@ -165,9 +165,8 @@ struct DeriveBatchEvent {
 // engine-minted stable id correlating this execution across every
 // artifact — trace spans, log lines, lineage dumps, profiler reports,
 // the engine query log and the /queries endpoint (DESIGN.md §12).
-// 0 means no id (an engine with telemetry off, or a direct
-// RunSession), in which case no event is published and all outputs
-// stay id-free.
+// 0 means no id (a direct RunSession that set none), in which case no
+// event is published and all outputs stay id-free.
 struct SessionStartEvent {
   uint64_t query_id = 0;
 };

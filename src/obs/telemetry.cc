@@ -1,6 +1,5 @@
 #include "obs/telemetry.h"
 
-#include <chrono>
 #include <utility>
 
 #include "common/string_util.h"
@@ -10,10 +9,6 @@ namespace mpqe {
 Status TelemetryOptions::Validate() const {
   if (query_log_capacity < 1) {
     return InvalidArgumentError("query_log_capacity: must be >= 1");
-  }
-  if (sample_interval_ms < 0) {
-    return InvalidArgumentError(
-        StrCat("sample_interval_ms: must be >= 0, got ", sample_interval_ms));
   }
   return Status::Ok();
 }
@@ -38,26 +33,15 @@ std::string QueryLogEntry::ToJson() const {
 }
 
 EngineTelemetry::EngineTelemetry(TelemetryOptions options)
-    : options_(std::move(options)) {
+    : options_(std::move(options)),
+      queries_(registry_.GetCounter("telemetry/queries")),
+      slow_queries_(registry_.GetCounter("telemetry/slow_queries")),
+      failed_queries_(registry_.GetCounter("telemetry/failed_queries")),
+      query_wall_ns_(registry_.GetHistogram("engine/query_wall_ns")),
+      query_rows_out_(registry_.GetHistogram("engine/query_rows_out")),
+      active_sessions_(registry_.GetGauge("engine/active_sessions")),
+      in_flight_messages_(registry_.GetGauge("engine/in_flight_messages")) {
   if (options_.query_log_capacity < 1) options_.query_log_capacity = 1;
-  // Register the always-present families up front so a scrape exposes
-  // them (at zero) before the first query completes — scrapers rely on
-  // family existence, not on traffic having happened.
-  registry_.GetCounter("telemetry/queries");
-  registry_.GetCounter("telemetry/slow_queries");
-  registry_.GetCounter("telemetry/failed_queries");
-  registry_.GetHistogram("engine/query_wall_ns");
-  registry_.GetGauge("engine/active_sessions");
-  registry_.GetGauge("engine/in_flight_messages");
-}
-
-EngineTelemetry::~EngineTelemetry() {
-  {
-    std::lock_guard<std::mutex> lock(sampler_mutex_);
-    stopping_ = true;
-  }
-  sampler_cv_.notify_all();
-  if (sampler_thread_.joinable()) sampler_thread_.join();
 }
 
 void EngineTelemetry::StartSampling(
@@ -67,22 +51,6 @@ void EngineTelemetry::StartSampling(
     sampler_ = std::move(sampler);
   }
   SampleNow();
-  if (options_.sample_interval_ms > 0 && !sampler_thread_.joinable()) {
-    sampler_thread_ = std::thread([this] { SamplerLoop(); });
-  }
-}
-
-void EngineTelemetry::SamplerLoop() {
-  std::unique_lock<std::mutex> lock(sampler_mutex_);
-  while (!stopping_) {
-    sampler_cv_.wait_for(
-        lock, std::chrono::milliseconds(options_.sample_interval_ms),
-        [this] { return stopping_; });
-    if (stopping_) return;
-    lock.unlock();
-    SampleNow();
-    lock.lock();
-  }
 }
 
 void EngineTelemetry::SampleNow() {
@@ -94,41 +62,17 @@ void EngineTelemetry::SampleNow() {
   if (sampler) sampler(registry_);
 }
 
-void EngineTelemetry::OnSessionStart() {
-  registry_.GetGauge("engine/active_sessions").Add(1.0);
-}
+void EngineTelemetry::OnSessionStart() { active_sessions_.Add(1.0); }
 
-void EngineTelemetry::OnSessionComplete(
-    QueryLogEntry entry, const MetricsRegistry* session_metrics) {
-  registry_.GetGauge("engine/active_sessions").Add(-1.0);
-  if (session_metrics != nullptr) {
-    // Queue wait exists only when the session profiled
-    // (aggregated/node/<id>/queue_wait_ns counters).
-    constexpr char kQueueWaitSuffix[] = "/queue_wait_ns";
-    constexpr size_t kSuffixLen = sizeof(kQueueWaitSuffix) - 1;
-    for (const auto& [name, value] : session_metrics->CounterRows()) {
-      if (name.size() >= kSuffixLen &&
-          name.compare(name.size() - kSuffixLen, kSuffixLen,
-                       kQueueWaitSuffix) == 0) {
-        entry.queue_wait_ns += value;
-      }
-    }
-    registry_.MergeFrom(*session_metrics);
-  }
+void EngineTelemetry::OnSessionComplete(QueryLogEntry entry) {
+  active_sessions_.Add(-1.0);
   entry.slow =
       options_.slow_query_ns > 0 && entry.wall_ns > options_.slow_query_ns;
-
-  completed_.fetch_add(1, std::memory_order_relaxed);
-  registry_.GetCounter("telemetry/queries").Increment();
-  if (entry.slow) {
-    slow_.fetch_add(1, std::memory_order_relaxed);
-    registry_.GetCounter("telemetry/slow_queries").Increment();
-  }
-  if (entry.status != "ok") {
-    registry_.GetCounter("telemetry/failed_queries").Increment();
-  }
-  registry_.GetHistogram("engine/query_wall_ns").Record(entry.wall_ns);
-  registry_.GetHistogram("engine/query_rows_out").Record(entry.rows_out);
+  queries_.Increment();
+  if (entry.slow) slow_queries_.Increment();
+  if (entry.status != "ok") failed_queries_.Increment();
+  query_wall_ns_.Record(entry.wall_ns);
+  query_rows_out_.Record(entry.rows_out);
 
   const uint64_t completed_query = entry.query_id;
   std::lock_guard<std::mutex> lock(mutex_);
@@ -176,8 +120,7 @@ void EngineTelemetry::RepublishStallGaugesLocked() {
         .Set(static_cast<double>(depth));
     published_sccs_.push_back(scc);
   }
-  registry_.GetGauge("engine/in_flight_messages")
-      .Set(static_cast<double>(in_flight));
+  in_flight_messages_.Set(static_cast<double>(in_flight));
 }
 
 std::vector<QueryLogEntry> EngineTelemetry::QueryLog() const {

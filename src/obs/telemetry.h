@@ -8,18 +8,19 @@
 //
 // Three pieces:
 //
-//  * an engine-lifetime MetricsRegistry. Every completed session adds
-//    its totals — messages by kind, deliveries, segment rows, node
-//    fires, dedup hits, Fig. 2 events, phase times — exactly once,
-//    through counter handles the Engine resolves when it starts
-//    (engine/evaluator.h SessionTotals), so every session counts and
-//    none pays a name lookup. Per-node and per-predicate rows stay out:
-//    node ids are plan-local. Live *gauges* — active sessions,
-//    plan-cache size/hit-rate, worker-pool utilization, per-SCC queue
-//    depths from the stall watchdog — are written in place and
-//    re-sampled by a background thread at `sample_interval_ms` via the
-//    sampler hook the Engine installs (and once more, synchronously, on
-//    every scrape).
+//  * an engine-lifetime MetricsRegistry, the engine's only registry.
+//    Every completed session adds its totals — messages by kind,
+//    deliveries, segment rows, node fires, dedup hits, Fig. 2 events,
+//    phase times — exactly once, through counter handles the Engine
+//    resolves when it starts (engine/evaluator.h SessionTotals), so
+//    every session counts and none pays a name lookup. The engine's
+//    plan-cache, prepare and session families and this layer's own
+//    query families are written through handles resolved the same way.
+//    Per-node and per-predicate rows stay out: node ids are plan-local.
+//    Live *gauges* — active sessions, plan-cache size/hit-rate,
+//    worker-pool utilization, per-SCC queue depths from the stall
+//    watchdog — are written in place or refreshed by the sampler hook
+//    the Engine installs, which every scrape runs synchronously.
 //
 //  * a structured query log: a fixed-capacity ring buffer of
 //    QueryLogEntry rows (query id, query text hash, plan reuse, rows
@@ -34,21 +35,20 @@
 //    (SessionStartEvent in obs/observer.h).
 //
 // Thread safety: the registry is internally synchronized; the ring and
-// the sampler hook are guarded by one telemetry mutex. RecordQueryDone
-// and scrapes may run concurrently with sessions and with each other.
+// the sampler hook are guarded by one telemetry mutex. Session
+// completions and scrapes may run concurrently with sessions and with
+// each other.
 
 #ifndef MPQE_OBS_TELEMETRY_H_
 #define MPQE_OBS_TELEMETRY_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -64,11 +64,6 @@ struct TelemetryOptions {
   // Sessions whose wall time exceeds this are flagged slow in the
   // query log and counted under telemetry/slow_queries. 0 disables.
   uint64_t slow_query_ns = 100'000'000;  // 100 ms
-
-  // Gauge re-sampling period of the background thread. 0 disables the
-  // thread; gauges are then refreshed only on demand (every scrape
-  // calls SampleNow, so /metrics is never stale either way).
-  int sample_interval_ms = 0;
 
   Status Validate() const;
 };
@@ -87,9 +82,8 @@ struct QueryLogEntry {
   // Handler time and scheduler-queue wait summed over the session's
   // graph-node processes: the profile's total_fire_ns and
   // total_queue_wait_ns. Queue wait is stamped only in sessions that
-  // profile (0 otherwise); handler time is clocked on every tapped
-  // delivery (0 on an engine with the flight recorder off, unless the
-  // session profiles).
+  // profile (0 otherwise); handler time is clocked on every delivery
+  // the flight recorder taps, which on an engine is every delivery.
   uint64_t queue_wait_ns = 0;
   uint64_t fire_ns = 0;
   std::string status = "ok";  // "ok" or the failing Status code name
@@ -104,7 +98,6 @@ uint64_t HashQueryText(const std::string& text);
 class EngineTelemetry {
  public:
   explicit EngineTelemetry(TelemetryOptions options = {});
-  ~EngineTelemetry();  // stops the sampler thread
 
   EngineTelemetry(const EngineTelemetry&) = delete;
   EngineTelemetry& operator=(const EngineTelemetry&) = delete;
@@ -121,8 +114,8 @@ class EngineTelemetry {
   }
 
   /// Installs the gauge-refresh hook (the Engine's: plan-cache
-  /// size/hit-rate, pool queue depth, utilization) and starts the
-  /// background sampler when sample_interval_ms > 0. Call once.
+  /// size/hit-rate, pool queue depth, utilization) and runs it once.
+  /// Call once; every scrape then runs it through SampleNow.
   void StartSampling(std::function<void(MetricsRegistry&)> sampler);
 
   /// Runs the sampler hook synchronously (scrape freshness).
@@ -132,15 +125,12 @@ class EngineTelemetry {
   void OnSessionStart();
 
   /// Session completion: appends the query-log entry (stamping `slow`
-  /// from the threshold) and updates the engine counters/histograms
-  /// (telemetry/queries, telemetry/slow_queries, engine/query_wall_ns,
-  /// engine/query_rows_out). A driver that collected a registry of its
-  /// own for just this session may pass it to be merged, and the
-  /// entry's queue wait then adds the registry's
-  /// aggregated/node/<id>/queue_wait_ns rows. Engine sessions pass
-  /// nullptr: their totals arrive through SessionTotals.
-  void OnSessionComplete(QueryLogEntry entry,
-                         const MetricsRegistry* session_metrics);
+  /// from the threshold) and updates the query counters/histograms
+  /// (telemetry/queries, telemetry/slow_queries,
+  /// telemetry/failed_queries, engine/query_wall_ns,
+  /// engine/query_rows_out). The session's totals arrive separately,
+  /// through the engine's SessionTotals.
+  void OnSessionComplete(QueryLogEntry entry);
 
   /// Stall-watchdog sink: publishes per-SCC queue depths and the
   /// total in-flight count as gauges (scc/<id>/queue_depth,
@@ -159,12 +149,8 @@ class EngineTelemetry {
   /// {"queries": [...]} — the /queries payload.
   std::string QueryLogJson() const;
 
-  uint64_t completed_queries() const {
-    return completed_.load(std::memory_order_relaxed);
-  }
-  uint64_t slow_queries() const {
-    return slow_.load(std::memory_order_relaxed);
-  }
+  uint64_t completed_queries() const { return queries_.value(); }
+  uint64_t slow_queries() const { return slow_queries_.value(); }
 
  private:
   // One session's latest stall report.
@@ -173,8 +159,6 @@ class EngineTelemetry {
     uint64_t in_flight = 0;
   };
 
-  void SamplerLoop();
-
   // Re-derives the stall gauges from stalls_by_query_: per-SCC depth
   // summed across sessions, SCCs that dropped out zeroed. Caller holds
   // mutex_.
@@ -182,9 +166,17 @@ class EngineTelemetry {
 
   TelemetryOptions options_;
   MetricsRegistry registry_;
+  // This layer's families, resolved once at construction (which also
+  // registers them, so a scrape exposes them at zero before the first
+  // query completes).
+  Counter& queries_;
+  Counter& slow_queries_;
+  Counter& failed_queries_;
+  Histogram& query_wall_ns_;
+  Histogram& query_rows_out_;
+  Gauge& active_sessions_;
+  Gauge& in_flight_messages_;
   std::atomic<uint64_t> next_query_id_{1};
-  std::atomic<uint64_t> completed_{0};
-  std::atomic<uint64_t> slow_{0};
 
   mutable std::mutex mutex_;  // ring + sampler hook + stall state
   std::deque<QueryLogEntry> ring_;
@@ -196,11 +188,6 @@ class EngineTelemetry {
   // of pinning them.
   std::map<uint64_t, StallState> stalls_by_query_;
   std::vector<int64_t> published_sccs_;
-
-  std::mutex sampler_mutex_;
-  std::condition_variable sampler_cv_;
-  bool stopping_ = false;
-  std::thread sampler_thread_;
 };
 
 }  // namespace mpqe

@@ -74,9 +74,9 @@ class TraceExporter : public ExecutionObserver {
   size_t event_count() const;
   size_t dropped_events() const;
 
-  /// The engine-minted query id of the traced session (0 = no id: an
-  /// engine with telemetry off, or a direct RunSession; then absent
-  /// from the JSON metadata too).
+  /// The engine-minted query id of the traced session (0 = no id: a
+  /// direct RunSession that set none; then absent from the JSON
+  /// metadata too).
   uint64_t query_id() const;
 
   /// Timestamp-free rendering ("ph name tid ..." per line, in record

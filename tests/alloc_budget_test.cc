@@ -84,12 +84,9 @@ uint64_t SteadyStateAllocations(Database db, const std::string& program_text,
   Program program;
   Status parsed = ParseInto(program_text, program, db);
   EXPECT_TRUE(parsed.ok()) << parsed;
-  // Telemetry off: the count covers the session, not the engine's
-  // query log. The flight recorder stays at its default (on), as in
-  // every default session.
-  EngineOptions engine_options;
-  engine_options.telemetry = false;
-  Engine engine(engine_options);
+  // A default engine: the count covers the session together with the
+  // engine's bookkeeping around it (query log entry, flight records).
+  Engine engine;
   std::shared_ptr<DatabaseSnapshot> snapshot = engine.Attach(std::move(db));
   auto plan = engine.Prepare(snapshot, program);
   EXPECT_TRUE(plan.ok()) << plan.status();

@@ -167,11 +167,8 @@ TEST(EngineApiTest, ConcurrentPrepareAndRun) {
 TEST(EngineApiTest, PlanCacheHitReturnsSamePlanWithoutCompile) {
   auto facts = Parse(kTcFacts);
   ASSERT_TRUE(facts.ok()) << facts.status();
-  MetricsRegistry metrics;
-  EngineOptions engine_options;
-  engine_options.workers = 2;
-  engine_options.metrics = &metrics;
-  Engine engine(engine_options);
+  Engine engine(EngineOptions{.workers = 2});
+  MetricsRegistry& metrics = engine.telemetry().registry();
   auto snapshot = engine.Attach(std::move(facts->database));
 
   auto cold = engine.Prepare(snapshot, kTcRules);
@@ -406,11 +403,8 @@ TEST(EngineApiTest, SingleSessionLatencyHistogramRenders) {
   // upper bound — never NaN or zero-on-nonzero-sample).
   auto facts = Parse(kTcFacts);
   ASSERT_TRUE(facts.ok()) << facts.status();
-  MetricsRegistry metrics;
-  EngineOptions engine_options;
-  engine_options.workers = 2;
-  engine_options.metrics = &metrics;
-  Engine engine(engine_options);
+  Engine engine(EngineOptions{.workers = 2});
+  MetricsRegistry& metrics = engine.telemetry().registry();
   auto snapshot = engine.Attach(std::move(facts->database));
   auto plan = engine.Prepare(snapshot, kTcRules);
   ASSERT_TRUE(plan.ok()) << plan.status();
@@ -467,8 +461,19 @@ TEST(EngineApiTest, EngineOptionsValidate) {
   options.stats_port = 70000;
   EXPECT_EQ(options.Validate().code(), StatusCode::kInvalidArgument);
   options.stats_port = 0;
-  options.telemetry = false;  // the endpoint reads the telemetry registry
+  options.watchdog_stall_ms = -1;
   EXPECT_EQ(options.Validate().code(), StatusCode::kInvalidArgument);
+  options.watchdog_stall_ms = 0;
+  EXPECT_TRUE(options.Validate().ok());
+}
+
+TEST(EngineApiDeathTest, EngineRefusesInvalidOptions) {
+  // The constructor enforces Validate: a misconfigured engine aborts at
+  // construction, naming the field, instead of failing every Run later.
+  EXPECT_DEATH({ Engine engine(EngineOptions{.watchdog_stall_ms = -1}); },
+               "watchdog_stall_ms: must be >= 0, got -1");
+  EXPECT_DEATH({ Engine engine(EngineOptions{.plan_cache_capacity = 0}); },
+               "plan_cache_capacity: must be >= 1");
 }
 
 TEST(EngineApiTest, SessionsCarrySequentialQueryIds) {
@@ -492,8 +497,7 @@ TEST(EngineApiTest, SessionsCarrySequentialQueryIds) {
 
   // The ids key the query log: the one completed session is logged
   // under its id, with the pre-Run session absent.
-  ASSERT_NE(engine.telemetry(), nullptr);
-  auto log = engine.telemetry()->QueryLog();
+  auto log = engine.telemetry().QueryLog();
   ASSERT_EQ(log.size(), 1u);
   EXPECT_EQ(log[0].query_id, 2u);
   EXPECT_TRUE(log[0].plan_reused);  // `first` was created earlier

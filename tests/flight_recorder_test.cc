@@ -250,26 +250,24 @@ TEST(FlightRecorderTest, DeliverRecordsCountAOneRowSegmentAsOneRow) {
 }
 
 TEST(FlightRecorderTest, SessionRecordsAgreeWithTheRunsOwnCounts) {
-  // One deterministic session on a recorder that retains all of it:
-  // the delivery records must reproduce the scheduler's delivery
-  // count, the profiler's per-node msgs_in, and the answer rows the
-  // network counted as sent.
+  // One deterministic session on an engine recorder that retains all
+  // of it: the session's delivery records must reproduce the
+  // scheduler's delivery count, the profiler's per-node msgs_in, and
+  // the answer rows the network counted as sent.
   auto facts = Parse(kTcFacts);
   ASSERT_TRUE(facts.ok()) << facts.status();
-  // An engine without telemetry or a recorder of its own leaves the
-  // session's recorder and query id as the test sets them.
-  Engine engine(EngineOptions{
-      .workers = 2, .telemetry = false, .flight_recorder = false});
+  Engine engine(EngineOptions{.workers = 2,
+                              .flight_recorder_options = {
+                                  .ring_capacity = 1 << 16, .ring_count = 1}});
+  const FlightRecorder& recorder = engine.flight_recorder();
   auto plan = engine.Prepare(engine.Attach(std::move(facts->database)),
                              kTcRules);
   ASSERT_TRUE(plan.ok()) << plan.status();
-  FlightRecorder recorder({.ring_capacity = 1 << 16, .ring_count = 1});
   SessionOptions options;
-  options.flight = &recorder;
-  options.query_id = 99;
   options.profile = true;
   auto session = engine.CreateSession(*plan, options);
   ASSERT_TRUE(session.ok()) << session.status();
+  const uint64_t query_id = (*session)->query_id();
   auto result = (*session)->Run();
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_NE(result->profile, nullptr);
@@ -279,7 +277,7 @@ TEST(FlightRecorderTest, SessionRecordsAgreeWithTheRunsOwnCounts) {
   std::map<int32_t, uint64_t> deliveries_by_node;
   std::set<uint8_t> types;
   for (const FlightRecord& r : recorder.Snapshot()) {
-    EXPECT_EQ(r.query_id, 99u);
+    if (r.query_id != query_id) continue;  // the engine's plan records
     types.insert(r.type);
     if (r.type != static_cast<uint8_t>(FlightEventType::kDeliver)) continue;
     ++deliveries;
@@ -317,12 +315,10 @@ TEST(FlightRecorderTest, EverySurfaceReportsTheSameCounts) {
   engine_options.flight_recorder_options = {.ring_capacity = 1 << 16,
                                             .ring_count = 1};
   Engine engine(engine_options);
-  ASSERT_NE(engine.telemetry(), nullptr);
-  ASSERT_NE(engine.flight_recorder(), nullptr);
   auto plan = engine.Prepare(engine.Attach(std::move(facts->database)),
                              kTcRules);
   ASSERT_TRUE(plan.ok()) << plan.status();
-  MetricsRegistry& engine_registry = engine.telemetry()->registry();
+  MetricsRegistry& engine_registry = engine.telemetry().registry();
 
   for (SchedulerKind scheduler :
        {SchedulerKind::kDeterministic, SchedulerKind::kThreaded}) {
@@ -346,7 +342,7 @@ TEST(FlightRecorderTest, EverySurfaceReportsTheSameCounts) {
     // Deliveries: five surfaces.
     uint64_t ring_deliveries = 0;
     uint64_t ring_node_handler_ns = 0;
-    for (const FlightRecord& r : engine.flight_recorder()->Snapshot()) {
+    for (const FlightRecord& r : engine.flight_recorder().Snapshot()) {
       if (r.query_id == query_id &&
           r.type == static_cast<uint8_t>(FlightEventType::kDeliver)) {
         ++ring_deliveries;
@@ -356,7 +352,7 @@ TEST(FlightRecorderTest, EverySurfaceReportsTheSameCounts) {
         }
       }
     }
-    EXPECT_LT(engine.flight_recorder()->recorded(), uint64_t{1} << 16)
+    EXPECT_LT(engine.flight_recorder().recorded(), uint64_t{1} << 16)
         << "ring wrapped";
     EXPECT_GT(result->delivered, 0u);
     EXPECT_EQ(profile.total_msgs_delivered, result->delivered);
@@ -389,7 +385,7 @@ TEST(FlightRecorderTest, EverySurfaceReportsTheSameCounts) {
 
     // Fire time: each graph-node delivery's handler plus the run-end
     // flush it closes, summed over the nodes.
-    std::vector<QueryLogEntry> log = engine.telemetry()->QueryLog();
+    std::vector<QueryLogEntry> log = engine.telemetry().QueryLog();
     auto entry = std::find_if(log.begin(), log.end(), [&](const auto& e) {
       return e.query_id == query_id;
     });
@@ -410,7 +406,6 @@ TEST(FlightRecorderTest, UnsampledEngineSessionRecordsWithoutObservers) {
   EngineOptions engine_options;
   engine_options.workers = 2;
   Engine engine(engine_options);
-  ASSERT_NE(engine.flight_recorder(), nullptr);
   auto snapshot = engine.Attach(std::move(facts->database));
   auto plan = engine.Prepare(snapshot, kTcRules);
   ASSERT_TRUE(plan.ok()) << plan.status();
@@ -418,12 +413,12 @@ TEST(FlightRecorderTest, UnsampledEngineSessionRecordsWithoutObservers) {
   auto first = engine.RunAsync(*plan).get();
   ASSERT_TRUE(first.ok()) << first.status();
   EXPECT_EQ(first->observer_count, 0u);
-  const uint64_t before = engine.flight_recorder()->recorded();
+  const uint64_t before = engine.flight_recorder().recorded();
   auto unsampled = engine.RunAsync(*plan).get();
   ASSERT_TRUE(unsampled.ok()) << unsampled.status();
   EXPECT_EQ(unsampled->observer_count, 0u);
   EXPECT_EQ(unsampled->answers.size(), 4u);
-  EXPECT_GT(engine.flight_recorder()->recorded() - before,
+  EXPECT_GT(engine.flight_recorder().recorded() - before,
             unsampled->delivered);
 }
 
@@ -566,7 +561,6 @@ TEST(FlightRecorderTest, EngineServesFlightDumpOverHttpAndApi) {
   engine_options.stats_port = 0;
   Engine engine(engine_options);
   ASSERT_TRUE(engine.stats_server_status().ok());
-  ASSERT_NE(engine.flight_recorder(), nullptr);
 
   auto snapshot = engine.Attach(std::move(facts->database));
   auto plan = engine.Prepare(snapshot, kTcRules);
@@ -587,25 +581,6 @@ TEST(FlightRecorderTest, EngineServesFlightDumpOverHttpAndApi) {
   EXPECT_NE(http.find("200"), std::string::npos);
   EXPECT_NE(http.find("mpqe-flightdump-v1"), std::string::npos);
   EXPECT_EQ(engine.watchdog_dumps(), 0u);
-}
-
-TEST(FlightRecorderTest, EngineFlightRecorderOffDisablesTheTap) {
-  auto facts = Parse(kTcFacts);
-  ASSERT_TRUE(facts.ok()) << facts.status();
-  EngineOptions engine_options;
-  engine_options.workers = 2;
-  engine_options.flight_recorder = false;
-  Engine engine(engine_options);
-  EXPECT_EQ(engine.flight_recorder(), nullptr);
-  auto snapshot = engine.Attach(std::move(facts->database));
-  auto plan = engine.Prepare(snapshot, kTcRules);
-  ASSERT_TRUE(plan.ok()) << plan.status();
-  ASSERT_TRUE(engine.RunAsync(*plan).get().ok());
-  // A dump is still answerable — just empty of events.
-  const std::string json = engine.FlightDumpJson();
-  EXPECT_NE(json.find("\"schema\": \"mpqe-flightdump-v1\""),
-            std::string::npos);
-  EXPECT_NE(json.find("\"events\": [\n  ]"), std::string::npos);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -146,34 +147,13 @@ TEST(TelemetryTest, RegistryDumpsAreSortedRegardlessOfRegistrationOrder) {
   EXPECT_EQ(gauges[1].first, "z/gauge");
 }
 
-TEST(TelemetryTest, MergeFromAddsCountersMergesHistogramsSkipsGauges) {
-  MetricsRegistry engine_reg;
-  engine_reg.GetCounter("msg/delivered").Increment(10);
-  engine_reg.GetHistogram("lat").Record(100);
-  engine_reg.GetGauge("active").Set(3.0);
-
-  MetricsRegistry session;
-  session.GetCounter("msg/delivered").Increment(5);
-  session.GetCounter("node/fires").Increment(7);
-  session.GetHistogram("lat").Record(200);
-  session.GetGauge("active").Set(99.0);
-
-  engine_reg.MergeFrom(session);
-  EXPECT_EQ(engine_reg.GetCounter("msg/delivered").value(), 15u);
-  EXPECT_EQ(engine_reg.GetCounter("node/fires").value(), 7u);
-  EXPECT_EQ(engine_reg.GetHistogram("lat").count(), 2u);
-  EXPECT_EQ(engine_reg.GetHistogram("lat").sum(), 300u);
-  // Gauges are levels, not deltas — the merge must not touch them.
-  EXPECT_DOUBLE_EQ(engine_reg.GetGauge("active").value(), 3.0);
-}
-
 TEST(TelemetryTest, ConcurrentRegistryMergesAndReads) {
-  // Sessions merging while a scraper serializes: no torn state, and
-  // the final counter total is exact.
+  // Writers adding to the registry while a scraper serializes: no torn
+  // state, and the final counter total is exact.
   MetricsRegistry engine_reg;
   engine_reg.GetCounter("msg/delivered");  // family exists from scrape one
   constexpr int kThreads = 4;
-  constexpr int kMerges = 50;
+  constexpr int kWrites = 50;
   std::atomic<bool> stop{false};
   std::thread scraper([&] {
     while (!stop.load()) {
@@ -184,11 +164,9 @@ TEST(TelemetryTest, ConcurrentRegistryMergesAndReads) {
   std::vector<std::thread> sessions;
   for (int t = 0; t < kThreads; ++t) {
     sessions.emplace_back([&engine_reg] {
-      for (int i = 0; i < kMerges; ++i) {
-        MetricsRegistry session;
-        session.GetCounter("msg/delivered").Increment(2);
-        session.GetHistogram("msg/handle_ns").Record(50);
-        engine_reg.MergeFrom(session);
+      for (int i = 0; i < kWrites; ++i) {
+        engine_reg.GetCounter("msg/delivered").Increment(2);
+        engine_reg.GetHistogram("msg/handle_ns").Record(50);
       }
     });
   }
@@ -196,9 +174,9 @@ TEST(TelemetryTest, ConcurrentRegistryMergesAndReads) {
   stop.store(true);
   scraper.join();
   EXPECT_EQ(engine_reg.GetCounter("msg/delivered").value(),
-            static_cast<uint64_t>(kThreads) * kMerges * 2);
+            static_cast<uint64_t>(kThreads) * kWrites * 2);
   EXPECT_EQ(engine_reg.GetHistogram("msg/handle_ns").count(),
-            static_cast<uint64_t>(kThreads) * kMerges);
+            static_cast<uint64_t>(kThreads) * kWrites);
 }
 
 // ---------------------------------------------------------------------------
@@ -289,7 +267,7 @@ TEST(TelemetryTest, QueryLogRingRetainsNewestAndCountsAll) {
     QueryLogEntry entry;
     entry.query_id = i;
     entry.wall_ns = i * 1000;
-    telemetry.OnSessionComplete(std::move(entry), nullptr);
+    telemetry.OnSessionComplete(std::move(entry));
   }
   EXPECT_EQ(telemetry.completed_queries(), 5u);
   auto log = telemetry.QueryLog();
@@ -305,11 +283,11 @@ TEST(TelemetryTest, SlowQueryThresholdFlagsAndCounts) {
   QueryLogEntry fast;
   fast.query_id = 1;
   fast.wall_ns = 999;
-  telemetry.OnSessionComplete(std::move(fast), nullptr);
+  telemetry.OnSessionComplete(std::move(fast));
   QueryLogEntry slow;
   slow.query_id = 2;
   slow.wall_ns = 5000;
-  telemetry.OnSessionComplete(std::move(slow), nullptr);
+  telemetry.OnSessionComplete(std::move(slow));
   EXPECT_EQ(telemetry.slow_queries(), 1u);
   auto log = telemetry.QueryLog();
   ASSERT_EQ(log.size(), 2u);
@@ -335,19 +313,15 @@ TEST(TelemetryTest, ConcurrentSessionCompletionsAndGaugeSampling) {
         const uint64_t query_id = telemetry.MintQueryId();
         telemetry.ReportQueueDepths(query_id, {{0, static_cast<uint64_t>(i)}},
                                     static_cast<uint64_t>(i));
-        MetricsRegistry session;
-        session.GetCounter("msg/delivered").Increment(1);
         QueryLogEntry entry;
         entry.query_id = query_id;
         entry.wall_ns = static_cast<uint64_t>(t * 1000 + i);
-        telemetry.OnSessionComplete(std::move(entry), &session);
+        telemetry.OnSessionComplete(std::move(entry));
       }
     });
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(telemetry.completed_queries(),
-            static_cast<uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(telemetry.registry().GetCounter("msg/delivered").value(),
             static_cast<uint64_t>(kThreads) * kPerThread);
   EXPECT_DOUBLE_EQ(
       telemetry.registry().GetGauge("engine/active_sessions").value(), 0.0);
@@ -373,7 +347,7 @@ TEST(TelemetryTest, ConcurrentStallsComposeAndClearPerQuery) {
 
   QueryLogEntry done;
   done.query_id = 1;
-  telemetry.OnSessionComplete(std::move(done), nullptr);
+  telemetry.OnSessionComplete(std::move(done));
   EXPECT_DOUBLE_EQ(registry.GetGauge("scc/7/queue_depth").value(), 5.0);
   EXPECT_DOUBLE_EQ(registry.GetGauge("scc/9/queue_depth").value(), 3.0);
   EXPECT_DOUBLE_EQ(registry.GetGauge("engine/in_flight_messages").value(),
@@ -386,22 +360,6 @@ TEST(TelemetryTest, ConcurrentStallsComposeAndClearPerQuery) {
   EXPECT_DOUBLE_EQ(registry.GetGauge("scc/9/queue_depth").value(), 0.0);
   EXPECT_DOUBLE_EQ(registry.GetGauge("engine/in_flight_messages").value(),
                    0.0);
-}
-
-TEST(TelemetryTest, QueueWaitAggregatesFromSessionRegistry) {
-  // The query-log queue_wait_ns breakdown sums the profiler's per-node
-  // aggregated counters when the session collected them.
-  EngineTelemetry telemetry;
-  MetricsRegistry session;
-  session.GetCounter("aggregated/node/0/queue_wait_ns").Increment(100);
-  session.GetCounter("aggregated/node/3/queue_wait_ns").Increment(250);
-  session.GetCounter("aggregated/node/0/fire_ns").Increment(999);  // ignored
-  QueryLogEntry entry;
-  entry.query_id = 1;
-  telemetry.OnSessionComplete(std::move(entry), &session);
-  auto log = telemetry.QueryLog();
-  ASSERT_EQ(log.size(), 1u);
-  EXPECT_EQ(log[0].queue_wait_ns, 350u);
 }
 
 // ---------------------------------------------------------------------------
@@ -429,8 +387,7 @@ TEST(TelemetryTest, SessionsAggregateIntoEngineRegistryAndQueryLog) {
     delivered += result->delivered;
   }
 
-  ASSERT_NE(engine.telemetry(), nullptr);
-  EngineTelemetry& telemetry = *engine.telemetry();
+  EngineTelemetry& telemetry = engine.telemetry();
   EXPECT_EQ(telemetry.completed_queries(), static_cast<uint64_t>(kSessions));
   // Every session's totals, none sampled away.
   EXPECT_EQ(telemetry.registry().GetCounter("msg/delivered").value(),
@@ -499,29 +456,27 @@ TEST(TelemetryTest, PlanCacheCountersSurfaceInTelemetry) {
       "tc(X, Y) :- edge(X, Y).\n"
       "tc(X, Y) :- edge(X, Z), tc(Z, Y).\n"
       "?- tc(2, W).";
-  ASSERT_TRUE(engine.Prepare(snapshot, other).ok());  // miss + eviction
+  auto plan = engine.Prepare(snapshot, other);  // miss + eviction
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  ASSERT_TRUE(engine.CreateSession(*plan).ok());  // never run
+  ASSERT_TRUE(engine.RunAsync(*plan).get().ok());
 
-  MetricsRegistry& registry = engine.telemetry()->registry();
+  MetricsRegistry& registry = engine.telemetry().registry();
   EXPECT_EQ(registry.GetCounter("plan_cache/hit").value(), 1u);
   EXPECT_EQ(registry.GetCounter("plan_cache/miss").value(), 2u);
   EXPECT_EQ(registry.GetCounter("plan_cache/evictions").value(), 1u);
   EXPECT_EQ(registry.GetHistogram("engine/prepare_ns").count(), 3u);
-}
-
-TEST(TelemetryTest, TelemetryOffEngineHasNoTelemetryOrServer) {
-  EngineOptions engine_options;
-  engine_options.workers = 2;
-  engine_options.telemetry = false;
-  Engine engine(engine_options);
-  EXPECT_EQ(engine.telemetry(), nullptr);
-  EXPECT_EQ(engine.stats_port(), -1);
-}
-
-TEST(TelemetryTest, StatsPortRequiresTelemetry) {
-  EngineOptions engine_options;
-  engine_options.telemetry = false;
-  engine_options.stats_port = 0;
-  EXPECT_FALSE(engine_options.Validate().ok());
+  // Every CreateSession counts, whether or not it runs.
+  EXPECT_EQ(registry.GetCounter("engine/sessions").value(), 2u);
+  // No session ran during a Prepare, so every index was built; the
+  // family exists anyway, at zero, for scrapers.
+  const auto rows = registry.CounterRows();
+  const auto skipped =
+      std::find_if(rows.begin(), rows.end(), [](const auto& row) {
+        return row.first == "plan_cache/index_builds_skipped";
+      });
+  ASSERT_NE(skipped, rows.end());
+  EXPECT_EQ(skipped->second, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -595,7 +550,7 @@ TEST(TelemetryTest, ScrapesConcurrentWithSessions) {
   }
   stop.store(true);
   scraper.join();
-  EXPECT_EQ(engine.telemetry()->completed_queries(), 12u);
+  EXPECT_EQ(engine.telemetry().completed_queries(), 12u);
 }
 
 TEST(TelemetryTest, SilentClientDoesNotWedgeServerOrStop) {
