@@ -150,10 +150,9 @@ BENCHMARK(BM_SegmentHopDeterministic);
 // for the segmented overhead guard in BENCH_obs.json.
 class SegmentDedupHop : public Process {
  public:
-  SegmentDedupHop(ProcessId peer, TupleIdAllocator* ids,
-                  const ObserverList* observers)
-      : peer_(peer), observers_(observers), seen_(1) {
-    if (ids != nullptr) seen_.EnableLineage(ids);
+  SegmentDedupHop(ProcessId peer, LineageCollector* lineage)
+      : peer_(peer), lineage_(lineage), seen_(1) {
+    if (lineage != nullptr) seen_.EnableLineage(lineage->ids());
   }
 
   void OnMessage(const Message& m) override {
@@ -184,20 +183,20 @@ class SegmentDedupHop : public Process {
       }
     }
     if (lineage) {
-      // One batched derive callback per absorbed segment — the
-      // engine's vectorized lineage path.
+      // One batched derive record per absorbed segment — the engine's
+      // vectorized lineage path.
       DeriveBatchEvent event;
       event.kind = DeriveKind::kUnion;
       event.segment = out;
       event.inputs = inputs.data();
-      observers_->NotifyDeriveBatch(event);
+      lineage_->RecordBatch(event);
     }
     if (hops > 0) Send(peer_, MakeTupleSegment(std::move(out)));
   }
 
  private:
   ProcessId peer_;
-  const ObserverList* observers_;
+  LineageCollector* lineage_;
   Relation seen_;
 };
 
@@ -205,10 +204,8 @@ void BM_SegmentHopDedup(benchmark::State& state) {
   const int64_t kHops = 1000;
   for (auto _ : state) {
     Network net;
-    net.AddProcess(
-        std::make_unique<SegmentDedupHop>(1, nullptr, &net.observers()));
-    net.AddProcess(
-        std::make_unique<SegmentDedupHop>(0, nullptr, &net.observers()));
+    net.AddProcess(std::make_unique<SegmentDedupHop>(1, nullptr));
+    net.AddProcess(std::make_unique<SegmentDedupHop>(0, nullptr));
     net.Start();
     net.Send(kNoProcess, 0, MakeTupleSegment(MakeSeedSegment(kHops)));
     auto run = net.RunDeterministic();
@@ -221,19 +218,16 @@ BENCHMARK(BM_SegmentHopDedup);
 
 // As BM_SegmentHopDedup with full lineage recording: per row an id
 // assignment and a lineage-column push, per segment ONE batched derive
-// record (delta-encoded by the LineageObserver) instead of one
-// callback per tuple. The tracked lineage-on overhead ratio in
+// record (delta-encoded by the LineageCollector) instead of one
+// record per tuple. The tracked lineage-on overhead ratio in
 // BENCH_obs.json is this against BM_SegmentHopDedup.
 void BM_SegmentHopLineage(benchmark::State& state) {
   const int64_t kHops = 1000;
   for (auto _ : state) {
     Network net;
-    LineageObserver lineage;
-    net.AddObserver(&lineage);
-    net.AddProcess(std::make_unique<SegmentDedupHop>(1, lineage.ids(),
-                                                     &net.observers()));
-    net.AddProcess(std::make_unique<SegmentDedupHop>(0, lineage.ids(),
-                                                     &net.observers()));
+    LineageCollector lineage;
+    net.AddProcess(std::make_unique<SegmentDedupHop>(1, &lineage));
+    net.AddProcess(std::make_unique<SegmentDedupHop>(0, &lineage));
     net.Start();
     // Seed rows draw real ids so every hop's inputs resolve.
     Relation seed_rel(1);
@@ -267,10 +261,8 @@ void BM_SegmentHopFlight(benchmark::State& state) {
   for (auto _ : state) {
     Network net;
     net.SetFlightRecorder(&recorder, ++query_id);
-    net.AddProcess(
-        std::make_unique<SegmentDedupHop>(1, nullptr, &net.observers()));
-    net.AddProcess(
-        std::make_unique<SegmentDedupHop>(0, nullptr, &net.observers()));
+    net.AddProcess(std::make_unique<SegmentDedupHop>(1, nullptr));
+    net.AddProcess(std::make_unique<SegmentDedupHop>(0, nullptr));
     net.Start();
     net.Send(kNoProcess, 0, MakeTupleSegment(MakeSeedSegment(kHops)));
     auto run = net.RunDeterministic();
@@ -325,17 +317,17 @@ std::unique_ptr<ChainTc> MakeChainTc() {
 
 void RunSingleRowHops(benchmark::State& state, FlightRecorder* recorder) {
   std::unique_ptr<ChainTc> chain = MakeChainTc();
-  SessionOptions options;
-  options.flight = recorder;
+  const SessionOptions options;
+  SessionContext context;
+  context.flight = recorder;
   uint64_t delivered = 0;
   for (auto _ : state) {
-    ++options.query_id;
+    ++context.query_id;
     StatusOr<EvaluationResult> result =
-        RunSession(*chain->graph, chain->unit.database, options);
+        RunSession(*chain->graph, chain->unit.database, options, context);
     MPQE_CHECK(result.ok()) << result.status();
     MPQE_CHECK(result->answers.size() ==
                static_cast<size_t>(kChainNodes - 1));
-    MPQE_CHECK(result->observer_count == 0);
     delivered += result->delivered;
   }
   state.SetItemsProcessed(static_cast<int64_t>(delivered));

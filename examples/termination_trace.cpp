@@ -6,11 +6,12 @@
 //
 //   $ ./termination_trace [--trace=trace.json] [max_n]
 //
-// With --trace=<file>, the final run is re-executed with a
-// TraceExporter attached and written as Chrome trace-event JSON —
+// With --trace=<file>, the final run is re-executed and its records in
+// the engine's flight ring are rendered as Chrome trace-event JSON —
 // open it in chrome://tracing or https://ui.perfetto.dev to see one
-// track per process, message sends as flow arrows and the protocol's
-// end-request waves as instant events.
+// track per process, one slice per delivery and the protocol's
+// end-request waves as instant events. A run whose records no longer
+// all fit in the ring is refused, not drawn with a hole.
 
 #include <cstdlib>
 #include <iostream>
@@ -19,7 +20,7 @@
 
 #include "datalog/parser.h"
 #include "engine/engine.h"
-#include "obs/trace_exporter.h"
+#include "obs/chrome_trace.h"
 #include "workload/generators.h"
 
 int main(int argc, char** argv) {
@@ -113,12 +114,7 @@ int main(int argc, char** argv) {
   }
 
   if (!trace_path.empty()) {
-    mpqe::TraceExporter exporter;
-    exporter.AttachGraph(&(*plan)->graph(),
-                         &(*plan)->snapshot()->db().symbols());
-    mpqe::SessionOptions options;
-    options.observers.push_back(&exporter);
-    auto session = engine.CreateSession(*plan, options);
+    auto session = engine.CreateSession(*plan);
     if (!session.ok()) {
       std::cerr << session.status() << "\n";
       return 1;
@@ -128,13 +124,21 @@ int main(int argc, char** argv) {
       std::cerr << result.status() << "\n";
       return 1;
     }
-    mpqe::Status written = exporter.WriteFile(trace_path);
+    auto trace = mpqe::RenderChromeTrace(
+        engine.flight_recorder().Snapshot(), (*session)->query_id(),
+        result->delivered, &(*plan)->graph(),
+        &(*plan)->snapshot()->db().symbols());
+    if (!trace.ok()) {
+      std::cerr << trace.status() << "\n";
+      return 1;
+    }
+    mpqe::Status written = trace->WriteFile(trace_path);
     if (!written.ok()) {
       std::cerr << written << "\n";
       return 1;
     }
-    std::cout << "\nwrote " << exporter.event_count()
-              << " trace events to " << trace_path
+    std::cout << "\nwrote " << trace->events.size() << " trace events ("
+              << result->delivered << " deliveries) to " << trace_path
               << " (open in chrome://tracing)\n";
   }
   return 0;

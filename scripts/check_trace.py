@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Validate observability JSON artifacts.
 
-Usage: check_trace.py trace.json            # Chrome trace (TraceExporter)
+Usage: check_trace.py trace.json            # Chrome trace (rendered from
+                                            # the flight ring)
        check_trace.py --profile profile.json  # mpqe-profile-v1 (profiler)
        check_trace.py --lineage lineage.json  # mpqe-lineage-v1 (provenance)
        check_trace.py --prometheus scrape.txt [--queries querylog.json]
@@ -10,17 +11,21 @@ Usage: check_trace.py trace.json            # Chrome trace (TraceExporter)
                                               # mpqe-flightdump-v1 (flight
                                               # recorder / watchdog bundle)
 
-Trace checks (stdlib only, exit 0 = valid, 1 = invalid):
+Trace checks (stdlib only, exit 0 = valid, 1 = invalid), on the trace
+obs/chrome_trace.h renders from one session's flight-ring records
+(`termination_trace --trace=FILE`):
   * the file parses as JSON and has a non-empty "traceEvents" list;
   * every event carries the keys its phase type requires;
   * duration events ("X") have dur >= 0;
-  * segment envelopes (send flows named "msg:tuple_segment" and their
-    deliver slices "tuple_segment") carry an integer args.rows >= 1 —
-    empty segments never ship;
-  * flow starts ("s") and ends ("f") pair up one-to-one by id, and
-    every flow end's timestamp is >= its start's (send happens-before
-    delivery);
+  * segment deliveries (slices named "tuple_segment") carry an integer
+    args.rows >= 1 — empty segments never ship;
+  * no hole: the "session" metadata event's args.delivered equals the
+    number of delivery slices (every "X" slice off the evaluator track,
+    tid 0), and the evaluator track holds one slice per phase
+    (phase:network_wiring, phase:run, phase:drain);
   * metadata ("M") names every thread that appears in events.
+The ring records no sends, so a trace has no flow arrows ("s"/"f") or
+counter series ("C"); any other phase type fails the check.
 
 Profile checks (--profile, schema "mpqe-profile-v1"):
   * top-level schema marker, totals, phases, nodes, sccs all present;
@@ -96,7 +101,7 @@ import re
 import sys
 from collections import Counter
 
-KNOWN_PHASES = {"X", "s", "f", "i", "C", "M", "B", "E"}
+KNOWN_PHASES = {"X", "i", "M"}
 
 NODE_COUNTERS = [
     "fires", "requests_in", "tuples_in", "tuples_out", "dedup_hits",
@@ -636,12 +641,13 @@ def main():
     if not isinstance(events, list) or not events:
         fail('"traceEvents" missing, not a list, or empty')
 
-    flow_starts = {}  # id -> ts
-    flow_ends = {}
     named_threads = set()
     used_threads = set()
     counts = Counter()
     segment_events = 0
+    session = None
+    delivery_slices = 0
+    phase_slices = Counter()
 
     for i, e in enumerate(events):
         if not isinstance(e, dict):
@@ -658,6 +664,8 @@ def main():
         if ph == "M":
             if e["name"] == "thread_name":
                 named_threads.add((e["pid"], e.get("tid")))
+            elif e["name"] == "session":
+                session = e.get("args") or {}
             continue
 
         if "ts" not in e:
@@ -666,8 +674,7 @@ def main():
             fail(f"event {i} has bad ts {e['ts']!r}")
         used_threads.add((e["pid"], e.get("tid")))
 
-        if (ph in ("s", "X") and
-                e["name"] in ("msg:tuple_segment", "tuple_segment")):
+        if ph == "X" and e["name"] == "tuple_segment":
             rows = (e.get("args") or {}).get("rows")
             if not isinstance(rows, int) or rows < 1:
                 fail(f"segment event {i} ({e['name']}) has bad args.rows "
@@ -678,30 +685,22 @@ def main():
             dur = e.get("dur")
             if not isinstance(dur, (int, float)) or dur < 0:
                 fail(f"X event {i} ({e['name']}) has bad dur {dur!r}")
-        elif ph in ("s", "f"):
-            fid = e.get("id")
-            if fid is None:
-                fail(f"flow event {i} ({e['name']}) lacks an id")
-            bucket = flow_starts if ph == "s" else flow_ends
-            if fid in bucket:
-                fail(f"duplicate flow {ph} id {fid}")
-            bucket[fid] = e["ts"]
-        elif ph == "C":
-            if not isinstance(e.get("args"), dict) or not e["args"]:
-                fail(f"counter event {i} ({e['name']}) lacks args values")
+            if e.get("tid") == 0:
+                phase_slices[e["name"]] += 1
+            else:
+                delivery_slices += 1
 
-    unmatched_starts = set(flow_starts) - set(flow_ends)
-    unmatched_ends = set(flow_ends) - set(flow_starts)
-    if unmatched_starts:
-        fail(f"{len(unmatched_starts)} flow start(s) without an end, "
-             f"e.g. {sorted(unmatched_starts)[0]}")
-    if unmatched_ends:
-        fail(f"{len(unmatched_ends)} flow end(s) without a start, "
-             f"e.g. {sorted(unmatched_ends)[0]}")
-    for fid, ts in flow_starts.items():
-        if flow_ends[fid] < ts:
-            fail(f"flow {fid} ends at {flow_ends[fid]} before its "
-                 f"start at {ts}")
+    if session is None:
+        fail('no "session" metadata event')
+    delivered = session.get("delivered")
+    if not isinstance(delivered, int) or delivered < 1:
+        fail(f"session metadata has bad delivered {delivered!r}")
+    if delivery_slices != delivered:
+        fail(f"hole: {delivery_slices} delivery slice(s) for a session "
+             f"that delivered {delivered}")
+    for phase in ("phase:network_wiring", "phase:run", "phase:drain"):
+        if phase_slices[phase] != 1:
+            fail(f"hole: {phase_slices[phase]} {phase} slice(s), expected 1")
 
     unnamed = used_threads - named_threads
     if unnamed:
@@ -710,7 +709,7 @@ def main():
 
     summary = " ".join(f"{ph}={n}" for ph, n in sorted(counts.items()))
     print(f"check_trace: OK: {len(events)} events ({summary}), "
-          f"{len(flow_starts)} matched flows, "
+          f"{delivery_slices} delivery slice(s), "
           f"{segment_events} segment envelope(s)")
     sys.exit(0)
 

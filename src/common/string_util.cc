@@ -1,5 +1,7 @@
 #include "common/string_util.h"
 
+#include <cstdio>
+
 namespace mpqe {
 
 std::vector<std::string> StrSplit(std::string_view text, char sep) {
@@ -12,6 +14,29 @@ std::vector<std::string> StrSplit(std::string_view text, char sep) {
     }
   }
   return pieces;
+}
+
+std::string JsonEscape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  for (char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
 }
 
 }  // namespace mpqe

@@ -53,6 +53,11 @@ std::string StrCat(Args&&... args) {
 /// Splits `text` on `sep`, keeping empty pieces.
 std::vector<std::string> StrSplit(std::string_view text, char sep);
 
+/// `text` escaped for a JSON string literal (quotes not included):
+/// quote, backslash and control characters. Node labels come from
+/// user programs and may contain anything.
+std::string JsonEscape(std::string_view text);
+
 }  // namespace mpqe
 
 #endif  // MPQE_COMMON_STRING_UTIL_H_

@@ -178,18 +178,20 @@ StatusOr<EvaluationResult> QuerySession::Run() {
 
   const uint64_t start = NowNs();
   StatusOr<EvaluationResult> result =
-      RunSession(plan_->graph(), snapshot.db_, options_);
+      RunSession(plan_->graph(), snapshot.db_, options_,
+                 SessionContext{query_id_, &engine_->telemetry_,
+                                &engine_->flight_});
   latency_ns_ = NowNs() - start;
   snapshot.EndSession(exclusive);
   engine_->session_latency_ns_.Record(latency_ns_);
 
   const uint64_t rows = result.ok() ? result.value().answers.size() : 0;
   engine_->flight_.RecordEvent(
-      FlightEventType::kSessionEnd, options_.query_id, result.ok() ? 1 : 0,
+      FlightEventType::kSessionEnd, query_id_, result.ok() ? 1 : 0,
       -1, static_cast<uint32_t>(std::min<uint64_t>(rows, UINT32_MAX)));
 
   QueryLogEntry entry;
-  entry.query_id = options_.query_id;
+  entry.query_id = query_id_;
   entry.text_hash = HashQueryText(plan_->canonical_text());
   entry.plan_reused = plan_reused_;
   entry.rows_out = rows;
@@ -239,10 +241,6 @@ Engine::Engine(EngineOptions options)
     workers_.emplace_back([this] { WorkerLoop(); });
   }
 
-  // The session watchdog (engine/evaluator.cc) counts these by name;
-  // registered here so a scrape sees them at zero.
-  telemetry_.registry().GetCounter("watchdog/stalls");
-  telemetry_.registry().GetCounter("watchdog/dumps");
   telemetry_.StartSampling(
       [this](MetricsRegistry& r) { SampleEngineGauges(r); });
 
@@ -453,11 +451,6 @@ StatusOr<std::unique_ptr<QuerySession>> Engine::CreateSession(
   MPQE_RETURN_IF_ERROR(options.Validate());
   sessions_.Increment();
   SessionOptions session_options = options;
-  // Mint the stable query id here — it identifies the session from
-  // birth, whether or not Run is ever called.
-  session_options.query_id = telemetry_.MintQueryId();
-  session_options.telemetry = &telemetry_;
-  session_options.flight = &flight_;
   const bool plan_reused =
       plan->sessions_created_.fetch_add(1, std::memory_order_relaxed) > 0;
   // Engine-level watchdog default; a session may set a tighter (or
@@ -472,8 +465,11 @@ StatusOr<std::unique_ptr<QuerySession>> Engine::CreateSession(
       HandleFlightDump(dump);
     };
   }
+  // Mint the stable query id here — it identifies the session from
+  // birth, whether or not Run is ever called.
   auto session = std::unique_ptr<QuerySession>(
-      new QuerySession(this, std::move(plan), std::move(session_options)));
+      new QuerySession(this, std::move(plan), std::move(session_options),
+                       telemetry_.MintQueryId()));
   session->plan_reused_ = plan_reused;
   return session;
 }
@@ -501,7 +497,6 @@ void Engine::HandleFlightDump(const FlightDump& dump) {
   // Runs on a stalled session's monitor thread: serialize once here so
   // /debug/flight is a string copy under the mutex.
   std::string json = dump.ToJson();
-  watchdog_dumps_.fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(flight_dump_mutex_);
     latest_flight_dump_json_ = json;

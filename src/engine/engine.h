@@ -30,7 +30,7 @@
 //   snapshot. Any number of concurrent sessions may share one plan.
 //
 // * QuerySession is one execution: scheduler choice, segment size,
-//   observers, metrics (SessionOptions). Sessions with lineage enabled
+//   profile, metrics (SessionOptions). Sessions with lineage enabled
 //   take the snapshot exclusively (provenance instrumentation numbers
 //   the shared relations' rows for the session, and detaches again
 //   when it ends); everything else runs concurrently.
@@ -238,18 +238,22 @@ class QuerySession {
   uint64_t latency_ns() const { return latency_ns_; }
 
   /// The engine-minted stable query id correlating this session across
-  /// trace spans, log lines, lineage dumps and the query log.
-  uint64_t query_id() const { return options_.query_id; }
+  /// flight records, log lines, lineage dumps and the query log.
+  uint64_t query_id() const { return query_id_; }
 
  private:
   friend class Engine;
   QuerySession(Engine* engine, std::shared_ptr<const PreparedQuery> plan,
-               SessionOptions options)
-      : engine_(engine), plan_(std::move(plan)), options_(std::move(options)) {}
+               SessionOptions options, uint64_t query_id)
+      : engine_(engine),
+        plan_(std::move(plan)),
+        options_(std::move(options)),
+        query_id_(query_id) {}
 
   Engine* engine_;
   std::shared_ptr<const PreparedQuery> plan_;
   SessionOptions options_;
+  uint64_t query_id_;
   // Whether this session reuses a plan another session already ran
   // (stamped at CreateSession; reported in the query log).
   bool plan_reused_ = false;
@@ -329,9 +333,10 @@ class Engine {
   /// and `mpqe_query --flight-dump` serve.
   std::string FlightDumpJson() const;
 
-  /// Dumps the watchdog has produced over the engine's lifetime.
+  /// Dumps the watchdog has produced over the engine's lifetime: the
+  /// telemetry's watchdog/dumps counter.
   uint64_t watchdog_dumps() const {
-    return watchdog_dumps_.load(std::memory_order_relaxed);
+    return telemetry_.watchdog_dumps().value();
   }
 
  private:
@@ -369,7 +374,7 @@ class Engine {
   std::vector<std::thread> workers_;
 
   // The black box and the telemetry. Sessions hold raw pointers to both
-  // through SessionOptions::flight and ::telemetry; ~Engine stops the
+  // through their SessionContext; ~Engine stops the
   // stats server (whose handlers read them) and joins the pool before
   // members are destroyed, so no thread outlives them.
   FlightRecorder flight_;
@@ -377,7 +382,6 @@ class Engine {
   // the serialization once; /debug/flight is then a string copy).
   mutable std::mutex flight_dump_mutex_;
   std::string latest_flight_dump_json_;
-  std::atomic<uint64_t> watchdog_dumps_{0};
 
   EngineTelemetry telemetry_;
   // The engine's telemetry families, resolved once at construction

@@ -6,7 +6,7 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "obs/logging_observer.h"
+#include "obs/engine_log.h"
 
 namespace mpqe {
 
@@ -65,40 +65,14 @@ Status SessionOptions::Validate() const {
 
 namespace {
 
-// The observers of one session: the caller's ExecutionObservers, plus
-// (when configured) the observers backing SessionOptions::lineage and
-// ::log_level. The internal observers live exactly as long as the
-// session.
-struct ScopedObservers {
-  ObserverList list;
-  std::optional<LineageObserver> lineage;
-  std::optional<LoggingObserver> logger;
-
-  explicit ScopedObservers(const SessionOptions& options) {
-    for (ExecutionObserver* o : options.observers) list.Add(o);
-    if (options.lineage) {
-      lineage.emplace();
-      list.Add(&*lineage);
-    }
-    // No level resolved (neither the option nor MPQE_LOG_LEVEL names
-    // one) means no observer at all — the zero-observer fast path
-    // stays intact by default.
-    std::optional<LogLevel> level = ResolveEngineLogLevel(options.log_level);
-    if (level.has_value()) {
-      logger.emplace(*level);
-      list.Add(&*logger);
-    }
-  }
-};
-
 // RAII phase reporter: begin on construction, end on destruction, to
-// the observers and straight to the flight recorder. The end stores
-// the phase's wall time in `result.phase_ns`.
+// the flight recorder and the session's log. The end stores the phase's
+// wall time in `result.phase_ns`.
 class ScopedPhase {
  public:
-  ScopedPhase(const ObserverList& list, const SessionOptions& options,
+  ScopedPhase(const SessionContext& context, const EngineLog* log,
               Phase phase, EvaluationResult& result)
-      : list_(list), options_(options), phase_(phase), result_(result) {
+      : context_(context), log_(log), phase_(phase), result_(result) {
     Report(/*begin=*/true);
     begin_ns_ = FlightRecorder::NowNs();
   }
@@ -110,16 +84,16 @@ class ScopedPhase {
 
  private:
   void Report(bool begin) const {
-    if (options_.flight != nullptr) {
-      options_.flight->RecordEvent(FlightEventType::kPhase, options_.query_id,
+    if (context_.flight != nullptr) {
+      context_.flight->RecordEvent(FlightEventType::kPhase, context_.query_id,
                                    begin ? 1 : 0, -1, 0, 0,
                                    static_cast<uint8_t>(phase_));
     }
-    if (!list_.empty()) list_.NotifyPhase(PhaseEvent{phase_, begin});
+    if (log_ != nullptr) log_->PhaseLine(phase_, begin);
   }
 
-  const ObserverList& list_;
-  const SessionOptions& options_;
+  const SessionContext& context_;
+  const EngineLog* log_;
   Phase phase_;
   EvaluationResult& result_;
   uint64_t begin_ns_ = 0;
@@ -318,11 +292,11 @@ void LogStall(const RuleGoalGraph& graph, const StallInfo& info) {
 // it reads is either immutable wiring state or a relaxed atomic.
 FlightDump BuildFlightDump(const RuleGoalGraph& graph, const Database& db,
                            const std::vector<NodeProcessBase*>& node_processes,
-                           const SessionOptions& options,
+                           const SessionContext& context,
                            const StallInfo& info) {
   FlightDump dump;
   dump.reason = "stall";
-  dump.query_id = options.query_id;
+  dump.query_id = context.query_id;
   dump.stalled_ms = info.stalled_ms;
   dump.delivered = info.delivered;
   dump.in_flight = info.in_flight;
@@ -385,11 +359,11 @@ FlightDump BuildFlightDump(const RuleGoalGraph& graph, const Database& db,
   dump.sccs.reserve(sccs.size());
   for (auto& [scc, row] : sccs) dump.sccs.push_back(row);
 
-  if (options.flight != nullptr) {
-    for (FlightRecord& r : options.flight->Snapshot()) {
+  if (context.flight != nullptr) {
+    for (FlightRecord& r : context.flight->Snapshot()) {
       // The recorder is engine-wide; keep this session's records plus
       // engine-level ones (query_id 0: plan cache, lifecycle).
-      if (options.query_id == 0 || r.query_id == options.query_id ||
+      if (context.query_id == 0 || r.query_id == context.query_id ||
           r.query_id == 0) {
         dump.events.push_back(r);
       }
@@ -477,52 +451,56 @@ void SessionTotals::Add(const EvaluationResult& result) const {
 }
 
 StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
-                                      const SessionOptions& options) {
+                                      const SessionOptions& options,
+                                      const SessionContext& context) {
   MPQE_RETURN_IF_ERROR(options.Validate());
-  ScopedObservers scoped(options);
-  // Identify the session before any other event so every observer can
-  // stamp its output with the engine-minted query id. 0 means no id
-  // (a direct call that set none): no event, outputs stay id-free.
-  if (options.query_id != 0 && !scoped.list.empty()) {
-    scoped.list.NotifySessionStart(SessionStartEvent{options.query_id});
+  // No level resolved (neither the option nor MPQE_LOG_LEVEL names
+  // one) means no log: every log site is one null check.
+  std::optional<EngineLog> log;
+  if (std::optional<LogLevel> level =
+          ResolveEngineLogLevel(options.log_level)) {
+    log.emplace(*level, context.query_id);
+    log->Line(LogLevel::kInfo, "session start");
   }
-  if (options.flight != nullptr) {
+  // Declared before the network: node relations draw ids from its
+  // allocator until the processes are gone.
+  std::optional<LineageCollector> lineage;
+  if (context.flight != nullptr) {
     // The session header: scheduler kind and worker count.
-    options.flight->RecordEvent(FlightEventType::kSessionStart,
-                                options.query_id,
+    context.flight->RecordEvent(FlightEventType::kSessionStart,
+                                context.query_id,
                                 static_cast<int32_t>(options.scheduler),
                                 options.workers);
   }
-  if (scoped.lineage.has_value()) {
-    scoped.lineage->AttachGraph(&graph, &db.symbols());
-  }
 
   Network network;
-  for (ExecutionObserver* o : scoped.list.items()) network.AddObserver(o);
-  if (options.flight != nullptr) {
-    network.SetFlightRecorder(options.flight, options.query_id);
+  if (options.send_tap) network.SetSendTap(options.send_tap);
+  if (context.flight != nullptr) {
+    network.SetFlightRecorder(context.flight, context.query_id);
   }
   if (options.profile) network.EnableProfiling();
   EngineShared shared;
   shared.graph = &graph;
   shared.db = &db;
   shared.segment_max_rows = options.segment_max_rows;
-  shared.use_edb_indexes = options.use_edb_indexes;
+  shared.log = log.has_value() ? &*log : nullptr;
   EdbLineageGuard edb_lineage;
-  if (scoped.lineage.has_value()) {
+  if (options.lineage) {
+    lineage.emplace(context.query_id);
+    lineage->AttachGraph(&graph, &db.symbols());
     // Ids must be flowing before any process stores or serves a tuple:
     // number the EDB rows first (they are the smallest ids — leaves),
-    // then hand the allocator to every node process via shared.
-    shared.lineage_ids = scoped.lineage->ids();
+    // then hand the collector to every node process via shared.
+    shared.lineage = &*lineage;
     // Sorted so EDB fact ids (and thus pinned proof trees) are
     // deterministic — RelationNames follows hash-map order.
     std::vector<std::string> names = db.RelationNames();
     std::sort(names.begin(), names.end());
     for (const std::string& name : names) {
       Relation* relation = db.GetMutableRelation(name);
-      relation->EnableLineage(shared.lineage_ids);
+      relation->EnableLineage(lineage->ids());
       edb_lineage.relations.push_back(relation);
-      scoped.lineage->AttachEdbRelation(name, relation);
+      lineage->AttachEdbRelation(name, relation);
     }
   }
   shared.fault_park_node = options.fault_park_node;
@@ -532,7 +510,7 @@ StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
   std::vector<NodeProcessBase*> node_processes;
   SinkProcess* sink_ptr = nullptr;
   {
-    ScopedPhase phase(scoped.list, options, Phase::kNetworkWiring, result);
+    ScopedPhase phase(context, shared.log, Phase::kNetworkWiring, result);
     // One process per graph node (pid == node id), plus the sink. The
     // pid map is filled up front because process constructors plan
     // against it.
@@ -575,8 +553,6 @@ StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
   // it.
   if (options.scheduler == SchedulerKind::kThreaded &&
       options.watchdog_stall_ms > 0) {
-    EngineTelemetry* telemetry = options.telemetry;
-    const uint64_t query_id = options.query_id;
     // One dump per stall episode: a delivery in between starts a new
     // episode (only the monitor thread touches this state).
     struct WatchdogState {
@@ -586,12 +562,13 @@ StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
     auto watchdog = std::make_shared<WatchdogState>();
     network.ConfigureStallMonitor(
         options.watchdog_stall_ms,
-        [&graph, &db, &node_processes, &options, telemetry, query_id,
+        [&graph, &db, &node_processes, &options, &context,
          watchdog](const StallInfo& info) {
           LogStall(graph, info);
-          if (options.flight != nullptr) {
-            options.flight->RecordEvent(
-                FlightEventType::kStall, query_id,
+          EngineTelemetry* telemetry = context.telemetry;
+          if (context.flight != nullptr) {
+            context.flight->RecordEvent(
+                FlightEventType::kStall, context.query_id,
                 static_cast<int32_t>(
                     std::min<uint64_t>(info.in_flight, INT32_MAX)),
                 -1, 0,
@@ -609,7 +586,7 @@ StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
               }
             }
             telemetry->ReportQueueDepths(
-                query_id,
+                context.query_id,
                 std::vector<std::pair<int64_t, uint64_t>>(by_scc.begin(),
                                                           by_scc.end()),
                 info.in_flight);
@@ -620,28 +597,25 @@ StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
           }
           watchdog->dumped = true;
           watchdog->delivered_at_dump = info.delivered;
-          if (telemetry != nullptr) {
-            telemetry->registry().GetCounter("watchdog/stalls").Increment();
-          }
           FlightDump dump =
-              BuildFlightDump(graph, db, node_processes, options, info);
-          if (options.flight != nullptr) {
-            options.flight->RecordEvent(
-                FlightEventType::kWatchdogDump, query_id,
+              BuildFlightDump(graph, db, node_processes, context, info);
+          // Counted once, here, whichever sink receives the dump.
+          if (telemetry != nullptr) {
+            telemetry->watchdog_stalls().Increment();
+            telemetry->watchdog_dumps().Increment();
+          }
+          if (context.flight != nullptr) {
+            context.flight->RecordEvent(
+                FlightEventType::kWatchdogDump, context.query_id,
                 static_cast<int32_t>(dump.stuck_scc));
           }
-          if (options.flight_dump_sink) {
-            if (telemetry != nullptr) {
-              telemetry->registry().GetCounter("watchdog/dumps").Increment();
-            }
-            options.flight_dump_sink(dump);
-          }
+          if (options.flight_dump_sink) options.flight_dump_sink(dump);
         });
   }
 
   StatusOr<RunResult> run = InternalError("scheduler did not run");
   {
-    ScopedPhase phase(scoped.list, options, Phase::kRun, result);
+    ScopedPhase phase(context, shared.log, Phase::kRun, result);
     SchedulerParams params;
     params.seed = options.seed;
     params.workers = options.workers;
@@ -653,14 +627,13 @@ StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
   {
     // Ends before the profile, metrics and lineage below, so they carry
     // the drain phase's time too.
-    ScopedPhase phase(scoped.list, options, Phase::kDrain, result);
+    ScopedPhase phase(context, shared.log, Phase::kDrain, result);
     result.answers = sink_ptr->answers();
     result.ended_by_protocol = sink_ptr->done();
     result.quiescent_after = network.TotalPending() == 0;
     result.message_stats = network.stats();
     result.graph_stats = graph.Stats();
     result.delivered = run->delivered;
-    result.observer_count = network.observers().size();
     result.node_counters.reserve(node_processes.size());
     for (NodeProcessBase* p : node_processes) {
       NodeCounters row;
@@ -675,12 +648,11 @@ StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
   }
   if (options.profile) {
     result.profile = std::make_shared<const ProfileReport>(
-        BuildProfile(graph, db, options.query_id, result));
+        BuildProfile(graph, db, context.query_id, result));
   }
   if (options.metrics != nullptr) DumpMetrics(graph, result, *options.metrics);
-  if (scoped.lineage.has_value()) {
-    result.lineage =
-        std::make_shared<const LineageReport>(scoped.lineage->Finalize());
+  if (lineage.has_value()) {
+    result.lineage = std::make_shared<const LineageReport>(lineage->Finalize());
   }
   if (!result.ended_by_protocol && !run->quiescent) {
     return InternalError(

@@ -21,9 +21,10 @@
 // counts. SessionOptions::profile turns them into a ProfileReport,
 // SessionOptions::metrics receives them as named counters, and the
 // engine's telemetry adds every session's totals to its registry — one
-// source for all three. ExecutionObservers (SessionOptions::observers)
-// are for event streams: a TraceExporter for a chrome://tracing
-// timeline, or a custom observer for test assertions.
+// source for all three. The run itself is recorded in the engine's
+// flight ring, one record per delivery; a Chrome trace is rendered from
+// those records (obs/chrome_trace.h). SessionOptions::send_tap lets a
+// test read each message on the wire.
 
 #ifndef MPQE_ENGINE_EVALUATOR_H_
 #define MPQE_ENGINE_EVALUATOR_H_
@@ -42,8 +43,8 @@
 #include "msg/network.h"
 #include "obs/flight_dump.h"
 #include "obs/lineage.h"
+#include "obs/events.h"
 #include "obs/metrics.h"
-#include "obs/observer.h"
 #include "obs/profiler.h"
 #include "obs/telemetry.h"
 #include "relational/database.h"
@@ -55,7 +56,7 @@ namespace mpqe {
 // (DESIGN.md §11): PlanOptions govern query *compilation* (parse,
 // validate, adorn, sips, graph build — everything a PreparedQuery
 // caches), SessionOptions govern one *execution* of a compiled plan
-// (scheduler, segment size, observers).
+// (scheduler, segment size, profile, lineage, logging).
 
 struct PlanOptions {
   // Information passing strategy name (see MakeStrategyByName):
@@ -86,15 +87,10 @@ struct SessionOptions {
   // Safety valve against runaway computations (0 = unlimited).
   uint64_t max_messages = 0;
 
-  // Ablation: disable EDB hash indexes (EDB leaves scan instead of
-  // probe). Answers are unchanged; only time differs.
-  bool use_edb_indexes = true;
-
-  // Execution observers (not owned; must outlive the evaluation).
-  // They receive typed events from every layer — sends, deliveries,
-  // node firings, phases, termination protocol. See obs/observer.h
-  // for the callback set and threading contract.
-  std::vector<ExecutionObserver*> observers;
+  // Called once per physical send with the message on the wire (see
+  // msg/network.h SendTap for when and on which thread). Tests use it
+  // to check message contents; unset costs one branch per send.
+  SendTap send_tap;
 
   // When set, the session writes its counts into this registry once,
   // at the end: the SessionTotals families, one predicate/<name>/* row
@@ -118,31 +114,11 @@ struct SessionOptions {
 
   // Engine log level ("debug", "info", "warning", "error", "off").
   // Empty defers to the MPQE_LOG_LEVEL environment variable; when
-  // neither names a level, engine logging stays off entirely (no
-  // observer is attached). Logging goes to stderr with thread tags and
-  // never changes evaluation behavior or results.
+  // neither names a level, engine logging stays off entirely (no line
+  // is built). Logging goes to stderr with thread tags
+  // (obs/engine_log.h) and never changes evaluation behavior or
+  // results.
   std::string log_level;
-
-  // Engine-minted stable query id (DESIGN.md §12), set by
-  // Engine::CreateSession; published to every observer as a
-  // SessionStartEvent before any other event, so trace spans, log
-  // lines, lineage dumps and the engine query log all carry the same
-  // id. 0 (a direct RunSession that sets none) sends no event, and the
-  // outputs stay id-free.
-  uint64_t query_id = 0;
-
-  // Engine telemetry sink (not owned; set by Engine::CreateSession,
-  // never by callers). When set, the stall watchdog additionally
-  // publishes per-SCC queue depths as live gauges.
-  EngineTelemetry* telemetry = nullptr;
-
-  // Flight recorder sink (not owned; set by Engine::CreateSession to
-  // the engine's recorder, or directly by RunSession callers). When
-  // set, the session's Network writes one record per delivery and the
-  // engine records phases, Fig. 2 transitions and the session
-  // lifecycle into the engine's black box (msg/flight_recorder.h). It
-  // attaches no observer.
-  FlightRecorder* flight = nullptr;
 
   // Stall watchdog (threaded scheduler only): when > 0, a monitor
   // checks delivery progress at this cadence. Each interval with no
@@ -208,10 +184,6 @@ struct EvaluationResult {
   // Wall time of each session phase, in Phase order.
   std::array<uint64_t, static_cast<size_t>(Phase::kPhaseCount)> phase_ns{};
 
-  // ExecutionObservers the session's network carried: 0 means every
-  // send, delivery and node firing took the zero-observer fast path.
-  size_t observer_count = 0;
-
   // One row per graph node, summing to `counters`. Use together with
   // RuleGoalGraph::NodeLabel to see where tuples accumulate.
   std::vector<NodeCounters> node_counters;
@@ -254,6 +226,25 @@ class SessionTotals {
   std::array<Histogram*, static_cast<size_t>(Phase::kPhaseCount)> phase_ns_{};
 };
 
+// What the engine hands a session besides the caller's options: the
+// session's identity and the engine-wide sinks it reports into.
+// QuerySession::Run fills it from its Engine; a direct RunSession
+// without one runs id-free and records into nothing.
+struct SessionContext {
+  // Engine-minted stable query id (DESIGN.md §12), minted by
+  // Engine::CreateSession. The flight records, the profile, the
+  // lineage report and the log lines all carry it; 0 = no id.
+  uint64_t query_id = 0;
+  // The engine's telemetry (not owned): the stall watchdog counts its
+  // stalls and dumps there and publishes per-SCC queue depths as
+  // gauges.
+  EngineTelemetry* telemetry = nullptr;
+  // The engine's flight recorder (not owned): the session's Network
+  // writes one record per delivery, and the session records its phases,
+  // Fig. 2 transitions and lifecycle (msg/flight_recorder.h).
+  FlightRecorder* flight = nullptr;
+};
+
 /// Executes one query session over an already-compiled plan: wires one
 /// process per graph node plus the sink, runs the scheduler and
 /// collects the result. EDB leaves probe the hash indexes already on
@@ -264,7 +255,8 @@ class SessionTotals {
 /// lands here; tests and micro-benchmarks that drive a hand-built graph
 /// may call it directly.
 StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
-                                      const SessionOptions& options);
+                                      const SessionOptions& options,
+                                      const SessionContext& context = {});
 
 }  // namespace mpqe
 

@@ -10,7 +10,6 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "engine/plan.h"
-#include "obs/profiler.h"
 #include "relational/operators.h"
 
 namespace mpqe {
@@ -24,8 +23,8 @@ std::string EngineCounters::ToString() const {
 void NodeProcessBase::ConfigureTermination(
     Network* network, bool is_leader, ProcessId leader, ProcessId bfst_parent,
     std::vector<ProcessId> bfst_children) {
-  termination_.Configure(this, network, process_id(), is_leader, leader,
-                         bfst_parent, std::move(bfst_children));
+  termination_.Configure(this, network, shared_.log, process_id(), is_leader,
+                         leader, bfst_parent, std::move(bfst_children));
 }
 
 void NodeProcessBase::OnMessage(const Message& message) {
@@ -40,25 +39,7 @@ void NodeProcessBase::OnMessage(const Message& message) {
   // this run emitted so far must already sit in its receivers'
   // mailboxes (DESIGN.md §10).
   if (IsProtocolMessage(message.kind)) FlushEmits();
-  const ObserverList& obs = network().observers();
-  if (obs.empty()) {
-    Dispatch(message);
-    return;
-  }
-  uint64_t drops_before = LocalDuplicateDrops();
-  fire_tuples_out_ = 0;
-  observing_fire_ = true;
   Dispatch(message);
-  observing_fire_ = false;
-  NodeFireEvent event;
-  event.node = node_id_;
-  event.pid = process_id();
-  event.role = NodeRoleOf(gnode().kind);
-  event.trigger = message.kind;
-  event.tuples_in = static_cast<uint32_t>(message.answer_rows());
-  event.tuples_out = fire_tuples_out_;
-  event.dedup_hits = LocalDuplicateDrops() - drops_before;
-  obs.NotifyNodeFire(event);
 }
 
 void NodeProcessBase::OnRunEnd() {
@@ -100,7 +81,6 @@ void NodeProcessBase::Emit(ProcessId to, Message m) {
 
 void NodeProcessBase::EmitTuple(ProcessId to, TupleRef binding,
                                 TupleRef values, uint64_t lineage_id) {
-  if (observing_fire_) ++fire_tuples_out_;
   size_t i = 0;
   while (i < open_segments_.size() &&
          (open_segments_[i].to != to ||
@@ -136,9 +116,6 @@ void NodeProcessBase::EmitSegment(ProcessId to,
   // catch a values/lineage column that desynchronized from num_rows
   // before it reaches the wire.
   segment->CheckConsistent();
-  if (observing_fire_) {
-    fire_tuples_out_ += static_cast<uint32_t>(segment->num_rows);
-  }
   Emit(to, MakeTupleSegment(std::move(segment)));
 }
 
@@ -193,15 +170,12 @@ void NodeProcessBase::AccumulateCounters(EngineCounters& out) const {
   out.conclusions += termination_.events(Kind::kConcluded);
 }
 
-void NodeProcessBase::PublishDerive(uint64_t id, DeriveKind kind,
-                                    uint64_t source, const uint64_t* inputs,
-                                    size_t num_inputs, TupleRef values) {
-  const ObserverList& obs = network().observers();
-  if (obs.empty()) return;
+void NodeProcessBase::RecordDerive(uint64_t id, DeriveKind kind,
+                                   uint64_t source, const uint64_t* inputs,
+                                   size_t num_inputs, TupleRef values) {
   DeriveEvent event;
   event.tuple_id = id;
   event.node = node_id_;
-  event.role = NodeRoleOf(gnode().kind);
   event.kind = kind;
   if (gnode().kind == NodeKind::kRule) {
     event.rule_index = static_cast<int32_t>(gnode().program_rule_index);
@@ -210,21 +184,18 @@ void NodeProcessBase::PublishDerive(uint64_t id, DeriveKind kind,
   event.inputs = inputs;
   event.num_inputs = num_inputs;
   event.values = values;
-  obs.NotifyDerive(event);
+  shared_.lineage->Record(event);
 }
 
-void NodeProcessBase::PublishDeriveBatch(
+void NodeProcessBase::RecordDeriveBatch(
     DeriveKind kind, const std::shared_ptr<const TupleSegment>& segment,
     const std::vector<uint64_t>& inputs) {
-  const ObserverList& obs = network().observers();
-  if (obs.empty()) return;
   DeriveBatchEvent event;
   event.node = node_id_;
-  event.role = NodeRoleOf(gnode().kind);
   event.kind = kind;
   event.segment = segment;
   event.inputs = inputs.data();
-  obs.NotifyDeriveBatch(event);
+  shared_.lineage->RecordBatch(event);
 }
 
 namespace {
@@ -258,8 +229,8 @@ class GoalProcess : public NodeProcessBase {
       d_in_out_.push_back(static_cast<size_t>(it - out_positions_.begin()));
     }
     d_index_ = answers_.EnsureIndex(d_in_out_);
-    if (shared_.lineage_ids != nullptr) {
-      answers_.EnableLineage(shared_.lineage_ids);
+    if (lineage_on()) {
+      answers_.EnableLineage(shared_.lineage->ids());
     }
     for (NodeId rc : gnode().rule_children) {
       if (!SameScc(rc)) ++ending_children_;
@@ -302,8 +273,6 @@ class GoalProcess : public NodeProcessBase {
   }
 
  protected:
-  uint64_t LocalDuplicateDrops() const override { return duplicate_drops_; }
-
   void HandleWork(const Message& m) override {
     switch (m.kind) {
       case MessageKind::kRelationRequest:
@@ -427,14 +396,14 @@ class GoalProcess : public NodeProcessBase {
     std::unordered_map<Tuple, OutGroup, TupleHash> groups;
     std::vector<OutGroup*> group_order;
     const size_t cap = shared_.segment_max_rows;
-    // Publishes one derive batch for the group and hands every
+    // Records one derive batch for the group and hands every
     // subscribed consumer the same segment object. Called at the size
     // cap and once at the end.
     auto flush_group = [&](OutGroup& group) {
       if (group.segment->empty()) return;
       group.segment->CheckConsistent();
       if (lineage_on()) {
-        PublishDeriveBatch(DeriveKind::kUnion, group.segment, group.inputs);
+        RecordDeriveBatch(DeriveKind::kUnion, group.segment, group.inputs);
       }
       for (auto& [pid, c] : consumers_) {
         if (c.bindings.count(TupleRef(group.segment->binding)) != 0) {
@@ -597,7 +566,7 @@ class EdbProcess : public NodeProcessBase {
     key_template_ = std::move(plan.key_template);
     key_d_slots_ = std::move(plan.key_d_slots);
     equalities_ = std::move(plan.equalities);
-    if (!key_positions_.empty() && shared_.use_edb_indexes) {
+    if (!key_positions_.empty()) {
       // Engine::Prepare builds the index (ComputeEdbIndexSpecs derives
       // it from the same access plan). When it is missing — the plan
       // was prepared while other sessions were running, or RunSession
@@ -613,8 +582,6 @@ class EdbProcess : public NodeProcessBase {
   }
 
  protected:
-  uint64_t LocalDuplicateDrops() const override { return duplicate_drops_; }
-
   void HandleWork(const Message& m) override {
     switch (m.kind) {
       case MessageKind::kRelationRequest:
@@ -729,8 +696,8 @@ class RuleProcess : public NodeProcessBase {
   RuleProcess(const EngineShared& shared, NodeId id)
       : NodeProcessBase(shared, id),
         head_answers_(gnode().OutputPositions().size()) {
-    if (shared_.lineage_ids != nullptr) {
-      head_answers_.EnableLineage(shared_.lineage_ids);
+    if (lineage_on()) {
+      head_answers_.EnableLineage(shared_.lineage->ids());
     }
     BuildPlan();
   }
@@ -749,8 +716,6 @@ class RuleProcess : public NodeProcessBase {
   }
 
  protected:
-  uint64_t LocalDuplicateDrops() const override { return duplicate_drops_; }
-
   void HandleWork(const Message& m) override {
     // The lineage id of the answer row whose handling produces whatever
     // fires below, recorded as each resulting derivation's source
@@ -1117,7 +1082,7 @@ class RuleProcess : public NodeProcessBase {
     if (lineage_on()) {
       // The rule firing: the head row exists because the subgoal tuples
       // in `srcs` (sips order) joined into a full context.
-      PublishDerive(id, DeriveKind::kRuleFire, trigger_lineage_, srcs,
+      RecordDerive(id, DeriveKind::kRuleFire, trigger_lineage_, srcs,
                     children_.size(), head_row_);
     }
     EmitTuple(Pid(gnode().parent), HeadBindingOf(ctx), head_row_, id);

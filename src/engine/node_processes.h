@@ -40,6 +40,8 @@
 #include "engine/termination.h"
 #include "graph/rule_goal_graph.h"
 #include "msg/network.h"
+#include "obs/engine_log.h"
+#include "obs/lineage.h"
 #include "relational/database.h"
 #include "relational/relation.h"
 
@@ -75,18 +77,17 @@ struct EngineShared {
   // (bounds per-run buffering; >= 1). Every segment a node builds,
   // accumulated or pre-built, is capped here.
   size_t segment_max_rows = 1024;
-  // Ablation: when false, EDB node processes answer tuple requests by
-  // scanning instead of probing hash indexes.
-  bool use_edb_indexes = true;
   // node id -> process id (processes are registered in node order, so
   // this is the identity; kept explicit for clarity).
   std::vector<ProcessId> node_pid;
   ProcessId sink_pid = kNoProcess;
   // Derivation provenance (obs/lineage.h): when set, node relations
-  // draw per-row ids from this allocator and processes fill segment
-  // lineage columns / publish DeriveEvents. Null keeps the lineage-off
-  // fast path to one branch per insert site.
-  TupleIdAllocator* lineage_ids = nullptr;
+  // draw per-row ids from the collector's allocator and processes fill
+  // segment lineage columns and record their derivations in it. Null
+  // keeps the lineage-off fast path to one branch per insert site.
+  LineageCollector* lineage = nullptr;
+  // The session's log (obs/engine_log.h); null when logging is off.
+  const EngineLog* log = nullptr;
   // Fault injection for watchdog tests: the process for this node
   // sleeps fault_park_ms once, on its first work message, wedging its
   // SCC long enough for the stall watchdog to fire. kNoNode (the
@@ -140,11 +141,6 @@ class NodeProcessBase : public Process, public TerminationOwner {
         fault_park_armed_(shared.fault_park_node == node_id &&
                           shared.fault_park_ms > 0) {}
 
-  /// Total arrivals/results this node's duplicate elimination has
-  /// rejected so far; OnMessage diffs it around each firing for the
-  /// NodeFireEvent::dedup_hits delta.
-  virtual uint64_t LocalDuplicateDrops() const { return 0; }
-
   const GraphNode& gnode() const { return shared_.graph->node(node_id_); }
   ProcessId Pid(NodeId n) const { return shared_.node_pid[n]; }
   bool SameScc(NodeId other) const {
@@ -171,22 +167,22 @@ class NodeProcessBase : public Process, public TerminationOwner {
   /// pass the same handle to several consumers — no per-tuple copy.
   void EmitSegment(ProcessId to, std::shared_ptr<const TupleSegment> segment);
 
-  bool lineage_on() const { return shared_.lineage_ids != nullptr; }
+  bool lineage_on() const { return shared_.lineage != nullptr; }
 
-  /// Publishes the first-derivation record for tuple `id` to the
-  /// observers (lineage tracking; see obs/lineage.h). `inputs` and
-  /// `values` need only stay valid through the call.
-  void PublishDerive(uint64_t id, DeriveKind kind, uint64_t source,
-                     const uint64_t* inputs, size_t num_inputs,
-                     TupleRef values);
+  /// Records the first derivation of tuple `id` in the session's
+  /// lineage collector (obs/lineage.h). `inputs` and `values` need
+  /// only stay valid through the call.
+  void RecordDerive(uint64_t id, DeriveKind kind, uint64_t source,
+                    const uint64_t* inputs, size_t num_inputs,
+                    TupleRef values);
 
-  /// Publishes one batched derivation record for a whole segment
-  /// (row i of `segment` derived from the single input `inputs[i]`;
-  /// see DeriveBatchEvent). One observer callback per segment instead
-  /// of one per row.
-  void PublishDeriveBatch(DeriveKind kind,
-                          const std::shared_ptr<const TupleSegment>& segment,
-                          const std::vector<uint64_t>& inputs);
+  /// Records the derivations of a whole segment at once (row i of
+  /// `segment` derived from the single input `inputs[i]`; see
+  /// DeriveBatchEvent): one collector call per segment instead of one
+  /// per row.
+  void RecordDeriveBatch(DeriveKind kind,
+                         const std::shared_ptr<const TupleSegment>& segment,
+                         const std::vector<uint64_t>& inputs);
 
   const EngineShared& shared_;
   NodeId node_id_;
@@ -213,10 +209,6 @@ class NodeProcessBase : public Process, public TerminationOwner {
   // in first-appearance order and each one's message count.
   std::vector<ProcessId> flush_dests_;
   std::vector<size_t> flush_counts_;
-  // Per-firing observability scratch: tuples emitted during the
-  // current OnMessage, counted only while observers are installed.
-  uint32_t fire_tuples_out_ = 0;
-  bool observing_fire_ = false;
   // Fault injection (EngineShared::fault_park_node): armed at
   // construction, disarmed after the one park.
   bool fault_park_armed_ = false;

@@ -7,12 +7,13 @@
 namespace mpqe {
 
 void TerminationParticipant::Configure(TerminationOwner* owner,
-                                       Network* network, ProcessId self,
-                                       bool is_leader, ProcessId leader,
-                                       ProcessId bfst_parent,
+                                       Network* network, const EngineLog* log,
+                                       ProcessId self, bool is_leader,
+                                       ProcessId leader, ProcessId bfst_parent,
                                        std::vector<ProcessId> bfst_children) {
   owner_ = owner;
   network_ = network;
+  log_ = log;
   self_ = self;
   is_leader_ = is_leader;
   leader_ = leader;
@@ -37,8 +38,7 @@ void TerminationParticipant::OnWorkMessage() {
 void TerminationParticipant::Publish(TerminationEvent::Kind kind) {
   ++events_[static_cast<size_t>(kind)];
   FlightRecorder* flight = network_->flight_recorder();
-  const ObserverList& observers = network_->observers();
-  if (flight == nullptr && observers.empty()) return;
+  if (flight == nullptr && log_ == nullptr) return;
   TerminationEvent event;
   event.kind = kind;
   event.node = self_;
@@ -53,7 +53,7 @@ void TerminationParticipant::Publish(TerminationEvent::Kind kind) {
                                                   UINT32_MAX)),
         event.open_work ? 1 : 0, static_cast<uint8_t>(event.kind));
   }
-  if (!observers.empty()) observers.NotifyTermination(event);
+  if (log_ != nullptr) log_->TerminationLine(event);
 }
 
 void TerminationParticipant::NotifyExternalWork() {

@@ -41,6 +41,8 @@
 
 #include "msg/message.h"
 #include "msg/network.h"
+#include "obs/engine_log.h"
+#include "obs/events.h"
 
 namespace mpqe {
 
@@ -90,8 +92,10 @@ class TerminationParticipant {
   /// called; trivial-SCC nodes stay inert.
   TerminationParticipant() = default;
 
-  void Configure(TerminationOwner* owner, Network* network, ProcessId self,
-                 bool is_leader, ProcessId leader, ProcessId bfst_parent,
+  /// `log` (may be null) receives the protocol's log lines.
+  void Configure(TerminationOwner* owner, Network* network,
+                 const EngineLog* log, ProcessId self, bool is_leader,
+                 ProcessId leader, ProcessId bfst_parent,
                  std::vector<ProcessId> bfst_children);
 
   bool configured() const { return owner_ != nullptr; }
@@ -135,7 +139,7 @@ class TerminationParticipant {
  private:
   bool EmptyQueues() const;
   // Counts a protocol event and reports it to the network's flight
-  // recorder and observers.
+  // recorder and the session's log.
   void Publish(TerminationEvent::Kind kind);
   void StartWave();
   // Shared tail of process-end-request: record idleness, fan out to
@@ -147,6 +151,7 @@ class TerminationParticipant {
 
   TerminationOwner* owner_ = nullptr;
   Network* network_ = nullptr;
+  const EngineLog* log_ = nullptr;
   ProcessId self_ = kNoProcess;
   bool is_leader_ = false;
   ProcessId leader_ = kNoProcess;

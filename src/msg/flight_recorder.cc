@@ -35,9 +35,7 @@ const char* FlightEventTypeToString(FlightEventType type) {
   switch (type) {
     case FlightEventType::kSessionStart: return "session_start";
     case FlightEventType::kSessionEnd: return "session_end";
-    case FlightEventType::kSend: return "send";
     case FlightEventType::kDeliver: return "deliver";
-    case FlightEventType::kNodeFire: return "node_fire";
     case FlightEventType::kPhase: return "phase";
     case FlightEventType::kTermination: return "termination";
     case FlightEventType::kStall: return "stall";

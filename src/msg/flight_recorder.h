@@ -1,17 +1,15 @@
-// The flight recorder (DESIGN.md §14): the engine's black box. A set
-// of fixed-size lock-free ring buffers holds compact binary records of
-// the most recent engine events — one record per message delivery,
-// Fig. 2 protocol transitions, phases, scheduler/session lifecycle —
-// unlike the full Chrome trace exporter, which retains every event of
-// a run.
+// The flight recorder (DESIGN.md §14): the engine's black box and the
+// one record of a run. A set of fixed-size lock-free ring buffers holds
+// compact binary records of the most recent engine events — one record
+// per message delivery, Fig. 2 protocol transitions, phases,
+// scheduler/session lifecycle. The flight dump (obs/flight_dump.h) and
+// the Chrome trace (obs/chrome_trace.h) are both rendered from them.
 //
-// It is not an ExecutionObserver. A session hands the recorder to its
-// Network (SetFlightRecorder), and Network::Deliver writes one kDeliver
-// record per delivery from the two clock reads that bracket the
-// handler (and, at a mailbox run's end, the run-end hook), so the
-// session keeps the zero-observer fast path. The engine
-// layer writes the rare events (phases, Fig. 2 transitions, session
-// lifecycle, stalls) directly.
+// A session hands the recorder to its Network (SetFlightRecorder), and
+// Network::Deliver writes one kDeliver record per delivery from the two
+// clock reads that bracket the handler (and, at a mailbox run's end,
+// the run-end hook). The engine layer writes the rare events (phases,
+// Fig. 2 transitions, session lifecycle, stalls) directly.
 //
 // Writers never block and never allocate: a thread claims a slot with
 // one fetch_add on its ring's cursor and publishes the record under a
@@ -23,7 +21,9 @@
 // slot memory. Rings are selected by a cheap per-thread index, so unrelated
 // threads rarely share a cursor cache line. Old records are
 // overwritten — the recorder answers "what was the engine doing just
-// now", not "what has it ever done".
+// now", not "what has it ever done". A session that writes more records
+// than its ring holds loses its oldest ones, and the Chrome trace
+// renderer then refuses it rather than draw a trace with a hole.
 //
 // Readers (the stall watchdog, GET /debug/flight, `mpqe_query
 // --flight-dump`) call Snapshot() at any time, from any thread, and
@@ -47,22 +47,19 @@ namespace mpqe {
 enum class FlightEventType : uint8_t {
   kSessionStart = 0,  // query_id minted; a = scheduler kind, b = workers
   kSessionEnd = 1,    // a = ok(1)/error(0), rows = answers
-  kSend = 2,          // reserved (no longer written; kept for the schema)
-  kDeliver = 3,       // kind = MessageKind, a = from, b = to,
+  kDeliver = 2,       // kind = MessageKind, a = from, b = to,
                       // rows = answer rows in,
                       // rows_out = answer rows the handler sent,
                       // aux = handler ns; ts_ns = handler end. A run's
                       // last delivery also covers its OnRunEnd: the
                       // rows the run's flush sent and the flush time.
-  kNodeFire = 4,      // reserved (merged into kDeliver; kept for the
-                      // schema)
-  kPhase = 5,         // kind = Phase, a = begin(1)/end(0)
-  kTermination = 6,   // kind = TerminationEvent::Kind, a = node, b = wave,
+  kPhase = 3,         // kind = Phase, a = begin(1)/end(0)
+  kTermination = 4,   // kind = TerminationEvent::Kind, a = node, b = wave,
                       // rows = idleness, aux = open_work
-  kStall = 7,         // a = in-flight messages, aux = stalled ms
-  kWatchdogDump = 8,  // a = stuck scc id
-  kPlanPrepare = 9,   // a = cache hit(1)/miss(0)
-  kEventTypeCount = 10,
+  kStall = 5,         // a = in-flight messages, aux = stalled ms
+  kWatchdogDump = 6,  // a = stuck scc id
+  kPlanPrepare = 7,   // a = cache hit(1)/miss(0)
+  kEventTypeCount = 8,
 };
 
 const char* FlightEventTypeToString(FlightEventType type);

@@ -151,13 +151,7 @@ void Network::Send(ProcessId from, ProcessId to, Message message) {
   MPQE_CHECK(to >= 0 && static_cast<size_t>(to) < processes_.size())
       << "send to unknown process " << to;
   message.from = from;
-  if (!observers_.empty()) {
-    SendEvent event;
-    event.from = from;
-    event.to = to;
-    event.message = &message;
-    observers_.NotifySend(event);
-  }
+  if (send_tap_) send_tap_(from, to, message);
   // Batches count once physically and per sub-message logically;
   // segments count once physically and per row logically — so
   // ComputationTotal() keeps its meaning. One pass over an envelope
@@ -271,7 +265,7 @@ void Network::Deliver(ProcessId id, const Message& message, uint64_t sent_ns,
     ++receiver.segments_in;
     receiver.segment_rows_in += message.segment().num_rows;
   }
-  if (flight_ == nullptr && observers_.empty() && !profiling_) {
+  if (flight_ == nullptr && !profiling_) {
     Process& process = *processes_[id];
     process.OnMessage(message);
     if (run_end) process.OnRunEnd();
@@ -309,24 +303,6 @@ void Network::DeliverTapped(ProcessId id, const Message& message,
     record.kind = static_cast<uint8_t>(message.kind);
     flight_->Append(record);
   }
-  if (observers_.empty()) return;
-  DeliverEvent event;
-  event.from = message.from;
-  event.to = id;
-  event.kind = message.kind;
-  if (message.kind == MessageKind::kTupleSegment) {
-    event.payload_rows = message.segment().num_rows;
-    event.payload_segments = 1;
-  } else if (message.kind == MessageKind::kBatch) {
-    for (const Message& sub : message.batch()) {
-      if (sub.kind == MessageKind::kTupleSegment) {
-        event.payload_rows += sub.segment().num_rows;
-        ++event.payload_segments;
-      }
-    }
-  }
-  event.handle_ns = end - start;
-  observers_.NotifyDeliver(event);
 }
 
 StatusOr<RunResult> Network::RunDeterministic(uint64_t max_messages) {

@@ -26,7 +26,10 @@
 // The network sees every send and every delivery, so it is where a
 // process's traffic is counted: one ProcessCounts record per process,
 // always on (DESIGN.md §8). The profile, the session metrics and the
-// engine telemetry are built from these records.
+// engine telemetry are built from these records. It is also where a
+// run is recorded: one flight-ring record per delivery
+// (SetFlightRecorder). The only other hook is the send tap
+// (SetSendTap), which lets a test read each message on the wire.
 
 #ifndef MPQE_MSG_NETWORK_H_
 #define MPQE_MSG_NETWORK_H_
@@ -47,7 +50,6 @@
 #include "common/status.h"
 #include "msg/flight_recorder.h"
 #include "msg/message.h"
-#include "obs/observer.h"
 
 namespace mpqe {
 
@@ -68,6 +70,16 @@ const char* SchedulerKindToName(SchedulerKind kind);
 /// Parses a scheduler name; InvalidArgument on unknown names (the
 /// message lists the valid ones).
 StatusOr<SchedulerKind> SchedulerKindFromName(const std::string& name);
+
+// Called once per physical send (a batch envelope once, not per
+// packaged message) with the stamped message, in the sending process's
+// execution context and before the message is enqueued: the i-th tap
+// call on a (from, to) channel happens-before that channel's i-th
+// delivery. Under the threaded scheduler, sends from different
+// processes call it concurrently, so it synchronizes itself. The
+// message is valid only for the duration of the call.
+using SendTap =
+    std::function<void(ProcessId from, ProcessId to, const Message& message)>;
 
 // Run-time parameters of one scheduler run (the per-session knobs;
 // everything plan-shaped lives above the msg layer).
@@ -160,8 +172,7 @@ struct ProcessCounts {
   uint64_t segment_rows_in = 0;   // answer rows in them
   // Handler time: OnMessage plus the OnRunEnd a run's last delivery
   // closes, the window of the flight record's `aux`. Clocked only on
-  // tapped deliveries (a flight recorder, an observer or profiling
-  // attached).
+  // tapped deliveries (a flight recorder or profiling attached).
   uint64_t handler_ns = 0;
   // Send to delivery start, per physical message (profiling only).
   uint64_t queue_wait_ns = 0;
@@ -226,18 +237,8 @@ class Network {
   /// Calls OnStart on every process (once, before the first run).
   void Start();
 
-  /// Registers an ExecutionObserver (not owned; must outlive the
-  /// network). Observers receive OnSend for every send (in the
-  /// sender's execution context — possibly concurrent across senders
-  /// under the threaded scheduler) and OnDeliver after each message is
-  /// handled (serialized per receiving process). Register before
-  /// Start(); see obs/observer.h for the full threading contract.
-  void AddObserver(ExecutionObserver* observer) { observers_.Add(observer); }
-
-  /// The registered observers. Engine layers use this to publish
-  /// higher-level events (node firings, termination protocol) to the
-  /// same audience; empty() is the zero-observer fast-path check.
-  const ObserverList& observers() const { return observers_; }
+  /// Installs the send tap (see SendTap). Install before Start().
+  void SetSendTap(SendTap tap) { send_tap_ = std::move(tap); }
 
   /// Attaches the session's flight-recorder tap (not owned; must
   /// outlive the network): one kDeliver record per delivery, stamped
@@ -313,14 +314,14 @@ class Network {
   // window.
   void Deliver(ProcessId id, const Message& message, uint64_t sent_ns,
                bool run_end);
-  // The handler run of Deliver with a flight recorder, observers or
-  // profiling attached.
+  // The handler run of Deliver with a flight recorder or profiling
+  // attached.
   void DeliverTapped(ProcessId id, const Message& message, uint64_t sent_ns,
                      bool run_end);
 
   std::vector<std::unique_ptr<Process>> processes_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
-  ObserverList observers_;
+  SendTap send_tap_;
   FlightRecorder* flight_ = nullptr;
   uint64_t flight_query_id_ = 0;
   bool profiling_ = false;

@@ -1,37 +1,11 @@
 #include "obs/flight_dump.h"
 
-#include <cstdio>
-
 #include "common/string_util.h"
 #include "msg/message.h"
-#include "obs/observer.h"
+#include "obs/events.h"
 
 namespace mpqe {
 namespace {
-
-// Node labels come from user programs and may contain anything.
-std::string EscapeJson(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 // One flight record as a JSON object. Numeric raw fields are always
 // present; the decoded `type`/detail names make dumps grep-able
@@ -81,7 +55,7 @@ std::string SccJson(const FlightDumpScc& s) {
 
 std::string NodeJson(const FlightDumpNode& n) {
   return StrCat("{\"node\": ", n.node, ", \"label\": \"",
-                EscapeJson(n.label), "\", \"scc\": ", n.scc,
+                JsonEscape(n.label), "\", \"scc\": ", n.scc,
                 ", \"queue_depth\": ", n.queue_depth,
                 ", \"fires\": ", n.fires,
                 ", \"last_fire_ts_ns\": ", n.last_fire_ts_ns,
@@ -106,7 +80,7 @@ void AppendJsonArray(std::string* out, std::string_view key,
 std::string FlightDump::ToJson() const {
   std::string out = StrCat(
       "{\n  \"schema\": \"mpqe-flightdump-v1\",\n  \"reason\": \"",
-      EscapeJson(reason), "\",\n  \"query_id\": ", query_id,
+      JsonEscape(reason), "\",\n  \"query_id\": ", query_id,
       ",\n  \"stalled_ms\": ", stalled_ms, ",\n  \"delivered\": ", delivered,
       ",\n  \"in_flight\": ", in_flight, ",\n  \"stuck_scc\": ", stuck_scc,
       ",\n");

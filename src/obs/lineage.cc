@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -11,36 +10,6 @@
 namespace mpqe {
 
 namespace {
-
-std::string JsonEscape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size() + 2);
-  for (char c : in) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 // Renders "pred(a, _, 3)" from a predicate name and optional args
 // (nullopt = existential position, printed as '_').
@@ -244,17 +213,17 @@ std::string LineageReport::ToJson() const {
 }
 
 // ---------------------------------------------------------------------------
-// LineageObserver
+// LineageCollector
 // ---------------------------------------------------------------------------
 
-void LineageObserver::AttachGraph(const RuleGoalGraph* graph,
-                                  const SymbolTable* symbols) {
+void LineageCollector::AttachGraph(const RuleGoalGraph* graph,
+                                   const SymbolTable* symbols) {
   graph_ = graph;
   symbols_ = symbols;
 }
 
-void LineageObserver::AttachEdbRelation(const std::string& name,
-                                        const Relation* relation) {
+void LineageCollector::AttachEdbRelation(const std::string& name,
+                                         const Relation* relation) {
   MPQE_CHECK(relation != nullptr);
   MPQE_CHECK(relation->lineage_enabled())
       << "EnableLineage(" << name << ") before AttachEdbRelation";
@@ -266,7 +235,7 @@ void LineageObserver::AttachEdbRelation(const std::string& name,
   edb_.push_back(std::move(range));
 }
 
-void LineageObserver::OnDerive(const DeriveEvent& event) {
+void LineageCollector::Record(const DeriveEvent& event) {
   LineageRecord record;
   record.id = event.tuple_id;
   record.kind = event.kind;
@@ -279,7 +248,7 @@ void LineageObserver::OnDerive(const DeriveEvent& event) {
   records_.push_back(std::move(record));
 }
 
-void LineageObserver::OnDeriveBatch(const DeriveBatchEvent& event) {
+void LineageCollector::RecordBatch(const DeriveBatchEvent& event) {
   const TupleSegment& segment = *event.segment;
   BatchEntry entry;
   entry.node = event.node;
@@ -294,16 +263,12 @@ void LineageObserver::OnDeriveBatch(const DeriveBatchEvent& event) {
   batches_.push_back(std::move(entry));
 }
 
-size_t LineageObserver::record_count() const {
+size_t LineageCollector::record_count() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return records_.size() + batch_rows_;
 }
 
-void LineageObserver::OnSessionStart(const SessionStartEvent& event) {
-  query_id_ = event.query_id;
-}
-
-LineageReport LineageObserver::Finalize() const {
+LineageReport LineageCollector::Finalize() const {
   LineageReport report;
   report.query_id = query_id_;
   std::vector<EdbRange> edb;

@@ -23,26 +23,28 @@
 // extraction needs no cycle breaking — though FormatProof still
 // guards against malformed input.
 //
-// Usage: set SessionOptions::lineage and read
-// EvaluationResult::lineage, or attach a LineageObserver manually:
-//   LineageObserver lineage;
+// Usage: set SessionOptions::lineage and read EvaluationResult::lineage.
+// RunSession owns the session's LineageCollector and hands it to the
+// node processes through EngineShared::lineage; a hand-built network
+// (bench_runtime_micro's segment hops) drives one directly:
+//   LineageCollector lineage;
 //   lineage.AttachGraph(graph.get(), &db.symbols());
-//   ... EnableLineage + AttachEdbRelation for each EDB relation ...
-//   options.observers.push_back(&lineage);
-//   ... evaluate ...
+//   ... EnableLineage(lineage.ids()) + AttachEdbRelation per EDB relation ...
+//   ... deriving processes call lineage.Record / RecordBatch ...
 //   LineageReport report = lineage.Finalize();
 //   std::cout << report.FormatProof(report.Match("tc", args)[0]->id);
 //
-// Overhead: opt-in like the profiler. With lineage off the
-// zero-observer fast path is untouched — one null-pointer branch per
-// insert site, and segments carry no lineage column. BENCH_obs.json
-// tracks the lineage-on cost (BM_SegmentHopLineage against
-// BM_SegmentHopDedup; scripts/bench_guard.py holds the ratio <= 1.5).
+// Overhead: opt-in like the profiler. With lineage off a node process
+// pays one null-pointer branch per insert site, and segments carry no
+// lineage column. BENCH_obs.json tracks the lineage-on cost
+// (BM_SegmentHopLineage against BM_SegmentHopDedup;
+// scripts/bench_guard.py holds the ratio <= 1.5).
 
 #ifndef MPQE_OBS_LINEAGE_H_
 #define MPQE_OBS_LINEAGE_H_
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -50,10 +52,41 @@
 
 #include "common/status.h"
 #include "graph/rule_goal_graph.h"
-#include "obs/observer.h"
+#include "msg/segment.h"
+#include "obs/events.h"
 #include "relational/relation.h"
 
 namespace mpqe {
+
+// One first-derivation of a tuple, recorded by the deriving node
+// process (engine/node_processes.cc). `inputs` and `values` point into
+// the deriving process's storage and need only stay valid through the
+// call.
+struct DeriveEvent {
+  uint64_t tuple_id = kNoLineage;  // the derived tuple's lineage id
+  int32_t node = -1;               // graph NodeId of the deriving node
+  DeriveKind kind = DeriveKind::kRuleFire;
+  int32_t rule_index = -1;         // program rule index (kRuleFire only)
+  uint64_t source_msg = kNoLineage;  // lineage id of the trigger message
+  const uint64_t* inputs = nullptr;  // ordered input ids (sips order)
+  size_t num_inputs = 0;
+  TupleRef values;                 // the derived tuple's values
+};
+
+// A run of first-derivations recorded at once: the deriving node
+// absorbed a whole columnar segment in one firing. Row i of `segment`
+// was derived with id `segment->lineage[i]` from the single input
+// `inputs[i]` (segment-batched derivations are single-input unions;
+// rule firings keep per-tuple DeriveEvents because their input lists
+// vary in length). The collector retains the segment handle — the same
+// shared object the consumers receive — but `inputs` need only stay
+// valid through the call.
+struct DeriveBatchEvent {
+  int32_t node = -1;  // graph NodeId of the deriving node
+  DeriveKind kind = DeriveKind::kUnion;
+  std::shared_ptr<const TupleSegment> segment;
+  const uint64_t* inputs = nullptr;  // one id per segment row
+};
 
 // One node of the derivation DAG: how the tuple with this id was
 // first derived. EDB facts are leaves (no inputs, depth 0).
@@ -103,8 +136,8 @@ struct LineageReport {
   size_t derived = 0;
   int64_t max_depth = 0;
   // The engine-minted query id of the session that produced this
-  // report (0 when the session had none — an engine with telemetry
-  // off, or a direct RunSession; then omitted from the JSON dump).
+  // report (0 when the session had none — a direct RunSession; then
+  // omitted from the JSON dump).
   uint64_t query_id = 0;
 
   /// The record for `id`, or nullptr (binary search; records are
@@ -136,16 +169,17 @@ struct LineageReport {
   std::string ToJson() const;
 };
 
-// The ExecutionObserver that assembles the DAG. Owns the evaluation's
-// TupleIdAllocator; the evaluator enables lineage on every relation
-// against ids() and registers the EDB relations so Finalize() can
-// resolve referenced base facts into leaf records.
+// Assembles one session's DAG. Owns the session's TupleIdAllocator;
+// the evaluator enables lineage on every relation against ids() and
+// registers the EDB relations so Finalize() can resolve referenced base
+// facts into leaf records.
 //
-// Thread-safe: OnDerive callbacks from different processes may arrive
-// concurrently (threaded scheduler) and append under one mutex.
-class LineageObserver : public ExecutionObserver {
+// Thread-safe: Record/RecordBatch calls from different processes may
+// arrive concurrently (threaded scheduler) and append under one mutex.
+class LineageCollector {
  public:
-  LineageObserver() = default;
+  /// `query_id` is the engine-minted id of the session (0 = none).
+  explicit LineageCollector(uint64_t query_id = 0) : query_id_(query_id) {}
 
   /// Attaches the rule/goal graph + symbols used to render node
   /// predicates, atoms and rule instances. Optional: without a graph,
@@ -156,21 +190,17 @@ class LineageObserver : public ExecutionObserver {
   /// against ids()). The relation must stay alive until Finalize().
   void AttachEdbRelation(const std::string& name, const Relation* relation);
 
-  /// The evaluation's id allocator: pass to Relation::EnableLineage
-  /// and EngineShared::lineage_ids.
+  /// The evaluation's id allocator: pass to Relation::EnableLineage.
   TupleIdAllocator* ids() { return &ids_; }
 
-  /// Captures the session's query id for the report.
-  void OnSessionStart(const SessionStartEvent& event) override;
-
-  void OnDerive(const DeriveEvent& event) override;
+  void Record(const DeriveEvent& event);
 
   /// One entry per absorbed segment instead of one record per row:
   /// retains the (shared, immutable) segment — the derived ids ride in
   /// its lineage column for free — plus a delta-encoded input column
   /// (id - input per row; always positive, inputs precede their
   /// derivation). Finalize() expands the rows into LineageRecords.
-  void OnDeriveBatch(const DeriveBatchEvent& event) override;
+  void RecordBatch(const DeriveBatchEvent& event);
 
   /// Records captured so far, counting each batched segment row.
   size_t record_count() const;
@@ -188,7 +218,7 @@ class LineageObserver : public ExecutionObserver {
     uint64_t first = 0;  // row_id(0); rows are numbered contiguously
   };
 
-  // A segment absorbed whole (see OnDeriveBatch): row i was first
+  // A segment absorbed whole (see RecordBatch): row i was first
   // derived as id segment->lineage[i] from the single input
   // segment->lineage[i] - input_deltas[i].
   struct BatchEntry {
@@ -199,7 +229,7 @@ class LineageObserver : public ExecutionObserver {
   };
 
   TupleIdAllocator ids_;
-  uint64_t query_id_ = 0;  // set before any derivation event
+  uint64_t query_id_ = 0;
   mutable std::mutex mutex_;
   std::vector<LineageRecord> records_;  // raw: display fields unset
   std::vector<BatchEntry> batches_;     // raw: expanded by Finalize

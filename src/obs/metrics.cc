@@ -52,8 +52,13 @@ uint64_t Histogram::Percentile(double p) const {
   for (size_t b = 0; b < kBuckets; ++b) {
     seen += buckets_[b].load(std::memory_order_relaxed);
     if (seen > rank) {
-      // Upper bound of bucket b: samples with bit width b, i.e. < 2^b.
-      return b == 0 ? 0 : (b >= 64 ? UINT64_MAX : (uint64_t{1} << b) - 1);
+      // Upper bound of bucket b (samples with bit width b, i.e. < 2^b),
+      // kept inside the recorded range: a bucket's bound can lie past
+      // the largest sample. (Not std::clamp: a racing Record can show
+      // min() > max() for a moment.)
+      const uint64_t bound =
+          b == 0 ? 0 : (b >= 64 ? UINT64_MAX : (uint64_t{1} << b) - 1);
+      return std::max(std::min(bound, max()), min());
     }
   }
   return max();

@@ -83,7 +83,7 @@ class Histogram {
   double mean() const;
 
   /// Upper-bound estimate of the p-th percentile (p in [0, 100]),
-  /// resolved to bucket boundaries.
+  /// resolved to bucket boundaries and clamped to [min(), max()].
   uint64_t Percentile(double p) const;
 
   std::vector<uint64_t> BucketCounts() const;

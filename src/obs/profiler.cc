@@ -10,38 +10,6 @@ namespace mpqe {
 
 namespace {
 
-// Minimal JSON string escaping for node labels (rule labels contain
-// no quotes/backslashes today, but labels are user-predicate-derived).
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string JsonDouble(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.6g", v);

@@ -29,7 +29,7 @@
 #include <vector>
 
 #include "graph/rule_goal_graph.h"
-#include "obs/observer.h"
+#include "obs/events.h"
 #include "sips/cost_model.h"
 
 namespace mpqe {

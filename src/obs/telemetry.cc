@@ -37,6 +37,8 @@ EngineTelemetry::EngineTelemetry(TelemetryOptions options)
       queries_(registry_.GetCounter("telemetry/queries")),
       slow_queries_(registry_.GetCounter("telemetry/slow_queries")),
       failed_queries_(registry_.GetCounter("telemetry/failed_queries")),
+      watchdog_stalls_(registry_.GetCounter("watchdog/stalls")),
+      watchdog_dumps_(registry_.GetCounter("watchdog/dumps")),
       query_wall_ns_(registry_.GetHistogram("engine/query_wall_ns")),
       query_rows_out_(registry_.GetHistogram("engine/query_rows_out")),
       active_sessions_(registry_.GetGauge("engine/active_sessions")),

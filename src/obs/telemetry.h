@@ -31,8 +31,8 @@
 //
 //  * the query-id mint: MintQueryId() hands out the stable ids
 //    Engine::CreateSession stamps onto sessions; the id then travels
-//    through trace spans, log lines, lineage output and the query log
-//    (SessionStartEvent in obs/observer.h).
+//    through flight records, log lines, lineage output and the query log
+//    (SessionContext in engine/evaluator.h).
 //
 // Thread safety: the registry is internally synchronized; the ring and
 // the sampler hook are guarded by one telemetry mutex. Session
@@ -152,6 +152,12 @@ class EngineTelemetry {
   uint64_t completed_queries() const { return queries_.value(); }
   uint64_t slow_queries() const { return slow_queries_.value(); }
 
+  /// The stall watchdog's counters (watchdog/stalls, watchdog/dumps):
+  /// one stall episode and one dump each time a session's watchdog
+  /// builds a FlightDump, whichever sink then receives it.
+  Counter& watchdog_stalls() const { return watchdog_stalls_; }
+  Counter& watchdog_dumps() const { return watchdog_dumps_; }
+
  private:
   // One session's latest stall report.
   struct StallState {
@@ -172,6 +178,8 @@ class EngineTelemetry {
   Counter& queries_;
   Counter& slow_queries_;
   Counter& failed_queries_;
+  Counter& watchdog_stalls_;
+  Counter& watchdog_dumps_;
   Histogram& query_wall_ns_;
   Histogram& query_rows_out_;
   Gauge& active_sessions_;

@@ -1,9 +1,9 @@
 // Tests of the flight recorder (DESIGN.md §14): seqlock ring
 // semantics (ordering, wraparound, torn-slot rejection under
 // concurrent writers), the network's per-delivery tap (its records
-// agree with the run's own counts; it attaches no observer), the stall
-// watchdog end-to-end with fault injection (a parked SCC member must
-// yield a diagnostic bundle naming the wedged SCC), and the engine
+// agree with the run's own counts), the stall watchdog end-to-end with
+// fault injection (a parked SCC member must yield a diagnostic bundle
+// naming the wedged SCC, counted once on every surface), and the engine
 // surfaces — GET /debug/flight and Engine::FlightDumpJson. The
 // concurrent-writer and watchdog cases double as the TSan coverage for
 // the recorder's race-free-snapshot claim.
@@ -82,7 +82,7 @@ std::string HttpGet(int port, const std::string& path) {
 TEST(FlightRecorderTest, RecordsComeBackTimeOrderedWithPayloadIntact) {
   FlightRecorder recorder({.ring_capacity = 64, .ring_count = 1});
   for (int i = 0; i < 10; ++i) {
-    recorder.RecordEvent(FlightEventType::kSend, /*query_id=*/7, /*a=*/i,
+    recorder.RecordEvent(FlightEventType::kDeliver, /*query_id=*/7, /*a=*/i,
                          /*b=*/i + 1, /*rows=*/static_cast<uint32_t>(i * 100),
                          /*aux=*/42, /*kind=*/3);
   }
@@ -94,7 +94,8 @@ TEST(FlightRecorderTest, RecordsComeBackTimeOrderedWithPayloadIntact) {
         return x.ts_ns < y.ts_ns;
       }));
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(records[i].type, static_cast<uint8_t>(FlightEventType::kSend));
+    EXPECT_EQ(records[i].type,
+              static_cast<uint8_t>(FlightEventType::kDeliver));
     EXPECT_EQ(records[i].query_id, 7u);
     EXPECT_EQ(records[i].a, i);
     EXPECT_EQ(records[i].b, i + 1);
@@ -110,7 +111,7 @@ TEST(FlightRecorderTest, WraparoundKeepsOnlyTheNewestRecords) {
   // records must retain exactly the last 16, in order.
   FlightRecorder recorder({.ring_capacity = 16, .ring_count = 1});
   for (int i = 0; i < 100; ++i) {
-    recorder.RecordEvent(FlightEventType::kNodeFire, /*query_id=*/1,
+    recorder.RecordEvent(FlightEventType::kDeliver, /*query_id=*/1,
                          /*a=*/i);
   }
   std::vector<FlightRecord> records = recorder.Snapshot();
@@ -124,11 +125,11 @@ TEST(FlightRecorderTest, WraparoundKeepsOnlyTheNewestRecords) {
 TEST(FlightRecorderTest, CapacityRoundsUpToPowerOfTwo) {
   FlightRecorder recorder({.ring_capacity = 5, .ring_count = 1});
   for (int i = 0; i < 8; ++i) {
-    recorder.RecordEvent(FlightEventType::kSend, 1, i);
+    recorder.RecordEvent(FlightEventType::kDeliver, 1, i);
   }
   // 5 rounds up to 8: all 8 retained.
   EXPECT_EQ(recorder.Snapshot().size(), 8u);
-  recorder.RecordEvent(FlightEventType::kSend, 1, 8);
+  recorder.RecordEvent(FlightEventType::kDeliver, 1, 8);
   EXPECT_EQ(recorder.Snapshot().size(), 8u);  // 9th evicts the oldest
 }
 
@@ -187,10 +188,7 @@ TEST(FlightRecorderTest, EventTypeNamesAreStableSchema) {
                "session_start");
   EXPECT_STREQ(FlightEventTypeToString(FlightEventType::kSessionEnd),
                "session_end");
-  EXPECT_STREQ(FlightEventTypeToString(FlightEventType::kSend), "send");
   EXPECT_STREQ(FlightEventTypeToString(FlightEventType::kDeliver), "deliver");
-  EXPECT_STREQ(FlightEventTypeToString(FlightEventType::kNodeFire),
-               "node_fire");
   EXPECT_STREQ(FlightEventTypeToString(FlightEventType::kPhase), "phase");
   EXPECT_STREQ(FlightEventTypeToString(FlightEventType::kTermination),
                "termination");
@@ -231,7 +229,6 @@ TEST(FlightRecorderTest, DeliverRecordsCountAOneRowSegmentAsOneRow) {
   segment->AppendRow(Tuple{Value::Int(7)});
   net.Send(kNoProcess, 0, MakeTupleSegment(std::move(segment)));
   ASSERT_TRUE(net.RunDeterministic().ok());
-  EXPECT_TRUE(net.observers().empty());
 
   std::vector<FlightRecord> records = recorder.Snapshot();
   ASSERT_EQ(records.size(), 2u);
@@ -293,13 +290,10 @@ TEST(FlightRecorderTest, SessionRecordsAgreeWithTheRunsOwnCounts) {
   const MessageStats& stats = result->message_stats;
   EXPECT_EQ(rows_out, stats.segment_rows);
   EXPECT_GT(rows_out, 0u);
-  // The rare events still land; the per-send and per-fire records are
-  // gone (folded into kDeliver).
+  // The rare events land beside the deliveries.
   EXPECT_TRUE(types.count(static_cast<uint8_t>(FlightEventType::kPhase)));
   EXPECT_TRUE(
       types.count(static_cast<uint8_t>(FlightEventType::kTermination)));
-  EXPECT_FALSE(types.count(static_cast<uint8_t>(FlightEventType::kSend)));
-  EXPECT_FALSE(types.count(static_cast<uint8_t>(FlightEventType::kNodeFire)));
 }
 
 TEST(FlightRecorderTest, EverySurfaceReportsTheSameCounts) {
@@ -399,8 +393,8 @@ TEST(FlightRecorderTest, EverySurfaceReportsTheSameCounts) {
 
 TEST(FlightRecorderTest, UnsampledEngineSessionRecordsWithoutObservers) {
   // A default Engine samples no session: telemetry reads the network's
-  // counts. Every session records, and its network carries no observer
-  // at all.
+  // counts, and every session records into the ring — more records
+  // than deliveries, since phases and lifecycle land too.
   auto facts = Parse(kTcFacts);
   ASSERT_TRUE(facts.ok()) << facts.status();
   EngineOptions engine_options;
@@ -412,11 +406,9 @@ TEST(FlightRecorderTest, UnsampledEngineSessionRecordsWithoutObservers) {
 
   auto first = engine.RunAsync(*plan).get();
   ASSERT_TRUE(first.ok()) << first.status();
-  EXPECT_EQ(first->observer_count, 0u);
   const uint64_t before = engine.flight_recorder().recorded();
   auto unsampled = engine.RunAsync(*plan).get();
   ASSERT_TRUE(unsampled.ok()) << unsampled.status();
-  EXPECT_EQ(unsampled->observer_count, 0u);
   EXPECT_EQ(unsampled->answers.size(), 4u);
   EXPECT_GT(engine.flight_recorder().recorded() - before,
             unsampled->delivered);
@@ -471,8 +463,6 @@ TEST(FlightRecorderTest, WatchdogDumpNamesTheParkedScc) {
   SessionOptions options;
   options.scheduler = SchedulerKind::kThreaded;
   options.workers = 2;
-  options.query_id = 5;
-  options.flight = &recorder;
   options.watchdog_stall_ms = 150;
   options.fault_park_node = park;
   options.fault_park_ms = 1200;
@@ -481,7 +471,8 @@ TEST(FlightRecorderTest, WatchdogDumpNamesTheParkedScc) {
     dumps.push_back(dump);
   };
 
-  auto result = RunSession(graph, unit->database, options);
+  auto result = RunSession(graph, unit->database, options,
+                           SessionContext{.query_id = 5, .flight = &recorder});
   ASSERT_TRUE(result.ok()) << result.status();
   // The park only delays; answers are unaffected.
   EXPECT_EQ(result->answers.size(), 4u);
@@ -528,6 +519,50 @@ TEST(FlightRecorderTest, WatchdogDumpNamesTheParkedScc) {
   // One dump per stall episode, not one per monitor tick: the park
   // lasted ~8 watchdog intervals but each episode dumps once.
   EXPECT_LE(dumps.size(), 2u);
+}
+
+// The park node of a plan: a non-leader member of a nontrivial SCC.
+NodeId ParkNode(const RuleGoalGraph& graph) {
+  for (NodeId id = 0; id < static_cast<NodeId>(graph.size()); ++id) {
+    const GraphNode& n = graph.node(id);
+    if (!n.scc_is_trivial && !n.is_leader) return id;
+  }
+  return kNoNode;
+}
+
+TEST(FlightRecorderTest, WatchdogDumpsCountOnceWithTheSessionsOwnSink) {
+  // An engine session that brings its own dump sink: the engine counts
+  // the dump where the watchdog builds it, so Engine::watchdog_dumps()
+  // and the watchdog/dumps counter read the same number, the number of
+  // dumps the sink received.
+  auto facts = Parse(kTcFacts);
+  ASSERT_TRUE(facts.ok()) << facts.status();
+  Engine engine(EngineOptions{.workers = 2});
+  auto plan = engine.Prepare(engine.Attach(std::move(facts->database)),
+                             kTcRules);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  const NodeId park = ParkNode((*plan)->graph());
+  ASSERT_NE(park, kNoNode);
+
+  std::atomic<uint64_t> sunk{0};
+  SessionOptions options;
+  options.scheduler = SchedulerKind::kThreaded;
+  options.workers = 2;
+  options.watchdog_stall_ms = 100;
+  options.fault_park_node = park;
+  options.fault_park_ms = 600;
+  options.flight_dump_sink = [&](const FlightDump&) { ++sunk; };
+  auto session = engine.CreateSession(*plan, options);
+  ASSERT_TRUE(session.ok()) << session.status();
+  auto result = (*session)->Run();
+  ASSERT_TRUE(result.ok()) << result.status();
+
+  ASSERT_GE(sunk.load(), 1u) << "watchdog never fired";
+  EXPECT_EQ(engine.watchdog_dumps(), sunk.load());
+  EXPECT_EQ(engine.telemetry().registry().GetCounter("watchdog/dumps").value(),
+            sunk.load());
+  EXPECT_EQ(engine.telemetry().registry().GetCounter("watchdog/stalls").value(),
+            sunk.load());
 }
 
 TEST(FlightRecorderTest, WatchdogQuietOnHealthyRuns) {

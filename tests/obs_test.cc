@@ -1,25 +1,31 @@
-// Tests for the execution observability subsystem (src/obs/): the
-// ExecutionObserver callback contract (including its threading
-// guarantees under the threaded scheduler), the metrics registry, and
-// the Chrome-trace exporter (golden summary + structural checks).
+// Tests for the observability subsystem (src/obs/): the metrics
+// registry, the events a session leaves in the engine's flight ring
+// (phase order, Fig. 2 events, and the per-process serialization and
+// send-before-delivery guarantees under the threaded scheduler), the
+// send tap, the Chrome trace rendered from the ring (golden summary,
+// structural checks, refusal of a session the ring lost part of), and
+// the engine log lines.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
-#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <iostream>
 #include <map>
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/string_util.h"
 #include "datalog/parser.h"
-#include "obs/logging_observer.h"
+#include "msg/flight_recorder.h"
+#include "obs/chrome_trace.h"
+#include "obs/engine_log.h"
 #include "obs/metrics.h"
-#include "obs/trace_exporter.h"
 #include "test_engine.h"
 #include "workload/generators.h"
 
@@ -39,6 +45,20 @@ StatusOr<EvaluationResult> RunTc(const SessionOptions& options) {
   if (!unit.ok()) return unit.status();
   return TestEngine(std::move(unit->database))
       .Run(unit->program, {}, options);
+}
+
+// The last session's records of `type` in `engine`'s flight ring, in
+// time order.
+std::vector<FlightRecord> SessionRecords(TestEngine& engine,
+                                         FlightEventType type) {
+  std::vector<FlightRecord> out;
+  for (const FlightRecord& r : engine.engine().flight_recorder().Snapshot()) {
+    if (r.query_id == engine.last_query_id() &&
+        r.type == static_cast<uint8_t>(type)) {
+      out.push_back(r);
+    }
+  }
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -64,6 +84,17 @@ TEST(MetricsTest, HistogramStatistics) {
   // Percentiles report log2-bucket upper bounds.
   EXPECT_GE(h.Percentile(100.0), 1000u);
   EXPECT_LE(h.Percentile(0.0), 1u);
+}
+
+// A percentile is its bucket's upper bound, kept inside the recorded
+// range: one 730,639,356 ns sample used to read 1,073,741,823 (2^30 -
+// 1) at every percentile.
+TEST(MetricsTest, PercentilesStayInsideTheRecordedRange) {
+  Histogram h;
+  h.Record(730639356);
+  for (double p : {0.0, 50.0, 95.0, 99.0, 100.0}) {
+    EXPECT_EQ(h.Percentile(p), 730639356u) << "p" << p;
+  }
 }
 
 // Regression: every statistic on an empty histogram must be a defined
@@ -131,7 +162,7 @@ TEST(MetricsObserverTest, EvaluationFillsRegistry) {
   for (const auto& [name, value] : registry.CounterRows()) {
     if (name.rfind("msg/sent/", 0) == 0) sent += value;
   }
-  // One OnSend per physical send; packaging is exercised.
+  // msg/sent/<kind> counts physical sends; packaging is exercised.
   EXPECT_EQ(sent, result->message_stats.PhysicalTotal());
   EXPECT_GT(result->message_stats.packaged_submessages, 0u);
   EXPECT_EQ(registry.GetCounter("msg/delivered").value(), result->delivered);
@@ -153,151 +184,83 @@ TEST(MetricsObserverTest, EvaluationFillsRegistry) {
 }
 
 // ---------------------------------------------------------------------------
-// Callback ordering contract
-
-// Records phase begin/end events; they arrive strictly in evaluator
-// order and properly nested (begin before end, one pair per phase).
-class PhaseRecorder : public ExecutionObserver {
- public:
-  void OnPhase(const PhaseEvent& event) override {
-    log_.push_back({event.phase, event.begin});
-  }
-  const std::vector<std::pair<Phase, bool>>& log() const { return log_; }
-
- private:
-  std::vector<std::pair<Phase, bool>> log_;
-};
+// The session's events in the flight ring
 
 TEST(ObserverTest, PhasesArriveInOrder) {
-  PhaseRecorder recorder;
-  SessionOptions options;
-  options.observers.push_back(&recorder);
-  ASSERT_TRUE(RunTc(options).ok());
+  auto unit = Parse(kTc);
+  ASSERT_TRUE(unit.ok());
+  TestEngine engine(std::move(unit->database));
+  ASSERT_TRUE(engine.Run(unit->program).ok());
+  std::vector<std::pair<Phase, bool>> log;
+  for (const FlightRecord& r :
+       SessionRecords(engine, FlightEventType::kPhase)) {
+    log.emplace_back(static_cast<Phase>(r.kind), r.a == 1);
+  }
   std::vector<std::pair<Phase, bool>> expected = {
       {Phase::kNetworkWiring, true}, {Phase::kNetworkWiring, false},
       {Phase::kRun, true},           {Phase::kRun, false},
       {Phase::kDrain, true},         {Phase::kDrain, false},
   };
-  EXPECT_EQ(recorder.log(), expected);
+  EXPECT_EQ(log, expected);
 }
 
-// Checks the documented threading contract while an evaluation runs:
-//  * OnDeliver / OnNodeFire for one process never overlap (the
-//    network serializes each process);
-//  * for every (from, to) channel, the i-th OnSend precedes the i-th
-//    OnDeliver (send happens-before delivery).
-class ContractMonitor : public ExecutionObserver {
- public:
-  void OnSend(const SendEvent& event) override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++sends_[{event.from, event.to}];
-  }
-
-  void OnDeliver(const DeliverEvent& event) override {
-    EnterSerialized(event.to);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      uint64_t index = delivers_[{event.from, event.to}]++;
-      if (index >= sends_[{event.from, event.to}]) {
-        ++order_violations_;
-      }
-    }
-    LeaveSerialized(event.to);
-  }
-
-  void OnNodeFire(const NodeFireEvent& event) override {
-    EnterSerialized(event.pid);
-    LeaveSerialized(event.pid);
-  }
-
-  uint64_t serialization_violations() const {
-    return serialization_violations_.load();
-  }
-  uint64_t order_violations() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return order_violations_;
-  }
-  uint64_t total_delivers() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    uint64_t total = 0;
-    for (const auto& [channel, count] : delivers_) total += count;
-    return total;
-  }
-
- private:
-  void EnterSerialized(ProcessId pid) {
-    ASSERT_LT(static_cast<size_t>(pid), in_callback_.size());
-    int expected = 0;
-    if (!in_callback_[pid].compare_exchange_strong(expected, 1)) {
-      ++serialization_violations_;
-    }
-  }
-  void LeaveSerialized(ProcessId pid) { in_callback_[pid].store(0); }
-
-  mutable std::mutex mutex_;
-  std::map<std::pair<ProcessId, ProcessId>, uint64_t> sends_;
-  std::map<std::pair<ProcessId, ProcessId>, uint64_t> delivers_;
-  uint64_t order_violations_ = 0;
-  std::array<std::atomic<int>, 256> in_callback_{};
-  std::atomic<uint64_t> serialization_violations_{0};
-};
-
+// Checks the network's guarantees from what a threaded session leaves
+// behind: the send tap's times and the ring's delivery records.
+//  * one process's deliveries never overlap (the network serializes
+//    each process): its kDeliver windows [ts_ns - aux, ts_ns] are
+//    disjoint;
+//  * for every (from, to) channel, the i-th send precedes the i-th
+//    delivery: the i-th tap time comes before the i-th delivery starts.
 TEST(ObserverTest, ThreadedSchedulerHonorsContract) {
   Database db;
   ASSERT_TRUE(workload::MakeCycle(db, "edge", 12).ok());
   Program program;
   ASSERT_TRUE(ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
-  TestEngine engine(std::move(db));
+  TestEngine engine(std::move(db),
+                    EngineOptions{.flight_recorder_options = {
+                                      .ring_capacity = 1 << 16,
+                                      .ring_count = 4}});
   for (int round = 0; round < 3; ++round) {
-    ContractMonitor monitor;
+    SCOPED_TRACE(StrCat("round ", round));
+    std::mutex mutex;
+    std::map<std::pair<ProcessId, ProcessId>, std::vector<uint64_t>> sends;
     SessionOptions options;
     options.scheduler = SchedulerKind::kThreaded;
     options.workers = 4;
     options.max_messages = 1000000;
-    options.observers.push_back(&monitor);
+    options.send_tap = [&](ProcessId from, ProcessId to, const Message&) {
+      const uint64_t now = FlightRecorder::NowNs();
+      std::lock_guard<std::mutex> lock(mutex);
+      sends[{from, to}].push_back(now);
+    };
     auto result = engine.Run(program, {}, options);
     ASSERT_TRUE(result.ok()) << result.status();
-    EXPECT_GT(monitor.total_delivers(), 0u);
-    EXPECT_EQ(monitor.serialization_violations(), 0u) << "round " << round;
-    EXPECT_EQ(monitor.order_violations(), 0u) << "round " << round;
-  }
-}
 
-// Counts every callback kind; used to check composition order.
-class CountingObserver : public ExecutionObserver {
- public:
-  explicit CountingObserver(std::vector<int>* order, int id)
-      : order_(order), id_(id) {}
-  void OnSend(const SendEvent&) override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++sends_;
-    if (order_ != nullptr && sends_ == 1) order_->push_back(id_);
+    std::vector<FlightRecord> deliveries =
+        SessionRecords(engine, FlightEventType::kDeliver);
+    ASSERT_EQ(deliveries.size(), result->delivered) << "ring lost records";
+    auto start = [](const FlightRecord& r) { return r.ts_ns - r.aux; };
+    std::sort(deliveries.begin(), deliveries.end(),
+              [&](const FlightRecord& x, const FlightRecord& y) {
+                return start(x) < start(y);
+              });
+    std::map<ProcessId, uint64_t> busy_until;
+    std::map<std::pair<ProcessId, ProcessId>, size_t> delivered;
+    size_t overlaps = 0;
+    size_t early = 0;
+    for (const FlightRecord& r : deliveries) {
+      auto [it, first] = busy_until.emplace(r.b, r.ts_ns);
+      if (!first) {
+        if (start(r) < it->second) ++overlaps;
+        it->second = r.ts_ns;
+      }
+      const std::vector<uint64_t>& channel = sends[{r.a, r.b}];
+      const size_t i = delivered[{r.a, r.b}]++;
+      if (i >= channel.size() || channel[i] > start(r)) ++early;
+    }
+    EXPECT_EQ(overlaps, 0u);
+    EXPECT_EQ(early, 0u);
   }
-  uint64_t sends() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return sends_;
-  }
-
- private:
-  mutable std::mutex mutex_;
-  std::vector<int>* order_;
-  int id_;
-  uint64_t sends_ = 0;
-};
-
-TEST(ObserverTest, ObserversComposeInRegistrationOrder) {
-  std::vector<int> first_event_order;
-  CountingObserver a(&first_event_order, 1);
-  CountingObserver b(&first_event_order, 2);
-  SessionOptions options;
-  options.observers.push_back(&a);
-  options.observers.push_back(&b);
-  auto result = RunTc(options);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(a.sends(), result->message_stats.PhysicalTotal());
-  EXPECT_GT(result->message_stats.packaged_submessages, 0u);
-  EXPECT_EQ(a.sends(), b.sends());
-  EXPECT_EQ(first_event_order, (std::vector<int>{1, 2}));
 }
 
 TEST(ObserverTest, TerminationEventsOnCyclicWorkload) {
@@ -305,87 +268,115 @@ TEST(ObserverTest, TerminationEventsOnCyclicWorkload) {
   ASSERT_TRUE(workload::MakeCycle(db, "edge", 8).ok());
   Program program;
   ASSERT_TRUE(ParseInto(workload::LinearTcProgram(0), program, db).ok());
-
-  class TerminationRecorder : public ExecutionObserver {
-   public:
-    void OnTermination(const TerminationEvent& event) override {
-      ++by_kind_[static_cast<size_t>(event.kind)];
-    }
-    uint64_t count(TerminationEvent::Kind kind) const {
-      return by_kind_[static_cast<size_t>(kind)];
-    }
-
-   private:
-    std::array<uint64_t,
-               static_cast<size_t>(TerminationEvent::Kind::kKindCount)>
-        by_kind_{};
-  } recorder;
-
-  SessionOptions options;
-  options.observers.push_back(&recorder);
-  auto result = TestEngine(std::move(db)).Run(program, {}, options);
+  TestEngine engine(std::move(db));
+  auto result = engine.Run(program);
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(result->ended_by_protocol);
-  EXPECT_GT(recorder.count(TerminationEvent::Kind::kWaveStarted), 0u);
-  EXPECT_GT(recorder.count(TerminationEvent::Kind::kConcluded), 0u);
-  EXPECT_EQ(recorder.count(TerminationEvent::Kind::kWaveStarted),
+  std::array<uint64_t, static_cast<size_t>(TerminationEvent::Kind::kKindCount)>
+      by_kind{};
+  for (const FlightRecord& r :
+       SessionRecords(engine, FlightEventType::kTermination)) {
+    ++by_kind[r.kind];
+  }
+  using Kind = TerminationEvent::Kind;
+  EXPECT_GT(by_kind[static_cast<size_t>(Kind::kWaveStarted)], 0u);
+  EXPECT_GT(by_kind[static_cast<size_t>(Kind::kConcluded)], 0u);
+  EXPECT_EQ(by_kind[static_cast<size_t>(Kind::kWaveStarted)],
             result->counters.protocol_waves);
 }
 
 // ---------------------------------------------------------------------------
-// Trace exporter
+// Send tap
 
-TEST(TraceExporterTest, StructurallySoundJson) {
-  TraceExporter exporter;
+TEST(SendTapTest, CalledOncePerPhysicalSend) {
+  std::mutex mutex;
+  uint64_t sends = 0;
+  uint64_t envelopes = 0;
   SessionOptions options;
-  options.observers.push_back(&exporter);
+  options.send_tap = [&](ProcessId, ProcessId, const Message& m) {
+    std::lock_guard<std::mutex> lock(mutex);
+    ++sends;
+    if (m.kind == MessageKind::kBatch) ++envelopes;
+  };
   auto result = RunTc(options);
   ASSERT_TRUE(result.ok());
-  EXPECT_GT(exporter.event_count(), 0u);
-  EXPECT_EQ(exporter.dropped_events(), 0u);
-
-  std::string json = exporter.ToJson();
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"process_name\""), std::string::npos);
-  EXPECT_NE(json.find("phase:run"), std::string::npos);
-  EXPECT_NE(json.find("msg:relation_request"), std::string::npos);
-  // Flow starts and ends pair up (every send is delivered).
-  size_t starts = 0, ends = 0, pos = 0;
-  while ((pos = json.find("\"ph\": \"s\"", pos)) != std::string::npos) {
-    ++starts;
-    ++pos;
-  }
-  pos = 0;
-  while ((pos = json.find("\"ph\": \"f\"", pos)) != std::string::npos) {
-    ++ends;
-    ++pos;
-  }
-  EXPECT_EQ(starts, result->message_stats.PhysicalTotal());
+  EXPECT_EQ(sends, result->message_stats.PhysicalTotal());
   EXPECT_GT(result->message_stats.packaged_submessages, 0u);
-  EXPECT_EQ(starts, ends);
+  EXPECT_EQ(envelopes, result->message_stats.Count(MessageKind::kBatch));
 }
 
-TEST(TraceExporterTest, MaxEventsDropsInsteadOfGrowing) {
-  TraceExporter::Options trace_options;
-  trace_options.max_events = 5;
-  TraceExporter exporter(trace_options);
-  SessionOptions options;
-  options.observers.push_back(&exporter);
-  ASSERT_TRUE(RunTc(options).ok());
-  EXPECT_EQ(exporter.event_count(), 5u);
-  EXPECT_GT(exporter.dropped_events(), 0u);
+// ---------------------------------------------------------------------------
+// Chrome trace rendered from the ring
+
+// One session of kTc and its trace.
+struct TracedTc {
+  StatusOr<EvaluationResult> result = InternalError("not run");
+  StatusOr<ChromeTrace> trace = InternalError("not rendered");
+};
+
+TracedTc RunTracedTc(EngineOptions engine_options = {}) {
+  TracedTc out;
+  auto unit = Parse(kTc);
+  if (!unit.ok()) return out;
+  TestEngine engine(std::move(unit->database), std::move(engine_options));
+  out.result = engine.Run(unit->program);
+  if (out.result.ok()) {
+    out.trace = RenderChromeTrace(engine.engine().flight_recorder().Snapshot(),
+                                  engine.last_query_id(),
+                                  out.result->delivered);
+  }
+  return out;
+}
+
+size_t CountOf(const std::string& text, const std::string& needle) {
+  size_t n = 0;
+  for (size_t pos = text.find(needle); pos != std::string::npos;
+       pos = text.find(needle, pos + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(ChromeTraceTest, StructurallySoundJson) {
+  TracedTc traced = RunTracedTc();
+  ASSERT_TRUE(traced.result.ok());
+  ASSERT_TRUE(traced.trace.ok()) << traced.trace.status();
+  const std::string json = traced.trace->ToJson();
+  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
+  EXPECT_NE(json.find("\"process_name\""), std::string::npos);
+  EXPECT_NE(json.find(StrCat("\"delivered\": ", traced.result->delivered)),
+            std::string::npos);
+  EXPECT_NE(json.find("phase:run"), std::string::npos);
+  EXPECT_NE(json.find("\"relation_request\""), std::string::npos);
+  EXPECT_NE(json.find("term:wave_started"), std::string::npos);
+  // One slice per delivery plus one per phase; no flows, no counters.
+  EXPECT_EQ(CountOf(json, "\"ph\": \"X\""),
+            traced.result->delivered + static_cast<size_t>(Phase::kPhaseCount));
+  EXPECT_EQ(CountOf(json, "\"ph\": \"s\""), 0u);
+  EXPECT_EQ(CountOf(json, "\"ph\": \"C\""), 0u);
+}
+
+// An engine whose ring is smaller than one session: the renderer
+// refuses the session rather than draw a trace with a hole.
+TEST(ChromeTraceTest, RefusesASessionTheRingLostPartOf) {
+  TracedTc traced = RunTracedTc(EngineOptions{
+      .flight_recorder_options = {.ring_capacity = 16, .ring_count = 1}});
+  ASSERT_TRUE(traced.result.ok());
+  ASSERT_GT(traced.result->delivered, 16u);
+  ASSERT_FALSE(traced.trace.ok());
+  EXPECT_EQ(traced.trace.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(traced.trace.status().message().find("ring_capacity"),
+            std::string::npos);
 }
 
 // The normalized (timestamp-free) trace of a tiny fixed query under
 // the deterministic scheduler is bit-for-bit reproducible; the golden
-// file pins the exporter's event stream. Regenerate with
+// file pins the ring's record stream. Regenerate with
 //   MPQE_REGEN_GOLDEN=1 ./obs_test --gtest_filter='*GoldenSummary*'
-TEST(TraceExporterTest, GoldenSummaryForTinyQuery) {
-  TraceExporter exporter;
-  SessionOptions options;  // deterministic scheduler
-  options.observers.push_back(&exporter);
-  ASSERT_TRUE(RunTc(options).ok());
-  std::string summary = exporter.NormalizedSummary();
+TEST(ChromeTraceTest, GoldenSummaryForTinyQuery) {
+  TracedTc traced = RunTracedTc();  // deterministic scheduler
+  ASSERT_TRUE(traced.trace.ok()) << traced.trace.status();
+  std::string summary = traced.trace->NormalizedSummary();
   ASSERT_FALSE(summary.empty());
 
   const std::string path =
@@ -404,28 +395,31 @@ TEST(TraceExporterTest, GoldenSummaryForTinyQuery) {
   EXPECT_EQ(summary, golden.str());
 }
 
-TEST(TraceExporterTest, WriteFileRejectsBadPath) {
-  TraceExporter exporter;
-  Status status = exporter.WriteFile("/nonexistent-dir/trace.json");
+TEST(ChromeTraceTest, WriteFileRejectsBadPath) {
+  Status status = ChromeTrace().WriteFile("/nonexistent-dir/trace.json");
   EXPECT_FALSE(status.ok());
 }
 
 // ---------------------------------------------------------------------------
-// Event-name tables
+// Engine log lines
 
-// ---------------------------------------------------------------------------
-// LoggingObserver (engine log lines)
-
-TEST(LoggingObserverTest, EmitsLeveledThreadTaggedLines) {
-  std::ostringstream log;
-  LoggingObserver logger(LogLevel::kInfo, &log);
+// Runs kTc at `level`, capturing the engine log lines (stderr).
+std::string RunTcLogging(const std::string& level) {
   SessionOptions options;
-  options.observers.push_back(&logger);
+  options.log_level = level;
+  std::ostringstream captured;
+  std::streambuf* saved = std::cerr.rdbuf(captured.rdbuf());
   auto result = RunTc(options);
-  ASSERT_TRUE(result.ok());
-  std::string text = log.str();
+  std::cerr.rdbuf(saved);
+  EXPECT_TRUE(result.ok());
+  return captured.str();
+}
+
+TEST(EngineLogTest, EmitsLeveledThreadTaggedLines) {
+  std::string text = RunTcLogging("info");
   EXPECT_NE(text.find("[INFO"), std::string::npos);
   // The engine minted query id 1 for the session; every line carries it.
+  EXPECT_NE(text.find("engine] q1 session start"), std::string::npos);
   EXPECT_NE(text.find("engine] q1 phase run begin"), std::string::npos);
   EXPECT_NE(text.find("engine] q1 phase run end"), std::string::npos);
   // Fig. 2 waves on the cyclic tc SCC.
@@ -435,16 +429,14 @@ TEST(LoggingObserverTest, EmitsLeveledThreadTaggedLines) {
   EXPECT_EQ(text.find("end_confirmed"), std::string::npos);
 }
 
-TEST(LoggingObserverTest, DebugLevelAddsProtocolAnswers) {
-  std::ostringstream log;
-  LoggingObserver logger(LogLevel::kDebug, &log);
-  SessionOptions options;
-  options.observers.push_back(&logger);
-  ASSERT_TRUE(RunTc(options).ok());
-  EXPECT_NE(log.str().find("end_confirmed"), std::string::npos);
+TEST(EngineLogTest, DebugLevelAddsProtocolAnswers) {
+  std::string text = RunTcLogging("debug");
+  EXPECT_NE(text.find("[DEBUG"), std::string::npos);
+  EXPECT_NE(text.find("engine] q1 wave"), std::string::npos);
+  EXPECT_NE(text.find("end_confirmed"), std::string::npos);
 }
 
-TEST(LoggingObserverTest, LevelNamesResolve) {
+TEST(EngineLogTest, LevelNamesResolve) {
   auto level = EngineLogLevelFromName("debug");
   ASSERT_TRUE(level.ok());
   EXPECT_EQ(**level, LogLevel::kDebug);

@@ -30,18 +30,20 @@ namespace {
 // traveled to, and the largest row count seen on the wire. It holds
 // each segment's handle, so a freed segment's address can never be
 // reused by a later one and miscounted as sharing.
-class SegmentRecorder : public ExecutionObserver {
+class SegmentRecorder {
  public:
-  void OnSend(const SendEvent& event) override {
-    const Message& m = *event.message;
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (m.kind == MessageKind::kTupleSegment) {
-      Note(m, event.to);
-    } else if (m.kind == MessageKind::kBatch) {
-      for (const Message& sub : m.batch()) {
-        if (sub.kind == MessageKind::kTupleSegment) Note(sub, event.to);
+  // The send tap that feeds this recorder every message on the wire.
+  SendTap Tap() {
+    return [this](ProcessId, ProcessId to, const Message& m) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (m.kind == MessageKind::kTupleSegment) {
+        Note(m, to);
+      } else if (m.kind == MessageKind::kBatch) {
+        for (const Message& sub : m.batch()) {
+          if (sub.kind == MessageKind::kTupleSegment) Note(sub, to);
+        }
       }
-    }
+    };
   }
 
   size_t max_rows() const {
@@ -235,7 +237,7 @@ TEST(SegmentTest, TransitiveClosureMatchesPerTuple) {
   TestEngine engine(std::move(tc.db));
   SegmentRecorder per_tuple_recorder;
   SessionOptions per_tuple_options = PerTuple();
-  per_tuple_options.observers.push_back(&per_tuple_recorder);
+  per_tuple_options.send_tap = per_tuple_recorder.Tap();
   auto segmented = engine.Run(tc.program);  // default caps
   auto per_tuple = engine.Run(tc.program, {}, per_tuple_options);
   ASSERT_TRUE(segmented.ok()) << segmented.status();
@@ -366,7 +368,7 @@ TEST(SegmentTest, SegmentsRespectTheRowCap) {
   SegmentRecorder recorder;
   SessionOptions options;
   options.segment_max_rows = 8;
-  options.observers.push_back(&recorder);
+  options.send_tap = recorder.Tap();
   auto result = TestEngine(std::move(db)).Run(program, {}, options);
   ASSERT_TRUE(result.ok()) << result.status();
   // Nonlinear TC on a 16-cycle produces answer runs well past 8 rows,
@@ -497,7 +499,7 @@ TEST(SegmentTest, SingleAnswersTravelAsSharedOneRowSegments) {
   ASSERT_TRUE(ParseInto(workload::LinearTcProgram(0), program, db).ok());
   SegmentRecorder recorder;
   SessionOptions options;
-  options.observers.push_back(&recorder);
+  options.send_tap = recorder.Tap();
   auto result = TestEngine(std::move(db)).Run(program, {}, options);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->answers.size(), 15u);
@@ -515,7 +517,7 @@ TEST(SegmentTest, FanOutSharesOneSegmentAcrossConsumers) {
   ASSERT_TRUE(ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
   SegmentRecorder recorder;
   SessionOptions options;
-  options.observers.push_back(&recorder);
+  options.send_tap = recorder.Tap();
   auto result = TestEngine(std::move(db)).Run(program, {}, options);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_GT(recorder.shared_segments(), 0u);

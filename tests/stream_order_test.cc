@@ -1,5 +1,5 @@
 // Stream-safety properties of the message protocol, checked on the
-// wire (batch envelopes unpacked) with a send observer across
+// wire (batch envelopes unpacked) through the session's send tap across
 // workloads, strategies and schedules:
 //
 //  * per (producer, consumer, binding) stream: no tuple is ever sent
@@ -43,10 +43,13 @@ struct StreamState {
   size_t answers_before_request = 0;
 };
 
-class StreamMonitor : public ExecutionObserver {
+class StreamMonitor {
  public:
-  void OnSend(const SendEvent& event) override {
-    Observe(event.to, *event.message);
+  // The send tap that feeds this monitor every message on the wire.
+  SendTap Tap() {
+    return [this](ProcessId, ProcessId to, const Message& m) {
+      Observe(to, m);
+    };
   }
 
   void Observe(ProcessId to, const Message& m) {
@@ -144,7 +147,7 @@ TEST(StreamOrderTest, RecursiveCycleWorkload) {
     options.workers = 3;
     // Guard: a protocol regression must fail fast, not hang the test.
     options.max_messages = 1000000;
-    options.observers.push_back(&monitor);
+    options.send_tap = monitor.Tap();
     auto result = engine.Run(program, plan, options);
     ASSERT_TRUE(result.ok()) << config.name << ": " << result.status();
     EXPECT_TRUE(result->ended_by_protocol) << config.name;
@@ -172,7 +175,7 @@ TEST(StreamOrderTest, MutualRecursionWorkload) {
     options.seed = config.seed;
     // Guard: a protocol regression must fail fast, not hang the test.
     options.max_messages = 1000000;
-    options.observers.push_back(&monitor);
+    options.send_tap = monitor.Tap();
     auto result = engine.Run(unit->program, plan, options);
     ASSERT_TRUE(result.ok()) << config.name;
     monitor.ExpectClean(config.name);
@@ -190,7 +193,7 @@ TEST(StreamOrderTest, RandomProgramsUnderRandomSchedules) {
     options.scheduler = SchedulerKind::kRandom;
     options.seed = seed;
     options.max_messages = 5000000;
-    options.observers.push_back(&monitor);
+    options.send_tap = monitor.Tap();
     auto result = TestEngine(std::move(rp->unit.database))
                       .Run(rp->unit.program, {}, options);
     if (!result.ok() &&

@@ -1,6 +1,6 @@
 // The tests' one entry to the prepared-query lifecycle
-// (engine/engine.h): a default Engine with one database attached as
-// its snapshot. Run goes Prepare → CreateSession → Run, the path the
+// (engine/engine.h): an Engine with one database attached as its
+// snapshot. Run goes Prepare → CreateSession → Run, the path the
 // CLI and the benchmarks take. A test that loops over schedulers,
 // seeds or strategies builds one TestEngine and calls Run once per
 // configuration: the plan cache compiles each PlanOptions once, and
@@ -21,7 +21,8 @@ namespace mpqe {
 
 class TestEngine {
  public:
-  explicit TestEngine(Database db) : snapshot_(engine_.Attach(std::move(db))) {}
+  explicit TestEngine(Database db, EngineOptions options = {})
+      : engine_(std::move(options)), snapshot_(engine_.Attach(std::move(db))) {}
 
   /// Prepares `program` against the snapshot and runs one session of
   /// it. Prepare and CreateSession errors come back as the status.
@@ -33,8 +34,15 @@ class TestEngine {
     MPQE_ASSIGN_OR_RETURN(
         std::unique_ptr<QuerySession> session,
         engine_.CreateSession(std::move(plan), session_options));
+    last_query_id_ = session->query_id();
     return session->Run();
   }
+
+  /// The engine: its flight recorder holds every session's records.
+  Engine& engine() { return engine_; }
+
+  /// The query id of the last session Run created.
+  uint64_t last_query_id() const { return last_query_id_; }
 
   /// The attached database (its symbols format answers and proofs).
   const Database& db() const { return snapshot_->db(); }
@@ -42,6 +50,7 @@ class TestEngine {
  private:
   Engine engine_;
   std::shared_ptr<DatabaseSnapshot> snapshot_;
+  uint64_t last_query_id_ = 0;
 };
 
 }  // namespace mpqe
