@@ -24,6 +24,11 @@
 namespace mpqe {
 namespace {
 
+// Hash for the row-at-a-time reference containers keyed by Tuple.
+struct TupleHash {
+  size_t operator()(TupleRef tuple) const { return HashTuple(tuple); }
+};
+
 // Ping-pong process: forwards a tuple request whose one-value binding
 // counts the hops left to a peer.
 class PingPong : public Process {

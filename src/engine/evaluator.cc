@@ -473,7 +473,9 @@ StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
                                 options.workers);
   }
 
-  Network network;
+  // Destroyed inside the drain phase, so the phase covers teardown.
+  std::optional<Network> owned_network(std::in_place);
+  Network& network = *owned_network;
   if (options.send_tap) network.SetSendTap(options.send_tap);
   if (context.flight != nullptr) {
     network.SetFlightRecorder(context.flight, context.query_id);
@@ -626,9 +628,10 @@ StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
 
   {
     // Ends before the profile, metrics and lineage below, so they carry
-    // the drain phase's time too.
+    // the drain phase's time too. They read only the result, the graph
+    // and the collector, so the network goes here.
     ScopedPhase phase(context, shared.log, Phase::kDrain, result);
-    result.answers = sink_ptr->answers();
+    result.answers = sink_ptr->TakeAnswers();
     result.ended_by_protocol = sink_ptr->done();
     result.quiescent_after = network.TotalPending() == 0;
     result.message_stats = network.stats();
@@ -645,6 +648,7 @@ StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
       result.node_counters.push_back(std::move(row));
     }
     result.traffic.Add(network.counts(shared.sink_pid));
+    owned_network.reset();
   }
   if (options.profile) {
     result.profile = std::make_shared<const ProfileReport>(

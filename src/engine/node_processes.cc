@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -200,15 +199,45 @@ void NodeProcessBase::RecordDeriveBatch(
 
 namespace {
 
+// Rows of one arena grouped by an interned id (a binding or request id),
+// each group chained in insertion order: the flat stand-in for a hash
+// index on a key that already has an id.
+class RowChains {
+ public:
+  static constexpr uint32_t kEnd = ~uint32_t{0};
+
+  /// Appends arena row `row` (rows arrive in order) to `id`'s chain.
+  void Append(size_t id, size_t row) {
+    if (id >= ends_.size()) ends_.resize(id + 1, {kEnd, kEnd});
+    MPQE_CHECK(row == next_.size());
+    next_.push_back(kEnd);
+    auto& [first, last] = ends_[id];
+    (last == kEnd ? first : next_[last]) = static_cast<uint32_t>(row);
+    last = static_cast<uint32_t>(row);
+  }
+  uint32_t first(size_t id) const {
+    return id < ends_.size() ? ends_[id].first : kEnd;
+  }
+  uint32_t next(size_t row) const { return next_[row]; }
+
+ private:
+  std::vector<std::pair<uint32_t, uint32_t>> ends_;  // by id: first, last
+  std::vector<uint32_t> next_;                        // by row
+};
+
 // Per-consumer stream state at a producer (§3.1: "A goal node with
 // multiple out-edges needs to furnish answers in separate streams to
 // each successor node ... different successors normally will have
-// requested different subsets of the total temporary relation").
+// requested different subsets of the total temporary relation"),
+// indexed by the producer's binding ids.
 struct ConsumerStream {
-  bool external = false;  // in a different SCC (or the sink)
-  // Probed with segment bindings in place (TupleEq is transparent).
-  std::unordered_set<Tuple, TupleHash, TupleEq> bindings;
-  std::unordered_set<Tuple, TupleHash> ended;
+  static constexpr uint8_t kNone = 0, kOpen = 1, kEnded = 2;
+  ProcessId pid = kNoProcess;
+  bool external = false;       // in a different SCC (or the sink)
+  std::vector<uint8_t> state;  // by binding id; ids past the end: kNone
+  size_t open = 0;             // subscribed bindings not yet ended
+
+  uint8_t At(size_t id) const { return id < state.size() ? state[id] : kNone; }
 };
 
 // ---------------------------------------------------------------------------
@@ -219,16 +248,10 @@ class GoalProcess : public NodeProcessBase {
  public:
   GoalProcess(const EngineShared& shared, NodeId id)
       : NodeProcessBase(shared, id),
-        answers_(gnode().OutputPositions().size()) {
-    out_positions_ = gnode().OutputPositions();
-    d_positions_ = PositionsWithClass(gnode().adornment,
-                                      BindingClass::kDynamic);
-    for (size_t dp : d_positions_) {
-      auto it = std::find(out_positions_.begin(), out_positions_.end(), dp);
-      MPQE_CHECK(it != out_positions_.end());
-      d_in_out_.push_back(static_cast<size_t>(it - out_positions_.begin()));
-    }
-    d_index_ = answers_.EnsureIndex(d_in_out_);
+        answers_(gnode().OutputPositions().size()),
+        requested_(
+            PositionsWithClass(gnode().adornment, BindingClass::kDynamic)
+                .size()) {
     if (lineage_on()) {
       answers_.EnableLineage(shared_.lineage->ids());
     }
@@ -240,26 +263,26 @@ class GoalProcess : public NodeProcessBase {
   bool LocallyIdle() const override { return open_feeder_requests_ == 0; }
 
   bool HasOpenCustomerWork() const override {
-    for (const auto& [pid, c] : consumers_) {
-      if (c.external && c.ended.size() < c.bindings.size()) return true;
+    for (const ConsumerStream& c : consumers_) {
+      if (c.external && c.open != 0) return true;
     }
     return false;
   }
 
-  void SnapshotForConclusion() override { snapshot_ = requested_; }
+  // Every interned binding was requested when it was interned, so the
+  // ids below the watermark are exactly the bindings requested so far.
+  void SnapshotForConclusion() override { snapshot_ = requested_.size(); }
 
   void ConcludeScc() override {
     // The component was quiescent with feeders ended throughout the
     // confirming waves: every binding in the snapshot is final.
     // Bindings requested after the snapshot belong to the next
     // protocol round.
-    for (const Tuple& b : snapshot_) completed_.insert(b);
-    for (auto& [pid, c] : consumers_) {
+    for (size_t id = 0; id < snapshot_; ++id) completed_[id] = true;
+    for (ConsumerStream& c : consumers_) {
       if (!c.external) continue;
-      for (const Tuple& b : c.bindings) {
-        if (snapshot_.count(b) != 0 && c.ended.insert(b).second) {
-          Emit(pid, MakeEnd(b));
-        }
+      for (size_t id = 0; id < snapshot_ && c.open != 0; ++id) {
+        EndStream(c, id);
       }
     }
   }
@@ -299,9 +322,17 @@ class GoalProcess : public NodeProcessBase {
            gnode().scc_id;
   }
 
+  /// The stream state of consumer `pid`, created at its first request.
+  ConsumerStream& Consumer(ProcessId pid) {
+    for (ConsumerStream& c : consumers_) {
+      if (c.pid == pid) return c;
+    }
+    consumers_.push_back({pid, IsExternal(pid), {}, 0});
+    return consumers_.back();
+  }
+
   void OnRelationRequest(const Message& m) {
-    ConsumerStream& c = consumers_[m.from];
-    c.external = IsExternal(m.from);
+    Consumer(m.from);
     if (!activated_) {
       activated_ = true;
       for (NodeId rc : gnode().rule_children) {
@@ -311,18 +342,26 @@ class GoalProcess : public NodeProcessBase {
   }
 
   void OnTupleRequest(const Message& m) {
-    ConsumerStream& c = consumers_[m.from];
-    if (!c.bindings.insert(m.binding).second) return;  // duplicate request
+    const auto [id, is_new] = requested_.InsertRow(m.binding);
+    if (is_new) {
+      outstanding_.push_back(ending_children_);
+      completed_.push_back(false);
+    }
+    ConsumerStream& c = Consumer(m.from);
+    if (c.At(id) != ConsumerStream::kNone) return;  // duplicate request
+    c.state.resize(std::max(c.state.size(), id + 1), ConsumerStream::kNone);
+    c.state[id] = ConsumerStream::kOpen;
+    ++c.open;
 
     // Replay the stored stream restricted to this binding as shared
     // segments of at most the row cap.
-    const std::vector<size_t>* hits = answers_.Probe(d_index_, m.binding);
-    if (hits != nullptr) {
+    if (answer_rows_.first(id) != RowChains::kEnd) {
       const size_t cap = shared_.segment_max_rows;
       auto replay = std::make_shared<TupleSegment>();
       replay->binding.assign(m.binding);
-      replay->arity = out_positions_.size();
-      for (size_t pos : *hits) {
+      replay->arity = answers_.arity();
+      for (uint32_t pos = answer_rows_.first(id); pos != RowChains::kEnd;
+           pos = answer_rows_.next(pos)) {
         replay->AppendRow(answers_.tuple(pos));
         if (lineage_on()) replay->lineage.push_back(answers_.row_id(pos));
         if (replay->num_rows >= cap) {
@@ -335,10 +374,8 @@ class GoalProcess : public NodeProcessBase {
       }
       if (!replay->empty()) EmitSegment(m.from, std::move(replay));
     }
-    if (completed_.count(m.binding) != 0) {
-      if (c.external && c.ended.insert(m.binding).second) {
-        Emit(m.from, MakeEnd(m.binding));
-      }
+    if (completed_[id]) {
+      if (c.external) EndStream(c, id);
       return;
     }
     // Coalesced components may be entered at any member; tell the
@@ -346,150 +383,118 @@ class GoalProcess : public NodeProcessBase {
     if (c.external && !gnode().scc_is_trivial) {
       termination_.NotifyExternalWork();
     }
-    if (requested_.insert(m.binding).second) {
-      outstanding_[m.binding] = ending_children_;
+    if (is_new) {
       open_feeder_requests_ += ending_children_;
       for (NodeId rc : gnode().rule_children) {
         Emit(Pid(rc), MakeTupleRequest(m.binding));
       }
       if (gnode().rule_children.empty()) {
         // No rule unified with this goal: the relation is empty/final.
-        CompleteBinding(m.binding);
+        CompleteBinding(id);
       }
     }
   }
 
   // Vectorized union: absorb the whole segment through the batch
   // insert kernel (one hashing pass, one capacity reservation, one
-  // dedup probe per row), then hand each consumer one shared
-  // out-segment of the genuinely new rows. Rows are grouped by their
-  // d-projection (normally a single group — answers echo the request
-  // binding at d positions — but constants or repeated head variables
-  // can split a stream). In the common case — nothing deduped, every
-  // row's d-projection equal to the stream binding, lineage off — the
-  // inbound shared segment handle is forwarded wholesale: zero row
-  // copies and zero per-row work beyond the kernel.
+  // dedup probe per row), then hand each consumer subscribed to the
+  // segment's binding one shared out-segment of the genuinely new rows.
+  // Every row echoes that binding at the d positions (a rule node's
+  // head d arguments are variables bound from it), so a stream never
+  // splits. With nothing deduped and lineage off, the inbound shared
+  // segment handle is forwarded wholesale: zero row copies.
   void OnTupleSegment(const Message& m) {
     const TupleSegment& in = m.segment();
     if (in.num_rows == 0) return;
     const BatchInsertResult& ins = answers_.InsertSegment(in);
     duplicate_drops_ += in.num_rows - ins.num_inserted;
     if (ins.num_inserted == 0) return;
-
-    if (!lineage_on() && ins.all_inserted() && AllRowsMatchBinding(in)) {
-      for (auto& [pid, c] : consumers_) {
-        if (c.bindings.count(TupleRef(in.binding)) != 0) {
-          EmitSegment(pid, m.segment_ptr());
-        }
-      }
+    const size_t id = requested_.Find(in.binding);
+    MPQE_CHECK(id != Relation::kNoRow)
+        << "answers for an unrequested binding at goal node " << node_id_;
+    for (size_t r = 0; r < in.num_rows; ++r) {
+      if (ins.inserted(r)) answer_rows_.Append(id, ins.rows[r]);
+    }
+    if (!lineage_on() && ins.all_inserted()) {
+      Forward(id, m.segment_ptr());
       return;
     }
-
-    // General path: group surviving rows by d-projection. A hash map
-    // keyed on the projection replaces the old O(groups)-per-row
-    // linear scan; `group_order` keeps first-appearance emission order
-    // so the deterministic scheduler stays deterministic.
-    struct OutGroup {
-      std::shared_ptr<TupleSegment> segment;
-      std::vector<uint64_t> inputs;  // one per row (lineage only)
-    };
-    std::unordered_map<Tuple, OutGroup, TupleHash> groups;
-    std::vector<OutGroup*> group_order;
-    const size_t cap = shared_.segment_max_rows;
-    // Records one derive batch for the group and hands every
-    // subscribed consumer the same segment object. Called at the size
-    // cap and once at the end.
-    auto flush_group = [&](OutGroup& group) {
-      if (group.segment->empty()) return;
-      group.segment->CheckConsistent();
+    // Otherwise the new rows go out in fresh segments of at most the
+    // row cap, each recorded as one derive batch.
+    std::shared_ptr<TupleSegment> out;
+    std::vector<uint64_t> inputs;  // one per row (lineage only)
+    auto flush = [&] {
+      out->CheckConsistent();
       if (lineage_on()) {
-        RecordDeriveBatch(DeriveKind::kUnion, group.segment, group.inputs);
+        RecordDeriveBatch(DeriveKind::kUnion, out, inputs);
+        inputs.clear();
       }
-      for (auto& [pid, c] : consumers_) {
-        if (c.bindings.count(TupleRef(group.segment->binding)) != 0) {
-          EmitSegment(pid, group.segment);
-        }
-      }
+      Forward(id, out);
+      out.reset();
     };
-    Tuple dproj(d_in_out_.size(), Value());
     for (size_t r = 0; r < in.num_rows; ++r) {
       if (!ins.inserted(r)) continue;
-      TupleRef row = in.row(r);
-      for (size_t i = 0; i < d_in_out_.size(); ++i) {
-        dproj[i] = row[d_in_out_[i]];
+      if (out == nullptr) {
+        out = std::make_shared<TupleSegment>();
+        out->binding = in.binding;
+        out->arity = in.arity;
       }
-      auto [it, is_new] = groups.try_emplace(dproj);
-      OutGroup& group = it->second;
-      if (is_new) {
-        group.segment = std::make_shared<TupleSegment>();
-        group.segment->binding.assign(dproj);
-        group.segment->arity = in.arity;
-        group_order.push_back(&group);
-      }
-      group.segment->AppendRow(row);
+      out->AppendRow(in.row(r));
       if (lineage_on()) {
-        group.segment->lineage.push_back(answers_.row_id(ins.rows[r]));
-        group.inputs.push_back(in.row_lineage(r));
+        out->lineage.push_back(answers_.row_id(ins.rows[r]));
+        inputs.push_back(in.row_lineage(r));
       }
-      if (group.segment->num_rows >= cap) {
-        flush_group(group);
-        auto next = std::make_shared<TupleSegment>();
-        next->binding = group.segment->binding;
-        next->arity = group.segment->arity;
-        group.segment = std::move(next);
-        group.inputs.clear();
-      }
+      if (out->num_rows >= shared_.segment_max_rows) flush();
     }
-    for (OutGroup* group : group_order) flush_group(*group);
+    if (out != nullptr) flush();
   }
 
-  // Every row's d-projection equals the stream binding (the wholesale
-  // forward precondition — one comparison pass over the block, far
-  // cheaper than re-grouping).
-  bool AllRowsMatchBinding(const TupleSegment& in) const {
-    if (in.binding.size() != d_in_out_.size()) return false;
-    for (size_t r = 0; r < in.num_rows; ++r) {
-      TupleRef row = in.row(r);
-      for (size_t i = 0; i < d_in_out_.size(); ++i) {
-        if (row[d_in_out_[i]] != in.binding[i]) return false;
-      }
+  /// Hands `segment`, on binding `id`, to every consumer subscribed to
+  /// it.
+  void Forward(size_t id, const std::shared_ptr<const TupleSegment>& segment) {
+    for (const ConsumerStream& c : consumers_) {
+      if (c.At(id) != ConsumerStream::kNone) EmitSegment(c.pid, segment);
     }
-    return true;
   }
 
   void OnEnd(const Message& m) {
-    auto it = outstanding_.find(m.binding);
-    MPQE_CHECK(it != outstanding_.end())
+    const size_t id = requested_.Find(m.binding);
+    MPQE_CHECK(id != Relation::kNoRow)
         << "end for unknown binding at goal node " << node_id_;
-    MPQE_CHECK(it->second > 0);
+    MPQE_CHECK(outstanding_[id] > 0);
     --open_feeder_requests_;
-    if (--it->second == 0 && gnode().scc_is_trivial) {
-      CompleteBinding(m.binding);
+    if (--outstanding_[id] == 0 && gnode().scc_is_trivial) {
+      CompleteBinding(id);
     }
   }
 
-  void CompleteBinding(const Tuple& b) {
-    completed_.insert(b);
-    for (auto& [pid, c] : consumers_) {
-      if (c.external && c.bindings.count(b) != 0 && c.ended.insert(b).second) {
-        Emit(pid, MakeEnd(b));
-      }
+  void CompleteBinding(size_t id) {
+    completed_[id] = true;
+    for (ConsumerStream& c : consumers_) {
+      if (c.external) EndStream(c, id);
     }
   }
 
-  std::vector<size_t> out_positions_;
-  std::vector<size_t> d_positions_;
-  std::vector<size_t> d_in_out_;
-  size_t d_index_ = 0;
+  /// Ends consumer `c`'s stream for binding `id` if it is open.
+  void EndStream(ConsumerStream& c, size_t id) {
+    if (c.At(id) != ConsumerStream::kOpen) return;
+    c.state[id] = ConsumerStream::kEnded;
+    --c.open;
+    Emit(c.pid, MakeEnd(requested_.tuple(id).ToTuple()));
+  }
+
   size_t ending_children_ = 0;
 
   bool activated_ = false;
-  std::unordered_map<ProcessId, ConsumerStream> consumers_;
-  std::unordered_set<Tuple, TupleHash> requested_;
-  std::unordered_set<Tuple, TupleHash> snapshot_;
-  std::unordered_set<Tuple, TupleHash> completed_;
-  std::unordered_map<Tuple, size_t, TupleHash> outstanding_;
+  std::vector<ConsumerStream> consumers_;  // in first-request order
   Relation answers_;
+  // The binding table: a requested binding's row is its id, in
+  // first-request order. Per-id state is indexed by it.
+  Relation requested_;
+  RowChains answer_rows_;  // answers_ rows by binding id (replays)
+  std::vector<size_t> outstanding_;  // by id: feeder ends still awaited
+  std::vector<bool> completed_;      // by id
+  size_t snapshot_ = 0;  // ids below it were requested before the snapshot
   int64_t open_feeder_requests_ = 0;
   uint64_t duplicate_drops_ = 0;
 };
@@ -501,7 +506,10 @@ class GoalProcess : public NodeProcessBase {
 class CycleRefProcess : public NodeProcessBase {
  public:
   CycleRefProcess(const EngineShared& shared, NodeId id)
-      : NodeProcessBase(shared, id) {
+      : NodeProcessBase(shared, id),
+        requested_(
+            PositionsWithClass(gnode().adornment, BindingClass::kDynamic)
+                .size()) {
     MPQE_CHECK(gnode().cycle_source != kNoNode);
     MPQE_CHECK(SameScc(gnode().cycle_source))
         << "a cycle reference and its ancestor are in one strong component";
@@ -517,7 +525,7 @@ class CycleRefProcess : public NodeProcessBase {
         }
         break;
       case MessageKind::kTupleRequest:
-        if (requested_.insert(m.binding).second) {
+        if (requested_.Insert(m.binding)) {
           Emit(Pid(gnode().cycle_source), MakeTupleRequest(m.binding));
         }
         break;
@@ -539,7 +547,7 @@ class CycleRefProcess : public NodeProcessBase {
 
  private:
   bool activated_ = false;
-  std::unordered_set<Tuple, TupleHash> requested_;
+  Relation requested_;  // the binding table
 };
 
 // ---------------------------------------------------------------------------
@@ -563,7 +571,7 @@ class EdbProcess : public NodeProcessBase {
 
     EdbAccessPlan plan = ComputeEdbAccessPlan(gnode());
     key_positions_ = std::move(plan.key_positions);
-    key_template_ = std::move(plan.key_template);
+    key_ = std::move(plan.key_template);
     key_d_slots_ = std::move(plan.key_d_slots);
     equalities_ = std::move(plan.equalities);
     if (!key_positions_.empty()) {
@@ -636,12 +644,12 @@ class EdbProcess : public NodeProcessBase {
         segment = std::move(next);
       }
     };
-    Tuple key = key_template_;
+    // The key's constant slots keep the access plan's template values.
     for (const auto& [key_slot, binding_ordinal] : key_d_slots_) {
-      key[key_slot] = m.binding[binding_ordinal];
+      key_[key_slot] = m.binding[binding_ordinal];
     }
     if (has_index_) {
-      const std::vector<size_t>* hits = relation_->Probe(index_handle_, key);
+      const std::vector<size_t>* hits = relation_->Probe(index_handle_, key_);
       if (hits != nullptr) {
         for (size_t pos : *hits) emit(pos);
       }
@@ -652,7 +660,7 @@ class EdbProcess : public NodeProcessBase {
         TupleRef t = relation_->tuple(pos);
         bool match = true;
         for (size_t i = 0; i < key_positions_.size() && match; ++i) {
-          match = t[key_positions_[i]] == key[i];
+          match = t[key_positions_[i]] == key_[i];
         }
         if (match) emit(pos);
       }
@@ -666,7 +674,7 @@ class EdbProcess : public NodeProcessBase {
   Tuple out_buf_;             // reusable projection buffer
   std::vector<size_t> out_positions_;
   std::vector<size_t> key_positions_;
-  Tuple key_template_;
+  Tuple key_;  // probe key scratch, d slots rewritten per request
   std::vector<std::pair<size_t, size_t>> key_d_slots_;
   std::vector<std::pair<size_t, size_t>> equalities_;
   size_t index_handle_ = 0;
@@ -686,11 +694,11 @@ class EdbProcess : public NodeProcessBase {
 // the next subgoal. Duplicate child tuples, contexts and heads are
 // dropped, which is what lets recursive cycles reach a fixpoint.
 //
-// Stages 0..n-1 each keep their contexts in one Relation whose index
-// on the next child's binding slots groups the waiters of each tuple
-// request. Full contexts (stage n) go straight to the head dedup: each
-// (waiter, answer) pair is joined exactly once and gives a distinct
-// context, so a store for them would drop nothing (DESIGN.md §13).
+// Stages 0..n-1 each keep their contexts in one Relation, chained by
+// the tuple request they wait on. Full contexts (stage n) go straight
+// to the head dedup: each (waiter, answer) pair is joined exactly once
+// and gives a distinct context, so a store for them would drop nothing
+// (DESIGN.md §13).
 class RuleProcess : public NodeProcessBase {
  public:
   RuleProcess(const EngineShared& shared, NodeId id)
@@ -708,7 +716,7 @@ class RuleProcess : public NodeProcessBase {
     NodeProcessBase::AccumulateCounters(out);
     out.stored_tuples += head_answers_.size();
     uint64_t ctx = full_contexts_;
-    for (const Stage& s : stages_) ctx += s.contexts.size();
+    for (const auto& s : stages_) ctx += s->contexts.size();
     out.contexts += ctx;
     out.duplicate_drops += duplicate_drops_;
     out.max_node_relation = std::max(
@@ -765,53 +773,59 @@ class RuleProcess : public NodeProcessBase {
     size_t answer_arity = 0;
   };
 
-  struct ChildReq {
-    explicit ChildReq(size_t arity) : answers(arity) {}
-    bool ended = false;
-    // Arrived child tuples in one flat arena whose open-addressing
-    // table is the dedup set — one hash + probe per row, no per-row
-    // Tuple materialization for duplicates, and whole segments land
-    // through the batch insert kernel.
-    Relation answers;
-    // Lineage ids parallel to `answers` rows (filled only when lineage
-    // tracking is on; message ids, not arena row ids).
-    std::vector<uint64_t> answer_ids;
-    // Head bindings whose completion awaits this request's end.
-    std::unordered_set<Tuple, TupleHash> dependents;
-  };
-
-  // Join state of stage k < n: its contexts, and what they requested
-  // from child k + 1.
+  // Join state of stage k < n: its contexts, the requests they made to
+  // child k + 1, and that child's answers.
   struct Stage {
-    Stage(size_t width, size_t next_width, size_t binding_width)
-        : contexts(width), next(next_width), request_binding(binding_width) {}
+    Stage(size_t width, size_t next_width, size_t binding_width,
+          size_t answer_arity)
+        : contexts(width),
+          requests(binding_width),
+          answers(1 + answer_arity),
+          next(next_width),
+          request_binding(binding_width) {}
     // The arena stores the contexts and its dedup table drops repeats;
-    // index `waiters`, on the next child's binding slots, groups them
-    // by the request they wait on, in insertion order.
+    // `waiters` groups them by the request they wait on.
     Relation contexts;
-    size_t waiters = 0;
+    RowChains waiters;
     // Each context's k input ids in sips order, flat and parallel to
     // the rows (lineage only).
     std::vector<uint64_t> sources;
-    // Keyed by request binding; probed in place with the binding of
-    // an arriving segment (TupleEq is transparent).
-    std::unordered_map<Tuple, ChildReq, TupleHash, TupleEq> requests;
+    // The request binding table (row = request id); by request id,
+    // whether the child ended it.
+    Relation requests;
+    std::vector<bool> ended;
+    // Every answer of child k + 1 as one row [values..., request id]:
+    // the arena's dedup table drops an answer its request already got,
+    // and a row reads as the answer's values (Extend ignores the id).
+    // `answer_rows` groups the rows by request.
+    Relation answers;
+    RowChains answer_rows;
+    // Lineage ids parallel to `answers` rows (lineage only; message
+    // ids, not arena row ids).
+    std::vector<uint64_t> answer_ids;
     // Scratch: a stage k + 1 context being built from one of these
-    // and a child answer, its k + 1 input ids (lineage only), and the
-    // binding a new context requests.
+    // and a child answer, its k + 1 input ids (lineage only), the
+    // binding a new context requests, and a segment's tagged rows.
     Tuple next;
     std::vector<uint64_t> next_sources;
     Tuple request_binding;
+    std::vector<Value> tagged;
   };
 
-  /// The state of this node's request for `binding` to child `stage`
-  /// (AddContext opens it before the child can answer or end it).
-  ChildReq& Requested(size_t stage, TupleRef binding) {
-    auto& requests = stages_[stage - 1].requests;
-    auto it = requests.find(binding);
-    MPQE_CHECK(it != requests.end())
+  /// The stage whose child is process `from`.
+  size_t StageOf(ProcessId from) const {
+    size_t k = 0;
+    while (children_.at(k).pid != from) ++k;
+    return k + 1;
+  }
+
+  /// The id of this node's request for `binding` to the child of stage
+  /// `s` (AddContext opens it before the child can answer or end it).
+  static size_t RequestId(const Stage& s, TupleRef binding) {
+    const size_t id = s.requests.Find(binding);
+    MPQE_CHECK(id != Relation::kNoRow)
         << "child stream for a binding this rule node never requested";
-    return it->second;
+    return id;
   }
 
   void BuildPlan() {
@@ -820,16 +834,18 @@ class RuleProcess : public NodeProcessBase {
     const Adornment& head_adornment = gnode().adornment;
     size_t n = rule.body.size();
     MPQE_CHECK(sips.order.size() == n);
+    std::unordered_map<VariableId, size_t> var_slot;
+    std::vector<size_t> stage_width;  // context width per stage
 
     // Stage 0: head d variables, in head d-position order.
     for (size_t i = 0; i < rule.head.args.size(); ++i) {
       if (head_adornment[i] != BindingClass::kDynamic) continue;
       const Term& t = rule.head.args[i];
       MPQE_CHECK(t.is_variable()) << "class d on a constant argument";
-      auto [it, inserted] = var_slot_.emplace(t.var(), var_slot_.size());
+      auto [it, inserted] = var_slot.emplace(t.var(), var_slot.size());
       head_binding_slots_.push_back(it->second);
     }
-    stage_width_.push_back(var_slot_.size());
+    stage_width.push_back(var_slot.size());
 
     // Stages 1..n: one per subgoal in sips order.
     children_.resize(n);
@@ -842,13 +858,12 @@ class RuleProcess : public NodeProcessBase {
       NodeId child_node = gnode().subgoal_children[body_index];
       plan.pid = Pid(child_node);
       plan.expects_end = !SameScc(child_node);
-      pid_to_stage_[plan.pid] = k;
 
       // d-position binding sources.
       for (size_t i = 0; i < atom.args.size(); ++i) {
         if (adornment[i] != BindingClass::kDynamic) continue;
-        auto it = var_slot_.find(atom.args[i].var());
-        MPQE_CHECK(it != var_slot_.end())
+        auto it = var_slot.find(atom.args[i].var());
+        MPQE_CHECK(it != var_slot.end())
             << "d argument not bound by an earlier stage";
         plan.binding_slots.push_back(it->second);
       }
@@ -861,7 +876,7 @@ class RuleProcess : public NodeProcessBase {
       for (size_t j = 0; j < out_positions.size(); ++j) {
         const Term& t = atom.args[out_positions[j]];
         if (!t.is_variable()) continue;
-        auto [it, inserted] = var_slot_.emplace(t.var(), var_slot_.size());
+        auto [it, inserted] = var_slot.emplace(t.var(), var_slot.size());
         if (inserted) {
           plan.extensions.emplace_back(j, it->second);
           seen_here.insert(t.var());
@@ -874,7 +889,7 @@ class RuleProcess : public NodeProcessBase {
           plan.checks.emplace_back(j, it->second);
         }
       }
-      stage_width_.push_back(var_slot_.size());
+      stage_width.push_back(var_slot.size());
     }
 
     // Head output plan: constant or bound slot per non-e head position.
@@ -883,8 +898,8 @@ class RuleProcess : public NodeProcessBase {
       if (t.is_constant()) {
         head_out_.push_back({true, 0, t.constant()});
       } else {
-        auto it = var_slot_.find(t.var());
-        MPQE_CHECK(it != var_slot_.end())
+        auto it = var_slot.find(t.var());
+        MPQE_CHECK(it != var_slot.end())
             << "unsafe head variable escaped validation";
         head_out_.push_back({false, it->second, Value()});
       }
@@ -892,29 +907,28 @@ class RuleProcess : public NodeProcessBase {
 
     stages_.reserve(n);
     for (size_t k = 0; k < n; ++k) {
-      const std::vector<size_t>& binding_slots = children_[k].binding_slots;
-      Stage& stage = stages_.emplace_back(stage_width_[k], stage_width_[k + 1],
-                                          binding_slots.size());
-      stage.waiters = stage.contexts.EnsureIndex(binding_slots);
+      Stage& stage = *stages_.emplace_back(std::make_unique<Stage>(
+          stage_width[k], stage_width[k + 1],
+          children_[k].binding_slots.size(), children_[k].answer_arity));
       if (lineage_on()) stage.next_sources.resize(k + 1);
     }
+    heads_ = Relation(head_binding_slots_.size());
+    stage0_.resize(stage_width[0]);
     head_row_.resize(head_out_.size());
     head_binding_.resize(head_binding_slots_.size());
   }
 
-  std::optional<Tuple> BuildStage0(const Tuple& binding) const {
-    Tuple ctx(stage_width_[0], Value());
-    std::vector<bool> set(stage_width_[0], false);
+  /// Writes the stage-0 context for head `binding` into stage0_; false
+  /// when a repeated head variable gets clashing values.
+  bool BuildStage0(TupleRef binding) {
     MPQE_CHECK(binding.size() == head_binding_slots_.size());
     for (size_t i = 0; i < binding.size(); ++i) {
-      size_t slot = head_binding_slots_[i];
-      if (set[slot] && ctx[slot] != binding[i]) {
-        return std::nullopt;  // repeated head variable, clashing values
-      }
-      ctx[slot] = binding[i];
-      set[slot] = true;
+      stage0_[head_binding_slots_[i]] = binding[i];
     }
-    return ctx;
+    for (size_t i = 0; i < binding.size(); ++i) {
+      if (stage0_[head_binding_slots_[i]] != binding[i]) return false;
+    }
+    return true;
   }
 
   /// The head binding `ctx` serves, in head_binding_ (valid until the
@@ -926,6 +940,10 @@ class RuleProcess : public NodeProcessBase {
     return head_binding_;
   }
 
+  /// The id of the head binding `ctx` serves (interned when its head
+  /// request arrived).
+  size_t HeadId(TupleRef ctx) { return heads_.Find(HeadBindingOf(ctx)); }
+
   /// Writes `ctx` extended with one `stage` child answer into
   /// stages_[stage - 1].next; false when a join check fails.
   bool Extend(TupleRef ctx, size_t stage, TupleRef values) {
@@ -933,7 +951,7 @@ class RuleProcess : public NodeProcessBase {
     for (const auto& [ordinal, slot] : plan.checks) {
       if (ctx[slot] != values[ordinal]) return false;
     }
-    Tuple& out = stages_[stage - 1].next;
+    Tuple& out = stages_[stage - 1]->next;
     std::copy(ctx.begin(), ctx.end(), out.begin());
     for (const auto& [ordinal, slot] : plan.extensions) {
       out[slot] = values[ordinal];
@@ -942,59 +960,63 @@ class RuleProcess : public NodeProcessBase {
   }
 
   void OnHeadRequest(const Message& m) {
-    if (!head_seen_.insert(m.binding).second) return;
-    head_outstanding_.emplace(m.binding, 0);
-    dirty_.push_back(m.binding);
-    std::optional<Tuple> ctx0 = BuildStage0(m.binding);
-    if (ctx0.has_value()) AddContext(0, *ctx0, nullptr);
+    const auto [head, is_new] = heads_.InsertRow(m.binding);
+    if (!is_new) return;
+    if (gnode().scc_is_trivial) {
+      head_state_.emplace_back();
+      dirty_.push_back(head);
+    }
+    if (BuildStage0(m.binding)) AddContext(0, stage0_, nullptr);
     FlushEnds();
   }
 
-  // Vectorized arrival: the whole segment dedups against the request's
-  // answer arena in one batch pass (one hashing sweep over the
-  // contiguous block, capacity reserved once, one probe per row — no
-  // per-row Tuple copies for duplicates), then the waiter-extension
-  // loop runs over survivors only, reading rows in place from the
-  // segment.
-  // (The waiter list and request stay valid across AddContext: the
+  // Vectorized arrival: the segment's rows, tagged with their request
+  // id, dedup against the stage's answer arena in one batch pass (one
+  // hashing sweep over the contiguous block, capacity reserved once,
+  // one probe per row — no per-row Tuple copies for duplicates), then
+  // the waiter-extension loop runs over survivors only, reading rows in
+  // place from the segment.
+  // (The waiter chain and the arena stay valid across AddContext: the
   // recursion only writes stages deeper than `stage` — see
-  // AddContext — so neither this stage's answer arena nor the previous
-  // stage's contexts and index change mid-loop.)
+  // AddContext — so neither this stage's answer arena nor its contexts
+  // change mid-loop.)
   void OnChildSegment(const Message& m) {
     const TupleSegment& segment = m.segment();
-    size_t stage = pid_to_stage_.at(m.from);
-    ChildReq& cr = Requested(stage, segment.binding);
-    const BatchInsertResult& ins = cr.answers.InsertSegment(segment);
+    const size_t stage = StageOf(m.from);
+    Stage& s = *stages_[stage - 1];
+    MPQE_CHECK(segment.arity + 1 == s.answers.arity())
+        << "segment arity " << segment.arity << " at stage " << stage;
+    const size_t req = RequestId(s, segment.binding);
+    s.tagged.clear();
+    for (size_t r = 0; r < segment.num_rows; ++r) {
+      TupleRef row = segment.row(r);
+      s.tagged.insert(s.tagged.end(), row.begin(), row.end());
+      s.tagged.push_back(Value::Int(static_cast<int64_t>(req)));
+    }
+    const BatchInsertResult& ins =
+        s.answers.InsertBlock(s.tagged.data(), segment.num_rows);
     duplicate_drops_ += segment.num_rows - ins.num_inserted;
-    if (ins.num_inserted != 0) {
-      if (lineage_on()) {
-        for (size_t r = 0; r < segment.num_rows; ++r) {
-          if (ins.inserted(r)) {
-            cr.answer_ids.push_back(segment.row_lineage(r));
-          }
-        }
-      }
-      const Stage& waiting = stages_[stage - 1];
-      const std::vector<size_t>* waiters =
-          waiting.contexts.Probe(waiting.waiters, segment.binding);
-      if (waiters != nullptr) {
-        for (size_t r = 0; r < segment.num_rows; ++r) {
-          if (!ins.inserted(r)) continue;
-          uint64_t row_id = segment.row_lineage(r);
-          trigger_lineage_ = row_id;
-          ExtendWaiters(*waiters, stage, segment.row(r), row_id);
-        }
-      }
+    for (size_t r = 0; r < segment.num_rows; ++r) {
+      if (!ins.inserted(r)) continue;
+      s.answer_rows.Append(req, ins.rows[r]);
+      if (lineage_on()) s.answer_ids.push_back(segment.row_lineage(r));
+    }
+    for (size_t r = 0; r < segment.num_rows; ++r) {
+      if (!ins.inserted(r)) continue;
+      uint64_t row_id = segment.row_lineage(r);
+      trigger_lineage_ = row_id;
+      ExtendWaiters(stage, req, segment.row(r), row_id);
     }
     FlushEnds();
   }
 
-  /// Extends every context waiting on this (stage, binding) stream
-  /// (`waiters`: rows of stages_[stage - 1]) with one child answer.
-  void ExtendWaiters(const std::vector<size_t>& waiters, size_t stage,
-                     TupleRef values, uint64_t child_id) {
-    Stage& waiting = stages_[stage - 1];
-    for (size_t row : waiters) {
+  /// Extends every context of stages_[stage - 1] waiting on request
+  /// `req` with one child answer.
+  void ExtendWaiters(size_t stage, size_t req, TupleRef values,
+                     uint64_t child_id) {
+    Stage& waiting = *stages_[stage - 1];
+    for (uint32_t row = waiting.waiters.first(req); row != RowChains::kEnd;
+         row = waiting.waiters.next(row)) {
       if (!Extend(waiting.contexts.tuple(row), stage, values)) continue;
       if (lineage_on()) {
         // The waiter's stage - 1 input ids, then this answer's.
@@ -1007,17 +1029,23 @@ class RuleProcess : public NodeProcessBase {
   }
 
   void OnChildEnd(const Message& m) {
-    ChildReq& cr = Requested(pid_to_stage_.at(m.from), m.binding);
-    MPQE_CHECK(!cr.ended) << "double end from child";
-    cr.ended = true;
+    const size_t stage = StageOf(m.from);
+    Stage& s = *stages_[stage - 1];
+    const size_t req = RequestId(s, m.binding);
+    MPQE_CHECK(!s.ended[req]) << "double end from child";
+    s.ended[req] = true;
     --open_feeder_requests_;
-    for (const Tuple& hb : cr.dependents) {
-      auto oit = head_outstanding_.find(hb);
-      MPQE_CHECK(oit != head_outstanding_.end() && oit->second > 0);
-      --oit->second;
-      dirty_.push_back(hb);
+    if (gnode().scc_is_trivial) {
+      // Every context waiting on the request counted it once toward
+      // its head's open requests (AddContext).
+      for (uint32_t row = s.waiters.first(req); row != RowChains::kEnd;
+           row = s.waiters.next(row)) {
+        const size_t head = HeadId(s.contexts.tuple(row));
+        MPQE_CHECK(head_state_[head].waiting > 0);
+        --head_state_[head].waiting;
+        dirty_.push_back(head);
+      }
     }
-    cr.dependents.clear();
     FlushEnds();
   }
 
@@ -1032,8 +1060,9 @@ class RuleProcess : public NodeProcessBase {
       EmitHead(ctx, srcs);
       return;
     }
-    Stage& s = stages_[k];
-    if (!s.contexts.Insert(ctx)) {
+    Stage& s = *stages_[k];
+    const auto [row, inserted] = s.contexts.InsertRow(ctx);
+    if (!inserted) {
       // First derivation wins for contexts too: an alternative way of
       // reaching the same partial join keeps the original sources.
       ++duplicate_drops_;
@@ -1045,25 +1074,27 @@ class RuleProcess : public NodeProcessBase {
     Tuple& nb = s.request_binding;
     for (size_t i = 0; i < nb.size(); ++i) nb[i] = ctx[plan.binding_slots[i]];
 
-    auto [it, is_new] = s.requests.try_emplace(nb, plan.answer_arity);
-    ChildReq& cr = it->second;
-    if (is_new) Emit(plan.pid, MakeTupleRequest(nb));
-    if (plan.expects_end) {
-      if (is_new) ++open_feeder_requests_;
-      const Tuple& hb = HeadBindingOf(ctx);
-      if (!cr.ended && cr.dependents.insert(hb).second) {
-        ++head_outstanding_[hb];
-        dirty_.push_back(hb);
-      }
+    const auto [req, is_new] = s.requests.InsertRow(nb);
+    if (is_new) {
+      s.ended.push_back(false);
+      Emit(plan.pid, MakeTupleRequest(nb));
+      if (plan.expects_end) ++open_feeder_requests_;
     }
-    // Join with already-received answers for this request. (`cr` stays
-    // valid across the recursion: AddContext(stage, ...) only writes
-    // stages > k, so the answer arena never grows under this loop and
-    // tuple(i) views stay stable.)
+    s.waiters.Append(req, row);
+    // A trivial-SCC node ends a head once no context of it waits on an
+    // open request; inside an SCC the Fig. 2 protocol ends it instead.
+    if (gnode().scc_is_trivial && !s.ended[req]) {
+      ++head_state_[HeadId(ctx)].waiting;
+    }
+    // Join with already-received answers for this request. (The answer
+    // chain stays valid across the recursion: AddContext(stage, ...)
+    // only writes stages > k, so this stage's arena never grows under
+    // this loop and its tuple views stay stable.)
     if (lineage_on()) std::copy(srcs, srcs + k, s.next_sources.begin());
-    for (size_t i = 0; i < cr.answers.size(); ++i) {
-      if (!Extend(ctx, stage, cr.answers.tuple(i))) continue;
-      if (lineage_on()) s.next_sources[k] = cr.answer_ids[i];
+    for (uint32_t a = s.answer_rows.first(req); a != RowChains::kEnd;
+         a = s.answer_rows.next(a)) {
+      if (!Extend(ctx, stage, s.answers.tuple(a))) continue;
+      if (lineage_on()) s.next_sources[k] = s.answer_ids[a];
       AddContext(stage, s.next, s.next_sources.data());
     }
   }
@@ -1088,17 +1119,14 @@ class RuleProcess : public NodeProcessBase {
     EmitTuple(Pid(gnode().parent), HeadBindingOf(ctx), head_row_, id);
   }
 
+  // Ends every dirty head with no open request left (trivial SCCs
+  // only: elsewhere nothing marks a head dirty).
   void FlushEnds() {
-    if (!gnode().scc_is_trivial) {
-      dirty_.clear();
-      return;
-    }
-    for (const Tuple& hb : dirty_) {
-      auto it = head_outstanding_.find(hb);
-      if (it == head_outstanding_.end() || it->second != 0) continue;
-      if (head_ended_.insert(hb).second) {
-        Emit(Pid(gnode().parent), MakeEnd(hb));
-      }
+    for (size_t head : dirty_) {
+      HeadState& h = head_state_[head];
+      if (h.waiting != 0 || h.ended) continue;
+      h.ended = true;
+      Emit(Pid(gnode().parent), MakeEnd(heads_.tuple(head).ToTuple()));
     }
     dirty_.clear();
   }
@@ -1109,26 +1137,34 @@ class RuleProcess : public NodeProcessBase {
     Value constant;
   };
 
+  // A head's end state in a trivial SCC: its contexts waiting on open
+  // requests, and whether it was ended.
+  struct HeadState {
+    uint32_t waiting = 0;
+    bool ended = false;
+  };
+
   // Static plan.
-  std::unordered_map<VariableId, size_t> var_slot_;
-  std::vector<size_t> stage_width_;
   std::vector<size_t> head_binding_slots_;
   std::vector<ChildPlan> children_;
   std::vector<HeadOut> head_out_;
-  std::unordered_map<ProcessId, size_t> pid_to_stage_;
 
   // Dynamic state.
   bool activated_ = false;
-  std::vector<Stage> stages_;   // stages 0..n-1
+  // Stages 0..n-1, one block each: a stage's three arenas would make
+  // one block of every stage too big for malloc's per-thread cache.
+  std::vector<std::unique_ptr<Stage>> stages_;
   uint64_t full_contexts_ = 0;  // stage n: counted, not stored
   uint64_t trigger_lineage_ = kNoLineage;
-  std::unordered_set<Tuple, TupleHash> head_seen_;
-  std::unordered_set<Tuple, TupleHash> head_ended_;
-  std::unordered_map<Tuple, int64_t, TupleHash> head_outstanding_;
-  std::vector<Tuple> dirty_;
+  // The head binding table (row = head id), and by head id, in a
+  // trivial SCC, its end state. dirty_ holds heads to check for an end.
+  Relation heads_{0};
+  std::vector<HeadState> head_state_;
+  std::vector<size_t> dirty_;
   Relation head_answers_;
   int64_t open_feeder_requests_ = 0;
   uint64_t duplicate_drops_ = 0;
+  Tuple stage0_;        // BuildStage0 scratch
   Tuple head_row_;      // EmitHead scratch
   Tuple head_binding_;  // HeadBindingOf scratch
 };

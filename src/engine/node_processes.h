@@ -24,6 +24,11 @@
 //                       top goal node, accumulates answers, and stops
 //                       the network when the top-level end arrives.
 //
+// Request-side state is flat (DESIGN.md §13): a process interns the
+// bindings it is asked for into a binding table, a Relation whose row
+// number is the binding's id, and keeps per-binding state in vectors
+// indexed by that id.
+//
 // End-message discipline: per-tuple-request `end`s cross strong-
 // component boundaries only. Inside a nontrivial SCC the Fig. 2
 // protocol (engine/termination.h) detects quiescence, after which the
@@ -35,6 +40,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/termination.h"
@@ -228,7 +234,8 @@ class SinkProcess : public Process {
   void OnMessage(const Message& message) override;
 
   bool done() const { return done_; }
-  const Relation& answers() const { return answers_; }
+  /// Moves the accumulated answers out (once, after the run).
+  Relation TakeAnswers() { return std::move(answers_); }
 
  private:
   ProcessId root_pid_;

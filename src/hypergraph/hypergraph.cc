@@ -11,16 +11,6 @@ size_t Hypergraph::AddEdge(std::string label, std::vector<int> vars) {
   return edges_.size() - 1;
 }
 
-std::vector<int> Hypergraph::AllVars() const {
-  std::vector<int> all;
-  for (const Hyperedge& e : edges_) {
-    all.insert(all.end(), e.vars.begin(), e.vars.end());
-  }
-  std::sort(all.begin(), all.end());
-  all.erase(std::unique(all.begin(), all.end()), all.end());
-  return all;
-}
-
 std::string Hypergraph::ToString() const {
   return StrJoin(edges_, "; ", [](std::ostream& os, const Hyperedge& e) {
     os << e.label << "{" << StrJoin(e.vars, ",") << "}";

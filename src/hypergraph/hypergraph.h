@@ -38,9 +38,6 @@ class Hypergraph {
   const Hyperedge& edge(size_t i) const { return edges_[i]; }
   const std::vector<Hyperedge>& edges() const { return edges_; }
 
-  /// Distinct variables across all edges, sorted.
-  std::vector<int> AllVars() const;
-
   std::string ToString() const;
 
  private:

@@ -20,7 +20,7 @@ namespace mpqe {
 enum class Phase : uint8_t {
   kNetworkWiring = 0,  // process creation + termination configuration
   kRun = 1,            // scheduler loop (bulk of the evaluation)
-  kDrain = 2,          // result collection after the run
+  kDrain = 2,          // result collection and teardown
   kPhaseCount = 3,
 };
 

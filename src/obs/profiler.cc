@@ -59,16 +59,6 @@ double NodeProfile::DeviationFactor() const {
   return expected > actual ? expected / actual : actual / expected;
 }
 
-std::vector<int32_t> ProfileReport::DeviatingNodes(
-    double deviation_factor) const {
-  std::vector<int32_t> out;
-  for (const NodeProfile& n : nodes) {
-    if (n.est_log10_tuples == kNoEstimate) continue;
-    if (n.DeviationFactor() > deviation_factor) out.push_back(n.node);
-  }
-  return out;
-}
-
 std::string ProfileReport::ToJson() const {
   std::string out = "{\n  \"schema\": \"mpqe-profile-v1\",\n";
   if (query_id != 0) out += StrCat("  \"query_id\": ", query_id, ",\n");

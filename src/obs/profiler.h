@@ -126,11 +126,6 @@ struct ProfileReport {
   uint64_t total_fire_ns = 0;
   uint64_t total_queue_wait_ns = 0;
 
-  /// Flags rule nodes whose actual output cardinality deviates from
-  /// the cost-model estimate by more than `deviation_factor` in
-  /// either direction.
-  std::vector<int32_t> DeviatingNodes(double deviation_factor) const;
-
   /// Machine-readable report ("mpqe-profile-v1"; validated by
   /// scripts/check_trace.py --profile).
   std::string ToJson() const;

@@ -402,17 +402,17 @@ void Relation::DisableLineage() {
   row_ids_.clear();
 }
 
-bool Relation::Contains(TupleRef tuple) const {
-  if (tuple.size() != arity_ || slots_.empty()) return false;
+size_t Relation::Find(TupleRef tuple) const {
+  if (tuple.size() != arity_ || slots_.empty()) return kNoRow;
   uint64_t hash = HashTuple(tuple);
   size_t mask = slots_.size() - 1;
   size_t i = Mix64(hash) & mask;
   while (slots_[i] != 0) {
     size_t row = slots_[i] - 1;
-    if (hashes_[row] == hash && RowEquals(row, tuple)) return true;
+    if (hashes_[row] == hash && RowEquals(row, tuple)) return row;
     i = (i + 1) & mask;
   }
-  return false;
+  return kNoRow;
 }
 
 size_t Relation::EnsureIndex(const std::vector<size_t>& key_columns) {

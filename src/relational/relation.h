@@ -174,7 +174,10 @@ class Relation {
     return InsertBlock(segment.values.data(), segment.num_rows);
   }
 
-  bool Contains(TupleRef tuple) const;
+  /// The row of `tuple`, or kNoRow when it is absent.
+  static constexpr size_t kNoRow = ~size_t{0};
+  size_t Find(TupleRef tuple) const;
+  bool Contains(TupleRef tuple) const { return Find(tuple) != kNoRow; }
 
   /// View of the tuple at `position` (a row id in [0, size())). Stable
   /// across Inserts in identity, but the underlying pointer may move
@@ -271,16 +274,6 @@ class Relation {
   void ProbeBlock(size_t index_handle, const Value* keys, size_t num_rows,
                   std::vector<size_t>& offsets,
                   std::vector<size_t>& positions) const;
-
-  /// ProbeBlock over anything shaped like a msg TupleSegment whose rows
-  /// are the probe keys (segment.arity == the index's key width).
-  template <typename Segment>
-  void ProbeSegment(size_t index_handle, const Segment& segment,
-                    std::vector<size_t>& offsets,
-                    std::vector<size_t>& positions) const {
-    ProbeBlock(index_handle, segment.values.data(), segment.num_rows, offsets,
-               positions);
-  }
 
   /// Removes every row but keeps capacity — arena, per-row hash vector,
   /// dedup table, and index registrations all survive with their

@@ -79,19 +79,6 @@ inline size_t HashTuple(TupleRef tuple) {
   return HashRange(tuple.begin(), tuple.end());
 }
 
-// Hash and equality for unordered containers keyed by Tuple. Both are
-// transparent, so a container that names both (TupleEq as its key
-// equality) can be probed with any TupleRef-convertible key — a view
-// into an arena or a message payload — without materializing a Tuple.
-struct TupleHash {
-  using is_transparent = void;
-  size_t operator()(TupleRef tuple) const { return HashTuple(tuple); }
-};
-struct TupleEq {
-  using is_transparent = void;
-  bool operator()(TupleRef a, TupleRef b) const { return a == b; }
-};
-
 /// Projects `tuple` onto `columns` (in the given order).
 Tuple ProjectTuple(TupleRef tuple, const std::vector<size_t>& columns);
 

@@ -6,7 +6,9 @@
 // what the one-row answer path costs with inline segment storage
 // (DESIGN.md §10): a segment whose binding and rows fit its inline
 // block is one allocation, and Message::binding stays empty on answer
-// messages.
+// messages. Request-side node state is flat (DESIGN.md §13): a tuple
+// request costs a row in a binding table, not a hash-set node or a
+// Relation of its own.
 //
 // Kept in its own binary because the operator replacement is global.
 
@@ -20,6 +22,8 @@
 #include <string>
 #include <utility>
 
+#include "common/random.h"
+#include "common/string_util.h"
 #include "datalog/parser.h"
 #include "engine/engine.h"
 #include "workload/generators.h"
@@ -111,7 +115,7 @@ TEST(AllocBudgetTest, LinearTcOnAChainStaysUnderBudget) {
       SteadyStateAllocations(std::move(db), workload::LinearTcProgram(0),
                              /*expected_answers=*/159);
   std::cout << "allocations per session: " << allocations << "\n";
-  EXPECT_LE(allocations, 40000u);
+  EXPECT_LE(allocations, 20800u);
 }
 
 TEST(AllocBudgetTest, NonlinearTcOnACycleStaysUnderBudget) {
@@ -122,7 +126,26 @@ TEST(AllocBudgetTest, NonlinearTcOnACycleStaysUnderBudget) {
       SteadyStateAllocations(std::move(db), workload::NonlinearTcProgram(0),
                              /*expected_answers=*/32);
   std::cout << "allocations per session: " << allocations << "\n";
-  EXPECT_LE(allocations, 8500u);
+  EXPECT_LE(allocations, 3500u);
+}
+
+TEST(AllocBudgetTest, UnionOfLinearTcsStaysUnderBudget) {
+  // The scc_parallel shape: eight recursive SCCs unioned into goal,
+  // where request-side state (bindings, per-request ends) dominates.
+  Database db;
+  std::string text;
+  for (int g = 0; g < 8; ++g) {
+    Rng rng(100 + g);
+    ASSERT_TRUE(
+        workload::MakeRandomGraph(db, StrCat("e", g), 40, 2, rng).ok());
+    text += StrCat("tc", g, "(X, Y) :- e", g, "(X, Y).\n", "tc", g,
+                   "(X, Y) :- e", g, "(X, Z), tc", g, "(Z, Y).\n",
+                   "goal(W) :- tc", g, "(0, W).\n");
+  }
+  uint64_t allocations =
+      SteadyStateAllocations(std::move(db), text, /*expected_answers=*/40);
+  std::cout << "allocations per session: " << allocations << "\n";
+  EXPECT_LE(allocations, 19900u);
 }
 
 }  // namespace

@@ -5,9 +5,11 @@
 
 #include <string>
 
+#include "common/random.h"
 #include "common/string_util.h"
 #include "datalog/parser.h"
 #include "test_engine.h"
+#include "workload/generators.h"
 
 namespace mpqe {
 namespace {
@@ -89,16 +91,18 @@ struct PinnedRun {
   size_t answers = 0;
 };
 
-PinnedRun RunPinned(const std::string& text, const PlanOptions& options) {
-  auto unit = Parse(text);
-  if (!unit.ok()) {
-    ADD_FAILURE() << unit.status().ToString();
+// One deterministic session of `text` (rules, and facts added to `db`).
+PinnedRun RunPinned(const std::string& text, const PlanOptions& options,
+                    Database db = Database()) {
+  Program program;
+  Status parsed = ParseInto(text, program, db);
+  if (!parsed.ok()) {
+    ADD_FAILURE() << parsed.ToString();
     return {};
   }
   SessionOptions session;
   session.scheduler = SchedulerKind::kDeterministic;
-  auto result = TestEngine(std::move(unit->database))
-                    .Run(unit->program, options, session);
+  auto result = TestEngine(std::move(db)).Run(program, options, session);
   if (!result.ok()) {
     ADD_FAILURE() << result.status().ToString();
     return {};
@@ -170,6 +174,32 @@ TEST(NodeCountersTest, JoinCountsPinnedOnDeterministicScheduler) {
             "{relation_request=27 tuple_request=27 end=17 end_request=30 "
             "end_negative=20 end_confirmed=10 scc_concluded=6 batch=20 "
             "tuple_segment=31}");
+}
+
+// Four linear TCs over random 40-node graphs, unioned into goal: the
+// scc_parallel shape. It pins what the nonlinear-cycle runs above do
+// not reach: recursive rule nodes whose first subgoal is an EDB leaf
+// outside their SCC, trivial-SCC rule nodes that end each request, and
+// goal nodes with one consumer outside their SCC and one inside it.
+TEST(NodeCountersTest, UnionOfLinearTcsPinnedOnDeterministicScheduler) {
+  Database db;
+  std::string text;
+  for (int g = 0; g < 4; ++g) {
+    Rng rng(100 + g);
+    ASSERT_TRUE(
+        workload::MakeRandomGraph(db, StrCat("e", g), 40, 2, rng).ok());
+    text += StrCat("tc", g, "(X, Y) :- e", g, "(X, Y).\n", "tc", g,
+                   "(X, Y) :- e", g, "(X, Z), tc", g, "(Z, Y).\n",
+                   "goal(W) :- tc", g, "(0, W).\n");
+  }
+  PinnedRun run = RunPinned(text, {}, std::move(db));
+  EXPECT_EQ(run.answers, 40u);
+  ExpectComputation(run, 9061, 4513, 9401, 1483);
+  EXPECT_EQ(run.counters.protocol_waves, 39u);
+  EXPECT_EQ(run.messages,
+            "{relation_request=53 tuple_request=807 end=420 end_request=78 "
+            "end_negative=66 end_confirmed=12 scc_concluded=8 batch=490 "
+            "tuple_segment=3561}");
 }
 
 }  // namespace

@@ -237,7 +237,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RelationStorageProperty,
 // primitives they vectorize.
 
 // Local stand-in for msg's TupleSegment: relational/ is layered below
-// msg/, so InsertSegment/ProbeSegment are templated on the shape
+// msg/, so InsertSegment is templated on the shape
 // (fields arity / num_rows / contiguous row-major values).
 struct TestSegment {
   size_t arity = 0;

@@ -194,7 +194,7 @@ TEST(TupleSegmentTest, EmptySegmentToleratedByConsumer) {
   segment->arity = 2;
   SinkProcess sink(/*root_pid=*/0, /*answer_arity=*/2);
   sink.OnMessage(MakeTupleSegment(segment));
-  EXPECT_TRUE(sink.answers().empty());
+  EXPECT_TRUE(sink.TakeAnswers().empty());
   EXPECT_FALSE(sink.done());
 }
 
