@@ -17,6 +17,7 @@
 #include "graph/rule_goal_graph.h"
 #include "msg/flight_recorder.h"
 #include "msg/network.h"
+#include "msg/worker_pool.h"
 #include "obs/lineage.h"
 #include "relational/operators.h"
 #include "sips/strategy.h"
@@ -61,13 +62,16 @@ BENCHMARK(BM_MessageHopDeterministic);
 void BM_MessageHopThreaded(benchmark::State& state) {
   const int64_t kHops = 10000;
   int workers = static_cast<int>(state.range(0));
+  // Helpers come from a pool built once, outside the timed loop, as an
+  // Engine's is.
+  WorkerPool pool(workers);
   for (auto _ : state) {
     Network net;
     net.AddProcess(std::make_unique<PingPong>(1));
     net.AddProcess(std::make_unique<PingPong>(0));
     net.Start();
     net.Send(kNoProcess, 0, MakeTupleRequest({Value::Int(kHops)}));
-    auto run = net.RunThreaded(workers);
+    auto run = net.RunThreaded(pool, workers);
     MPQE_CHECK(run.ok() && run->quiescent);
   }
   state.SetItemsProcessed(state.iterations() * (kHops + 1));

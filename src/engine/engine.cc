@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <fstream>
+#include <thread>
 #include <utility>
 
 #include "common/logging.h"
@@ -20,6 +21,13 @@ uint64_t NowNs() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
+}
+
+// The pool size EngineOptions::workers asks for.
+int PoolThreads(int workers) {
+  if (workers > 0) return workers;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return static_cast<int>(std::clamp(hw, 2u, 8u));
 }
 
 // The non-text part of a plan-cache key: every input that changes the
@@ -180,7 +188,7 @@ StatusOr<EvaluationResult> QuerySession::Run() {
   StatusOr<EvaluationResult> result =
       RunSession(plan_->graph(), snapshot.db_, options_,
                  SessionContext{query_id_, &engine_->telemetry_,
-                                &engine_->flight_});
+                                &engine_->flight_, &engine_->pool_});
   latency_ns_ = NowNs() - start;
   snapshot.EndSession(exclusive);
   engine_->session_latency_ns_.Record(latency_ns_);
@@ -228,18 +236,10 @@ Engine::Engine(EngineOptions options)
       prepare_ns_(telemetry_.registry().GetHistogram("engine/prepare_ns")),
       session_latency_ns_(
           telemetry_.registry().GetHistogram("engine/session_latency_ns")),
-      session_totals_(telemetry_.registry()) {
+      session_totals_(telemetry_.registry()),
+      pool_(PoolThreads(options_.workers)) {
   const Status valid = options_.Validate();
   MPQE_CHECK(valid.ok()) << "EngineOptions: " << valid;
-  int n = options_.workers;
-  if (n == 0) {
-    unsigned hw = std::thread::hardware_concurrency();
-    n = static_cast<int>(std::clamp(hw, 2u, 8u));
-  }
-  workers_.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
 
   telemetry_.StartSampling(
       [this](MetricsRegistry& r) { SampleEngineGauges(r); });
@@ -266,17 +266,10 @@ Engine::Engine(EngineOptions options)
 
 Engine::~Engine() {
   // The stats server's handlers read the telemetry and the recorder, so
-  // it goes first. Then drain and join the pool: WorkerLoop runs every
-  // queued task during shutdown, and pending RunAsync sessions report
-  // into telemetry_ and flight_, which members destroy only after this
-  // body returns.
+  // it goes first. The pool goes next, as the first member destroyed:
+  // it runs every queued task during shutdown, and pending RunAsync
+  // sessions report into telemetry_ and flight_.
   stats_server_.reset();
-  {
-    std::lock_guard<std::mutex> lock(pool_mutex_);
-    stopping_ = true;
-  }
-  pool_cv_.notify_all();
-  for (std::thread& worker : workers_) worker.join();
 }
 
 void Engine::SampleEngineGauges(MetricsRegistry& registry) {
@@ -289,50 +282,16 @@ void Engine::SampleEngineGauges(MetricsRegistry& registry) {
       .Set(lookups == 0 ? 0.0
                         : static_cast<double>(cache.hits) /
                               static_cast<double>(lookups));
-  size_t queue_depth;
-  {
-    std::lock_guard<std::mutex> lock(pool_mutex_);
-    queue_depth = queue_.size();
-  }
   registry.GetGauge("engine/pool_queue_depth")
-      .Set(static_cast<double>(queue_depth));
-  const int workers = static_cast<int>(workers_.size());
+      .Set(static_cast<double>(pool_.queue_depth()));
+  const int workers = pool_.threads();
   registry.GetGauge("engine/workers").Set(static_cast<double>(workers));
   registry.GetGauge("engine/pool_utilization")
-      .Set(workers == 0
-               ? 0.0
-               : static_cast<double>(
-                     busy_workers_.load(std::memory_order_relaxed)) /
-                     static_cast<double>(workers));
-}
-
-void Engine::WorkerLoop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(pool_mutex_);
-      pool_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      // Drain the queue before exiting: everything Submit accepted
-      // runs, even if the Engine is being destroyed.
-      if (queue_.empty()) return;
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    busy_workers_.fetch_add(1, std::memory_order_relaxed);
-    task();
-    busy_workers_.fetch_sub(1, std::memory_order_relaxed);
-  }
+      .Set(static_cast<double>(pool_.busy()) / static_cast<double>(workers));
 }
 
 std::future<void> Engine::Submit(std::function<void()> fn) {
-  auto task = std::make_shared<std::packaged_task<void()>>(std::move(fn));
-  std::future<void> future = task->get_future();
-  {
-    std::lock_guard<std::mutex> lock(pool_mutex_);
-    queue_.emplace_back([task] { (*task)(); });
-  }
-  pool_cv_.notify_one();
-  return future;
+  return pool_.Submit(std::move(fn));
 }
 
 std::shared_ptr<DatabaseSnapshot> Engine::Attach(Database db,
@@ -494,8 +453,9 @@ std::future<StatusOr<EvaluationResult>> Engine::RunAsync(
 }
 
 void Engine::HandleFlightDump(const FlightDump& dump) {
-  // Runs on a stalled session's monitor thread: serialize once here so
-  // /debug/flight is a string copy under the mutex.
+  // Runs on the pool's monitor thread while a session is stalled:
+  // serialize once here so /debug/flight is a string copy under the
+  // mutex.
   std::string json = dump.ToJson();
   {
     std::lock_guard<std::mutex> lock(flight_dump_mutex_);

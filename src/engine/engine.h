@@ -8,8 +8,10 @@
 //   auto session = engine.CreateSession(*plan);    // per-execution state
 //   auto result = (*session)->Run();               // or engine.RunAsync(...)
 //
-// * Engine owns the worker pool, the plan cache, the telemetry
-//   (DESIGN.md §12) and the flight recorder (§14). Prepare compiles a
+// * Engine owns the worker pool (msg/worker_pool.h; RunAsync sessions
+//   run on it and threaded sessions borrow helper threads from it), the
+//   plan cache, the telemetry (DESIGN.md §12) and the flight recorder
+//   (§14). Prepare compiles a
 //   program against one snapshot and caches the result keyed on the
 //   canonicalized program text (which carries the goal adornment —
 //   same rules, different query constants => distinct entries), the
@@ -42,16 +44,13 @@
 #define MPQE_ENGINE_ENGINE_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "common/status.h"
@@ -62,6 +61,7 @@
 #include "engine/stats_server.h"
 #include "graph/rule_goal_graph.h"
 #include "msg/flight_recorder.h"
+#include "msg/worker_pool.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "relational/database.h"
@@ -75,7 +75,10 @@ class QuerySession;
 
 struct EngineOptions {
   // Worker-pool size; 0 picks from the hardware concurrency
-  // (clamped to [2, 8]).
+  // (clamped to [2, 8]). RunAsync sessions run on the pool, and a
+  // threaded session borrows up to SessionOptions::workers - 1 helper
+  // threads from it while its processes wait in run queues; no thread
+  // is created per query.
   int workers = 0;
 
   // Max resident plans in the LRU plan cache (>= 1).
@@ -107,7 +110,9 @@ struct EngineOptions {
   // scheduler only): a session with no delivery progress for this long
   // gets a diagnostic FlightDump (counted as watchdog/stalls +
   // watchdog/dumps, written to debug_dump_dir, served at
-  // /debug/flight). 0 disables the engine-level default.
+  // /debug/flight). The pool's one monitor thread checks every running
+  // threaded session; it starts with the first one. 0 disables the
+  // engine-level default.
   int watchdog_stall_ms = 30000;
 
   // Directory for watchdog dump files (flight-<query_id>.json). Empty
@@ -222,8 +227,9 @@ class PreparedQuery {
 };
 
 // One execution of a compiled plan. Single-use: Run() evaluates once
-// (on the calling thread — use Engine::RunAsync or Engine::Submit for
-// the worker pool) and stores the result.
+// (on the calling thread, with pool helpers when threaded — use
+// Engine::RunAsync or Engine::Submit to run it on the worker pool) and
+// stores the result.
 class QuerySession {
  public:
   const SessionOptions& options() const { return options_; }
@@ -265,7 +271,7 @@ class Engine {
  public:
   /// Aborts (MPQE_CHECK) when `options` fail Validate().
   explicit Engine(EngineOptions options = {});
-  ~Engine();  // drains the queue and joins the workers
+  ~Engine();  // runs every queued task and joins the pool
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -307,7 +313,7 @@ class Engine {
   /// (hit or cold) in last_prepare_ns.
   PlanCacheStats plan_cache_stats() const;
 
-  int workers() const { return static_cast<int>(workers_.size()); }
+  int workers() const { return pool_.threads(); }
 
   /// The engine-wide telemetry: the engine's registry, the query log,
   /// the /metrics payload source.
@@ -353,7 +359,6 @@ class Engine {
       const Program& program, std::string canonical_text,
       const PlanOptions& options);
 
-  void WorkerLoop();
   /// The session watchdogs' dump sink: serialize once, retain as the
   /// latest dump, persist to debug_dump_dir when set.
   void HandleFlightDump(const FlightDump& dump);
@@ -366,17 +371,10 @@ class Engine {
   std::atomic<uint64_t> last_prepare_ns_{0};
   std::atomic<uint64_t> next_snapshot_uid_{1};
 
-  std::mutex pool_mutex_;
-  std::condition_variable pool_cv_;
-  std::deque<std::function<void()>> queue_;
-  bool stopping_ = false;
-  std::atomic<int> busy_workers_{0};
-  std::vector<std::thread> workers_;
-
   // The black box and the telemetry. Sessions hold raw pointers to both
-  // through their SessionContext; ~Engine stops the
-  // stats server (whose handlers read them) and joins the pool before
-  // members are destroyed, so no thread outlives them.
+  // through their SessionContext; ~Engine stops the stats server (whose
+  // handlers read them), and the pool, declared last, is joined before
+  // any other member is destroyed, so no thread outlives them.
   FlightRecorder flight_;
   // Latest watchdog bundle, pre-serialized (the monitor thread pays
   // the serialization once; /debug/flight is then a string copy).
@@ -398,6 +396,10 @@ class Engine {
   SessionTotals session_totals_;
   std::unique_ptr<StatsServer> stats_server_;
   Status stats_server_status_;
+
+  // Declared last, so destroyed first: its destructor runs every queued
+  // session and helper task while everything above is still alive.
+  WorkerPool pool_;
 };
 
 }  // namespace mpqe

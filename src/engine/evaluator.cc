@@ -550,9 +550,9 @@ StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
   }
 
   // Stall watchdog. Configured after wiring so the monitor handler can
-  // read the node processes' termination state; the monitor thread only
-  // exists while Network::Run executes, so every capture below outlives
-  // it.
+  // read the node processes' termination state; the run registers it
+  // with the pool's monitor thread only while Network::Run executes, so
+  // every capture below outlives its calls.
   if (options.scheduler == SchedulerKind::kThreaded &&
       options.watchdog_stall_ms > 0) {
     // One dump per stall episode: a delivery in between starts a new
@@ -621,6 +621,7 @@ StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
     SchedulerParams params;
     params.seed = options.seed;
     params.workers = options.workers;
+    params.pool = context.pool;
     params.max_messages = options.max_messages;
     run = network.Run(options.scheduler, params);
   }

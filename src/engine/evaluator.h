@@ -74,7 +74,10 @@ struct PlanOptions {
 struct SessionOptions {
   SchedulerKind scheduler = SchedulerKind::kDeterministic;
   uint64_t seed = 1;    // kRandom
-  int workers = 4;      // kThreaded
+  // kThreaded: the most threads the session runs on — the thread that
+  // runs it plus up to workers - 1 helpers borrowed from the engine's
+  // pool while processes wait in run queues (Network::RunThreaded).
+  int workers = 4;
 
   // Answers travel as columnar TupleSegments (msg/segment.h): a node
   // accumulates the rows it emits on one stream during one mailbox run
@@ -120,8 +123,9 @@ struct SessionOptions {
   // results.
   std::string log_level;
 
-  // Stall watchdog (threaded scheduler only): when > 0, a monitor
-  // checks delivery progress at this cadence. Each interval with no
+  // Stall watchdog (threaded scheduler only): when > 0, the engine
+  // pool's monitor thread checks the session's delivery progress at
+  // this cadence while it runs. Each interval with no
   // delivery logs per-SCC queue depths and in-flight counts (WARNING)
   // and publishes them as telemetry gauges; the first stalled interval
   // of an episode also builds a FlightDump diagnostic bundle —
@@ -130,8 +134,9 @@ struct SessionOptions {
   // ignore it (they cannot stall silently). 0 disables.
   int watchdog_stall_ms = 0;
 
-  // Receives the watchdog's diagnostic bundle. Called on the monitor
-  // thread while the session is stalled; must not block for long. Set
+  // Receives the watchdog's diagnostic bundle. Called on the pool's
+  // monitor thread while the session is stalled; must not block for
+  // long (the monitor serves every session of the engine). Set
   // by Engine::CreateSession (serialize + persist to debug_dump_dir);
   // tests may set it directly. Unset drops dumps (the stall is still
   // logged and counted).
@@ -243,6 +248,10 @@ struct SessionContext {
   // writes one record per delivery, and the session records its phases,
   // Fig. 2 transitions and lifecycle (msg/flight_recorder.h).
   FlightRecorder* flight = nullptr;
+  // The engine's worker pool (not owned): a threaded session borrows its
+  // helper threads and its stall monitor. A threaded session without
+  // one fails with FailedPrecondition.
+  WorkerPool* pool = nullptr;
 };
 
 /// Executes one query session over an already-compiled plan: wires one

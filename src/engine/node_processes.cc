@@ -199,6 +199,14 @@ void NodeProcessBase::RecordDeriveBatch(
 
 namespace {
 
+// The largest block glibc's per-thread malloc cache holds. Each process
+// object and each rule stage is one block and stays at or under it: a
+// layout that crossed it made every rule node's construction
+// consolidate the previous session's small frees, and wiring p50 read
+// 29.7 against 18.8 µs on the point-lookup graph. Pool threads live as
+// long as the engine, so the caches they keep warm are worth keeping.
+constexpr size_t kMallocCacheMaxBytes = 1032;
+
 // Rows of one arena grouped by an interned id (a binding or request id),
 // each group chained in insertion order: the flat stand-in for a hash
 // index on a key that already has an id.
@@ -811,6 +819,8 @@ class RuleProcess : public NodeProcessBase {
     Tuple request_binding;
     std::vector<Value> tagged;
   };
+  static_assert(sizeof(Stage) <= kMallocCacheMaxBytes,
+                "a rule stage must fit glibc's per-thread malloc cache");
 
   /// The stage whose child is process `from`.
   size_t StageOf(ProcessId from) const {
@@ -1168,6 +1178,11 @@ class RuleProcess : public NodeProcessBase {
   Tuple head_row_;      // EmitHead scratch
   Tuple head_binding_;  // HeadBindingOf scratch
 };
+
+static_assert(sizeof(GoalProcess) <= kMallocCacheMaxBytes,
+              "a goal process must fit glibc's per-thread malloc cache");
+static_assert(sizeof(RuleProcess) <= kMallocCacheMaxBytes,
+              "a rule process must fit glibc's per-thread malloc cache");
 
 }  // namespace
 

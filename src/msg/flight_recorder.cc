@@ -20,8 +20,9 @@ size_t RoundUpPow2(size_t n) {
 
 // A process-wide thread counter assigns each thread a stable ring
 // index on first use. Plain thread_local POD: no destructor, no
-// reference to any recorder instance, so short-lived session worker
-// threads cannot leave dangling state behind.
+// reference to any recorder instance, so a thread that outlives one
+// recorder (a pool thread serving several engines' sessions in turn)
+// or ends before it leaves no dangling state behind.
 uint32_t ThisThreadIndex() {
   static std::atomic<uint32_t> thread_counter{0};
   thread_local uint32_t thread_index =
@@ -81,15 +82,25 @@ void FlightRecorder::Append(const FlightRecord& record) {
   uint64_t* slot = SlotWords(ring, claim);
   // Seqlock publish: odd while writing, then the unique even value for
   // this claim. A snapshot that observes mismatched or odd sequences
-  // drops the slot. Two threads sharing a ring can race on one slot
-  // only when their claims are a full ring apart; the loser's final
-  // seq then fails the seq1==seq2 check and the slot reads as torn —
-  // lost diagnostics, never a misread. The payload stores are release
-  // so the odd mark cannot sink below them (and the reader's acquire
-  // payload loads pair with them); fence-free on purpose — GCC rejects
-  // atomic_thread_fence under -fsanitize=thread with -Werror.
+  // drops the slot. Two threads sharing a ring meet on one slot when
+  // their claims are a full ring apart, so the writer takes the slot by
+  // compare-exchange, from an even sequence older than its claim to its
+  // own odd value: with the slot held by another writer, or a newer
+  // record already in it, this record is dropped — lost diagnostics,
+  // never two payloads mixed under one sequence. The take is acquire, so
+  // the previous writer's payload stores come before this one's. The
+  // payload stores are release so the odd mark cannot sink below them
+  // (and the reader's acquire payload loads pair with them); fence-free
+  // on purpose — GCC rejects atomic_thread_fence under
+  // -fsanitize=thread with -Werror.
   WordRef seq(slot[0]);
-  seq.store(2 * claim + 1, std::memory_order_relaxed);
+  const uint64_t writing = 2 * claim + 1;
+  uint64_t seen = seq.load(std::memory_order_relaxed);
+  do {
+    if ((seen & 1) != 0 || seen > writing) return;
+  } while (!seq.compare_exchange_weak(seen, writing,
+                                      std::memory_order_acquire,
+                                      std::memory_order_relaxed));
   for (size_t i = 0; i + 1 < kSlotWords; ++i) {
     WordRef(slot[i + 1]).store(words[i], std::memory_order_release);
   }

@@ -12,10 +12,14 @@
 // Fig. 2 transitions, session lifecycle, stalls) directly.
 //
 // Writers never block and never allocate: a thread claims a slot with
-// one fetch_add on its ring's cursor and publishes the record under a
-// per-slot seqlock (every word is accessed through relaxed/acquire/
-// release atomic_refs, so concurrent snapshot reads are race-free and
-// TSan-clean; a torn slot is detected by its sequence and dropped).
+// one fetch_add on its ring's cursor, takes the slot by compare-exchange
+// on its sequence word and publishes the record under that per-slot
+// seqlock (every word is accessed through relaxed/acquire/release
+// atomic_refs, so concurrent snapshot reads are race-free and
+// TSan-clean; a slot read mid-write is detected by its sequence and
+// dropped). Two writers sharing a ring meet on a slot only a full ring
+// apart; the one that finds the slot held, or a newer record in it,
+// drops its record.
 // All slots live in one calloc'd block of plain words whose zero pages
 // are the empty state, so constructing a recorder normally touches no
 // slot memory. Rings are selected by a cheap per-thread index, so unrelated
@@ -117,7 +121,8 @@ class FlightRecorder {
   /// overwritten during the copy) are dropped, not misread.
   std::vector<FlightRecord> Snapshot() const;
 
-  /// Total records ever written (monotonic; wraps never).
+  /// Total slots ever claimed (monotonic; wraps never): the records
+  /// written plus the few a writer dropped on a slot it found held.
   uint64_t recorded() const;
 
   const FlightRecorderOptions& options() const { return options_; }

@@ -1,11 +1,14 @@
 #include "msg/network.h"
 
-#include <chrono>
-#include <thread>
+#include <algorithm>
+#include <condition_variable>
+#include <memory>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/string_util.h"
+#include "msg/worker_pool.h"
 
 namespace mpqe {
 namespace {
@@ -65,7 +68,12 @@ StatusOr<RunResult> Network::Run(SchedulerKind kind,
     case SchedulerKind::kRandom:
       return RunRandom(params.seed, params.max_messages);
     case SchedulerKind::kThreaded:
-      return RunThreaded(params.workers, params.max_messages);
+      if (params.pool == nullptr) {
+        return FailedPreconditionError(
+            "threaded scheduler: no worker pool to run on (an Engine "
+            "session runs on the engine's pool)");
+      }
+      return RunThreaded(*params.pool, params.workers, params.max_messages);
   }
   return InvalidArgumentError(
       StrCat("invalid scheduler value ", static_cast<int>(kind)));
@@ -129,6 +137,273 @@ std::string MessageStats::ToString() const {
   }
   return StrCat("{", out, "}");
 }
+
+// The scheduler state of one RunThreaded call (DESIGN.md §5). Worker 0
+// is the calling thread; workers 1.. are helper tasks borrowed from the
+// pool, each sitting in a free seat while it works. Each seat has a FIFO
+// queue, which any worker may steal from, and a one-process slot, which
+// only the worker in that seat takes from.
+struct Network::ThreadedRun {
+  // How many times in a row a worker takes its slot over its waiting
+  // queue.
+  static constexpr int kMaxSlotStreak = 3;
+
+  struct alignas(64) Worker {
+    std::mutex mutex;  // guards queue
+    std::deque<ProcessId> queue;
+    std::atomic<int> queued{0};       // queue.size(), read without the lock
+    std::atomic<bool> seated{false};  // a helper works in this seat
+    // The seated worker's alone.
+    ProcessId slot = kNoProcess;
+    int slot_streak = 0;
+  };
+
+  // What a helper task checks before it touches the run. Shared with the
+  // queued tasks, so it outlives the run: a helper that starts after the
+  // run closed returns at once, and the run ends only once no helper is
+  // inside.
+  struct Gate {
+    std::mutex mutex;
+    std::condition_variable left;
+    bool closed = false;
+    int inside = 0;
+  };
+
+  ThreadedRun(Network& net, WorkerPool& pool, int budget,
+              uint64_t max_messages)
+      : net(net),
+        pool(pool),
+        budget(budget),
+        max_messages(max_messages),
+        workers(new Worker[static_cast<size_t>(budget)]) {}
+
+  // Stop requested or max_messages exceeded.
+  bool Over() const {
+    return overflow.load(std::memory_order_acquire) || net.stop_requested();
+  }
+  bool Quiescent() const {
+    return net.total_pending_.load() == 0 && active.load() == 0;
+  }
+  bool AnyQueued() const {
+    for (int w = 0; w < budget; ++w) {
+      if (workers[w].queued.load() > 0) return true;
+    }
+    return false;
+  }
+
+  // Makes `id`, just moved to state 1, runnable: into the slot of the
+  // worker whose handler sent to it, or, from outside the run, into a
+  // queue.
+  void Schedule(ProcessId id) {
+    if (current_run == this) {
+      Worker& me = workers[current_worker];
+      const ProcessId displaced = std::exchange(me.slot, id);
+      if (displaced != kNoProcess) Enqueue(me, displaced);
+    } else {
+      Enqueue(workers[id % budget], id);
+    }
+  }
+
+  // Puts `id` at the back of `worker`'s queue, then wakes worker 0 if it
+  // sleeps, or else enlists a helper. The queued count and the sleep
+  // flag are sequentially consistent, so either the pusher sees the
+  // sleeper or the sleeper sees the process.
+  void Enqueue(Worker& worker, ProcessId id) {
+    {
+      std::lock_guard<std::mutex> lock(worker.mutex);
+      worker.queue.push_back(id);
+      worker.queued.fetch_add(1);
+    }
+    if (caller_asleep.load()) {
+      { std::lock_guard<std::mutex> lock(sleep_mutex); }
+      wake.notify_one();
+    } else {
+      Enlist();
+    }
+  }
+
+  // Counts one more thread into the run if the budget allows.
+  bool ReserveThread() {
+    int n = threads.load(std::memory_order_relaxed);
+    do {
+      if (n >= budget) return false;
+    } while (!threads.compare_exchange_weak(n, n + 1));
+    return true;
+  }
+
+  void Enlist() {
+    if (!ReserveThread()) return;
+    pool.Post([run = this, gate = gate] {
+      {
+        std::lock_guard<std::mutex> lock(gate->mutex);
+        if (gate->closed) return;
+        ++gate->inside;
+      }
+      run->Help();
+      std::lock_guard<std::mutex> lock(gate->mutex);
+      if (--gate->inside == 0) gate->left.notify_all();
+    });
+  }
+
+  // A helper's stay: works in a free seat until it finds no work, and
+  // stays on if a process landed in a queue meanwhile and the budget
+  // still has room for it.
+  void Help() {
+    do {
+      // Free seats exist: a helper is counted in `threads` before it
+      // sits and leaves its seat before it is uncounted.
+      int w = 1;
+      while (workers[w].seated.exchange(true)) {
+        ++w;
+        MPQE_CHECK(w < budget) << "no free seat";
+      }
+      Work(w);
+      workers[w].seated.store(false);
+      threads.fetch_sub(1);
+    } while (!Over() && AnyQueued() && ReserveThread());
+  }
+
+  // Runs processes as worker `w`. A helper returns when it finds no
+  // work; worker 0 sleeps until a process lands in a queue, and returns
+  // when the run is over or quiescent.
+  void Work(int w) {
+    current_run = this;
+    current_worker = w;
+    while (!Over()) {
+      const ProcessId id = Take(w);
+      if (id != kNoProcess) {
+        Drain(id);
+      } else if (w != 0 || !Sleep()) {
+        break;
+      }
+    }
+    current_run = nullptr;
+  }
+
+  // The next process for worker `w`: its slot (at most kMaxSlotStreak
+  // times in a row while its queue waits), the front of its queue, or
+  // the front of another worker's queue.
+  ProcessId Take(int w) {
+    Worker& me = workers[w];
+    if (me.slot != kNoProcess) {
+      const bool queue_waits =
+          me.queued.load(std::memory_order_relaxed) > 0;
+      if (!queue_waits || me.slot_streak < kMaxSlotStreak) {
+        me.slot_streak = queue_waits ? me.slot_streak + 1 : 0;
+        return std::exchange(me.slot, kNoProcess);
+      }
+    }
+    me.slot_streak = 0;
+    ProcessId id = PopFront(me);
+    // A thief may have emptied the queue the slot deferred to.
+    if (id == kNoProcess) id = std::exchange(me.slot, kNoProcess);
+    for (int k = 1; id == kNoProcess && k < budget; ++k) {
+      id = PopFront(workers[(w + k) % budget]);
+    }
+    return id;
+  }
+
+  static ProcessId PopFront(Worker& worker) {
+    if (worker.queued.load(std::memory_order_relaxed) == 0) return kNoProcess;
+    std::lock_guard<std::mutex> lock(worker.mutex);
+    if (worker.queue.empty()) return kNoProcess;
+    const ProcessId id = worker.queue.front();
+    worker.queue.pop_front();
+    worker.queued.fetch_sub(1);
+    return id;
+  }
+
+  // Worker 0 found no work: waits until a process lands in a queue
+  // (true) or the run is over or quiescent (false).
+  bool Sleep() {
+    std::unique_lock<std::mutex> lock(sleep_mutex);
+    caller_asleep.store(true);
+    wake.wait(lock, [this] { return AnyQueued() || Over() || Quiescent(); });
+    caller_asleep.store(false);
+    return AnyQueued();
+  }
+
+  void WakeCaller() {
+    { std::lock_guard<std::mutex> lock(sleep_mutex); }
+    wake.notify_all();
+  }
+
+  // Delivers `id`'s mail, one message at a time. A mailbox run ends at
+  // the delivery that empties the mailbox or at the quantum, and its
+  // hook runs here, before the state below releases the process; mail
+  // that arrived meanwhile is drained too, without a requeue.
+  void Drain(ProcessId id) {
+    active.fetch_add(1);
+    Mailbox& box = *net.mailboxes_[id];
+    box.state.store(2, std::memory_order_release);
+    bool bail = false;
+    uint32_t run_length = 0;
+    for (;;) {
+      for (;;) {
+        Message msg;
+        uint64_t sent_ns;
+        size_t left;
+        if (!net.Pop(box, msg, sent_ns, left)) break;
+        const bool run_end = left == 0 || ++run_length == kRunQuantum;
+        if (run_end) run_length = 0;
+        net.Deliver(id, msg, sent_ns, run_end);
+        const uint64_t d =
+            delivered.fetch_add(1, std::memory_order_acq_rel) + 1;
+        if (max_messages != 0 && d > max_messages) {
+          overflow.store(true, std::memory_order_release);
+          bail = true;
+          break;
+        }
+        if (net.stop_requested()) {
+          bail = true;
+          break;
+        }
+      }
+      // Transition out of running, or drain again if mail arrived.
+      int cur = box.state.load(std::memory_order_acquire);
+      bool done = false;
+      while (!done) {
+        if (cur == 2) {
+          if (box.state.compare_exchange_weak(cur, 0)) done = true;
+        } else {  // 3: dirty
+          if (box.state.compare_exchange_weak(cur, 2)) break;
+        }
+      }
+      if (done || bail) break;
+    }
+    active.fetch_sub(1);
+    if (bail || Quiescent()) WakeCaller();
+  }
+
+  // Closes the gate and waits until no helper is inside.
+  void Close() {
+    std::unique_lock<std::mutex> lock(gate->mutex);
+    gate->closed = true;
+    gate->left.wait(lock, [this] { return gate->inside == 0; });
+  }
+
+  Network& net;
+  WorkerPool& pool;
+  const int budget;
+  const uint64_t max_messages;
+  const std::unique_ptr<Worker[]> workers;
+  const std::shared_ptr<Gate> gate = std::make_shared<Gate>();
+  std::atomic<int> threads{1};  // worker 0 plus the enlisted helpers
+  std::atomic<int> active{0};   // workers holding a process
+  std::atomic<uint64_t> delivered{0};
+  std::atomic<bool> overflow{false};
+  // Where worker 0 sleeps; only it ever does.
+  std::mutex sleep_mutex;
+  std::condition_variable wake;
+  std::atomic<bool> caller_asleep{false};
+
+  // The run and seat the calling thread works for, if any.
+  static thread_local ThreadedRun* current_run;
+  static thread_local int current_worker;
+};
+
+thread_local Network::ThreadedRun* Network::ThreadedRun::current_run = nullptr;
+thread_local int Network::ThreadedRun::current_worker = 0;
 
 ProcessId Network::AddProcess(std::unique_ptr<Process> process) {
   MPQE_CHECK(!started_.load()) << "cannot add processes after Start()";
@@ -194,19 +469,15 @@ void Network::Send(ProcessId from, ProcessId to, Message message) {
   }
   total_pending_.fetch_add(1, std::memory_order_acq_rel);
 
-  // Threaded scheduler: make sure the target is (or will be) scheduled.
-  // Harmless no-op state churn in the single-threaded schedulers.
+  // The threaded scheduler makes sure the target is (or will be)
+  // scheduled; the single-threaded ones find mail by scanning.
+  ThreadedRun* run = threaded_run_.load(std::memory_order_acquire);
+  if (run == nullptr) return;
   for (;;) {
     int cur = box.state.load(std::memory_order_acquire);
     if (cur == 0) {
       if (box.state.compare_exchange_weak(cur, 1)) {
-        bool wake;
-        {
-          std::lock_guard<std::mutex> lock(ready_mutex_);
-          ready_.push_back(to);
-          wake = sleeping_workers_ > 0;
-        }
-        if (wake) ready_cv_.notify_one();
+        run->Schedule(to);
         return;
       }
     } else if (cur == 2) {
@@ -393,183 +664,63 @@ StatusOr<RunResult> Network::RunRandom(uint64_t seed, uint64_t max_messages) {
   }
 }
 
-StatusOr<RunResult> Network::RunThreaded(int workers, uint64_t max_messages) {
+StatusOr<RunResult> Network::RunThreaded(WorkerPool& pool, int workers,
+                                         uint64_t max_messages) {
   MPQE_CHECK(workers >= 1);
   Start();
+  ThreadedRun run(*this, pool, workers, max_messages);
 
-  // Seed the ready queue with processes that already have mail (their
-  // state may be stale from a previous single-threaded run).
-  {
-    std::lock_guard<std::mutex> lock(ready_mutex_);
-    ready_.clear();
-    for (ProcessId id = 0; id < static_cast<ProcessId>(processes_.size());
-         ++id) {
-      Mailbox& box = *mailboxes_[id];
-      std::lock_guard<std::mutex> mail_lock(box.mutex);
-      if (!box.queue.empty()) {
-        box.state.store(1);
-        ready_.push_back(id);
-      } else {
-        box.state.store(0);
-      }
-    }
+  // Deal the processes that already have mail round-robin into the
+  // queues (their state may be stale from a previous single-threaded
+  // run).
+  int dealt = 0;
+  for (ProcessId id = 0; id < static_cast<ProcessId>(processes_.size());
+       ++id) {
+    Mailbox& box = *mailboxes_[id];
+    std::lock_guard<std::mutex> lock(box.mutex);
+    const bool has_mail = !box.queue.empty();
+    box.state.store(has_mail ? 1 : 0);
+    if (!has_mail) continue;
+    ThreadedRun::Worker& worker = run.workers[dealt++ % workers];
+    worker.queue.push_back(id);
+    worker.queued.fetch_add(1);
   }
+  threaded_run_.store(&run, std::memory_order_release);
 
-  std::atomic<uint64_t> delivered{0};
-  std::atomic<int> active{0};
-  std::atomic<bool> overflow{false};
-
-  auto worker = [&]() {
-    for (;;) {
-      ProcessId id;
-      {
-        std::unique_lock<std::mutex> lock(ready_mutex_);
-        auto runnable = [&] {
-          return !ready_.empty() || stop_requested() || overflow.load() ||
-                 (total_pending_.load(std::memory_order_acquire) == 0 &&
-                  active.load(std::memory_order_acquire) == 0);
-        };
-        while (!runnable()) {
-          ++sleeping_workers_;
-          ready_cv_.wait(lock);
-          --sleeping_workers_;
-        }
-        if (stop_requested() || overflow.load()) return;
-        if (ready_.empty()) return;  // globally quiescent
-        id = ready_.front();
-        ready_.pop_front();
-        active.fetch_add(1, std::memory_order_acq_rel);
-      }
-      Mailbox& box = *mailboxes_[id];
-      box.state.store(2, std::memory_order_release);
-
-      bool bail = false;
-      uint32_t run_length = 0;
-      for (;;) {
-        // Drain this mailbox, one message at a time. A run ends at the
-        // delivery that empties it or at the quantum, and its hook runs
-        // here, before the state below releases the process.
-        for (;;) {
-          Message msg;
-          uint64_t sent_ns;
-          size_t left;
-          if (!Pop(box, msg, sent_ns, left)) break;
-          const bool run_end = left == 0 || ++run_length == kRunQuantum;
-          if (run_end) run_length = 0;
-          Deliver(id, msg, sent_ns, run_end);
-          uint64_t d = delivered.fetch_add(1, std::memory_order_acq_rel) + 1;
-          if (max_messages != 0 && d > max_messages) {
-            overflow.store(true);
-            bail = true;
-            break;
-          }
-          if (stop_requested()) {
-            bail = true;
-            break;
-          }
-        }
-
-        // Transition out of running; keep draining if mail arrived
-        // meanwhile (avoids a requeue round-trip for hot processes).
-        int cur = box.state.load(std::memory_order_acquire);
-        bool done = false;
-        while (!done) {
-          if (cur == 2) {
-            if (box.state.compare_exchange_weak(cur, 0)) done = true;
-          } else {  // 3: dirty
-            if (box.state.compare_exchange_weak(cur, 2)) break;
-          }
-        }
-        if (done || bail) break;
-        // state was dirty and is 2 again: loop and drain more.
-      }
-
-      {
-        std::lock_guard<std::mutex> lock(ready_mutex_);
-        active.fetch_sub(1, std::memory_order_acq_rel);
-        if (stop_requested() || overflow.load() ||
-            (total_pending_.load(std::memory_order_acquire) == 0 &&
-             active.load(std::memory_order_acquire) == 0)) {
-          ready_cv_.notify_all();
-        }
-      }
-    }
-  };
-
-  // Stall monitor (ConfigureStallMonitor): a monitor thread watches
-  // the `delivered` counter; whenever it sits still for a full
-  // interval, the handler gets a queue-depth snapshot. Purely
+  // Stall monitor (ConfigureStallMonitor): the pool's monitor thread
+  // watches the delivered count for as long as the run lasts. Purely
   // diagnostic — it never touches scheduling state.
-  std::thread monitor;
-  std::mutex monitor_mutex;
-  std::condition_variable monitor_cv;
-  bool monitor_stop = false;
+  uint64_t watch = 0;
   if (stall_interval_ms_ > 0 && stall_handler_) {
-    monitor = std::thread([&]() {
-      const auto interval = std::chrono::milliseconds(stall_interval_ms_);
-      uint64_t last_seen = delivered.load(std::memory_order_acquire);
-      auto last_change = std::chrono::steady_clock::now();
-      std::unique_lock<std::mutex> lock(monitor_mutex);
-      for (;;) {
-        if (monitor_cv.wait_for(lock, interval,
-                                [&] { return monitor_stop; })) {
-          return;
-        }
-        uint64_t now_delivered = delivered.load(std::memory_order_acquire);
-        auto now = std::chrono::steady_clock::now();
-        if (now_delivered != last_seen) {
-          last_seen = now_delivered;
-          last_change = now;
-          continue;
-        }
-        if (now - last_change < interval) continue;
-        StallInfo info;
-        info.delivered = now_delivered;
-        info.in_flight = TotalPending();
-        info.stalled_ms =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                now - last_change)
-                .count();
-        for (ProcessId id = 0;
-             id < static_cast<ProcessId>(processes_.size()); ++id) {
-          size_t depth = PendingCount(id);
-          if (depth > 0) info.queue_depths.emplace_back(id, depth);
-        }
-        lock.unlock();
-        stall_handler_(info);
-        lock.lock();
-        // No re-arm: while the stall persists the handler keeps firing
-        // every interval with a *cumulative* stalled_ms. Any delivery
-        // resets the clock above.
-      }
-    });
+    watch = pool.WatchStalls(
+        run.delivered, stall_interval_ms_,
+        [this](uint64_t delivered, int64_t stalled_ms) {
+          StallInfo info;
+          info.delivered = delivered;
+          info.in_flight = TotalPending();
+          info.stalled_ms = stalled_ms;
+          for (ProcessId id = 0;
+               id < static_cast<ProcessId>(processes_.size()); ++id) {
+            const size_t depth = PendingCount(id);
+            if (depth > 0) info.queue_depths.emplace_back(id, depth);
+          }
+          stall_handler_(info);
+        });
   }
 
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<size_t>(workers));
-  for (int i = 0; i < workers; ++i) pool.emplace_back(worker);
-  // In case stop was requested before/while spawning.
-  {
-    std::lock_guard<std::mutex> lock(ready_mutex_);
-    ready_cv_.notify_all();
-  }
-  for (auto& t : pool) t.join();
+  // Worker 0 takes one dealt process; the others call for helpers.
+  for (int k = 1; k < std::min(dealt, workers); ++k) run.Enlist();
+  run.Work(0);
+  run.Close();
+  if (watch != 0) pool.Unwatch(watch);
+  threaded_run_.store(nullptr, std::memory_order_release);
 
-  if (monitor.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(monitor_mutex);
-      monitor_stop = true;
-    }
-    monitor_cv.notify_one();
-    monitor.join();
-  }
-
-  if (overflow.load()) {
+  if (run.overflow.load()) {
     return ResourceExhaustedError(
         StrCat("threaded run exceeded max_messages=", max_messages));
   }
   RunResult result;
-  result.delivered = delivered.load();
+  result.delivered = run.delivered.load();
   result.stopped = stop_requested();
   result.quiescent = TotalPending() == 0;
   return result;

@@ -8,8 +8,9 @@
 //    gives tests a *global quiescence oracle* to validate Thm. 3.1;
 //  * RunRandom(seed)  — random process interleaving (per-channel FIFO
 //    preserved), simulating asynchrony;
-//  * RunThreaded(n)   — a real thread pool with actor-style per-process
-//    serialization.
+//  * RunThreaded(pool, n) — up to n threads, the caller's and helpers
+//    borrowed from a WorkerPool, with actor-style per-process
+//    serialization and per-worker run queues (DESIGN.md §5).
 //
 // Every scheduler delivers a process's mail in *runs*: consecutive
 // deliveries to one process, closed by one Process::OnRunEnd call on
@@ -36,7 +37,6 @@
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -54,13 +54,14 @@
 namespace mpqe {
 
 class Network;
+class WorkerPool;
 
 // Which run loop drives message delivery. A run-time concern: the
 // choice never affects the computed answers, only the interleaving.
 enum class SchedulerKind {
   kDeterministic,  // round-robin FIFO (reproducible)
   kRandom,         // seeded random interleaving
-  kThreaded,       // actual thread pool
+  kThreaded,       // real threads, borrowed from a WorkerPool
 };
 
 /// Canonical CLI name of a scheduler ("deterministic", "random",
@@ -84,9 +85,10 @@ using SendTap =
 // Run-time parameters of one scheduler run (the per-session knobs;
 // everything plan-shaped lives above the msg layer).
 struct SchedulerParams {
-  uint64_t seed = 1;          // kRandom only
-  int workers = 4;            // kThreaded only
-  uint64_t max_messages = 0;  // livelock guard; 0 = unlimited
+  uint64_t seed = 1;            // kRandom only
+  int workers = 4;              // kThreaded only: most threads the run uses
+  WorkerPool* pool = nullptr;   // kThreaded only: where helpers come from
+  uint64_t max_messages = 0;    // livelock guard; 0 = unlimited
 };
 
 // A node process. OnMessage is invoked with one message at a time;
@@ -265,12 +267,14 @@ class Network {
   }
 
   /// Installs a stall monitor for RunThreaded: when no delivery
-  /// completes for `interval_ms`, `handler` runs (on a dedicated
+  /// completes for `interval_ms`, `handler` runs (on the pool's
   /// monitor thread, concurrently with the workers — it must be
   /// thread-safe) with a queue-depth snapshot, and again after each
-  /// further stalled interval. Install before running; the
-  /// single-threaded schedulers ignore it (they cannot stall silently
-  /// — they either progress or return). `interval_ms <= 0` disables.
+  /// further stalled interval. The run registers it with the pool's
+  /// monitor while it runs (WorkerPool::WatchStalls). Install before
+  /// running; the single-threaded schedulers ignore it (they cannot
+  /// stall silently — they either progress or return). `interval_ms
+  /// <= 0` disables.
   void ConfigureStallMonitor(int interval_ms,
                              std::function<void(const StallInfo&)> handler) {
     stall_interval_ms_ = interval_ms;
@@ -282,10 +286,26 @@ class Network {
   // error.
   StatusOr<RunResult> RunDeterministic(uint64_t max_messages = 0);
   StatusOr<RunResult> RunRandom(uint64_t seed, uint64_t max_messages = 0);
-  StatusOr<RunResult> RunThreaded(int workers, uint64_t max_messages = 0);
+
+  /// Runs on at most `workers` threads and creates none (DESIGN.md §5).
+  /// The calling thread is worker 0 and stays until the run ends. Up to
+  /// `workers - 1` helper tasks join from `pool`, each enlisted when a
+  /// process lands in a stealable queue while the run is under its
+  /// thread budget; a helper that finds no work returns its thread to
+  /// the pool. With the pool busy the caller runs alone, so the run
+  /// never waits for a pool thread. Each worker has a FIFO queue, which
+  /// other workers steal from, and a one-process slot, which they do
+  /// not: a process a handler makes runnable takes the slot of the
+  /// worker running that handler, and the slot's previous occupant
+  /// moves to the back of that worker's queue. Returns once no helper
+  /// is inside the run; a helper task that starts later returns
+  /// without touching the network.
+  StatusOr<RunResult> RunThreaded(WorkerPool& pool, int workers,
+                                  uint64_t max_messages = 0);
 
   /// Dispatches to the scheduler named by `kind` with the relevant
   /// `params` fields. The one entry point session runners need.
+  /// kThreaded without `params.pool` is FailedPrecondition.
   StatusOr<RunResult> Run(SchedulerKind kind, const SchedulerParams& params);
 
   MessageStats stats() const;
@@ -297,8 +317,8 @@ class Network {
     // Send times of the queued messages, in queue order (engaged only
     // when profiling: an empty deque still allocates).
     std::optional<std::deque<uint64_t>> sent_ns;
-    // Threaded-scheduler actor state: 0 idle, 1 scheduled, 2 running,
-    // 3 running with new mail.
+    // Threaded-scheduler actor state: 0 idle, 1 scheduled (in a run
+    // queue or slot), 2 running, 3 running with new mail.
     std::atomic<int> state{0};
     // The process's traffic record, on cache lines of its own: senders
     // on other threads touch the lock, queue and state above.
@@ -334,13 +354,10 @@ class Network {
   std::atomic<uint64_t> packaged_submessages_{0};
   std::atomic<uint64_t> segment_rows_{0};
 
-  // Threaded-scheduler shared state.
-  std::mutex ready_mutex_;
-  std::condition_variable ready_cv_;
-  std::deque<ProcessId> ready_;
-  // Workers blocked on ready_cv_ (guarded by ready_mutex_): lets Send
-  // skip the notify syscall when every worker is already busy.
-  int sleeping_workers_ = 0;
+  // The scheduler state of the RunThreaded call in progress (network.cc);
+  // null otherwise, so the single-threaded schedulers' sends skip it.
+  struct ThreadedRun;
+  std::atomic<ThreadedRun*> threaded_run_{nullptr};
 
   // Stall monitor (ConfigureStallMonitor).
   int stall_interval_ms_ = 0;

@@ -10,6 +10,7 @@
 
 #include "common/string_util.h"
 #include "msg/network.h"
+#include "msg/worker_pool.h"
 #include "relational/relation.h"
 #include "relational/value.h"
 
@@ -97,7 +98,8 @@ TEST(ConcurrencyTest, NetworkStatsConsistentUnderThreads) {
   for (int i = 0; i < 2 * kPairs; ++i) {
     net.Send(kNoProcess, i, MakeTupleRequest({Value::Int(kHops)}));
   }
-  auto run = net.RunThreaded(4);
+  WorkerPool pool(3);
+  auto run = net.RunThreaded(pool, 4);
   ASSERT_TRUE(run.ok());
   EXPECT_TRUE(run->quiescent);
   uint64_t expected = static_cast<uint64_t>(2 * kPairs) * (kHops + 1);

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <filesystem>
 #include <optional>
 #include <set>
 #include <string>
@@ -117,9 +119,14 @@ TEST(EngineApiTest, ConcurrentSessionsShareOnePlan) {
   std::vector<std::future<StatusOr<EvaluationResult>>> futures;
   for (int i = 0; i < kSessions; ++i) {
     SessionOptions options;
-    // Mix schedulers: even sessions deterministic, odd ones random
-    // with distinct seeds — answers must not depend on either.
+    // Mix schedulers: odd sessions threaded on 1-4 workers, whose
+    // helpers come from the same 4-thread pool the 16 sessions run on;
+    // even ones deterministic or random with distinct seeds — answers
+    // must not depend on any of them.
     if (i % 2 == 1) {
+      options.scheduler = SchedulerKind::kThreaded;
+      options.workers = 1 + (i / 2) % 4;
+    } else if (i % 4 == 2) {
       options.scheduler = SchedulerKind::kRandom;
       options.seed = static_cast<uint64_t>(i);
     }
@@ -474,6 +481,67 @@ TEST(EngineApiDeathTest, EngineRefusesInvalidOptions) {
                "watchdog_stall_ms: must be >= 0, got -1");
   EXPECT_DEATH({ Engine engine(EngineOptions{.plan_cache_capacity = 0}); },
                "plan_cache_capacity: must be >= 1");
+}
+
+// Threads of this process now.
+int64_t ThreadCount() {
+  return std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                       std::filesystem::directory_iterator());
+}
+
+TEST(EngineApiTest, ThreadedSessionsCreateNoThreads) {
+  // A threaded session runs on the calling thread and the engine's pool:
+  // a send tap counts this process's threads while the session runs
+  // and finds as many as before it. (A scheduler that started a thread
+  // per worker, plus a monitor, would show 5 more at 4 workers.)
+  auto facts = Parse(kTcFacts);
+  ASSERT_TRUE(facts.ok()) << facts.status();
+  Engine engine(EngineOptions{.workers = 4});
+  auto plan = engine.Prepare(engine.Attach(std::move(facts->database)),
+                             kTcRules);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  SessionOptions options;
+  options.scheduler = SchedulerKind::kThreaded;
+  options.workers = 4;
+  // The pool's stall monitor starts with the first watched session, once
+  // per engine; this session starts it.
+  ASSERT_TRUE(engine.RunAsync(*plan, options).get().ok());
+
+  const int64_t before = ThreadCount();
+  std::atomic<int64_t> most{0};
+  options.send_tap = [&most](ProcessId, ProcessId, const Message&) {
+    const int64_t now = ThreadCount();
+    int64_t seen = most.load();
+    while (now > seen && !most.compare_exchange_weak(seen, now)) {
+    }
+  };
+  for (int i = 0; i < 4; ++i) {
+    auto result = engine.RunAsync(*plan, options).get();
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result->answers.size(), 4u);
+  }
+  EXPECT_EQ(most.load(), before);
+  EXPECT_EQ(ThreadCount(), before);
+}
+
+TEST(EngineApiTest, ThreadedRunSessionWithoutAPoolFails) {
+  // Threaded sessions borrow the engine's pool; a direct RunSession that
+  // brings none gets an error that says so, not a thread of its own.
+  auto facts = Parse(kTcFacts);
+  ASSERT_TRUE(facts.ok()) << facts.status();
+  Engine engine(EngineOptions{.workers = 2});
+  auto plan = engine.Prepare(engine.Attach(std::move(facts->database)),
+                             kTcRules);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  auto facts2 = Parse(kTcFacts);
+  ASSERT_TRUE(facts2.ok()) << facts2.status();
+  SessionOptions options;
+  options.scheduler = SchedulerKind::kThreaded;
+  auto result = RunSession((*plan)->graph(), facts2->database, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(result.status().message().find("worker pool"), std::string::npos)
+      << result.status();
 }
 
 TEST(EngineApiTest, SessionsCarrySequentialQueryIds) {

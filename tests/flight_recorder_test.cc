@@ -33,6 +33,7 @@
 #include "engine/evaluator.h"
 #include "graph/rule_goal_graph.h"
 #include "msg/network.h"
+#include "msg/worker_pool.h"
 #include "obs/flight_dump.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
@@ -471,8 +472,10 @@ TEST(FlightRecorderTest, WatchdogDumpNamesTheParkedScc) {
     dumps.push_back(dump);
   };
 
-  auto result = RunSession(graph, unit->database, options,
-                           SessionContext{.query_id = 5, .flight = &recorder});
+  WorkerPool pool(2);
+  auto result = RunSession(
+      graph, unit->database, options,
+      SessionContext{.query_id = 5, .flight = &recorder, .pool = &pool});
   ASSERT_TRUE(result.ok()) << result.status();
   // The park only delays; answers are unaffected.
   EXPECT_EQ(result->answers.size(), 4u);

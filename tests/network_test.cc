@@ -12,6 +12,7 @@
 
 #include "common/string_util.h"
 #include "msg/network.h"
+#include "msg/worker_pool.h"
 
 namespace mpqe {
 namespace {
@@ -173,7 +174,8 @@ TEST(NetworkTest, ThreadedRunsToQuiescence) {
   for (int i = 0; i < kProcs; ++i) {
     net.Send(kNoProcess, i, Hop(20));
   }
-  auto run = net.RunThreaded(4);
+  WorkerPool pool(3);
+  auto run = net.RunThreaded(pool, 4);
   ASSERT_TRUE(run.ok());
   EXPECT_TRUE(run->quiescent);
   EXPECT_EQ(counter.load(), kProcs * 21);
@@ -185,7 +187,8 @@ TEST(NetworkTest, ThreadedHandlesEmptyStart) {
   Network net;
   net.AddProcess(std::make_unique<CountingProcess>(&counter));
   net.Start();
-  auto run = net.RunThreaded(3);
+  WorkerPool pool(2);
+  auto run = net.RunThreaded(pool, 3);
   ASSERT_TRUE(run.ok());
   EXPECT_TRUE(run->quiescent);
   EXPECT_EQ(run->delivered, 0u);
@@ -220,7 +223,8 @@ TEST(NetworkTest, StallMonitorFiresOnSlowThreadedRun) {
   });
   net.Start();
   net.Send(kNoProcess, 0, Hop(3));
-  auto run = net.RunThreaded(2);
+  WorkerPool pool(1);
+  auto run = net.RunThreaded(pool, 2);
   ASSERT_TRUE(run.ok());
   EXPECT_TRUE(run->quiescent);
   // Each 40ms handler stalls several 5ms intervals.
@@ -237,7 +241,8 @@ TEST(NetworkTest, StallMonitorSilentOnFastRun) {
   });
   net.Start();
   net.Send(kNoProcess, 0, Hop(10));
-  auto run = net.RunThreaded(2);
+  WorkerPool pool(1);
+  auto run = net.RunThreaded(pool, 2);
   ASSERT_TRUE(run.ok());
   EXPECT_TRUE(run->quiescent);
   EXPECT_EQ(stalls.load(), 0);
@@ -358,7 +363,8 @@ TEST(RunEndHookTest, ThreadedRunsEndAtEmptyMailboxOrQuantum) {
   for (int i = 0; i < kProcs; ++i) {
     for (int k = 0; k < kPreload; ++k) net.Send(kNoProcess, i, Hop(2));
   }
-  auto run = net.RunThreaded(4);
+  WorkerPool pool(3);
+  auto run = net.RunThreaded(pool, 4);
   ASSERT_TRUE(run.ok());
   EXPECT_TRUE(run->quiescent);
   EXPECT_EQ(run->delivered, static_cast<uint64_t>(kProcs * kPreload * 3));

@@ -421,7 +421,10 @@ TEST(TelemetryTest, EngineDestructionWithPendingAsyncSessions) {
   // ~Engine must drain and join the pool BEFORE destroying telemetry:
   // queued RunAsync sessions hold the raw EngineTelemetry* stamped at
   // CreateSession and report into it when they (still) run during
-  // shutdown. ASan/TSan turn a wrong teardown order into a failure.
+  // shutdown. Half of them are threaded on more workers than the pool
+  // has, so their helper tasks are still queued, some behind sessions
+  // that have not started, when the pool drains. ASan/TSan turn a wrong
+  // teardown order into a failure.
   auto facts = Parse(kTcFacts);
   ASSERT_TRUE(facts.ok()) << facts.status();
   std::vector<std::future<StatusOr<EvaluationResult>>> futures;
@@ -432,7 +435,13 @@ TEST(TelemetryTest, EngineDestructionWithPendingAsyncSessions) {
     auto snapshot = engine.Attach(std::move(facts->database));
     auto plan = engine.Prepare(snapshot, kTcRules);
     ASSERT_TRUE(plan.ok()) << plan.status();
-    for (int i = 0; i < 16; ++i) futures.push_back(engine.RunAsync(*plan));
+    SessionOptions threaded;
+    threaded.scheduler = SchedulerKind::kThreaded;
+    threaded.workers = 4;
+    for (int i = 0; i < 16; ++i) {
+      futures.push_back(
+          engine.RunAsync(*plan, i % 2 == 0 ? SessionOptions() : threaded));
+    }
     // Engine destroyed here with most sessions still queued.
   }
   for (auto& future : futures) {
