@@ -78,30 +78,6 @@ void BM_MessageHopThreaded(benchmark::State& state) {
 }
 BENCHMARK(BM_MessageHopThreaded)->Arg(1)->Arg(4);
 
-// The profiler-overhead guard: same ping-pong as
-// BM_MessageHopDeterministic, on a network that profiles — every
-// delivery clocked and every message's send time stamped for its queue
-// wait. The network counts both runs' traffic per process; the gap is
-// what profiling adds per hop (BENCH_obs.json).
-void BM_MessageHopProfiled(benchmark::State& state) {
-  const int64_t kHops = 10000;
-  for (auto _ : state) {
-    Network net;
-    net.AddProcess(std::make_unique<PingPong>(1));
-    net.AddProcess(std::make_unique<PingPong>(0));
-    net.EnableProfiling();
-    net.Start();
-    net.Send(kNoProcess, 0, MakeTupleRequest({Value::Int(kHops)}));
-    auto run = net.RunDeterministic();
-    MPQE_CHECK(run.ok() && run->quiescent);
-    MPQE_CHECK(net.counts(0).delivered + net.counts(1).delivered ==
-               static_cast<uint64_t>(kHops) + 1);
-    benchmark::DoNotOptimize(net.counts(0).queue_wait_ns);
-  }
-  state.SetItemsProcessed(state.iterations() * (kHops + 1));
-}
-BENCHMARK(BM_MessageHopProfiled);
-
 // ---------------------------------------------------------------------------
 // Columnar segment hops
 
@@ -260,8 +236,8 @@ BENCHMARK(BM_SegmentHopLineage);
 
 // The segment-path check of the flight recorder: the same dedup hop as
 // BM_SegmentHopDedup, with the network's flight tap attached (one
-// kDeliver record per hop, written from the two clock reads around the
-// handler). The recorder lives outside the timing loop like the
+// kDeliver record per hop, written from the two clock reads every
+// delivery takes, so the pair prices the ring write). The recorder lives outside the timing loop like the
 // engine's does (one recorder per Engine, not per session).
 void BM_SegmentHopFlight(benchmark::State& state) {
   const int64_t kHops = 1000;
@@ -291,8 +267,9 @@ BENCHMARK(BM_SegmentHopFlight);
 // leaf, Fig. 2 protocol), where almost every answer travels as its own
 // one-row message — tc_chain_bulk in miniature. Items = deliveries.
 // BM_SingleRowHopFlight runs the identical session with the engine's
-// always-on flight recorder attached; bench_guard.py --flight holds
-// the ratio of the pair.
+// always-on flight recorder attached. Both clock every delivery, so
+// the ratio of the pair, which bench_guard.py --flight holds, prices
+// the ring write.
 constexpr int64_t kChainNodes = 64;
 
 struct ChainTc {

@@ -17,7 +17,6 @@
 
 #include "datalog/parser.h"
 #include "engine/engine.h"
-#include "obs/metrics.h"
 
 int main() {
   // Facts (EDB) and rules (IDB) in one Prolog-style source text.
@@ -55,8 +54,6 @@ int main() {
   // One session = one execution. Defaults: greedy sips (chosen at
   // prepare time), deterministic scheduler.
   mpqe::SessionOptions options;
-  mpqe::MetricsRegistry metrics;  // filled live during the run
-  options.metrics = &metrics;
   auto session = engine.CreateSession(*plan, options);
   if (!session.ok()) {
     std::cerr << "session error: " << session.status() << "\n";
@@ -85,6 +82,9 @@ int main() {
     std::cout << "\n" << engine.plan_cache_stats().ToString() << "\n";
   }
 
-  std::cout << "\nmetrics:\n" << metrics.ToString();
+  // Every session adds its totals to the engine's registry; refresh its
+  // gauges (plan cache, pool) before reading it.
+  engine.telemetry().SampleNow();
+  std::cout << "\nmetrics:\n" << engine.telemetry().registry().ToString();
   return 0;
 }

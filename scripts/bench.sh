@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # Builds the relational microbenchmarks in Release mode, runs them,
 # and writes machine-readable summaries to BENCH_relational.json and
-# BENCH_obs.json (the observability overhead guards: profiler-on vs.
-# profiler-off, flight recorder on vs. off, and segmented lineage-on
-# vs. lineage-off).
+# BENCH_obs.json (the observability overhead guards: flight recorder on
+# vs. off, and segmented lineage-on vs. lineage-off).
 #
 # Usage: scripts/bench.sh [--append-history] [output.json]
 #
@@ -209,8 +208,7 @@ with open(out_path, "w") as f:
     f.write("\n")
 print(f"wrote {out_path}")
 
-# The observability overhead guards. Profiler: profiler-on vs.
-# profiler-off single-message hop cost. Lineage: the tracked number
+# The observability overhead guards. Lineage: the tracked number
 # is the SEGMENTED pair — BM_SegmentHopLineage vs. BM_SegmentHopDedup
 # run the identical insert+forward loop over 128-row segments, with
 # the lineage run adding id assignment, the lineage column, and one
@@ -231,53 +229,44 @@ def load_medians(path):
         }
     return rows
 
-off = micro.get("BM_MessageHopDeterministic")
-on = micro.get("BM_MessageHopProfiled")
 pair = load_medians(pair_path)
 seg_off = pair.get("BM_SegmentHopDedup")
 seg_on = pair.get("BM_SegmentHopLineage")
-if off and on:
-    obs = {
-        "context": result["context"],
-        "profiler_off": off,
-        "profiler_on": on,
-        "overhead_ratio": round(on["real_time_ns"] / off["real_time_ns"], 3),
-        "overhead_ns_per_hop": round(
-            (on["real_time_ns"] - off["real_time_ns"]) / 10001, 1),
-    }
-    hop_off = pair.get("BM_SingleRowHop")
-    hop_flight = pair.get("BM_SingleRowHopFlight")
-    if hop_off and hop_flight:
-        # The always-on black box on the shape that pays for it: one-row
-        # answers through real node processes, with the network's flight
-        # tap vs. without. bench_guard.py --flight (CI) holds this at
-        # the guard below.
-        fratio = hop_flight["real_time_ns"] / hop_off["real_time_ns"]
-        obs["flight_off"] = hop_off
-        obs["flight_on"] = hop_flight
-        obs["flight_overhead_ratio"] = round(fratio, 3)
-        obs["flight_overhead_guard"] = 1.3
-    seg_flight = pair.get("BM_SegmentHopFlight")
-    if seg_off and seg_flight:
-        # Informational: the same tap on the 128-row segment hop, where
-        # one record is amortized over a whole segment.
-        obs["flight_segment_on"] = seg_flight
-        obs["flight_segment_overhead_ratio"] = round(
-            seg_flight["real_time_ns"] / seg_off["real_time_ns"], 3)
-    if seg_off and seg_on:
-        ratio = seg_on["real_time_ns"] / seg_off["real_time_ns"]
-        obs["lineage_off"] = seg_off
-        obs["lineage_on"] = seg_on
-        obs["lineage_overhead_ratio"] = round(ratio, 3)
-        obs["lineage_overhead_guard"] = 1.5
-        # 1001 hops x 128 rows + the seed segment.
-        obs["lineage_overhead_ns_per_row"] = round(
-            (seg_on["real_time_ns"] - seg_off["real_time_ns"]) / (1001 * 128),
-            2)
-    with open(obs_path, "w") as f:
-        json.dump(obs, f, indent=2, sort_keys=True)
-        f.write("\n")
-    print(f"wrote {obs_path}")
+obs = {"context": result["context"]}
+hop_off = pair.get("BM_SingleRowHop")
+hop_flight = pair.get("BM_SingleRowHopFlight")
+if hop_off and hop_flight:
+    # The always-on black box on the shape that pays for it: one-row
+    # answers through real node processes, with the network's flight
+    # tap vs. without. Both sides clock every delivery, so the ratio
+    # prices the ring write. bench_guard.py --flight (CI) holds it at
+    # the guard below.
+    fratio = hop_flight["real_time_ns"] / hop_off["real_time_ns"]
+    obs["flight_off"] = hop_off
+    obs["flight_on"] = hop_flight
+    obs["flight_overhead_ratio"] = round(fratio, 3)
+    obs["flight_overhead_guard"] = 1.3
+seg_flight = pair.get("BM_SegmentHopFlight")
+if seg_off and seg_flight:
+    # Informational: the same tap on the 128-row segment hop, where
+    # one record is amortized over a whole segment.
+    obs["flight_segment_on"] = seg_flight
+    obs["flight_segment_overhead_ratio"] = round(
+        seg_flight["real_time_ns"] / seg_off["real_time_ns"], 3)
+if seg_off and seg_on:
+    ratio = seg_on["real_time_ns"] / seg_off["real_time_ns"]
+    obs["lineage_off"] = seg_off
+    obs["lineage_on"] = seg_on
+    obs["lineage_overhead_ratio"] = round(ratio, 3)
+    obs["lineage_overhead_guard"] = 1.5
+    # 1001 hops x 128 rows + the seed segment.
+    obs["lineage_overhead_ns_per_row"] = round(
+        (seg_on["real_time_ns"] - seg_off["real_time_ns"]) / (1001 * 128),
+        2)
+with open(obs_path, "w") as f:
+    json.dump(obs, f, indent=2, sort_keys=True)
+    f.write("\n")
+print(f"wrote {obs_path}")
 EOF
 
 if [[ "${append_history}" == "1" ]]; then

@@ -30,10 +30,11 @@ recorder) and BM_SingleRowHopFlight (the same session with the
 network's flight tap — exactly what every default engine session runs
 with) and fails if flight_on / flight_off exceeds max_ratio (default
 1.3). Single-row hops are where a delivery's fixed cost is the query's
-cost; the tap's two clock reads and one ring write measured 1.00-1.24x
-there on a shared 4-vCPU host, and the observer-based recorder it
-replaced measured 1.45-1.80x. The 128-row BM_SegmentHopFlight stays in
-the micro suite as the segment-path check.
+cost. Every delivery takes two clock reads whether or not the tap is
+attached, so the ratio prices the tap's ring write; the tap with its
+clock reads measured 1.00-1.24x there on a shared 4-vCPU host, and the
+observer-based recorder it replaced measured 1.45-1.80x. The 128-row
+BM_SegmentHopFlight stays in the micro suite as the segment-path check.
 
 The --history mode reads the JSONL benchmark history appended by
 `scripts/bench.sh --append-history` (one object per commit: sha, date,

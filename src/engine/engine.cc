@@ -207,8 +207,8 @@ StatusOr<EvaluationResult> QuerySession::Run() {
   entry.status =
       result.ok() ? "ok" : StatusCodeToString(result.status().code());
   if (result.ok()) {
-    // Every session adds its totals once, whatever registry it brought
-    // for itself.
+    // Every session adds its totals once; its query-log entry carries
+    // the handler time and queue wait every session keeps.
     engine_->session_totals_.Add(*result);
     const ProcessCounts nodes = result->NodeTraffic();
     entry.fire_ns = nodes.handler_ns;

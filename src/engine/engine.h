@@ -32,7 +32,8 @@
 //   snapshot. Any number of concurrent sessions may share one plan.
 //
 // * QuerySession is one execution: scheduler choice, segment size,
-//   profile, metrics (SessionOptions). Sessions with lineage enabled
+//   profile, lineage (SessionOptions). Every session adds its totals
+//   to the engine's one registry. Sessions with lineage enabled
 //   take the snapshot exclusively (provenance instrumentation numbers
 //   the shared relations' rows for the session, and detaches again
 //   when it ends); everything else runs concurrently.

@@ -127,65 +127,17 @@ const CounterFamily kCounterFamilies[] = {
      [](const EvaluationResult& r) { return r.counters.work_notices; }},
     {"engine/stored_tuples",
      [](const EvaluationResult& r) { return r.counters.stored_tuples; }},
-    {"engine/duplicate_drops",
-     [](const EvaluationResult& r) { return r.counters.duplicate_drops; }},
     {"engine/contexts",
      [](const EvaluationResult& r) { return r.counters.contexts; }},
-    {"engine/max_node_relation",
-     [](const EvaluationResult& r) { return r.counters.max_node_relation; }},
-    {"engine/protocol_waves",
-     [](const EvaluationResult& r) { return r.counters.protocol_waves; }},
     {"run/answers",
      [](const EvaluationResult& r) {
        return static_cast<uint64_t>(r.answers.size());
      }},
-    {"run/delivered", [](const EvaluationResult& r) { return r.delivered; }},
     {"run/ended_by_protocol",
      [](const EvaluationResult& r) {
        return static_cast<uint64_t>(r.ended_by_protocol ? 1 : 0);
      }},
 };
-
-// The predicate a graph node computes/serves (for the per-predicate
-// metric dump).
-PredicateId NodePredicate(const GraphNode& node) {
-  return node.kind == NodeKind::kRule ? node.rule.head.predicate
-                                      : node.atom.predicate;
-}
-
-// Writes the session's counts into the caller's registry once, at the
-// end: the session totals, one row per predicate and one per node.
-void DumpMetrics(const RuleGoalGraph& graph, const EvaluationResult& result,
-                 MetricsRegistry& registry) {
-  SessionTotals(registry).Add(result);
-  const PredicatePool& predicates = graph.program().predicates();
-  for (const NodeCounters& row : result.node_counters) {
-    const std::string& name =
-        predicates.Name(NodePredicate(graph.node(row.node)));
-    registry.GetCounter(StrCat("predicate/", name, "/stored_tuples"))
-        .Increment(row.counters.stored_tuples);
-    registry.GetCounter(StrCat("predicate/", name, "/dedup_hits"))
-        .Increment(row.counters.duplicate_drops);
-
-    const ProcessCounts& t = row.traffic;
-    const std::pair<const char*, uint64_t> fields[] = {
-        {"fires", t.delivered},
-        {"tuples_in", t.segment_rows_in},
-        {"tuples_out", t.segment_rows_out},
-        {"dedup_hits", row.counters.duplicate_drops},
-        {"msgs_in", t.delivered},
-        {"msgs_out", t.sent()},
-        {"segments_out", t.segments_out},
-        {"segment_rows_out", t.segment_rows_out},
-        {"fire_ns", t.handler_ns},
-        {"queue_wait_ns", t.queue_wait_ns},
-    };
-    for (const auto& [field, value] : fields) {
-      registry.GetCounter(StrCat("aggregated/node/", row.node, "/", field))
-          .Increment(value);
-    }
-  }
-}
 
 // The session's profile, assembled from the counts every session keeps:
 // per node the network's traffic record and the node's relation and
@@ -433,6 +385,7 @@ SessionTotals::SessionTotals(MetricsRegistry& registry) {
     phase_ns_[p] = &registry.GetHistogram(
         StrCat("phase/", PhaseToString(static_cast<Phase>(p)), "/ns"));
   }
+  max_node_relation_ = &registry.GetHistogram("engine/max_node_relation");
 }
 
 void SessionTotals::Add(const EvaluationResult& result) const {
@@ -448,6 +401,7 @@ void SessionTotals::Add(const EvaluationResult& result) const {
   for (size_t p = 0; p < phase_ns_.size(); ++p) {
     phase_ns_[p]->Record(result.phase_ns[p]);
   }
+  max_node_relation_->Record(result.counters.max_node_relation);
 }
 
 StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
@@ -480,7 +434,6 @@ StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
   if (context.flight != nullptr) {
     network.SetFlightRecorder(context.flight, context.query_id);
   }
-  if (options.profile) network.EnableProfiling();
   EngineShared shared;
   shared.graph = &graph;
   shared.db = &db;
@@ -628,8 +581,8 @@ StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
   if (!run.ok()) return run.status();
 
   {
-    // Ends before the profile, metrics and lineage below, so they carry
-    // the drain phase's time too. They read only the result, the graph
+    // Ends before the profile and lineage below, so they carry the
+    // drain phase's time too. They read only the result, the graph
     // and the collector, so the network goes here.
     ScopedPhase phase(context, shared.log, Phase::kDrain, result);
     result.answers = sink_ptr->TakeAnswers();
@@ -655,7 +608,6 @@ StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
     result.profile = std::make_shared<const ProfileReport>(
         BuildProfile(graph, db, context.query_id, result));
   }
-  if (options.metrics != nullptr) DumpMetrics(graph, result, *options.metrics);
   if (lineage.has_value()) {
     result.lineage = std::make_shared<const LineageReport>(lineage->Finalize());
   }

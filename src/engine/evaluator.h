@@ -16,15 +16,15 @@
 //   // result->answers is the goal relation {(b), (c)}.
 //
 // Observability (see DESIGN.md § Observability): every session counts
-// each process's traffic in its Network and each node's relation and
-// Fig. 2 work in its node processes; EvaluationResult carries those
-// counts. SessionOptions::profile turns them into a ProfileReport,
-// SessionOptions::metrics receives them as named counters, and the
+// each process's traffic in its Network — handler time and queue wait
+// included — and each node's relation and Fig. 2 work in its node
+// processes; EvaluationResult carries those counts.
+// SessionOptions::profile assembles them into a ProfileReport, and the
 // engine's telemetry adds every session's totals to its registry — one
-// source for all three. The run itself is recorded in the engine's
-// flight ring, one record per delivery; a Chrome trace is rendered from
-// those records (obs/chrome_trace.h). SessionOptions::send_tap lets a
-// test read each message on the wire.
+// source for both. The run itself is recorded in the engine's flight
+// ring, one record per delivery; a Chrome trace is rendered from those
+// records (obs/chrome_trace.h). SessionOptions::send_tap lets a test
+// read each message on the wire.
 
 #ifndef MPQE_ENGINE_EVALUATOR_H_
 #define MPQE_ENGINE_EVALUATOR_H_
@@ -95,16 +95,10 @@ struct SessionOptions {
   // to check message contents; unset costs one branch per send.
   SendTap send_tap;
 
-  // When set, the session writes its counts into this registry once,
-  // at the end: the SessionTotals families, one predicate/<name>/* row
-  // per predicate and one aggregated/node/<id>/* row per graph node.
-  // Not owned.
-  MetricsRegistry* metrics = nullptr;
-
   // Fill EvaluationResult::profile with per-node / per-SCC attribution
   // and §4.3 cost estimates sized from the database (see
-  // obs/profiler.h). Also stamps every message's queue wait and clocks
-  // every delivery, even with no flight recorder attached.
+  // obs/profiler.h). Only assembles the report: the counts it reads,
+  // handler time and queue wait included, are kept by every session.
   bool profile = false;
 
   // Record derivation provenance: every tuple first inserted into any
@@ -213,10 +207,13 @@ struct EvaluationResult {
 
 // The session-level metric families of a run: msg/sent/<kind>
 // (physical sends), msg/delivered, msg/segment_rows, node/fires,
-// dedup/hits, termination/<event>, the engine/* and run/* counts, and
-// the phase/<name>/ns histograms. The handles are resolved once against
-// one registry, so adding a session costs no name lookup: the engine
-// keeps one over its telemetry registry and adds every session to it.
+// dedup/hits, termination/<event>, engine/stored_tuples,
+// engine/contexts, run/answers, run/ended_by_protocol, and the
+// histograms phase/<name>/ns and engine/max_node_relation (one sample
+// per session, so its max() is the largest node relation any session
+// built). The handles are resolved once against one registry, so
+// adding a session costs no name lookup: the engine keeps one over its
+// telemetry registry and adds every session to it.
 class SessionTotals {
  public:
   explicit SessionTotals(MetricsRegistry& registry);
@@ -229,6 +226,7 @@ class SessionTotals {
   std::array<Counter*, static_cast<size_t>(MessageKind::kMessageKindCount)>
       sent_{};
   std::array<Histogram*, static_cast<size_t>(Phase::kPhaseCount)> phase_ns_{};
+  Histogram* max_node_relation_ = nullptr;
 };
 
 // What the engine hands a session besides the caller's options: the

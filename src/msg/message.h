@@ -66,6 +66,13 @@ inline bool IsProtocolMessage(MessageKind kind) {
 
 struct Message {
   MessageKind kind = MessageKind::kRelationRequest;
+
+  // kEndNegative / kEndConfirmed: true when the answering subtree has
+  // external customer requests that are not yet ended (lets a leader
+  // of a coalesced strong component keep the protocol running until
+  // every member's customers are served; see footnote 4).
+  bool flag = false;
+
   ProcessId from = kNoProcess;  // stamped by Network::Send
 
   // kTupleRequest / kEnd: values of the producer's d positions, in
@@ -77,11 +84,11 @@ struct Message {
   // Protocol wave number (diagnostics / sanity checks).
   int64_t wave = 0;
 
-  // kEndNegative / kEndConfirmed: true when the answering subtree has
-  // external customer requests that are not yet ended (lets a leader
-  // of a coalesced strong component keep the protocol running until
-  // every member's customers are served; see footnote 4).
-  bool flag = false;
+  // When the message was sent (FlightRecorder::NowNs), stamped by
+  // Network::Send on every physical message: its delivery adds the
+  // wait to the receiver's queue_wait_ns. 0 inside an envelope, whose
+  // stamp covers its contents.
+  uint64_t sent_at_ns = 0;
 
   // Indirect payload, shared and type-erased: a kBatch envelope's
   // std::vector<Message> or a kTupleSegment's TupleSegment (a message

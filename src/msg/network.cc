@@ -13,9 +13,6 @@
 namespace mpqe {
 namespace {
 
-constexpr size_t kNumKinds =
-    static_cast<size_t>(MessageKind::kMessageKindCount);
-
 uint32_t ClampU32(uint64_t v) {
   return v > UINT32_MAX ? UINT32_MAX : static_cast<uint32_t>(v);
 }
@@ -92,6 +89,7 @@ uint64_t ProcessCounts::sent() const {
 void ProcessCounts::Add(const ProcessCounts& other) {
   for (size_t k = 0; k < sent_by_kind.size(); ++k) {
     sent_by_kind[k] += other.sent_by_kind[k];
+    packaged_by_kind[k] += other.packaged_by_kind[k];
   }
   segments_out += other.segments_out;
   segment_rows_out += other.segment_rows_out;
@@ -341,12 +339,11 @@ struct Network::ThreadedRun {
     for (;;) {
       for (;;) {
         Message msg;
-        uint64_t sent_ns;
         size_t left;
-        if (!net.Pop(box, msg, sent_ns, left)) break;
+        if (!net.Pop(box, msg, left)) break;
         const bool run_end = left == 0 || ++run_length == kRunQuantum;
         if (run_end) run_length = 0;
-        net.Deliver(id, msg, sent_ns, run_end);
+        net.Deliver(id, msg, run_end);
         const uint64_t d =
             delivered.fetch_add(1, std::memory_order_acq_rel) + 1;
         if (max_messages != 0 && d > max_messages) {
@@ -412,60 +409,36 @@ ProcessId Network::AddProcess(std::unique_ptr<Process> process) {
   process->network_ = this;
   processes_.push_back(std::move(process));
   mailboxes_.push_back(std::make_unique<Mailbox>());
-  if (profiling_) mailboxes_.back()->sent_ns.emplace();
   return id;
-}
-
-void Network::EnableProfiling() {
-  MPQE_CHECK(TotalPending() == 0) << "enable profiling before the first send";
-  profiling_ = true;
-  for (auto& box : mailboxes_) box->sent_ns.emplace();
 }
 
 void Network::Send(ProcessId from, ProcessId to, Message message) {
   MPQE_CHECK(to >= 0 && static_cast<size_t>(to) < processes_.size())
       << "send to unknown process " << to;
   message.from = from;
+  message.sent_at_ns = FlightRecorder::NowNs();
   if (send_tap_) send_tap_(from, to, message);
-  // Batches count once physically and per sub-message logically;
-  // segments count once physically and per row logically — so
-  // ComputationTotal() keeps its meaning. One pass over an envelope
-  // counts into locals, then each shared counter gets one atomic add.
+  // One count per send, into the sender's record: an envelope once as
+  // kBatch and its contents by kind, a segment once and its rows, so
+  // the summed records keep ComputationTotal()'s logical meaning.
+  ProcessCounts& sender =
+      from == kNoProcess ? outside_counts_ : mailboxes_[from]->counts;
+  ++sender.sent_by_kind[static_cast<size_t>(message.kind)];
   Contents contents;
   if (message.kind == MessageKind::kBatch) {
-    const std::vector<Message>& batch = message.batch();
-    std::array<uint64_t, kNumKinds> kinds{};
-    kinds[static_cast<size_t>(MessageKind::kBatch)] = 1;
-    for (const Message& sub : batch) {
-      ++kinds[static_cast<size_t>(sub.kind)];
+    for (const Message& sub : message.batch()) {
+      ++sender.packaged_by_kind[static_cast<size_t>(sub.kind)];
       contents.Count(sub);
     }
-    for (size_t k = 0; k < kNumKinds; ++k) {
-      if (kinds[k] != 0) {
-        sent_by_kind_[k].fetch_add(kinds[k], std::memory_order_relaxed);
-      }
-    }
-    packaged_submessages_.fetch_add(batch.size(), std::memory_order_relaxed);
   } else {
-    sent_by_kind_[static_cast<size_t>(message.kind)].fetch_add(
-        1, std::memory_order_relaxed);
     contents.Count(message);
   }
-  if (contents.rows != 0) {
-    segment_rows_.fetch_add(contents.rows, std::memory_order_relaxed);
-  }
-  if (from != kNoProcess) {
-    ProcessCounts& sender = mailboxes_[from]->counts;
-    ++sender.sent_by_kind[static_cast<size_t>(message.kind)];
-    sender.segments_out += contents.segments;
-    sender.segment_rows_out += contents.rows;
-  }
-  const uint64_t sent_ns = profiling_ ? FlightRecorder::NowNs() : 0;
+  sender.segments_out += contents.segments;
+  sender.segment_rows_out += contents.rows;
   Mailbox& box = *mailboxes_[to];
   {
     std::lock_guard<std::mutex> lock(box.mutex);
     box.queue.push_back(std::move(message));
-    if (profiling_) box.sent_ns->push_back(sent_ns);
   }
   total_pending_.fetch_add(1, std::memory_order_acq_rel);
 
@@ -504,23 +477,16 @@ void Network::Start() {
   for (auto& p : processes_) p->OnStart();
 }
 
-bool Network::Pop(Mailbox& box, Message& out, uint64_t& sent_ns,
-                  size_t& left) const {
+bool Network::Pop(Mailbox& box, Message& out, size_t& left) const {
   std::lock_guard<std::mutex> lock(box.mutex);
   if (box.queue.empty()) return false;
   out = std::move(box.queue.front());
   box.queue.pop_front();
-  sent_ns = 0;
-  if (profiling_) {
-    sent_ns = box.sent_ns->front();
-    box.sent_ns->pop_front();
-  }
   left = box.queue.size();
   return true;
 }
 
-void Network::Deliver(ProcessId id, const Message& message, uint64_t sent_ns,
-                      bool run_end) {
+void Network::Deliver(ProcessId id, const Message& message, bool run_end) {
   ProcessCounts& receiver = mailboxes_[id]->counts;
   ++receiver.delivered;
   if (message.kind == MessageKind::kBatch) {
@@ -536,31 +502,19 @@ void Network::Deliver(ProcessId id, const Message& message, uint64_t sent_ns,
     ++receiver.segments_in;
     receiver.segment_rows_in += message.segment().num_rows;
   }
-  if (flight_ == nullptr && !profiling_) {
-    Process& process = *processes_[id];
-    process.OnMessage(message);
-    if (run_end) process.OnRunEnd();
-  } else {
-    DeliverTapped(id, message, sent_ns, run_end);
-  }
-  total_pending_.fetch_sub(1, std::memory_order_acq_rel);
-}
-
-void Network::DeliverTapped(ProcessId id, const Message& message,
-                            uint64_t sent_ns, bool run_end) {
   Process& process = *processes_[id];
-  ProcessCounts& counts = mailboxes_[id]->counts;
   // The process's own sends land in its own record, so the difference
   // across the window is exactly the rows this delivery sent.
-  const uint64_t rows_sent_before = counts.segment_rows_out;
+  const uint64_t rows_sent_before = receiver.segment_rows_out;
   const uint64_t start = FlightRecorder::NowNs();
   process.OnMessage(message);
   // Inside the window: the rows a run-end flush sends, and its time,
   // belong to the run's last delivery.
   if (run_end) process.OnRunEnd();
   const uint64_t end = FlightRecorder::NowNs();
-  counts.handler_ns += end - start;
-  if (profiling_ && start > sent_ns) counts.queue_wait_ns += start - sent_ns;
+  receiver.handler_ns += end - start;
+  // The clock is monotonic and the send happened before the pop.
+  receiver.queue_wait_ns += start - message.sent_at_ns;
   if (flight_ != nullptr) {
     FlightRecord record;
     record.ts_ns = end;
@@ -568,12 +522,13 @@ void Network::DeliverTapped(ProcessId id, const Message& message,
     record.a = message.from;
     record.b = id;
     record.rows = ClampU32(message.answer_rows());
-    record.rows_out = ClampU32(counts.segment_rows_out - rows_sent_before);
+    record.rows_out = ClampU32(receiver.segment_rows_out - rows_sent_before);
     record.aux = ClampU32(end - start);
     record.type = static_cast<uint8_t>(FlightEventType::kDeliver);
     record.kind = static_cast<uint8_t>(message.kind);
     flight_->Append(record);
   }
+  total_pending_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
 StatusOr<RunResult> Network::RunDeterministic(uint64_t max_messages) {
@@ -593,10 +548,9 @@ StatusOr<RunResult> Network::RunDeterministic(uint64_t max_messages) {
       const size_t queued = PendingCount(id);
       for (size_t k = 1; k <= queued; ++k) {
         Message msg;
-        uint64_t sent_ns;
         size_t left;
-        Pop(box, msg, sent_ns, left);
-        Deliver(id, msg, sent_ns, /*run_end=*/k == queued);
+        Pop(box, msg, left);
+        Deliver(id, msg, /*run_end=*/k == queued);
         progressed = true;
         ++result.delivered;
         if (max_messages != 0 && result.delivered > max_messages) {
@@ -640,10 +594,9 @@ StatusOr<RunResult> Network::RunRandom(uint64_t seed, uint64_t max_messages) {
       const size_t run = 1 + rng.Below(queued);
       for (size_t j = 1; j <= run; ++j) {
         Message msg;
-        uint64_t sent_ns;
         size_t left;
-        Pop(box, msg, sent_ns, left);
-        Deliver(id, msg, sent_ns, /*run_end=*/j == run);
+        Pop(box, msg, left);
+        Deliver(id, msg, /*run_end=*/j == run);
         ++result.delivered;
         if (max_messages != 0 && result.delivered > max_messages) {
           return ResourceExhaustedError(
@@ -727,13 +680,14 @@ StatusOr<RunResult> Network::RunThreaded(WorkerPool& pool, int workers,
 }
 
 MessageStats Network::stats() const {
+  ProcessCounts sum = outside_counts_;
+  for (const auto& box : mailboxes_) sum.Add(box->counts);
   MessageStats s;
   for (size_t k = 0; k < s.by_kind.size(); ++k) {
-    s.by_kind[k] = sent_by_kind_[k].load(std::memory_order_relaxed);
+    s.by_kind[k] = sum.sent_by_kind[k] + sum.packaged_by_kind[k];
+    s.packaged_submessages += sum.packaged_by_kind[k];
   }
-  s.packaged_submessages =
-      packaged_submessages_.load(std::memory_order_relaxed);
-  s.segment_rows = segment_rows_.load(std::memory_order_relaxed);
+  s.segment_rows = sum.segment_rows_out;
   return s;
 }
 

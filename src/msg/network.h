@@ -26,11 +26,14 @@
 //
 // The network sees every send and every delivery, so it is where a
 // process's traffic is counted: one ProcessCounts record per process,
-// always on (DESIGN.md §8). The profile, the session metrics and the
-// engine telemetry are built from these records. It is also where a
-// run is recorded: one flight-ring record per delivery
-// (SetFlightRecorder). The only other hook is the send tap
-// (SetSendTap), which lets a test read each message on the wire.
+// always on and the only message counts (DESIGN.md §8). Send counts a
+// message once, into its sender's record, and stamps its send time;
+// Deliver clocks every handler run and the message's queue wait into
+// the receiver's record. stats(), the profile and the engine telemetry
+// are sums of these records. The network is also where a run is
+// recorded: one flight-ring record per delivery (SetFlightRecorder).
+// The only other hook is the send tap (SetSendTap), which lets a test
+// read each message on the wire.
 
 #ifndef MPQE_MSG_NETWORK_H_
 #define MPQE_MSG_NETWORK_H_
@@ -42,7 +45,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -126,7 +128,8 @@ class Process {
   Network* network_ = nullptr;
 };
 
-// Snapshot of per-kind message counts.
+// Per-kind message counts: the network's ProcessCounts records summed
+// (Network::stats).
 struct MessageStats {
   std::array<uint64_t, static_cast<size_t>(MessageKind::kMessageKindCount)>
       by_kind{};
@@ -160,11 +163,14 @@ struct MessageStats {
 // a time (a process's sends run on the thread that runs it, and its
 // deliveries are serialized) and is read after Run returns, so the
 // fields are plain integers. Sends from outside any process
-// (kNoProcess) are in MessageStats only.
+// (kNoProcess) go into one record the network owns.
 struct ProcessCounts {
   // Physical sends by kind: an envelope counts once, as kBatch.
   std::array<uint64_t, static_cast<size_t>(MessageKind::kMessageKindCount)>
       sent_by_kind{};
+  // The messages packaged inside those envelopes, by kind.
+  std::array<uint64_t, static_cast<size_t>(MessageKind::kMessageKindCount)>
+      packaged_by_kind{};
   uint64_t segments_out = 0;      // segments sent, bare or packaged
   uint64_t segment_rows_out = 0;  // answer rows in them
   uint64_t delivered = 0;         // physical deliveries (handler runs)
@@ -173,10 +179,11 @@ struct ProcessCounts {
   uint64_t segments_in = 0;       // segments delivered, bare or packaged
   uint64_t segment_rows_in = 0;   // answer rows in them
   // Handler time: OnMessage plus the OnRunEnd a run's last delivery
-  // closes, the window of the flight record's `aux`. Clocked only on
-  // tapped deliveries (a flight recorder or profiling attached).
+  // closes, the window of the flight record's `aux`. Clocked on every
+  // delivery.
   uint64_t handler_ns = 0;
-  // Send to delivery start, per physical message (profiling only).
+  // Send to delivery start, summed over the physical messages
+  // delivered (each carries its send stamp, Message::sent_at_ns).
   uint64_t queue_wait_ns = 0;
 
   /// Physical sends of every kind.
@@ -218,7 +225,10 @@ class Network {
   size_t process_count() const { return processes_.size(); }
   Process& process(ProcessId id) { return *processes_[id]; }
 
-  /// Enqueues `message` (stamped with `from`) into `to`'s mailbox.
+  /// Enqueues `message` (stamped with `from` and its send time) into
+  /// `to`'s mailbox and counts it into the sender's record. Sends from
+  /// outside any process (`from` == kNoProcess) belong on the thread
+  /// that owns the network, before a run.
   void Send(ProcessId from, ProcessId to, Message message);
 
   /// Number of undelivered messages waiting for `id`. A process may
@@ -255,11 +265,6 @@ class Network {
   /// layers write their rare events (Fig. 2 transitions) through it.
   FlightRecorder* flight_recorder() const { return flight_; }
   uint64_t flight_query_id() const { return flight_query_id_; }
-
-  /// Times every delivery (the tapped path, as with a flight recorder)
-  /// and stamps each physical message's send time, so the receiver's
-  /// record also sums queue wait. Call before the first send.
-  void EnableProfiling();
 
   /// The traffic record of process `id`. Read it after Run returns.
   const ProcessCounts& counts(ProcessId id) const {
@@ -308,15 +313,14 @@ class Network {
   /// kThreaded without `params.pool` is FailedPrecondition.
   StatusOr<RunResult> Run(SchedulerKind kind, const SchedulerParams& params);
 
+  /// Every record summed, the outside senders' included. Read it
+  /// after Run returns.
   MessageStats stats() const;
 
  private:
   struct Mailbox {
     mutable std::mutex mutex;
     std::deque<Message> queue;
-    // Send times of the queued messages, in queue order (engaged only
-    // when profiling: an empty deque still allocates).
-    std::optional<std::deque<uint64_t>> sent_ns;
     // Threaded-scheduler actor state: 0 idle, 1 scheduled (in a run
     // queue or slot), 2 running, 3 running with new mail.
     std::atomic<int> state{0};
@@ -325,34 +329,24 @@ class Network {
     alignas(64) ProcessCounts counts;
   };
 
-  // Moves the oldest message of `box` into `out`, its send time into
-  // `sent_ns` (0 unless profiling) and sets `left` to how many stay
-  // queued behind it; false when `box` is empty.
-  bool Pop(Mailbox& box, Message& out, uint64_t& sent_ns, size_t& left) const;
-  // Counts `message` into process `id`'s record and hands it over;
-  // `run_end` closes the run with its OnRunEnd inside the same tapped
-  // window.
-  void Deliver(ProcessId id, const Message& message, uint64_t sent_ns,
-               bool run_end);
-  // The handler run of Deliver with a flight recorder or profiling
-  // attached.
-  void DeliverTapped(ProcessId id, const Message& message, uint64_t sent_ns,
-                     bool run_end);
+  // Moves the oldest message of `box` into `out` and sets `left` to
+  // how many stay queued behind it; false when `box` is empty.
+  bool Pop(Mailbox& box, Message& out, size_t& left) const;
+  // Counts `message` into process `id`'s record and hands it over,
+  // clocking the handler; `run_end` closes the run with its OnRunEnd
+  // inside the same clocked window.
+  void Deliver(ProcessId id, const Message& message, bool run_end);
 
   std::vector<std::unique_ptr<Process>> processes_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   SendTap send_tap_;
   FlightRecorder* flight_ = nullptr;
   uint64_t flight_query_id_ = 0;
-  bool profiling_ = false;
+  // The record of sends from outside any process.
+  ProcessCounts outside_counts_;
   std::atomic<bool> started_{false};
   std::atomic<bool> stop_requested_{false};
   std::atomic<int64_t> total_pending_{0};
-  std::array<std::atomic<uint64_t>,
-             static_cast<size_t>(MessageKind::kMessageKindCount)>
-      sent_by_kind_{};
-  std::atomic<uint64_t> packaged_submessages_{0};
-  std::atomic<uint64_t> segment_rows_{0};
 
   // The scheduler state of the RunThreaded call in progress (network.cc);
   // null otherwise, so the single-threaded schedulers' sends skip it.

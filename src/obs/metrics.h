@@ -1,14 +1,12 @@
 // Named metrics for evaluations: monotonic counters, level gauges and
-// log2-bucketed histograms, grouped in a MetricsRegistry. A session with
-// SessionOptions::metrics set writes its counts into the registry once,
-// at the end (engine/evaluator.h SessionTotals plus the per-node and
-// per-predicate rows); the engine adds every session's totals to its
-// telemetry registry the same way (obs/telemetry.h). Nothing here
-// observes events.
+// log2-bucketed histograms, grouped in a MetricsRegistry. The engine
+// keeps one, in its telemetry (obs/telemetry.h), and adds every
+// session's totals to it once, at the end (engine/evaluator.h
+// SessionTotals). Nothing here observes events.
 //
 // Naming convention: '/'-separated paths, lowest-cardinality prefix
-// first — e.g. "msg/sent/tuple_segment", "aggregated/node/7/fires",
-// "predicate/path/stored_tuples", "phase/run/ns". The Prometheus
+// first — e.g. "msg/sent/tuple_segment", "scc/3/queue_depth",
+// "phase/run/ns". The Prometheus
 // serializer (obs/prometheus.h) maps these paths onto metric families
 // `mpqe_<subsystem>_<name>{label="..."}` (DESIGN.md §12).
 //

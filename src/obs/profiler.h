@@ -15,11 +15,11 @@
 //
 // The report is not observed but assembled at the end of the session
 // (engine/evaluator.cc) from counts every session keeps: the network's
-// per-process records (msg/network.h ProcessCounts), the node
-// processes' relation and Fig. 2 counters (EngineCounters) and the
-// phase timers. Profiling adds only the queue-wait stamps and the
-// per-delivery clock reads on a flight-recorder-less session (tracked
-// in BENCH_obs.json).
+// per-process records (msg/network.h ProcessCounts, handler time and
+// queue wait included), the node processes' relation and Fig. 2
+// counters (EngineCounters) and the phase timers. Profiling changes
+// nothing the network measures; it costs the node labels and the §4.3
+// estimates of the report.
 
 #ifndef MPQE_OBS_PROFILER_H_
 #define MPQE_OBS_PROFILER_H_

@@ -1,7 +1,6 @@
 // Engine-wide telemetry (DESIGN.md §12): the always-on, engine-scoped
-// aggregation layer that every QuerySession reports into. Where a
-// session's own MetricsRegistry (SessionOptions::metrics) belongs to its
-// caller, EngineTelemetry outlives every session and is what the ops
+// aggregation layer that every QuerySession reports into. It outlives
+// every session, holds the engine's only registry, and is what the ops
 // surface — the Prometheus exposition (obs/prometheus.h), the /metrics
 // and /queries endpoints (engine/stats_server.h) and `mpqe_query
 // --stats` — reads.
@@ -11,7 +10,7 @@
 //  * an engine-lifetime MetricsRegistry, the engine's only registry.
 //    Every completed session adds its totals — messages by kind,
 //    deliveries, segment rows, node fires, dedup hits, Fig. 2 events,
-//    phase times — exactly once, through counter handles the Engine
+//    phase times, the largest node relation — exactly once, through counter handles the Engine
 //    resolves when it starts (engine/evaluator.h SessionTotals), so
 //    every session counts and none pays a name lookup. The engine's
 //    plan-cache, prepare and session families and this layer's own
@@ -81,9 +80,9 @@ struct QueryLogEntry {
   uint64_t wall_ns = 0;
   // Handler time and scheduler-queue wait summed over the session's
   // graph-node processes: the profile's total_fire_ns and
-  // total_queue_wait_ns. Queue wait is stamped only in sessions that
-  // profile (0 otherwise); handler time is clocked on every delivery
-  // the flight recorder taps, which on an engine is every delivery.
+  // total_queue_wait_ns. The network clocks every delivery and stamps
+  // every message's send time, so every entry carries both, profiled
+  // or not.
   uint64_t queue_wait_ns = 0;
   uint64_t fire_ns = 0;
   std::string status = "ok";  // "ok" or the failing Status code name

@@ -73,6 +73,11 @@ TEST(BatchingTest, WorksWithCoalescingAndSchedulers) {
   }
 }
 
+// Packaging on coalesced graphs under random schedules, across many
+// programs: each seed draws a random program and a random scheduler
+// seed. (CoalescedRandomEquivalence runs these programs on the
+// deterministic scheduler; a coalesced graph never blows up, so no
+// seed is skipped.)
 class BatchedRandomEquivalence : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(BatchedRandomEquivalence, MatchesSemiNaive) {
@@ -82,14 +87,14 @@ TEST_P(BatchedRandomEquivalence, MatchesSemiNaive) {
   ASSERT_TRUE(rp.ok());
   auto truth = SemiNaiveBottomUp(rp->unit.program, rp->unit.database);
   ASSERT_TRUE(truth.ok());
+  PlanOptions plan;
+  plan.graph_options.coalesce_nodes = true;
   SessionOptions eval;
+  eval.scheduler = SchedulerKind::kRandom;
+  eval.seed = GetParam();
   eval.max_messages = 5000000;
   auto result = TestEngine(std::move(rp->unit.database))
-                    .Run(rp->unit.program, {}, eval);
-  if (!result.ok() &&
-      result.status().code() == StatusCode::kResourceExhausted) {
-    GTEST_SKIP() << "graph blow-up (no coalescing): " << result.status();
-  }
+                    .Run(rp->unit.program, plan, eval);
   ASSERT_TRUE(result.ok()) << result.status() << "\n" << rp->text;
   EXPECT_TRUE(result->ended_by_protocol) << rp->text;
   EXPECT_TRUE(result->answers == truth->goal)

@@ -9,6 +9,8 @@
 
 #include <memory>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "datalog/parser.h"
 #include "engine/engine.h"
@@ -277,22 +279,67 @@ TEST(ProfilerTest, ExplainPlanModes) {
 }
 
 // ---------------------------------------------------------------------------
-// Aggregated metrics entries
+// Per-node rows
 
 TEST(ProfilerTest, AggregatedMetricsDumpedPerNode) {
   auto unit = Parse(kTcShortcut);
   ASSERT_TRUE(unit.ok());
-  MetricsRegistry metrics;
   SessionOptions options;
   options.profile = true;
-  options.metrics = &metrics;
   auto result =
       TestEngine(std::move(unit->database)).Run(unit->program, {}, options);
   ASSERT_TRUE(result.ok());
-  std::string dump = metrics.ToString();
-  EXPECT_NE(dump.find("aggregated/node/0/tuples_out=2"), std::string::npos);
-  EXPECT_NE(dump.find("aggregated/node/2/dedup_hits=1"), std::string::npos);
-  EXPECT_NE(dump.find("aggregated/node/5/fires="), std::string::npos);
+  ASSERT_NE(result->profile, nullptr);
+  const NodeProfile* node0 = FindNode(*result->profile, 0);
+  const NodeProfile* node2 = FindNode(*result->profile, 2);
+  const NodeProfile* node5 = FindNode(*result->profile, 5);
+  ASSERT_NE(node0, nullptr);
+  ASSERT_NE(node2, nullptr);
+  ASSERT_NE(node5, nullptr);
+  EXPECT_EQ(node0->tuples_out, 2u);
+  EXPECT_EQ(node2->dedup_hits, 1u);
+  EXPECT_GT(node5->fires, 0u);
+}
+
+// Profiling only assembles the report: a session that does not profile
+// keeps the same counts, handler time and queue wait included, and its
+// query-log entry carries the queue wait.
+TEST(ProfilerTest, SameCountsProfiledOrNot) {
+  auto unit = Parse(kTcShortcut);
+  ASSERT_TRUE(unit.ok());
+  TestEngine engine(std::move(unit->database));
+  SessionOptions profiled;
+  profiled.profile = true;
+  auto with = engine.Run(unit->program, {}, profiled);
+  ASSERT_TRUE(with.ok()) << with.status();
+  auto without = engine.Run(unit->program);
+  ASSERT_TRUE(without.ok()) << without.status();
+  ASSERT_NE(with->profile, nullptr);
+  EXPECT_EQ(without->profile, nullptr);
+
+  // Every count but the two clocked ones, per node.
+  const auto untimed = [](const ProcessCounts& c) {
+    return std::make_tuple(c.sent_by_kind, c.packaged_by_kind,
+                           c.segments_out, c.segment_rows_out, c.delivered,
+                           c.envelopes_in, c.requests_in, c.segments_in,
+                           c.segment_rows_in);
+  };
+  ASSERT_EQ(with->node_counters.size(), without->node_counters.size());
+  for (size_t i = 0; i < with->node_counters.size(); ++i) {
+    EXPECT_TRUE(untimed(with->node_counters[i].traffic) ==
+                untimed(without->node_counters[i].traffic))
+        << "node " << with->node_counters[i].node;
+  }
+  EXPECT_TRUE(untimed(with->traffic) == untimed(without->traffic));
+
+  EXPECT_GT(with->NodeTraffic().queue_wait_ns, 0u);
+  EXPECT_GT(without->NodeTraffic().queue_wait_ns, 0u);
+  EXPECT_EQ(with->profile->total_queue_wait_ns,
+            with->NodeTraffic().queue_wait_ns);
+  const std::vector<QueryLogEntry> log =
+      engine.engine().telemetry().QueryLog();
+  ASSERT_EQ(log.back().query_id, engine.last_query_id());
+  EXPECT_EQ(log.back().queue_wait_ns, without->NodeTraffic().queue_wait_ns);
 }
 
 // ---------------------------------------------------------------------------
@@ -317,7 +364,6 @@ TEST(ProfilerTest, WorksWithoutAttachedGraph) {
   Network net;
   net.AddProcess(std::make_unique<OneRequest>(1));
   net.AddProcess(std::make_unique<OneRequest>(kNoProcess));
-  net.EnableProfiling();
   auto run = net.RunDeterministic();
   ASSERT_TRUE(run.ok()) << run.status();
   EXPECT_EQ(run->delivered, 1u);

@@ -410,11 +410,39 @@ TEST(TelemetryTest, SessionsAggregateIntoEngineRegistryAndQueryLog) {
     EXPECT_EQ(entry.rows_out, 4u);  // tc(1, W) over the 5-edge cycle
     EXPECT_EQ(entry.text_hash, HashQueryText((*plan)->canonical_text()));
     EXPECT_GT(entry.fire_ns, 0u);
+    EXPECT_GT(entry.queue_wait_ns, 0u);
     if (entry.plan_reused) ++reused;
   }
   std::sort(ids.begin(), ids.end());
   EXPECT_EQ(std::unique(ids.begin(), ids.end()), ids.end());
   EXPECT_EQ(reused, kSessions - 1);  // every session after the plan's first
+}
+
+// engine/max_node_relation is one sample per session, so after two runs
+// of one plan it reads that plan's largest node relation, not twice it.
+TEST(TelemetryTest, MaxNodeRelationIsTheLargestNotASum) {
+  auto facts = Parse(kTcFacts);
+  ASSERT_TRUE(facts.ok()) << facts.status();
+  Engine engine;
+  auto plan = engine.Prepare(engine.Attach(std::move(facts->database)),
+                             kTcRules);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  uint64_t largest = 0;
+  for (int run = 0; run < 2; ++run) {
+    auto session = engine.CreateSession(*plan);
+    ASSERT_TRUE(session.ok()) << session.status();
+    auto result = (*session)->Run();
+    ASSERT_TRUE(result.ok()) << result.status();
+    ASSERT_GT(result->counters.max_node_relation, 0u);
+    if (run == 1) {
+      EXPECT_EQ(result->counters.max_node_relation, largest);
+    }
+    largest = result->counters.max_node_relation;
+  }
+  const Histogram& h =
+      engine.telemetry().registry().GetHistogram("engine/max_node_relation");
+  EXPECT_EQ(h.count(), 2u);
+  EXPECT_EQ(h.max(), largest);
 }
 
 TEST(TelemetryTest, EngineDestructionWithPendingAsyncSessions) {
