@@ -71,4 +71,19 @@ void CollectVariables(const Rule& rule, std::vector<VariableId>& out) {
   for (const Atom& a : rule.body) CollectVariables(a, out);
 }
 
+void SubstituteConstants(Atom& atom, const std::vector<Value>& from,
+                         const std::vector<Value>& to) {
+  for (Term& t : atom.args) {
+    if (!t.is_constant()) continue;
+    auto it = std::find(from.begin(), from.end(), t.constant());
+    if (it != from.end()) t = Term::Const(to[it - from.begin()]);
+  }
+}
+
+void SubstituteConstants(Rule& rule, const std::vector<Value>& from,
+                         const std::vector<Value>& to) {
+  SubstituteConstants(rule.head, from, to);
+  for (Atom& a : rule.body) SubstituteConstants(a, from, to);
+}
+
 }  // namespace mpqe

@@ -116,6 +116,13 @@ class PredicatePool {
 void CollectVariables(const Atom& atom, std::vector<VariableId>& out);
 void CollectVariables(const Rule& rule, std::vector<VariableId>& out);
 
+/// Replaces each constant of `atom` (or of every atom of `rule`) that
+/// equals from[i] by to[i]; `from` and `to` have equal length.
+void SubstituteConstants(Atom& atom, const std::vector<Value>& from,
+                         const std::vector<Value>& to);
+void SubstituteConstants(Rule& rule, const std::vector<Value>& from,
+                         const std::vector<Value>& to);
+
 }  // namespace mpqe
 
 namespace std {

@@ -20,10 +20,10 @@ PlanCache::PlanCache(size_t capacity)
 std::shared_ptr<const PreparedQuery> PlanCache::Lookup(
     const std::string& key, bool count_miss) {
   std::lock_guard<std::mutex> lock(mutex_);
-  const std::string* canonical = &key;
+  const std::string* entry_key = &key;
   auto alias_it = aliases_.find(key);
-  if (alias_it != aliases_.end()) canonical = &alias_it->second;
-  auto it = entries_.find(*canonical);
+  if (alias_it != aliases_.end()) entry_key = &alias_it->second;
+  auto it = entries_.find(*entry_key);
   if (it == entries_.end()) {
     if (count_miss) ++misses_;
     return nullptr;
@@ -33,63 +33,40 @@ std::shared_ptr<const PreparedQuery> PlanCache::Lookup(
   return it->second.plan;
 }
 
-std::shared_ptr<const PreparedQuery> PlanCache::Peek(
-    const std::string& key) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const std::string* canonical = &key;
-  auto alias_it = aliases_.find(key);
-  if (alias_it != aliases_.end()) canonical = &alias_it->second;
-  auto it = entries_.find(*canonical);
-  return it == entries_.end() ? nullptr : it->second.plan;
-}
-
-size_t PlanCache::Insert(const std::string& canonical_key,
+size_t PlanCache::Insert(const std::string& key,
                          std::shared_ptr<const PreparedQuery> plan) {
+  // Declared before the lock, so the evicted plans are destroyed after
+  // it is released.
+  std::vector<std::shared_ptr<const PreparedQuery>> victims;
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(canonical_key);
-  if (it != entries_.end()) {
-    it->second.plan = std::move(plan);
-    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-    ++insertions_;
-    return 0;
-  }
-  size_t evicted = 0;
-  while (entries_.size() >= capacity_) {
-    EvictOne();
-    ++evicted;
-  }
-  lru_.push_front(canonical_key);
+  if (entries_.count(key) != 0) return 0;
+  while (entries_.size() >= capacity_) EvictOne(victims);
+  lru_.push_front(key);
   Entry entry;
   entry.plan = std::move(plan);
   entry.lru_it = lru_.begin();
-  entries_.emplace(canonical_key, std::move(entry));
+  entries_.emplace(key, std::move(entry));
   ++insertions_;
-  return evicted;
+  return victims.size();
 }
 
-void PlanCache::AddAlias(const std::string& alias_key,
-                         const std::string& canonical_key) {
-  if (alias_key == canonical_key) return;
+void PlanCache::AddAlias(const std::string& alias, const std::string& key,
+                         const PreparedQuery* plan) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(canonical_key);
-  if (it == entries_.end()) return;
-  auto [alias_it, inserted] = aliases_.emplace(alias_key, canonical_key);
-  if (!inserted) {
-    // Re-point a stale alias (its old target may have been evicted).
-    auto old = entries_.find(alias_it->second);
-    if (old != entries_.end()) {
-      auto& v = old->second.aliases;
-      v.erase(std::remove(v.begin(), v.end(), alias_key), v.end());
-    }
-    alias_it->second = canonical_key;
+  auto it = entries_.find(key);
+  if (it == entries_.end() || it->second.plan.get() != plan) return;
+  // An alias always names the entry its text keys to, and dies with
+  // it, so one already registered needs nothing more.
+  if (aliases_.emplace(alias, key).second) {
+    it->second.aliases.push_back(alias);
   }
-  it->second.aliases.push_back(alias_key);
 }
 
-void PlanCache::EvictOne() {
-  const std::string& victim_key = lru_.back();
-  auto it = entries_.find(victim_key);
+void PlanCache::EvictOne(
+    std::vector<std::shared_ptr<const PreparedQuery>>& victims) {
+  auto it = entries_.find(lru_.back());
   for (const std::string& alias : it->second.aliases) aliases_.erase(alias);
+  victims.push_back(std::move(it->second.plan));
   entries_.erase(it);
   lru_.pop_back();
   ++evictions_;
@@ -105,18 +82,6 @@ PlanCacheStats PlanCache::stats() const {
   s.size = entries_.size();
   s.capacity = capacity_;
   return s;
-}
-
-size_t PlanCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
-
-void PlanCache::Clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  entries_.clear();
-  aliases_.clear();
-  lru_.clear();
 }
 
 }  // namespace mpqe

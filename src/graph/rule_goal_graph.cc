@@ -364,6 +364,18 @@ StatusOr<std::unique_ptr<RuleGoalGraph>> RuleGoalGraph::Build(
   return graph;
 }
 
+std::unique_ptr<RuleGoalGraph> RuleGoalGraph::Instantiate(
+    const Program& program, const std::vector<Value>& from,
+    const std::vector<Value>& to) const {
+  std::unique_ptr<RuleGoalGraph> graph(new RuleGoalGraph(*this));
+  graph->program_ = &program;
+  for (GraphNode& node : graph->nodes_) {
+    SubstituteConstants(node.atom, from, to);
+    SubstituteConstants(node.rule, from, to);
+  }
+  return graph;
+}
+
 int RuleGoalGraph::BfstDepth(NodeId id) const {
   int depth = 0;
   for (NodeId n = nodes_[id].bfst_parent; n != kNoNode;

@@ -130,6 +130,17 @@ class RuleGoalGraph {
       const Program& program, const SipsStrategy& strategy,
       const GraphBuildOptions& options = GraphBuildOptions());
 
+  /// A copy of this graph over `program`, which is a copy of program()
+  /// after Program::SubstituteConstants(from, to), with the same swap
+  /// applied to every node's atom and rule. Construction compares
+  /// constants only for equality, so when `from` lists every constant
+  /// of program() and `from` and `to` each hold distinct values, the
+  /// copy equals Build over `program` (E2). `program` must outlive the
+  /// copy.
+  std::unique_ptr<RuleGoalGraph> Instantiate(
+      const Program& program, const std::vector<Value>& from,
+      const std::vector<Value>& to) const;
+
   const Program& program() const { return *program_; }
   /// Variable pool extended with construction-time fresh variables.
   const VariablePool& variables() const { return variables_; }

@@ -418,6 +418,35 @@ TEST(TelemetryTest, SessionsAggregateIntoEngineRegistryAndQueryLog) {
   EXPECT_EQ(reused, kSessions - 1);  // every session after the plan's first
 }
 
+// A plan instantiated from the cached plan of its shape reuses that
+// plan's compile, so even its first session logs plan_reused; the first
+// session of a cold compile does not.
+TEST(TelemetryTest, InstantiatedPlanLogsPlanReused) {
+  auto facts = Parse(kTcFacts);
+  ASSERT_TRUE(facts.ok()) << facts.status();
+  Engine engine(EngineOptions{.workers = 2});
+  auto snapshot = engine.Attach(std::move(facts->database));
+  auto compiled = engine.Prepare(snapshot, kTcRules);  // tc(1, W)
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  auto instance = engine.Prepare(snapshot,
+                                 "tc(X, Y) :- edge(X, Y).\n"
+                                 "tc(X, Y) :- edge(X, Z), tc(Z, Y).\n"
+                                 "?- tc(3, W).");
+  ASSERT_TRUE(instance.ok()) << instance.status();
+  ASSERT_NE(instance->get(), compiled->get());
+  EXPECT_EQ(engine.plan_cache_stats().hits, 1u);
+
+  ASSERT_TRUE(engine.RunAsync(*compiled).get().ok());
+  ASSERT_TRUE(engine.RunAsync(*instance).get().ok());
+  auto log = engine.telemetry().QueryLog();
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_FALSE(log[0].plan_reused);
+  EXPECT_TRUE(log[1].plan_reused);
+  EXPECT_EQ(log[1].text_hash, HashQueryText((*instance)->canonical_text()));
+  EXPECT_NE(log[1].text_hash, log[0].text_hash);
+  EXPECT_EQ(log[1].rows_out, 4u);  // tc(3, W) reaches 4, 2, 3 and 5
+}
+
 // engine/max_node_relation is one sample per session, so after two runs
 // of one plan it reads that plan's largest node relation, not twice it.
 TEST(TelemetryTest, MaxNodeRelationIsTheLargestNotASum) {
@@ -489,10 +518,11 @@ TEST(TelemetryTest, PlanCacheCountersSurfaceInTelemetry) {
 
   ASSERT_TRUE(engine.Prepare(snapshot, kTcRules).ok());       // miss
   ASSERT_TRUE(engine.Prepare(snapshot, kTcRules).ok());       // hit
+  // Another shape (the second argument bound), so another plan.
   const std::string other =
       "tc(X, Y) :- edge(X, Y).\n"
       "tc(X, Y) :- edge(X, Z), tc(Z, Y).\n"
-      "?- tc(2, W).";
+      "?- tc(W, 2).";
   auto plan = engine.Prepare(snapshot, other);  // miss + eviction
   ASSERT_TRUE(plan.ok()) << plan.status();
   ASSERT_TRUE(engine.CreateSession(*plan).ok());  // never run
