@@ -173,6 +173,44 @@ Status Program::Validate(Database* db) const {
   return Status::Ok();
 }
 
+namespace {
+
+Program::ConstantPrinter ValuePrinter(const SymbolTable* symbols) {
+  return [symbols](std::string& out, const Value& v) {
+    out += v.ToString(symbols);
+  };
+}
+
+void AppendAtom(const Program& program, const Atom& a,
+                const Program::ConstantPrinter& print_constant,
+                std::string& out) {
+  out += program.predicates().Name(a.predicate);
+  out += '(';
+  for (size_t i = 0; i < a.args.size(); ++i) {
+    if (i > 0) out += ", ";
+    const Term& t = a.args[i];
+    if (t.is_variable()) {
+      out += program.variables().Name(t.var());
+    } else {
+      print_constant(out, t.constant());
+    }
+  }
+  out += ')';
+}
+
+void AppendRule(const Program& program, const Rule& r,
+                const Program::ConstantPrinter& print_constant,
+                std::string& out) {
+  AppendAtom(program, r.head, print_constant, out);
+  for (size_t i = 0; i < r.body.size(); ++i) {
+    out += i == 0 ? " :- " : ", ";
+    AppendAtom(program, r.body[i], print_constant, out);
+  }
+  out += '.';
+}
+
+}  // namespace
+
 std::string Program::TermToString(const Term& t,
                                   const SymbolTable* symbols) const {
   if (t.is_variable()) return variables_.Name(t.var());
@@ -181,33 +219,27 @@ std::string Program::TermToString(const Term& t,
 
 std::string Program::AtomToString(const Atom& a,
                                   const SymbolTable* symbols) const {
-  return StrCat(predicates_.Name(a.predicate), "(",
-                StrJoin(a.args, ", ",
-                        [this, symbols](std::ostream& os, const Term& t) {
-                          os << TermToString(t, symbols);
-                        }),
-                ")");
+  std::string out;
+  AppendAtom(*this, a, ValuePrinter(symbols), out);
+  return out;
 }
 
 std::string Program::RuleToString(const Rule& r,
                                   const SymbolTable* symbols) const {
-  std::string out = AtomToString(r.head, symbols);
-  if (!r.body.empty()) {
-    out += " :- ";
-    out += StrJoin(r.body, ", ",
-                   [this, symbols](std::ostream& os, const Atom& a) {
-                     os << AtomToString(a, symbols);
-                   });
-  }
-  out += ".";
+  std::string out;
+  AppendRule(*this, r, ValuePrinter(symbols), out);
   return out;
 }
 
 std::string Program::ToString(const SymbolTable* symbols) const {
+  return Print(ValuePrinter(symbols));
+}
+
+std::string Program::Print(const ConstantPrinter& print_constant) const {
   std::string out;
   for (const Rule& r : rules_) {
-    out += RuleToString(r, symbols);
-    out += "\n";
+    AppendRule(*this, r, print_constant, out);
+    out += '\n';
   }
   return out;
 }
